@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .pda import POP, PUSH, AcceptingRun, enumerate_runs
+from .pda import DEFAULT_LIMITS, POP, PUSH, AcceptingRun, SearchLimits, enumerate_runs
 
 
 class UnbalancedRun(Exception):
@@ -242,7 +242,12 @@ class PairAnalysis:
 
 
 def analyze_pair(
-    machine_1, machine_2, word: str, all_runs: bool = False, runs_cap: int = 20
+    machine_1,
+    machine_2,
+    word: str,
+    all_runs: bool = False,
+    runs_cap: int = 20,
+    limits: SearchLimits = DEFAULT_LIMITS,
 ) -> list[PairAnalysis]:
     """Overlay matchings of two machines on one word.
 
@@ -251,8 +256,8 @@ def analyze_pair(
     Words rejected by either machine give an empty list.
     """
     cap = runs_cap if all_runs else 1
-    runs_1 = enumerate_runs(machine_1, word, cap=cap)
-    runs_2 = enumerate_runs(machine_2, word, cap=cap)
+    runs_1 = enumerate_runs(machine_1, word, cap=cap, limits=limits)
+    runs_2 = enumerate_runs(machine_2, word, cap=cap, limits=limits)
     out = []
     for idx1, r1 in enumerate(runs_1):
         m1 = extract_matching(r1, word, owner=1)

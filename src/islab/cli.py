@@ -267,13 +267,19 @@ def _crossing_rows(analysis) -> list:
 def _cmd_crossings(args) -> int:
     first, second, bundle = _load_pair(args)
     word = _family_word(args, bundle)
+    limits = _limits(args)
     analyses = analyze_pair(
-        first, second, word, all_runs=args.all_runs, runs_cap=args.runs_cap
+        first,
+        second,
+        word,
+        all_runs=args.all_runs,
+        runs_cap=args.runs_cap,
+        limits=limits,
     )
     rejected = []
     if not analyses:
         for tag, machine in ((1, first), (2, second)):
-            ok, _ = accepts(machine, word)
+            ok, _ = accepts(machine, word, limits)
             if not ok:
                 rejected.append(tag)
     payload = {
@@ -310,11 +316,11 @@ def _cmd_crossings(args) -> int:
     return 0
 
 
-def _pair_samples(first, second, bundle, sizes):
+def _pair_samples(first, second, bundle, sizes, limits):
     samples = []
     for n in sizes:
         word = bundle.family(n)
-        analyses = analyze_pair(first, second, word)
+        analyses = analyze_pair(first, second, word, limits=limits)
         measures = [c.measures for c in analyses[0].crossings] if analyses else []
         samples.append((word, measures))
     return samples
@@ -348,7 +354,7 @@ def _cmd_classify(args) -> int:
     if bundle is None or bundle.family is None:
         raise CliError("classify needs a corpus bundle with a word family")
     sizes = _parse_sizes(args.sizes)
-    samples = _pair_samples(first, second, bundle, sizes)
+    samples = _pair_samples(first, second, bundle, sizes, _limits(args))
     try:
         report = classify_family(samples)
     except InconclusiveRegime as exc:
@@ -761,7 +767,8 @@ def _cmd_report(args) -> int:
     if bundle is None or bundle.family is None:
         raise CliError("report needs a corpus bundle with a word family")
     sizes = _parse_sizes(args.sizes)
-    samples = _pair_samples(first, second, bundle, sizes)
+    limits = _limits(args)
+    samples = _pair_samples(first, second, bundle, sizes, limits)
     rows = []
     for n, (word, measures) in zip(sizes, samples):
         rows.append(
@@ -807,7 +814,7 @@ def _cmd_report(args) -> int:
     _emit(payload, args, lines)
     if args.svg:
         word = bundle.family(sizes[-1])
-        analyses = analyze_pair(first, second, word)
+        analyses = analyze_pair(first, second, word, limits=limits)
         if not analyses:
             raise CliError("no analysis to draw at the largest size")
         _write_svg(

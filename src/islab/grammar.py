@@ -74,7 +74,6 @@ class CnfGrammar(Cfg):
 
     def _shape_check(self) -> None:
         start_on_rhs = any(self.start in p.body for p in self.productions)
-        has_epsilon = any(p.body == () for p in self.productions)
         for p in self.productions:
             b = p.body
             if b == ():
@@ -90,7 +89,6 @@ class CnfGrammar(Cfg):
                     raise ValueError(f"binary body {b!r} must be two nonterminals")
             else:
                 raise ValueError(f"body {b!r} too long for this normal form")
-        del has_epsilon
 
     @property
     def is_empty(self) -> bool:

@@ -21,7 +21,7 @@ standard engine in pda explores these machines unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .pda import (
     Configuration,
@@ -36,6 +36,7 @@ from .pda import (
     SearchLimits,
     StackAction,
     Transition,
+    _apply,
 )
 
 DISPLACEMENT = "displacement"
@@ -110,7 +111,15 @@ def _tag(ops, owner: int) -> tuple:
     return tuple((op.kind, owner, op.symbol) for op in ops)
 
 
+def _aux(state, action: StackAction, target) -> Transition:
+    return Transition(state, None, action, target, auxiliary=True)
+
+
 class _ProductBase:
+    """Shared product machinery.  Each instance keeps a table from composite
+    state to its outgoing transitions, filled on first request: the control
+    graph is finite, so every state is expanded once per product."""
+
     kind = "abstract"
 
     def __init__(self, first: Pda, second: Pda):
@@ -123,6 +132,7 @@ class _ProductBase:
             1: tuple(sorted(first.stack_alphabet - {first.bottom})),
             2: tuple(sorted(second.stack_alphabet - {second.bottom})),
         }
+        self._table: dict = {}
 
     def component(self, owner: int) -> Pda:
         return self.first if owner == 1 else self.second
@@ -132,6 +142,12 @@ class _ProductBase:
 
     def stack_depth_cap(self, input_len: int) -> int:
         return 4 * input_len + 3
+
+    def transitions_from(self, state) -> tuple:
+        out = self._table.get(state)
+        if out is None:
+            out = self._table[state] = self._expand(state)
+        return out
 
     def is_accepting(self, config: Configuration, input_len: int) -> bool:
         state = config.state
@@ -148,19 +164,19 @@ class _ProductBase:
     def _owner_residue(self, config: Configuration, owner: int) -> bool:
         return any(entry[0] == owner for entry in config.stack[1:])
 
-    def _read_targets(self, state, symbol: str):
-        """Composite successors of one reading step, covering both
-        machines' move choices and both per-position operation orders."""
+    def _reads(self, state) -> tuple:
+        """Reading steps of a sync state, covering both machines' move
+        choices and both per-position operation orders."""
         out = []
-        for ops1, t1 in _moves(self.first, state.q1, symbol):
-            for ops2, t2 in _moves(self.second, state.q2, symbol):
-                a, b = _tag(ops1, 1), _tag(ops2, 2)
-                queues = [a + b]
-                if b + a != a + b:
-                    queues.append(b + a)
-                for queue in queues:
-                    out.append(self._after_read(state, t1, t2, queue))
-        return out
+        for symbol in sorted(self.input_alphabet):
+            for ops1, t1 in _moves(self.first, state.q1, symbol):
+                for ops2, t2 in _moves(self.second, state.q2, symbol):
+                    a, b = _tag(ops1, 1), _tag(ops2, 2)
+                    queues = [a + b] if b + a == a + b else [a + b, b + a]
+                    for queue in queues:
+                        nxt = self._after_read(state, t1, t2, queue)
+                        out.append(Transition(state, symbol, StackAction.none(), nxt))
+        return tuple(out)
 
 
 class DisplacementProduct(_ProductBase):
@@ -183,7 +199,7 @@ class DisplacementProduct(_ProductBase):
 
     def projection(self, state: DisplacedState):
         """Counting view: control pair plus the held foreign symbols."""
-        return (state.q1, state.q2, tuple(e for e in state.displaced))
+        return (state.q1, state.q2, state.displaced)
 
     def state_bound(self) -> int:
         return state_bound(
@@ -195,49 +211,22 @@ class DisplacementProduct(_ProductBase):
             self.k,
         )
 
-    def transitions_from(self, state: DisplacedState):
-        out = []
-        if state.queue:
-            (op, owner, sym), rest = state.queue[0], state.queue[1:]
-            if op == PUSH:
-                nxt = DisplacedState(state.q1, state.q2, rest, state.displaced)
-                out.append(
-                    Transition(
-                        state, None, StackAction.push((owner, sym)), nxt, auxiliary=True
-                    )
-                )
-            else:
-                restore = tuple(
-                    (PUSH, o, s) for o, s in reversed(state.displaced)
-                )
-                done = DisplacedState(state.q1, state.q2, restore + rest, ())
-                out.append(
-                    Transition(
-                        state, None, StackAction.pop((owner, sym)), done, auxiliary=True
-                    )
-                )
-                if len(state.displaced) < 2 * self.k:
-                    other = 2 if owner == 1 else 1
-                    for foreign in self._symbols[other]:
-                        lifted = DisplacedState(
-                            state.q1,
-                            state.q2,
-                            state.queue,
-                            state.displaced + ((other, foreign),),
-                        )
-                        out.append(
-                            Transition(
-                                state,
-                                None,
-                                StackAction.pop((other, foreign)),
-                                lifted,
-                                auxiliary=True,
-                            )
-                        )
-        else:
-            for symbol in sorted(self.input_alphabet):
-                for nxt in self._read_targets(state, symbol):
-                    out.append(Transition(state, symbol, StackAction.none(), nxt))
+    def _expand(self, state: DisplacedState) -> tuple:
+        if not state.queue:
+            return self._reads(state)
+        (op, owner, sym), rest = state.queue[0], state.queue[1:]
+        if op == PUSH:
+            drained = replace(state, queue=rest)
+            return (_aux(state, StackAction.push((owner, sym)), drained),)
+        restore = tuple((PUSH, o, s) for o, s in reversed(state.displaced))
+        done = replace(state, queue=restore + rest, displaced=())
+        out = [_aux(state, StackAction.pop((owner, sym)), done)]
+        if len(state.displaced) < 2 * self.k:
+            other = 2 if owner == 1 else 1
+            for foreign in self._symbols[other]:
+                entry = (other, foreign)
+                lifted = replace(state, displaced=state.displaced + (entry,))
+                out.append(_aux(state, StackAction.pop(entry), lifted))
         return tuple(out)
 
 
@@ -280,76 +269,29 @@ class BufferedProduct(_ProductBase):
             self.d,
         )
 
-    def transitions_from(self, state: BufferedState):
-        out = []
-        if state.queue:
-            (op, owner, sym), rest = state.queue[0], state.queue[1:]
-            if op == PUSH:
-                long_next = BufferedState(
-                    state.q1, state.q2, rest, state.buffer, state.closing
-                )
-                out.append(
-                    Transition(
-                        state,
-                        None,
-                        StackAction.push((owner, sym)),
-                        long_next,
-                        auxiliary=True,
-                    )
-                )
-                if len(state.buffer) < 8 * self.d:
-                    short_next = BufferedState(
-                        state.q1,
-                        state.q2,
-                        rest,
-                        state.buffer + ((owner, sym, 2 * self.d),),
-                        state.closing,
-                    )
-                    out.append(
-                        Transition(
-                            state, None, StackAction.none(), short_next, auxiliary=True
-                        )
-                    )
-            else:
-                idx = self._newest_match(state.buffer, owner, sym)
-                if idx is not None:
-                    taken = BufferedState(
-                        state.q1,
-                        state.q2,
-                        rest,
-                        state.buffer[:idx] + state.buffer[idx + 1 :],
-                        state.closing,
-                    )
-                    out.append(
-                        Transition(
-                            state, None, StackAction.none(), taken, auxiliary=True
-                        )
-                    )
-                else:
-                    popped = BufferedState(
-                        state.q1, state.q2, rest, state.buffer, state.closing
-                    )
-                    out.append(
-                        Transition(
-                            state,
-                            None,
-                            StackAction.pop((owner, sym)),
-                            popped,
-                            auxiliary=True,
-                        )
-                    )
-        elif state.closing:
-            if all(t > 0 for _, _, t in state.buffer):
-                aged = tuple((o, s, t - 1) for o, s, t in state.buffer)
-                done = BufferedState(state.q1, state.q2, (), aged, False)
-                out.append(
-                    Transition(state, None, StackAction.none(), done, auxiliary=True)
-                )
-        else:
-            for symbol in sorted(self.input_alphabet):
-                for nxt in self._read_targets(state, symbol):
-                    out.append(Transition(state, symbol, StackAction.none(), nxt))
-        return tuple(out)
+    def _expand(self, state: BufferedState) -> tuple:
+        buffer = state.buffer
+        if not state.queue:
+            if not state.closing:
+                return self._reads(state)
+            if not all(t > 0 for _, _, t in buffer):
+                return ()
+            aged = tuple((o, s, t - 1) for o, s, t in buffer)
+            done = replace(state, buffer=aged, closing=False)
+            return (_aux(state, StackAction.none(), done),)
+        (op, owner, sym), rest = state.queue[0], state.queue[1:]
+        drained = replace(state, queue=rest)
+        if op == PUSH:
+            out = [_aux(state, StackAction.push((owner, sym)), drained)]
+            if len(buffer) < 8 * self.d:
+                short = replace(drained, buffer=buffer + ((owner, sym, 2 * self.d),))
+                out.append(_aux(state, StackAction.none(), short))
+            return tuple(out)
+        idx = self._newest_match(buffer, owner, sym)
+        if idx is None:
+            return (_aux(state, StackAction.pop((owner, sym)), drained),)
+        taken = replace(drained, buffer=buffer[:idx] + buffer[idx + 1 :])
+        return (_aux(state, StackAction.none(), taken),)
 
     @staticmethod
     def _newest_match(buffer: tuple, owner: int, sym: str):
@@ -383,50 +325,52 @@ def state_bound(kind: str, q1: int, q2: int, g1: int, g2: int, parameter: int) -
     return q1 * q2 * base**exponent
 
 
+def _explore(product, max_len: int, limits: SearchLimits, what: str):
+    """Depth-first over the configurations reachable on inputs of length at
+    most max_len, keeping each (state, stack) at the least input consumed.
+
+    Yields every expanded configuration together with the transitions that
+    apply to it within the product's stack cap.
+    """
+    cap = product.stack_depth_cap(max_len)
+    init = product.initial_config()
+    best = {(init.state, init.stack): 0}
+    frontier = [init]
+    expanded = furthest = 0
+    while frontier:
+        config = frontier.pop()
+        if expanded >= limits.max_configs:
+            raise LimitExceeded(
+                f"{what} exploration budget exhausted: expanded {expanded}"
+                f" configurations, furthest input position {furthest} of {max_len}"
+            )
+        expanded += 1
+        furthest = max(furthest, config.input_pos)
+        applied = []
+        for t in product.transitions_from(config.state):
+            if t.read is not None and config.input_pos >= max_len:
+                continue
+            stack = _apply(t.action, config.stack)
+            if stack is None or len(stack) > cap:
+                continue
+            applied.append(t)
+            consumed = config.input_pos + (0 if t.read is None else 1)
+            key = (t.target, stack)
+            if key not in best or best[key] > consumed:
+                best[key] = consumed
+                frontier.append(Configuration(t.target, consumed, stack))
+        yield config, applied
+
+
 def reachable_composite_states(
     product, max_len: int, limits: SearchLimits = DEFAULT_LIMITS
 ) -> set:
     """Distinct counting-view projections reachable on any input of length
     at most max_len."""
-    cap = product.stack_depth_cap(max_len)
-    init = product.initial_config()
-    best: dict = {(init.state, init.stack): 0}
-    seen_projections: set = set()
-    frontier = [init]
-    expanded = 0
-    while frontier:
-        config = frontier.pop()
-        expanded += 1
-        if expanded > limits.max_configs:
-            raise LimitExceeded("composite exploration budget exhausted")
-        proj = product.projection(config.state)
-        if proj is not None:
-            seen_projections.add(proj)
-        for t in product.transitions_from(config.state):
-            if t.read is not None and config.input_pos >= max_len:
-                continue
-            stack = _apply_action(t.action, config.stack, cap)
-            if stack is None:
-                continue
-            consumed = config.input_pos + (0 if t.read is None else 1)
-            key = (t.target, stack)
-            if key in best and best[key] <= consumed:
-                continue
-            best[key] = consumed
-            frontier.append(Configuration(t.target, consumed, stack))
-    return seen_projections
-
-
-def _apply_action(action: StackAction, stack: tuple, cap: int):
-    if action.kind == NONE:
-        return stack
-    if action.kind == PUSH:
-        if len(stack) + 1 > cap:
-            return None
-        return stack + (action.symbol,)
-    if len(stack) <= 1 or stack[-1] != action.symbol:
-        return None
-    return stack[:-1]
+    explored = _explore(product, max_len, limits, "composite")
+    projections = {product.projection(config.state) for config, _ in explored}
+    projections.discard(None)
+    return projections
 
 
 @dataclass(frozen=True)
@@ -494,50 +438,21 @@ def fragment_to_json(
     """Exhaustively expanded fragment of the product, as an interchange
     machine with opaque state labels plus a side table describing each
     composite state."""
-    cap = product.stack_depth_cap(max_len)
-    init = product.initial_config()
-    labels: dict = {}
-    order: list = []
-
-    def label_of(state) -> str:
-        if state not in labels:
-            labels[state] = f"c{len(labels)}"
-            order.append(state)
-        return labels[state]
-
-    label_of(init.state)
     edges = set()
     stack_symbols = {_BOTTOM}
-    best = {(init.state, init.stack): 0}
-    frontier = [init]
-    expanded = 0
-    while frontier:
-        config = frontier.pop()
-        expanded += 1
-        if expanded > limits.max_configs:
-            raise LimitExceeded("fragment exploration budget exhausted")
-        for t in product.transitions_from(config.state):
-            if t.read is not None and config.input_pos >= max_len:
-                continue
-            stack = _apply_action(t.action, config.stack, cap)
-            if stack is None:
-                continue
-            if t.action.symbol is not None:
-                stack_symbols.add(t.action.symbol)
-            edges.add((config.state, t.read, t.action, t.target, t.auxiliary))
-            consumed = config.input_pos + (0 if t.read is None else 1)
-            key = (t.target, stack)
-            if key not in best or best[key] > consumed:
-                best[key] = consumed
-                frontier.append(Configuration(t.target, consumed, stack))
-    for state, _, _, target, _ in sorted(
-        edges, key=lambda e: (str(e[0]), str(e[1]), str(e[3]))
-    ):
-        label_of(state)
-        label_of(target)
+    for _, applied in _explore(product, max_len, limits, "fragment"):
+        edges.update(applied)
+        stack_symbols.update(
+            t.action.symbol for t in applied if t.action.symbol is not None
+        )
+    start = product.initial_config().state
+    labels = {start: "c0"}
+    for t in sorted(edges, key=lambda t: (str(t.source), str(t.read), str(t.target))):
+        for state in (t.source, t.target):
+            labels.setdefault(state, f"c{len(labels)}")
     accept = [
-        labels[s]
-        for s in order
+        label
+        for s, label in labels.items()
         if s.is_sync
         and s.q1 in product.first.accept
         and s.q2 in product.second.accept
@@ -547,32 +462,35 @@ def fragment_to_json(
         for owner in (1, 2)
     )
     transitions = []
-    for source, read, action, target, auxiliary in sorted(
-        edges, key=lambda e: (labels[e[0]], str(e[1]), str(e[2]), labels[e[3]])
+    for t in sorted(
+        edges,
+        key=lambda t: (labels[t.source], str(t.read), str(t.action), labels[t.target]),
     ):
-        entry = {
-            "from": labels[source],
-            "read": read,
-            "action": {"kind": action.kind},
-            "to": labels[target],
-            "auxiliary": auxiliary,
-        }
-        if action.symbol is not None:
-            entry["action"]["symbol"] = _describe_entry(action.symbol)
-        transitions.append(entry)
+        action = {"kind": t.action.kind}
+        if t.action.symbol is not None:
+            action["symbol"] = _describe_entry(t.action.symbol)
+        transitions.append(
+            {
+                "from": labels[t.source],
+                "read": t.read,
+                "action": action,
+                "to": labels[t.target],
+                "auxiliary": t.auxiliary,
+            }
+        )
     return {
         "format": PDA_FORMAT,
-        "states": [labels[s] for s in order],
+        "states": list(labels.values()),
         "input_alphabet": sorted(product.input_alphabet),
         "stack_alphabet": sorted(_describe_entry(e) for e in stack_symbols),
         "transitions": transitions,
-        "start": labels[init.state],
+        "start": labels[start],
         "bottom": _describe_entry(_BOTTOM),
         "accept": sorted(accept),
         "acceptance_mode": FINAL_STATE_BOTTOM_ONLY
         if both_bottom_only
         else "FinalState",
-        "composite_state_labels": {labels[s]: s.describe() for s in order},
+        "composite_state_labels": {label: s.describe() for s, label in labels.items()},
         "product": {
             "kind": product.kind,
             "parameter": product.k

@@ -204,6 +204,22 @@ class TestCrossings:
         assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["crossings", "--word", "0000"],
+        ["classify", "--sizes", "2,3,4"],
+        ["report", "--sizes", "2,3,4"],
+    ],
+)
+def test_max_expand_limits_run_search(capsys, argv):
+    code, _, err = run_cli(
+        capsys, *argv, "--pair", "interleaved-palindrome", "--max-expand", "5"
+    )
+    assert code == 2
+    assert "search limit exceeded" in err
+
+
 class TestClassify:
     def test_bounded_gap(self, capsys):
         code, out, _ = run_cli(

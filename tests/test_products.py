@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -352,8 +353,12 @@ class TestReachableStates:
         from islab.pda import LimitExceeded
 
         product = DisplacementProduct(*palindrome_pair(), k=1)
-        with pytest.raises(LimitExceeded):
-            reachable_composite_states(product, 8, SearchLimits(max_configs=10))
+        for explore in (reachable_composite_states, fragment_to_json):
+            with pytest.raises(LimitExceeded) as info:
+                explore(product, 8, SearchLimits(max_configs=10))
+            message = str(info.value)
+            assert "expanded 10 configurations" in message
+            assert re.search(r"furthest input position [1-8] of 8", message)
 
 
 class TestFragmentExport:
