@@ -97,11 +97,16 @@ def _checked_max_len(value: int) -> int:
 def _read_json(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise CliError(f"{path} is not valid JSON: {exc}")
+    if not isinstance(data, dict):
+        raise CliError(
+            f"{path} must hold a JSON object at top level, got {type(data).__name__}"
+        )
+    return data
 
 
 def _load_machine(args):
@@ -175,7 +180,17 @@ def _family_word(args, bundle) -> str:
 
 def _limits(args) -> SearchLimits:
     cap = getattr(args, "max_expand", None)
-    return SearchLimits(max_configs=cap) if cap else SearchLimits()
+    return SearchLimits() if cap is None else SearchLimits(max_configs=cap)
+
+
+def _nonnegative_int(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
 
 
 def _parse_sizes(raw: str) -> list:
@@ -841,8 +856,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument(
             "--max-expand",
-            type=int,
-            help="cap on explored configurations (memory guard)",
+            type=_nonnegative_int,
+            help="cap on the configurations each search visits or expands"
+            f" (default {SearchLimits().max_configs}); a search that reaches"
+            " it ends with exit 2",
         )
 
     p = sub.add_parser("simulate", help="run one machine on one word")

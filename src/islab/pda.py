@@ -7,9 +7,27 @@ exist only as auxiliary second-push steps chained directly after a pushing
 read.  Each input position therefore contributes at most two pushes or one
 pop per machine, and stack depth never exceeds 2*|w|+1.
 
-Product machines reuse the same simulation engine through a small duck-typed
-protocol (transitions_from / initial_config / is_accepting / stack_depth_cap)
-without being normal-form themselves.
+The engine.  Every search (`accepts`, `enumerate_runs`, `enumerate_language`,
+`step`, and the product exploration in `products`) keys its configurations
+as plain (state, input position, stack cell) tuples.  A stack cell holds a
+top symbol, the cell below it and the depth; each search call interns its
+cells in a table of its own, so equal stacks are one object, and push, pop,
+depth, hashing and equality each cost O(1) however deep the stack.  All
+searches step through the one successor generator `_Search.successors`, and
+no search recurses: run length never becomes Python recursion depth.  What a
+caller gets back still holds tuples: `Configuration.stack` is the whole
+stack, bottom first, in `AcceptingRun.final` and in the results of `step`.
+
+Machines, plain or product, meet the engine through a duck-typed protocol
+that products follow without being normal-form themselves:
+
+* `transitions_from(state)`: the transitions out of a control state, in the
+  order the searches try them;
+* `initial_config()`: the start `Configuration`, its stack a tuple;
+* `is_accepting(state, stack)`: whether a run that has read the whole input
+  and ends in `state` over the stack cell `stack` accepts;
+* `stack_depth_cap(input_len)`: the deepest stack a search keeps on inputs
+  of that length.
 """
 
 from __future__ import annotations
@@ -117,6 +135,11 @@ class AcceptingRun:
 
 @dataclass(frozen=True)
 class SearchLimits:
+    """Work cap for one search: `max_configs` bounds the configurations it
+    visits (breadth-first searches), expands (run enumeration, product
+    exploration) or reaches (language enumeration).  It is a count, not a
+    memory bound: the memory a configuration takes depends on the machine."""
+
     max_configs: int = 500_000
 
 
@@ -184,11 +207,13 @@ class Pda:
     def initial_config(self) -> Configuration:
         return Configuration(self.start, 0, (self.bottom,))
 
-    def is_accepting(self, config: Configuration, input_len: int) -> bool:
-        if config.input_pos != input_len or config.state not in self.accept:
+    def is_accepting(self, state, stack) -> bool:
+        """Whether the whole input read, ending in `state` over the stack
+        cell `stack`, is accepted."""
+        if state not in self.accept:
             return False
         if self.acceptance_mode == FINAL_STATE_BOTTOM_ONLY:
-            return config.stack == (self.bottom,)
+            return stack.depth == 1 and stack.top == self.bottom
         return True
 
     def stack_depth_cap(self, input_len: int) -> int:
@@ -240,41 +265,134 @@ def validate_normal_form(pda: Pda) -> list[str]:
     return diags
 
 
-def _apply(action: StackAction, stack: tuple):
-    """Apply one stack operation; return the new stack or None if blocked."""
-    kind = action.kind
-    if kind == NONE:
-        return stack
-    if kind == PUSH:
-        return stack + (action.symbol,)
-    if kind == POP:
-        if stack and stack[-1] == action.symbol:
-            return stack[:-1]
-        return None
-    raise ValueError(f"cannot simulate stack action {kind!r}")
+class _Cell:
+    """One stack entry `top` over the stack `below`, `depth` entries in all.
+
+    Cells are interned per search (see _Search), so two equal stacks of one
+    search are the same object: hashing and equality go by identity.
+    """
+
+    __slots__ = ("top", "below", "depth")
+
+    def __init__(self, top, below, depth: int):
+        self.top = top
+        self.below = below
+        self.depth = depth
+
+    def entries(self) -> tuple:
+        """The whole stack as a tuple, bottom first."""
+        out = []
+        cell = self
+        while cell.depth:
+            out.append(cell.top)
+            cell = cell.below
+        out.reverse()
+        return tuple(out)
 
 
-def _successors(machine, config: Configuration, w: str, depth_cap: int):
-    """Yield (transition, next_config) pairs in deterministic order."""
-    pos = config.input_pos
-    symbol = w[pos] if pos < len(w) else None
-    for t in machine.transitions_from(config.state):
-        if t.read is None:
-            new_pos = pos
-        elif symbol is not None and t.read == symbol:
-            new_pos = pos + 1
-        else:
-            continue
-        stack = _apply(t.action, config.stack)
-        if stack is None or len(stack) > depth_cap:
-            continue
-        yield t, Configuration(t.target, new_pos, stack)
+_EMPTY = _Cell(None, None, 0)
+
+_ANY = object()  # `symbol` for successors that may read any input symbol
+
+
+class _Search:
+    """What one search call shares: the machine, the stack depth cap for
+    inputs of length `input_len`, and the table interning the search's
+    stack cells by (cell below, top symbol)."""
+
+    def __init__(self, machine, input_len: int):
+        self.machine = machine
+        self.cap = machine.stack_depth_cap(input_len)
+        self.cells: dict = {}
+
+    def intern(self, config: Configuration) -> tuple:
+        """A configuration as a search key (state, input position, cell)."""
+        cells = self.cells
+        cell = _EMPTY
+        for symbol in config.stack:
+            key = (cell, symbol)
+            below, cell = cell, cells.get(key)
+            if cell is None:
+                cell = cells[key] = _Cell(symbol, below, below.depth + 1)
+        return config.state, config.input_pos, cell
+
+    def successors(self, state, pos: int, cell: _Cell, symbol, epsilon: bool = True):
+        """Yield (transition, input position, cell) after each transition
+        out of `state` that moves on epsilon (if `epsilon`) or reads
+        `symbol` (any symbol if it is _ANY, none if it is None) and whose
+        stack operation applies to `cell` within the depth cap, in
+        transition order.  This is the engine's only stack step."""
+        cells, cap = self.cells, self.cap
+        for t in self.machine.transitions_from(state):
+            read = t.read
+            if read is None:
+                if not epsilon:
+                    continue
+                new_pos = pos
+            elif read == symbol or symbol is _ANY:
+                new_pos = pos + 1
+            else:
+                continue
+            action = t.action
+            kind = action.kind
+            if kind == PUSH:
+                if cell.depth >= cap:
+                    continue
+                key = (cell, action.symbol)
+                nxt = cells.get(key)
+                if nxt is None:
+                    nxt = cells[key] = _Cell(action.symbol, cell, cell.depth + 1)
+            elif kind == POP:
+                if not cell.depth or cell.top != action.symbol or cell.depth > cap + 1:
+                    continue
+                nxt = cell.below
+            elif kind == NONE:
+                if cell.depth > cap:
+                    continue
+                nxt = cell
+            else:
+                raise ValueError(f"cannot simulate stack action {kind!r}")
+            yield t, new_pos, nxt
+
+    def closure(self, configs: Iterable[tuple], budget: list) -> dict:
+        """Epsilon-closure as an insertion-ordered dict (values unused)."""
+        out = dict.fromkeys(configs, True)
+        stack = list(out)
+        while stack:
+            state, pos, cell = stack.pop()
+            for t, _, nxt_cell in self.successors(state, pos, cell, None):
+                nxt = (t.target, pos, nxt_cell)
+                if nxt not in out:
+                    budget[0] += 1
+                    if budget[0] > budget[1]:
+                        raise LimitExceeded("configuration budget exhausted during closure")
+                    out[nxt] = True
+                    stack.append(nxt)
+        return out
+
+
+def _run(node: tuple) -> AcceptingRun:
+    """The run to a search node: a node is (configuration, transition into
+    it, node it came from), and the start node has no transition."""
+    state, pos, cell = node[0]
+    final = Configuration(state, pos, cell.entries())
+    steps = []
+    while node[1] is not None:
+        (_, pos, cell), t, node = node
+        steps.append(RunStep(t, pos, cell.depth))
+    steps.reverse()
+    return AcceptingRun(tuple(steps), final)
 
 
 def step(machine, config: Configuration, w: str) -> tuple:
     """One-step successor configurations of `config` on input `w`."""
-    cap = machine.stack_depth_cap(len(w))
-    return tuple(c for _, c in _successors(machine, config, w, cap))
+    search = _Search(machine, len(w))
+    state, pos, cell = search.intern(config)
+    symbol = w[pos] if pos < len(w) else None
+    return tuple(
+        Configuration(t.target, new_pos, nxt.entries())
+        for t, new_pos, nxt in search.successors(state, pos, cell, symbol)
+    )
 
 
 def accepts(
@@ -283,36 +401,29 @@ def accepts(
     """Decide acceptance of `w`; on success also return one witness run.
 
     Breadth-first over the configuration graph with a visited set keyed on
-    (state, input position, full stack).  Raises LimitExceeded if the cap is
+    (state, input position, stack cell).  Raises LimitExceeded if the cap is
     hit before the graph is exhausted and no accepting configuration was
     found.
     """
-    cap = machine.stack_depth_cap(len(w))
     n = len(w)
-    init = machine.initial_config()
-    parents: dict = {init: None}
-    queue = [init]
-    head = 0
-    while head < len(queue):
-        config = queue[head]
-        head += 1
-        if machine.is_accepting(config, n):
-            steps = []
-            cur = config
-            while parents[cur] is not None:
-                prev, t = parents[cur]
-                steps.append(RunStep(t, cur.input_pos, len(cur.stack)))
-                cur = prev
-            steps.reverse()
-            return True, AcceptingRun(tuple(steps), config)
-        for t, nxt in _successors(machine, config, w, cap):
-            if nxt not in parents:
-                if len(parents) >= limits.max_configs:
+    search = _Search(machine, n)
+    init = search.intern(machine.initial_config())
+    seen = {init}
+    queue = [(init, None, None)]
+    for node in queue:
+        state, pos, cell = node[0]
+        if pos == n and machine.is_accepting(state, cell):
+            return True, _run(node)
+        symbol = w[pos] if pos < n else None
+        for t, new_pos, nxt_cell in search.successors(state, pos, cell, symbol):
+            nxt = (t.target, new_pos, nxt_cell)
+            if nxt not in seen:
+                if len(seen) >= limits.max_configs:
                     raise LimitExceeded(
-                        f"visited {len(parents)} configurations on input of length {n}"
+                        f"visited {len(seen)} configurations on input of length {n}"
                     )
-                parents[nxt] = (config, t)
-                queue.append(nxt)
+                seen.add(nxt)
+                queue.append((nxt, t, node))
     return False, None
 
 
@@ -323,53 +434,31 @@ def enumerate_runs(
 
     Depth-first without cross-path pruning, so distinct runs through shared
     configurations are all reported.  Rejected words give an empty list.
+    The depth-first order is kept on an explicit work stack, each entry
+    linked to its path, so run length never becomes Python recursion depth.
     """
     n = len(w)
-    depth_cap = machine.stack_depth_cap(n)
+    search = _Search(machine, n)
     runs: list[AcceptingRun] = []
     expansions = 0
-
-    def visit(config: Configuration, steps: tuple) -> bool:
-        nonlocal expansions
-        if machine.is_accepting(config, n):
-            runs.append(AcceptingRun(steps, config))
+    work = [(search.intern(machine.initial_config()), None, None)]
+    while work:
+        node = work.pop()
+        state, pos, cell = node[0]
+        if pos == n and machine.is_accepting(state, cell):
+            runs.append(_run(node))
             if len(runs) >= cap:
-                return True
+                break
         expansions += 1
         if expansions > limits.max_configs:
             raise LimitExceeded(f"expanded {expansions} configurations enumerating runs")
-        for t, nxt in _successors(machine, config, w, depth_cap):
-            child = steps + (RunStep(t, nxt.input_pos, len(nxt.stack)),)
-            if visit(nxt, child):
-                return True
-        return False
-
-    visit(machine.initial_config(), ())
+        symbol = w[pos] if pos < n else None
+        children = [
+            ((t.target, new_pos, nxt), t, node)
+            for t, new_pos, nxt in search.successors(state, pos, cell, symbol)
+        ]
+        work.extend(reversed(children))
     return runs
-
-
-def _closure(machine, configs: Iterable[Configuration], depth_cap: int, budget: list) -> dict:
-    """Epsilon-closure as an insertion-ordered dict (values unused)."""
-    out: dict = {}
-    stack = list(configs)
-    for c in stack:
-        out[c] = True
-    while stack:
-        config = stack.pop()
-        for t in machine.transitions_from(config.state):
-            if t.read is not None:
-                continue
-            new_stack = _apply(t.action, config.stack)
-            if new_stack is None or len(new_stack) > depth_cap:
-                continue
-            nxt = Configuration(t.target, config.input_pos, new_stack)
-            if nxt not in out:
-                budget[0] += 1
-                if budget[0] > budget[1]:
-                    raise LimitExceeded("configuration budget exhausted during closure")
-                out[nxt] = True
-                stack.append(nxt)
-    return out
 
 
 def enumerate_language(
@@ -382,36 +471,34 @@ def enumerate_language(
     the size of the reachable prefix tree rather than |alphabet|^max_len.
     Agrees with per-word `accepts` on every word it reports or omits.
     """
-    depth_cap = machine.stack_depth_cap(max_len)
+    search = _Search(machine, max_len)
     budget = [0, limits.max_configs]
     alphabet = sorted(machine.input_alphabet)
     accepted: set[str] = set()
-    frontier: list[tuple[str, dict]] = [("", _closure(machine, [machine.initial_config()], depth_cap, budget))]
+    init = search.intern(machine.initial_config())
+    frontier: list[tuple[str, dict]] = [("", search.closure([init], budget))]
     while frontier:
         next_frontier = []
         for word, configs in frontier:
-            if any(machine.is_accepting(c, len(word)) for c in configs):
+            # every configuration of a prefix has read the whole prefix
+            if any(machine.is_accepting(state, cell) for state, _, cell in configs):
                 accepted.add(word)
             if len(word) == max_len:
                 continue
             for sym in alphabet:
                 advanced = []
-                for config in configs:
-                    for t in machine.transitions_from(config.state):
-                        if t.read != sym:
-                            continue
-                        new_stack = _apply(t.action, config.stack)
-                        if new_stack is None or len(new_stack) > depth_cap:
-                            continue
+                for state, pos, cell in configs:
+                    for t, new_pos, nxt in search.successors(
+                        state, pos, cell, sym, epsilon=False
+                    ):
                         budget[0] += 1
                         if budget[0] > budget[1]:
                             raise LimitExceeded(
                                 f"configuration budget exhausted at prefix {word + sym!r}"
                             )
-                        advanced.append(Configuration(t.target, config.input_pos + 1, new_stack))
+                        advanced.append((t.target, new_pos, nxt))
                 if advanced:
-                    closed = _closure(machine, dict.fromkeys(advanced), depth_cap, budget)
-                    next_frontier.append((word + sym, closed))
+                    next_frontier.append((word + sym, search.closure(advanced, budget)))
         frontier = next_frontier
     return accepted
 

@@ -36,7 +36,8 @@ from .pda import (
     SearchLimits,
     StackAction,
     Transition,
-    _apply,
+    _ANY,
+    _Search,
 )
 
 DISPLACEMENT = "displacement"
@@ -149,20 +150,25 @@ class _ProductBase:
             out = self._table[state] = self._expand(state)
         return out
 
-    def is_accepting(self, config: Configuration, input_len: int) -> bool:
-        state = config.state
-        if config.input_pos != input_len or not state.is_sync:
+    def is_accepting(self, state, stack) -> bool:
+        if not state.is_sync:
             return False
         if state.q1 not in self.first.accept or state.q2 not in self.second.accept:
             return False
         for owner in (1, 2):
             if self.component(owner).acceptance_mode == FINAL_STATE_BOTTOM_ONLY:
-                if self._owner_residue(config, owner):
+                if self._owner_residue(state, stack, owner):
                     return False
         return True
 
-    def _owner_residue(self, config: Configuration, owner: int) -> bool:
-        return any(entry[0] == owner for entry in config.stack[1:])
+    def _owner_residue(self, state, stack, owner: int) -> bool:
+        """Whether an entry of `owner` lies above the bottom of the stack
+        cell `stack`."""
+        while stack.depth > 1:
+            if stack.top[0] == owner:
+                return True
+            stack = stack.below
+        return False
 
     def _reads(self, state) -> tuple:
         """Reading steps of a sync state, covering both machines' move
@@ -248,10 +254,10 @@ class BufferedProduct(_ProductBase):
     def _after_read(self, state, t1, t2, queue) -> BufferedState:
         return BufferedState(t1, t2, queue, state.buffer, closing=True)
 
-    def _owner_residue(self, config: Configuration, owner: int) -> bool:
-        if super()._owner_residue(config, owner):
+    def _owner_residue(self, state, stack, owner: int) -> bool:
+        if super()._owner_residue(state, stack, owner):
             return True
-        return any(entry[0] == owner for entry in config.state.buffer)
+        return any(entry[0] == owner for entry in state.buffer)
 
     def projection(self, state: BufferedState):
         """Counting view: sync states only, as control pair plus buffer."""
@@ -329,37 +335,33 @@ def _explore(product, max_len: int, limits: SearchLimits, what: str):
     """Depth-first over the configurations reachable on inputs of length at
     most max_len, keeping each (state, stack) at the least input consumed.
 
-    Yields every expanded configuration together with the transitions that
-    apply to it within the product's stack cap.
+    Yields the state of every expanded configuration together with the
+    transitions that apply to it within the product's stack cap.
     """
-    cap = product.stack_depth_cap(max_len)
-    init = product.initial_config()
-    best = {(init.state, init.stack): 0}
+    search = _Search(product, max_len)
+    init = search.intern(product.initial_config())
+    start, _, bottom = init
+    best = {(start, bottom): 0}
     frontier = [init]
     expanded = furthest = 0
     while frontier:
-        config = frontier.pop()
+        state, pos, cell = frontier.pop()
         if expanded >= limits.max_configs:
             raise LimitExceeded(
                 f"{what} exploration budget exhausted: expanded {expanded}"
                 f" configurations, furthest input position {furthest} of {max_len}"
             )
         expanded += 1
-        furthest = max(furthest, config.input_pos)
+        furthest = max(furthest, pos)
         applied = []
-        for t in product.transitions_from(config.state):
-            if t.read is not None and config.input_pos >= max_len:
-                continue
-            stack = _apply(t.action, config.stack)
-            if stack is None or len(stack) > cap:
-                continue
+        reads = _ANY if pos < max_len else None
+        for t, consumed, nxt in search.successors(state, pos, cell, reads):
             applied.append(t)
-            consumed = config.input_pos + (0 if t.read is None else 1)
-            key = (t.target, stack)
+            key = (t.target, nxt)
             if key not in best or best[key] > consumed:
                 best[key] = consumed
-                frontier.append(Configuration(t.target, consumed, stack))
-        yield config, applied
+                frontier.append((t.target, consumed, nxt))
+        yield state, applied
 
 
 def reachable_composite_states(
@@ -368,7 +370,7 @@ def reachable_composite_states(
     """Distinct counting-view projections reachable on any input of length
     at most max_len."""
     explored = _explore(product, max_len, limits, "composite")
-    projections = {product.projection(config.state) for config, _ in explored}
+    projections = {product.projection(state) for state, _ in explored}
     projections.discard(None)
     return projections
 

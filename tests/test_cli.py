@@ -213,11 +213,39 @@ class TestCrossings:
     ],
 )
 def test_max_expand_limits_run_search(capsys, argv):
-    code, _, err = run_cli(
-        capsys, *argv, "--pair", "interleaved-palindrome", "--max-expand", "5"
-    )
+    for cap in ("5", "0"):
+        code, _, err = run_cli(
+            capsys, *argv, "--pair", "interleaved-palindrome", "--max-expand", cap
+        )
+        assert code == 2, cap
+        assert "search limit exceeded" in err
+
+
+@pytest.mark.parametrize("command", [["simulate", "--corpus", "counter"], ["corpus"]])
+def test_negative_max_expand_rejected(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--max-expand", "-1"])
+    assert exc.value.code == 2
+    assert "argument --max-expand: must be nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--pda", "{path}", "--word", "ab"],
+        ["crossings", "--pair", "{path},{path}", "--word", "ab"],
+        ["characterize", "--blocks", "{path}"],
+        ["construct", "grammar", "--grammar", "{path}"],
+    ],
+    ids=["pda", "pair", "blocks", "grammar"],
+)
+def test_top_level_non_object_rejected(capsys, tmp_path, argv):
+    path = tmp_path / "array.json"
+    path.write_text("[]")
+    argv = [arg.replace("{path}", str(path)) for arg in argv]
+    code, _, err = run_cli(capsys, *argv)
     assert code == 2
-    assert "search limit exceeded" in err
+    assert err.startswith(f"error: {path} must hold a JSON object")
 
 
 class TestClassify:
