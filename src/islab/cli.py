@@ -150,22 +150,23 @@ def _load_pair(args):
     return first, second, bundle
 
 
-def _load_blocks(value: str) -> JointSpec:
-    if value.endswith(".json") or os.path.exists(value):
-        return joint_from_json(_read_json(value))
-    bundle = _bundle(value)
-    if bundle.joint is None:
-        raise CliError(f"bundle {bundle.name!r} carries no block specification")
-    return bundle.joint
+_DOCUMENTS = {
+    "joint": (joint_from_json, "block specification"),
+    "grammar": (cfg_from_json, "grammar"),
+}
 
 
-def _load_grammar(value: str):
+def _load_document(value: str, kind: str):
+    """A block spec (kind "joint") or a grammar (kind "grammar"): read from
+    `value` if it names a file, else taken from the corpus bundle `value`."""
+    from_json, noun = _DOCUMENTS[kind]
     if value.endswith(".json") or os.path.exists(value):
-        return cfg_from_json(_read_json(value))
+        return from_json(_read_json(value))
     bundle = _bundle(value)
-    if bundle.grammar is None:
-        raise CliError(f"bundle {bundle.name!r} carries no grammar")
-    return bundle.grammar
+    document = getattr(bundle, kind)
+    if document is None:
+        raise CliError(f"bundle {bundle.name!r} carries no {noun}")
+    return document
 
 
 def _family_word(args, bundle) -> str:
@@ -200,15 +201,25 @@ def _parse_sizes(raw: str) -> list:
         raise CliError(f"--sizes must be comma-separated integers, got {raw!r}")
     if len(sizes) < 2:
         raise CliError("--sizes needs at least two values")
+    if min(sizes) < 0:
+        raise CliError(f"--sizes must be nonnegative, got {raw!r}")
     return sizes
 
 
-def _write_svg(path: str, text: str) -> None:
+def _write_text(path: str, text: str) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}")
+
+
+def _write_json(path: str, document: dict) -> None:
+    _write_text(path, json.dumps(document, indent=2, sort_keys=True) + "\n")
+
+
+def _write_svg(path: str, text: str) -> None:
+    _write_text(path, text)
     print(f"wrote SVG: {path}", file=sys.stderr)
 
 
@@ -331,14 +342,28 @@ def _cmd_crossings(args) -> int:
     return 0
 
 
-def _pair_samples(first, second, bundle, sizes, limits):
+def _family_pair(args) -> tuple:
+    """The machine pair, its bundle and the family sizes named by the flags."""
+    first, second, bundle = _load_pair(args)
+    if bundle is None or bundle.family is None:
+        raise CliError(f"{args.command} needs a corpus bundle with a word family")
+    return first, second, bundle, _parse_sizes(args.sizes)
+
+
+def _regime(first, second, bundle, sizes, limits) -> tuple:
+    """(regime, detail, evidence rows) of the bundle's family across the
+    sizes; detail says why when the regime is inconclusive, else is None."""
     samples = []
     for n in sizes:
         word = bundle.family(n)
         analyses = analyze_pair(first, second, word, limits=limits)
         measures = [c.measures for c in analyses[0].crossings] if analyses else []
         samples.append((word, measures))
-    return samples
+    try:
+        report = classify_family(samples)
+    except InconclusiveRegime as exc:
+        return "inconclusive", str(exc), exc.evidence
+    return report.regime, None, report.evidence
 
 
 def _evidence_payload(evidence) -> list:
@@ -365,36 +390,21 @@ def _evidence_lines(evidence) -> list:
 
 
 def _cmd_classify(args) -> int:
-    first, second, bundle = _load_pair(args)
-    if bundle is None or bundle.family is None:
-        raise CliError("classify needs a corpus bundle with a word family")
-    sizes = _parse_sizes(args.sizes)
-    samples = _pair_samples(first, second, bundle, sizes, _limits(args))
-    try:
-        report = classify_family(samples)
-    except InconclusiveRegime as exc:
-        payload = {
-            "command": "classify",
-            "bundle": bundle.name,
-            "sizes": sizes,
-            "regime": "inconclusive",
-            "detail": str(exc),
-            "evidence": _evidence_payload(exc.evidence),
-        }
-        _emit(
-            payload,
-            args,
-            [f"inconclusive: {exc}"] + _evidence_lines(exc.evidence),
-        )
-        return 0
+    first, second, bundle, sizes = _family_pair(args)
+    regime, detail, evidence = _regime(first, second, bundle, sizes, _limits(args))
     payload = {
         "command": "classify",
         "bundle": bundle.name,
         "sizes": sizes,
-        "regime": report.regime,
-        "evidence": _evidence_payload(report.evidence),
+        "regime": regime,
+        "evidence": _evidence_payload(evidence),
     }
-    _emit(payload, args, [f"regime: {report.regime}"] + _evidence_lines(report.evidence))
+    if detail is None:
+        head = f"regime: {regime}"
+    else:
+        payload["detail"] = detail
+        head = f"inconclusive: {detail}"
+    _emit(payload, args, [head] + _evidence_lines(evidence))
     return 0
 
 
@@ -408,7 +418,7 @@ def _verdict_text(verdict) -> str:
 
 
 def _cmd_characterize(args) -> int:
-    spec = _load_blocks(args.blocks)
+    spec = _load_document(args.blocks, "joint")
     verdict = characterize(spec)
     payload = {
         "command": "characterize",
@@ -446,7 +456,7 @@ def _cmd_construct(args) -> int:
     if args.construct == "joint":
         if not args.blocks:
             raise CliError("construct joint needs --blocks")
-        spec = _load_blocks(args.blocks)
+        spec = _load_document(args.blocks, "joint")
         verdict = characterize(spec)
         if not verdict.is_cfl:
             raise CliError(f"cannot build a joint machine: {_verdict_text(verdict)}")
@@ -454,23 +464,18 @@ def _cmd_construct(args) -> int:
     elif args.construct == "grammar":
         if not args.grammar:
             raise CliError("construct grammar needs --grammar")
-        grammar = _load_grammar(args.grammar)
+        grammar = _load_document(args.grammar, "grammar")
         document = pda_to_json(gnf_to_pda(to_gnf(to_cnf(grammar))))
     else:
         first, second, _ = _load_pair(args)
         product = _product_from_args(args, first, second)
         max_len = _checked_max_len(args.max_len)
         document = fragment_to_json(product, max_len, _limits(args))
-    text = json.dumps(document, indent=2, sort_keys=True)
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            raise CliError(f"cannot write {args.out}: {exc}")
+        _write_json(args.out, document)
         print(f"wrote {args.out}", file=sys.stderr)
     else:
-        print(text)
+        print(json.dumps(document, indent=2, sort_keys=True))
     return 0
 
 
@@ -498,7 +503,7 @@ def _block_candidates(spec: JointSpec, max_len: int):
 def _verify_joint(args) -> tuple:
     if not args.blocks:
         raise CliError("verify --construct joint needs --blocks")
-    spec = _load_blocks(args.blocks)
+    spec = _load_document(args.blocks, "joint")
     verdict = characterize(spec)
     if not verdict.is_cfl:
         raise CliError(f"cannot verify a joint machine: {_verdict_text(verdict)}")
@@ -525,7 +530,7 @@ def _verify_product(args) -> tuple:
 def _verify_grammar(args) -> tuple:
     if not args.grammar:
         raise CliError("verify --construct grammar needs --grammar")
-    grammar = _load_grammar(args.grammar)
+    grammar = _load_document(args.grammar, "grammar")
     cnf = to_cnf(grammar)
     machine = gnf_to_pda(to_gnf(cnf))
     max_len = _checked_max_len(args.max_len)
@@ -625,7 +630,7 @@ def _linkage_lines(report) -> list:
 def _cmd_linkage(args) -> int:
     if not args.blocks:
         raise CliError("linkage needs --blocks as the membership oracle")
-    oracle_spec = _load_blocks(args.blocks)
+    oracle_spec = _load_document(args.blocks, "joint")
     if args.side == "both":
         oracle = oracle_spec.in_intersection
         oracle_name = "intersection"
@@ -640,7 +645,7 @@ def _cmd_linkage(args) -> int:
     else:
         if args.n is None:
             raise CliError("provide --word with --cuts, or --n")
-        source_spec = _load_blocks(args.witness) if args.witness else oracle_spec
+        source_spec = _load_document(args.witness, "joint") if args.witness else oracle_spec
         verdict = characterize(source_spec)
         if verdict.violation is None or verdict.violation.kind != CROSSING:
             raise CliError(
@@ -751,56 +756,30 @@ def _cmd_corpus(args) -> int:
 
 
 def _export_corpus(args) -> None:
-    os.makedirs(args.export, exist_ok=True)
+    try:
+        os.makedirs(args.export, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot create directory {args.export}: {exc}")
     names = [corpus.ALIASES.get(args.name, args.name)] if args.name else corpus.list_bundles()
-    written = []
+    documents = {}
     for name in names:
         bundle = corpus.get(name)
         for machine_name, machine in sorted(bundle.machines.items()):
-            path = os.path.join(args.export, f"{name}--{machine_name}.pda.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(pda_to_json(machine), fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            written.append(path)
+            documents[f"{name}--{machine_name}.pda.json"] = pda_to_json(machine)
         if bundle.joint is not None:
-            path = os.path.join(args.export, f"{name}.blocks.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(joint_to_json(bundle.joint), fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            written.append(path)
+            documents[f"{name}.blocks.json"] = joint_to_json(bundle.joint)
         if bundle.grammar is not None:
-            path = os.path.join(args.export, f"{name}.cfg.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(cfg_to_json(bundle.grammar), fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            written.append(path)
-    print(f"exported {len(written)} file(s) to {args.export}", file=sys.stderr)
+            documents[f"{name}.cfg.json"] = cfg_to_json(bundle.grammar)
+    for filename, document in documents.items():
+        _write_json(os.path.join(args.export, filename), document)
+    print(f"exported {len(documents)} file(s) to {args.export}", file=sys.stderr)
 
 
 def _cmd_report(args) -> int:
-    first, second, bundle = _load_pair(args)
-    if bundle is None or bundle.family is None:
-        raise CliError("report needs a corpus bundle with a word family")
-    sizes = _parse_sizes(args.sizes)
+    first, second, bundle, sizes = _family_pair(args)
     limits = _limits(args)
-    samples = _pair_samples(first, second, bundle, sizes, limits)
-    rows = []
-    for n, (word, measures) in zip(sizes, samples):
-        rows.append(
-            {
-                "n": n,
-                "word_len": len(word),
-                "crossing_pairs": len(measures),
-                "max_gap": max((m.gap for m in measures), default=None),
-                "max_inner": max((m.inner for m in measures), default=None),
-            }
-        )
-    try:
-        regime = classify_family(samples).regime
-        detail = None
-    except InconclusiveRegime as exc:
-        regime = "inconclusive"
-        detail = str(exc)
+    regime, detail, evidence = _regime(first, second, bundle, sizes, limits)
+    rows = [dict(n=n, **row) for n, row in zip(sizes, _evidence_payload(evidence))]
     payload = {
         "command": "report",
         "bundle": bundle.name,
@@ -871,16 +850,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("runs", help="enumerate accepting runs")
     add_machine_flags(p)
     p.add_argument("--word", help="input word")
-    p.add_argument("--runs-cap", type=int, default=20)
+    p.add_argument("--runs-cap", type=_nonnegative_int, default=20)
     add_common(p)
     p.set_defaults(handler=_cmd_runs)
 
     p = sub.add_parser("crossings", help="cross-machine crossing analysis")
     p.add_argument("--pair", help="corpus bundle name, or FILE1,FILE2")
     p.add_argument("--word")
-    p.add_argument("--n", type=int, help="family size (uses the bundle's words)")
+    p.add_argument("--n", type=_nonnegative_int, help="family size (uses the bundle's words)")
     p.add_argument("--all-runs", action="store_true")
-    p.add_argument("--runs-cap", type=int, default=20)
+    p.add_argument("--runs-cap", type=_nonnegative_int, default=20)
     p.add_argument("--svg", help="write an arc diagram here")
     add_common(p)
     p.set_defaults(handler=_cmd_crossings)
@@ -941,7 +920,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--word", help="word to factor (needs --cuts)")
     p.add_argument("--cuts", help="segment cuts i,i',j (0-based offsets)")
-    p.add_argument("--n", type=int, help="witness size (derives word and cuts)")
+    p.add_argument("--n", type=_nonnegative_int, help="witness size (derives word and cuts)")
     p.add_argument(
         "--witness",
         help="spec whose crossing supplies word and cuts (default: --blocks)",

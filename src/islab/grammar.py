@@ -146,10 +146,11 @@ def to_cnf(g: Cfg) -> CnfGrammar:
     nts.add(start)
     prods.add((start, (g.start,)))
 
-    # lift terminals out of long bodies
+    # lift terminals out of long bodies; the fresh names below are handed
+    # out in sorted production order, so they do not depend on string hashing
     lifted: dict[str, str] = {}
     out = set()
-    for head, body in prods:
+    for head, body in sorted(prods):
         if len(body) >= 2:
             new_body = []
             for sym in body:
@@ -169,7 +170,7 @@ def to_cnf(g: Cfg) -> CnfGrammar:
 
     # binarize
     out = set()
-    for head, body in prods:
+    for head, body in sorted(prods):
         while len(body) > 2:
             helper = names.fresh("B")
             nts.add(helper)
@@ -304,7 +305,8 @@ def to_gnf(g: CnfGrammar) -> GnfGrammar:
         )
     derives_epsilon = g.derives_epsilon
     names = _Names(g.nonterminals | g.terminals)
-    bodies: dict[str, list[tuple[str, ...]]] = {nt: [] for nt in g.nonterminals}
+    # sorted, so the pairing names handed out below do not depend on hashing
+    bodies: dict[str, list[tuple[str, ...]]] = {nt: [] for nt in sorted(g.nonterminals)}
     for p in g.productions:
         if p.body:
             bodies[p.head].append(p.body)

@@ -8,8 +8,9 @@ read.  Each input position therefore contributes at most two pushes or one
 pop per machine, and stack depth never exceeds 2*|w|+1.
 
 The engine.  Every search (`accepts`, `enumerate_runs`, `enumerate_language`,
-`step`, and the product exploration in `products`) keys its configurations
-as plain (state, input position, stack cell) tuples.  A stack cell holds a
+`step`, and `explore_reachable`, the reachability search behind the product
+fragments and state counts in `products`) keys its configurations as plain
+(state, input position, stack cell) tuples.  A stack cell holds a
 top symbol, the cell below it and the depth; each search call interns its
 cells in a table of its own, so equal stacks are one object, and push, pop,
 depth, hashing and equality each cost O(1) however deep the stack.  All
@@ -436,7 +437,10 @@ def enumerate_runs(
     configurations are all reported.  Rejected words give an empty list.
     The depth-first order is kept on an explicit work stack, each entry
     linked to its path, so run length never becomes Python recursion depth.
+    A cap of zero or less gives no run.
     """
+    if cap <= 0:
+        return []
     n = len(w)
     search = _Search(machine, n)
     runs: list[AcceptingRun] = []
@@ -501,6 +505,41 @@ def enumerate_language(
                     next_frontier.append((word + sym, search.closure(advanced, budget)))
         frontier = next_frontier
     return accepted
+
+
+def explore_reachable(machine, max_len: int, limits: SearchLimits, what: str):
+    """Depth-first over the configurations reachable on some input of length
+    at most max_len, keeping each (state, stack cell) at the least input
+    consumed.
+
+    Yields the state of every expanded configuration together with the
+    transitions that apply to it within the machine's stack cap.  `what`
+    names the search in the LimitExceeded message.
+    """
+    search = _Search(machine, max_len)
+    init = search.intern(machine.initial_config())
+    start, _, bottom = init
+    best = {(start, bottom): 0}
+    frontier = [init]
+    expanded = furthest = 0
+    while frontier:
+        state, pos, cell = frontier.pop()
+        if expanded >= limits.max_configs:
+            raise LimitExceeded(
+                f"{what} exploration budget exhausted: expanded {expanded}"
+                f" configurations, furthest input position {furthest} of {max_len}"
+            )
+        expanded += 1
+        furthest = max(furthest, pos)
+        applied = []
+        reads = _ANY if pos < max_len else None
+        for t, consumed, nxt in search.successors(state, pos, cell, reads):
+            applied.append(t)
+            key = (t.target, nxt)
+            if key not in best or best[key] > consumed:
+                best[key] = consumed
+                frontier.append((t.target, consumed, nxt))
+        yield state, applied
 
 
 def pda_to_json(pda: Pda) -> dict:

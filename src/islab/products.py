@@ -27,17 +27,15 @@ from .pda import (
     Configuration,
     DEFAULT_LIMITS,
     FINAL_STATE_BOTTOM_ONLY,
-    LimitExceeded,
     NONE,
-    PDA_FORMAT,
     POP,
     PUSH,
     Pda,
     SearchLimits,
     StackAction,
     Transition,
-    _ANY,
-    _Search,
+    explore_reachable,
+    pda_to_json,
 )
 
 DISPLACEMENT = "displacement"
@@ -119,13 +117,16 @@ def _aux(state, action: StackAction, target) -> Transition:
 class _ProductBase:
     """Shared product machinery.  Each instance keeps a table from composite
     state to its outgoing transitions, filled on first request: the control
-    graph is finite, so every state is expanded once per product."""
+    graph is finite, so every state is expanded once per product.
+    `parameter` is the bound the construction is built for: the gap bound k
+    or the inner bound d."""
 
     kind = "abstract"
 
-    def __init__(self, first: Pda, second: Pda):
+    def __init__(self, first: Pda, second: Pda, parameter: int):
         self.first = first
         self.second = second
+        self.parameter = parameter
         self.input_alphabet = frozenset(first.input_alphabet) & frozenset(
             second.input_alphabet
         )
@@ -143,6 +144,16 @@ class _ProductBase:
 
     def stack_depth_cap(self, input_len: int) -> int:
         return 4 * input_len + 3
+
+    def state_bound(self) -> int:
+        return state_bound(
+            self.kind,
+            len(self.first.states),
+            len(self.second.states),
+            len(self._symbols[1]),
+            len(self._symbols[2]),
+            self.parameter,
+        )
 
     def transitions_from(self, state) -> tuple:
         out = self._table.get(state)
@@ -194,8 +205,7 @@ class DisplacementProduct(_ProductBase):
     def __init__(self, first: Pda, second: Pda, k: int):
         if k < 0:
             raise ValueError("gap parameter must be nonnegative")
-        super().__init__(first, second)
-        self.k = k
+        super().__init__(first, second, k)
 
     def _initial_state(self) -> DisplacedState:
         return DisplacedState(self.first.start, self.second.start)
@@ -207,16 +217,6 @@ class DisplacementProduct(_ProductBase):
         """Counting view: control pair plus the held foreign symbols."""
         return (state.q1, state.q2, state.displaced)
 
-    def state_bound(self) -> int:
-        return state_bound(
-            self.kind,
-            len(self.first.states),
-            len(self.second.states),
-            len(self._symbols[1]),
-            len(self._symbols[2]),
-            self.k,
-        )
-
     def _expand(self, state: DisplacedState) -> tuple:
         if not state.queue:
             return self._reads(state)
@@ -227,7 +227,7 @@ class DisplacementProduct(_ProductBase):
         restore = tuple((PUSH, o, s) for o, s in reversed(state.displaced))
         done = replace(state, queue=restore + rest, displaced=())
         out = [_aux(state, StackAction.pop((owner, sym)), done)]
-        if len(state.displaced) < 2 * self.k:
+        if len(state.displaced) < 2 * self.parameter:
             other = 2 if owner == 1 else 1
             for foreign in self._symbols[other]:
                 entry = (other, foreign)
@@ -245,8 +245,7 @@ class BufferedProduct(_ProductBase):
     def __init__(self, first: Pda, second: Pda, d: int):
         if d < 0:
             raise ValueError("inner parameter must be nonnegative")
-        super().__init__(first, second)
-        self.d = d
+        super().__init__(first, second, d)
 
     def _initial_state(self) -> BufferedState:
         return BufferedState(self.first.start, self.second.start)
@@ -265,16 +264,6 @@ class BufferedProduct(_ProductBase):
             return None
         return (state.q1, state.q2, state.buffer)
 
-    def state_bound(self) -> int:
-        return state_bound(
-            self.kind,
-            len(self.first.states),
-            len(self.second.states),
-            len(self._symbols[1]),
-            len(self._symbols[2]),
-            self.d,
-        )
-
     def _expand(self, state: BufferedState) -> tuple:
         buffer = state.buffer
         if not state.queue:
@@ -289,8 +278,8 @@ class BufferedProduct(_ProductBase):
         drained = replace(state, queue=rest)
         if op == PUSH:
             out = [_aux(state, StackAction.push((owner, sym)), drained)]
-            if len(buffer) < 8 * self.d:
-                short = replace(drained, buffer=buffer + ((owner, sym, 2 * self.d),))
+            if len(buffer) < 8 * self.parameter:
+                short = replace(drained, buffer=buffer + ((owner, sym, 2 * self.parameter),))
                 out.append(_aux(state, StackAction.none(), short))
             return tuple(out)
         idx = self._newest_match(buffer, owner, sym)
@@ -331,45 +320,12 @@ def state_bound(kind: str, q1: int, q2: int, g1: int, g2: int, parameter: int) -
     return q1 * q2 * base**exponent
 
 
-def _explore(product, max_len: int, limits: SearchLimits, what: str):
-    """Depth-first over the configurations reachable on inputs of length at
-    most max_len, keeping each (state, stack) at the least input consumed.
-
-    Yields the state of every expanded configuration together with the
-    transitions that apply to it within the product's stack cap.
-    """
-    search = _Search(product, max_len)
-    init = search.intern(product.initial_config())
-    start, _, bottom = init
-    best = {(start, bottom): 0}
-    frontier = [init]
-    expanded = furthest = 0
-    while frontier:
-        state, pos, cell = frontier.pop()
-        if expanded >= limits.max_configs:
-            raise LimitExceeded(
-                f"{what} exploration budget exhausted: expanded {expanded}"
-                f" configurations, furthest input position {furthest} of {max_len}"
-            )
-        expanded += 1
-        furthest = max(furthest, pos)
-        applied = []
-        reads = _ANY if pos < max_len else None
-        for t, consumed, nxt in search.successors(state, pos, cell, reads):
-            applied.append(t)
-            key = (t.target, nxt)
-            if key not in best or best[key] > consumed:
-                best[key] = consumed
-                frontier.append((t.target, consumed, nxt))
-        yield state, applied
-
-
 def reachable_composite_states(
     product, max_len: int, limits: SearchLimits = DEFAULT_LIMITS
 ) -> set:
     """Distinct counting-view projections reachable on any input of length
     at most max_len."""
-    explored = _explore(product, max_len, limits, "composite")
+    explored = explore_reachable(product, max_len, limits, "composite")
     projections = {product.projection(state) for state, _ in explored}
     projections.discard(None)
     return projections
@@ -439,65 +395,55 @@ def fragment_to_json(
 ) -> dict:
     """Exhaustively expanded fragment of the product, as an interchange
     machine with opaque state labels plus a side table describing each
-    composite state."""
-    edges = set()
-    stack_symbols = {_BOTTOM}
-    for _, applied in _explore(product, max_len, limits, "fragment"):
-        edges.update(applied)
-        stack_symbols.update(
-            t.action.symbol for t in applied if t.action.symbol is not None
+    composite state.
+
+    pda-v1 has one acceptance mode per machine, so a pair whose components
+    differ in mode is refused: the product checks residue per owner, which a
+    single mode cannot express.
+    """
+    modes = [product.component(owner).acceptance_mode for owner in (1, 2)]
+    if modes[0] != modes[1]:
+        raise ValueError(
+            f"cannot export a fragment of machines with acceptance modes {modes[0]}"
+            f" and {modes[1]}: pda-v1 has one acceptance mode per machine"
         )
+    edges = set()
+    for _, applied in explore_reachable(product, max_len, limits, "fragment"):
+        edges.update(applied)
     start = product.initial_config().state
     labels = {start: "c0"}
     for t in sorted(edges, key=lambda t: (str(t.source), str(t.read), str(t.target))):
         for state in (t.source, t.target):
             labels.setdefault(state, f"c{len(labels)}")
-    accept = [
-        label
-        for s, label in labels.items()
-        if s.is_sync
-        and s.q1 in product.first.accept
-        and s.q2 in product.second.accept
-    ]
-    both_bottom_only = all(
-        product.component(owner).acceptance_mode == FINAL_STATE_BOTTOM_ONLY
-        for owner in (1, 2)
+
+    def relabel(t: Transition) -> Transition:
+        symbol = t.action.symbol
+        if symbol is not None:
+            symbol = _describe_entry(symbol)
+        action = StackAction(t.action.kind, symbol)
+        return Transition(labels[t.source], t.read, action, labels[t.target], t.auxiliary)
+
+    transitions = [relabel(t) for t in edges]
+    bottom = _describe_entry(_BOTTOM)
+    fragment = Pda(
+        states=labels.values(),
+        input_alphabet=product.input_alphabet,
+        stack_alphabet={bottom} | {t.action.symbol for t in transitions} - {None},
+        transitions=transitions,
+        start=labels[start],
+        bottom=bottom,
+        accept=[
+            label
+            for s, label in labels.items()
+            if s.is_sync and s.q1 in product.first.accept and s.q2 in product.second.accept
+        ],
+        acceptance_mode=modes[0],
     )
-    transitions = []
-    for t in sorted(
-        edges,
-        key=lambda t: (labels[t.source], str(t.read), str(t.action), labels[t.target]),
-    ):
-        action = {"kind": t.action.kind}
-        if t.action.symbol is not None:
-            action["symbol"] = _describe_entry(t.action.symbol)
-        transitions.append(
-            {
-                "from": labels[t.source],
-                "read": t.read,
-                "action": action,
-                "to": labels[t.target],
-                "auxiliary": t.auxiliary,
-            }
-        )
-    return {
-        "format": PDA_FORMAT,
-        "states": list(labels.values()),
-        "input_alphabet": sorted(product.input_alphabet),
-        "stack_alphabet": sorted(_describe_entry(e) for e in stack_symbols),
-        "transitions": transitions,
-        "start": labels[start],
-        "bottom": _describe_entry(_BOTTOM),
-        "accept": sorted(accept),
-        "acceptance_mode": FINAL_STATE_BOTTOM_ONLY
-        if both_bottom_only
-        else "FinalState",
-        "composite_state_labels": {label: s.describe() for s, label in labels.items()},
-        "product": {
-            "kind": product.kind,
-            "parameter": product.k
-            if product.kind == DISPLACEMENT
-            else product.d,
-            "explored_input_length": max_len,
-        },
+    document = pda_to_json(fragment)
+    document["composite_state_labels"] = {label: s.describe() for s, label in labels.items()}
+    document["product"] = {
+        "kind": product.kind,
+        "parameter": product.parameter,
+        "explored_input_length": max_len,
     }
+    return document

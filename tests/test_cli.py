@@ -1,10 +1,17 @@
 import json
 import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import islab
+from islab import corpus
 from islab.cli import main
 from islab.pda import (
+    FINAL_STATE,
     Pda,
     StackAction,
     Transition,
@@ -248,6 +255,41 @@ def test_top_level_non_object_rejected(capsys, tmp_path, argv):
     assert err.startswith(f"error: {path} must hold a JSON object")
 
 
+def test_zero_runs_cap_gives_no_run(capsys):
+    code, out, _ = run_cli(
+        capsys, "runs", "--corpus", "counter", "--word", "ab", "--runs-cap", "0"
+    )
+    assert code == 0
+    assert out == "0 accepting run(s) for 'ab' (cap 0)\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["runs", "--corpus", "counter", "--word", "ab", "--runs-cap", "-2"], "--runs-cap"),
+        (["crossings", "--pair", "gap-refutation", "--n", "1", "--runs-cap", "-1"], "--runs-cap"),
+        (["crossings", "--pair", "gap-refutation", "--n", "-1"], "--n"),
+        (["linkage", "--blocks", "abcd", "--n", "-1"], "--n"),
+    ],
+    ids=["runs-runs-cap", "crossings-runs-cap", "crossings-n", "linkage-n"],
+)
+def test_negative_count_flag_rejected(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["classify", "report"])
+def test_negative_size_rejected(capsys, command):
+    code, out, err = run_cli(
+        capsys, command, "--pair", "gap-refutation", "--sizes", "2,-1"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: --sizes must be nonnegative, got '2,-1'\n"
+
+
 class TestClassify:
     def test_bounded_gap(self, capsys):
         code, out, _ = run_cli(
@@ -386,6 +428,37 @@ class TestConstruct:
         assert f"wrote {target}" in err
         pda_from_json(json.loads(target.read_text()))
 
+    def test_out_file_unwritable(self, capsys, tmp_path):
+        (tmp_path / "taken").write_text("")
+        target = tmp_path / "taken" / "joint.pda.json"
+        code, out, err = run_cli(
+            capsys, "construct", "joint", "--blocks", "nested-blocks", "--out", str(target)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}")
+
+    def test_mixed_acceptance_modes_refused(self, capsys, tmp_path):
+        counter = corpus.get("counter").machine("counter")
+        first = write_machine(tmp_path, counter, "first.json")
+        second = write_machine(
+            tmp_path, replace(counter, acceptance_mode=FINAL_STATE), "second.json"
+        )
+        code, out, err = run_cli(
+            capsys,
+            "construct",
+            "displacement",
+            "--pair",
+            f"{first},{second}",
+            "--k",
+            "1",
+            "--max-len",
+            "4",
+        )
+        assert code == 2
+        assert out == ""
+        assert "acceptance modes FinalStateAndBottomOnly and FinalState:" in err
+
     def test_deterministic_stdout(self, capsys):
         _, first, _ = run_cli(
             capsys, "construct", "buffered", "--pair", "gap-refutation", "--d", "1",
@@ -396,6 +469,48 @@ class TestConstruct:
             "--max-len", "4",
         )
         assert first == second
+
+
+GRAMMAR_BUNDLES = [name for name in corpus.list_bundles() if corpus.get(name).grammar]
+
+# Its GNF stage needs pairing nonterminals for two heads, and their names
+# follow the order in which the heads are visited.
+PAIRING_GRAMMAR = {
+    "format": "cfg-v1",
+    "nonterminals": ["S", "A"],
+    "terminals": ["a", "b"],
+    "productions": [
+        {"head": "S", "body": ["A", "b"]},
+        {"head": "S", "body": ["S", "b", "a"]},
+        {"head": "S", "body": ["b"]},
+        {"head": "A", "body": ["S", "b", "S"]},
+        {"head": "A", "body": ["b", "b"]},
+        {"head": "A", "body": ["b"]},
+    ],
+    "start": "S",
+}
+
+
+@pytest.mark.parametrize("grammar", GRAMMAR_BUNDLES + ["pairing-grammar-file"])
+def test_construct_grammar_independent_of_hash_seed(tmp_path, grammar):
+    if grammar == "pairing-grammar-file":
+        grammar = str(tmp_path / "pairing.cfg.json")
+        Path(grammar).write_text(json.dumps(PAIRING_GRAMMAR))
+    src = str(Path(islab.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "islab.cli", "construct", "grammar", "--grammar", grammar],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
 
 
 class TestVerify:
@@ -659,6 +774,15 @@ class TestCorpus:
         assert "even-palindrome-grammar.cfg.json" in files
         loaded = json.loads((target / "counter--counter.pda.json").read_text())
         pda_from_json(loaded)
+
+    @pytest.mark.parametrize("target", ["taken", "taken/sub"])
+    def test_export_onto_a_file_is_error(self, capsys, tmp_path, target):
+        (tmp_path / "taken").write_text("")
+        path = tmp_path / target
+        code, _, err = run_cli(capsys, "corpus", "--export", str(path))
+        assert code == 2
+        assert err.startswith(f"error: cannot create directory {path}: ")
+        assert (tmp_path / "taken").read_text() == ""
 
     def test_export_single_bundle(self, capsys, tmp_path):
         target = tmp_path / "one"

@@ -269,6 +269,10 @@ class TestEnumerateRuns:
         machine = ambiguous_two_path()
         assert len(enumerate_runs(machine, "ab", cap=1)) == 1
 
+    @pytest.mark.parametrize("cap", [0, -2])
+    def test_nonpositive_cap_gives_no_run(self, cap):
+        assert enumerate_runs(counter(), "ab", cap=cap) == []
+
     def test_runs_deterministic_across_calls(self):
         machine = odd_track()
         first = enumerate_runs(machine, "000000")

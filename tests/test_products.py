@@ -1,11 +1,13 @@
 import itertools
 import re
+from dataclasses import replace
 
 import pytest
 
 from islab import corpus
 from islab.arcs import Arc, union_well_nested
 from islab.pda import (
+    FINAL_STATE,
     POP,
     PUSH,
     Pda,
@@ -46,6 +48,10 @@ def refutation_pair():
 def crossing_counters():
     bundle = corpus.get("crossing-blocks")
     return bundle.machine("first-third-counter"), bundle.machine("second-fourth-counter")
+
+
+def final_state_copy(machine):
+    return replace(machine, acceptance_mode=FINAL_STATE)
 
 
 def both_projections_palindromic(word: str) -> bool:
@@ -377,13 +383,30 @@ class TestFragmentExport:
         assert all(label.startswith("c") for label in labels)
 
     def test_fragment_reloads_and_matches_product(self):
+        final_state_pair = [final_state_copy(m) for m in palindrome_pair()]
         for product in (
             DisplacementProduct(*palindrome_pair(), k=1),
             BufferedProduct(*refutation_pair(), d=1),
+            DisplacementProduct(*final_state_pair, k=1),
+            BufferedProduct(*final_state_pair, d=1),
         ):
             frag = fragment_to_json(product, 4)
             loaded = pda_from_json(frag)
             assert enumerate_language(loaded, 4) == enumerate_language(product, 4)
+
+    def test_mixed_acceptance_modes_refused(self):
+        # such a product requires only one owner's entries to drain (here it
+        # accepts '', ab, aabb up to length 4): no single pda-v1 mode says that
+        counter = corpus.get("counter").machine("counter")
+        for product in (
+            DisplacementProduct(counter, final_state_copy(counter), 1),
+            BufferedProduct(final_state_copy(counter), counter, 1),
+        ):
+            with pytest.raises(ValueError) as info:
+                fragment_to_json(product, 4)
+            message = str(info.value)
+            assert "FinalStateAndBottomOnly" in message
+            assert re.search(r"\bFinalState\b", message)
 
     def test_deterministic_output(self):
         product = BufferedProduct(*refutation_pair(), d=1)
