@@ -33,6 +33,10 @@ def _arcs_cross(first: tuple, second: tuple) -> bool:
     return l1 < l2 < r1 < r2 or l2 < l1 < r2 < r1
 
 
+def _balanced(counts: list, constraints: tuple) -> bool:
+    return all(counts[l - 1] == counts[r - 1] for l, r in constraints)
+
+
 @dataclass(frozen=True)
 class BlockSpec:
     """One machine's view: block alphabets plus equal-length constraints.
@@ -40,6 +44,8 @@ class BlockSpec:
     Constraints are pairs (l, r) of 1-based block indices with l < r; they
     must be well nested and no block may appear in two constraints, which
     is what makes the language recognizable by a single counting machine.
+    The symbol -> block map that membership scans with is built once, at
+    construction, and kept on the instance.
     """
 
     alphabets: tuple
@@ -54,16 +60,18 @@ class BlockSpec:
         )
         if not self.alphabets:
             raise ValueError("at least one block is required")
-        seen: set = set()
+        block_index: dict = {}
         for idx, alpha in enumerate(self.alphabets, start=1):
             if not alpha:
                 raise ValueError(f"block {idx} has an empty alphabet")
             for ch in alpha:
                 if not (isinstance(ch, str) and len(ch) == 1):
                     raise ValueError(f"block symbols must be single characters, got {ch!r}")
-                if ch in seen:
+                if ch in block_index:
                     raise ValueError(f"symbol {ch!r} appears in two block alphabets")
-                seen.add(ch)
+                block_index[ch] = idx
+        # not a field: per instance, and left out of equality and repr
+        object.__setattr__(self, "_block_index", block_index)
         endpoints: set = set()
         for l, r in self.constraints:
             if not (1 <= l < r <= self.k):
@@ -82,18 +90,17 @@ class BlockSpec:
         return len(self.alphabets)
 
     def block_of(self, ch: str):
-        for idx, alpha in enumerate(self.alphabets, start=1):
-            if ch in alpha:
-                return idx
-        return None
+        """The 1-based block whose alphabet holds `ch`, or None."""
+        return self._block_index.get(ch)
 
     def block_counts(self, word: str):
         """Per-block symbol counts, or None when the word does not scan as
         consecutive blocks in order."""
+        block_index = self._block_index
         counts = [0] * self.k
         current = 1
         for ch in word:
-            idx = self.block_of(ch)
+            idx = block_index.get(ch)
             if idx is None or idx < current:
                 return None
             current = idx
@@ -102,9 +109,7 @@ class BlockSpec:
 
     def contains(self, word: str) -> bool:
         counts = self.block_counts(word)
-        if counts is None:
-            return False
-        return all(counts[l - 1] == counts[r - 1] for l, r in self.constraints)
+        return counts is not None and _balanced(counts, self.constraints)
 
 
 @dataclass(frozen=True)
@@ -130,7 +135,11 @@ class Verdict:
 
 @dataclass(frozen=True)
 class JointSpec:
-    """Two constraint sets over one shared block structure."""
+    """Two constraint sets over one shared block structure.
+
+    Both sides are validated and built once, at construction, and kept on
+    the instance: `side` and `in_intersection` reuse them on every call.
+    """
 
     alphabets: tuple
     c1: tuple
@@ -142,20 +151,27 @@ class JointSpec:
         object.__setattr__(self, "alphabets", first.alphabets)
         object.__setattr__(self, "c1", first.constraints)
         object.__setattr__(self, "c2", second.constraints)
+        # not a field: per instance, and left out of equality and repr
+        object.__setattr__(self, "_sides", (first, second))
 
     @property
     def k(self) -> int:
         return len(self.alphabets)
 
     def side(self, which: int) -> BlockSpec:
-        if which == 1:
-            return BlockSpec(self.alphabets, self.c1)
-        if which == 2:
-            return BlockSpec(self.alphabets, self.c2)
-        raise ValueError("side must be 1 or 2")
+        if which not in (1, 2):
+            raise ValueError("side must be 1 or 2")
+        return self._sides[which - 1]
 
     def in_intersection(self, word: str) -> bool:
-        return self.side(1).contains(word) and self.side(2).contains(word)
+        """Block membership on both sides; the word is scanned once, since
+        the sides share their blocks."""
+        counts = self._sides[0].block_counts(word)
+        return (
+            counts is not None
+            and _balanced(counts, self.c1)
+            and _balanced(counts, self.c2)
+        )
 
 
 def is_jointly_well_nested(j: JointSpec):

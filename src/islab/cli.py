@@ -47,6 +47,7 @@ from .pda import (
     enumerate_runs,
     pda_from_json,
     pda_to_json,
+    validate_normal_form,
 )
 from .products import (
     BufferedProduct,
@@ -133,15 +134,20 @@ def _bundle(name: str):
 
 
 def _load_pair(args):
+    """The two machines of --pair; both must be in normal form, which the
+    products and the arc geometry of every pair command assume."""
     if not getattr(args, "pair", None):
         raise CliError("select a machine pair with --pair NAME (corpus bundle)")
     if "," in args.pair:
-        first_path, second_path = args.pair.split(",", 1)
-        return (
-            pda_from_json(_read_json(first_path)),
-            pda_from_json(_read_json(second_path)),
-            None,
-        )
+        paths = args.pair.split(",", 1)
+        machines = [pda_from_json(_read_json(path)) for path in paths]
+        for path, machine in zip(paths, machines):
+            diagnostics = validate_normal_form(machine)
+            if diagnostics:
+                raise CliError(
+                    f"{path} is not in normal form: " + "; ".join(diagnostics)
+                )
+        return machines[0], machines[1], None
     bundle = _bundle(args.pair)
     try:
         first, second = bundle.pair()
@@ -630,6 +636,8 @@ def _linkage_lines(report) -> list:
 def _cmd_linkage(args) -> int:
     if not args.blocks:
         raise CliError("linkage needs --blocks as the membership oracle")
+    if args.hypotheses and args.n == 0:
+        raise CliError("--hypotheses needs a positive size threshold --n, got 0")
     oracle_spec = _load_document(args.blocks, "joint")
     if args.side == "both":
         oracle = oracle_spec.in_intersection
@@ -666,8 +674,9 @@ def _cmd_linkage(args) -> int:
         f"word {word!r}, segments {decomposition.parts(word)}, oracle {oracle_name}"
     ]
     if args.hypotheses:
+        threshold = 1 if args.n is None else args.n
         report = check_crossing_hypotheses(
-            oracle, word, decomposition, args.hypotheses, args.n or 1
+            oracle, word, decomposition, args.hypotheses, threshold
         )
         payload["hypotheses"] = {
             "mode": report.mode,
@@ -920,7 +929,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--word", help="word to factor (needs --cuts)")
     p.add_argument("--cuts", help="segment cuts i,i',j (0-based offsets)")
-    p.add_argument("--n", type=_nonnegative_int, help="witness size (derives word and cuts)")
+    p.add_argument(
+        "--n",
+        type=_nonnegative_int,
+        help="witness size (derives word and cuts); with --hypotheses also the"
+        " size threshold, which must be positive (default 1)",
+    )
     p.add_argument(
         "--witness",
         help="spec whose crossing supplies word and cuts (default: --blocks)",

@@ -11,6 +11,7 @@ the rest of the pipeline is checked against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .pda import (
     FINAL_STATE_BOTTOM_ONLY,
@@ -97,6 +98,64 @@ class CnfGrammar(Cfg):
     @property
     def derives_epsilon(self) -> bool:
         return any(p.body == () and p.head == self.start for p in self.productions)
+
+    @cached_property
+    def _cyk_index(self) -> "_CykIndex":
+        return _CykIndex(self)
+
+
+class _CykIndex:
+    """The bit-vector view of one CNF grammar that cyk_membership parses with.
+
+    Each nonterminal owns one bit (in sorted name order), so a set of
+    nonterminals is an int mask.  `leaves` maps a terminal to the mask of
+    heads producing it, `by_left` maps a left bit to the (right bit, head
+    bit) pairs of the binary rules it starts, and `joins` memoizes the head
+    mask derived from a (left mask, right mask) pair of adjacent spans.
+    `charts` holds the charts of the last words parsed as (word, starting),
+    with `starting[i][s - 1]` the mask of the nonterminals deriving
+    word[i:i + s]; it holds one chart unless calls ran at the same time.
+    One index belongs to one grammar instance and dies with it.
+    """
+
+    def __init__(self, g: CnfGrammar):
+        bit = {nt: 1 << i for i, nt in enumerate(sorted(g.nonterminals))}
+        self.width = len(bit)
+        self.start = bit[g.start]
+        self.leaves: dict[str, int] = {}
+        self.by_left: dict[int, list[tuple[int, int]]] = {}
+        for p in g.productions:
+            if len(p.body) == 1:
+                self.leaves[p.body[0]] = self.leaves.get(p.body[0], 0) | bit[p.head]
+            elif len(p.body) == 2:
+                self.by_left.setdefault(bit[p.body[0]], []).append(
+                    (bit[p.body[1]], bit[p.head])
+                )
+        self.joins = _Joins(self)
+        self.charts: list[tuple[str, list[list[int]]]] = []
+
+
+class _Joins(dict):
+    """Memo from a (left mask, right mask) pair of adjacent spans, keyed as
+    `left << width | right`, to the heads A of every rule A -> B C with B in
+    the left mask and C in the right one; a pair is joined on first lookup."""
+
+    def __init__(self, index: _CykIndex):
+        super().__init__()
+        self.index = index
+
+    def __missing__(self, key: int) -> int:
+        width = self.index.width
+        left, right = key >> width, key & ((1 << width) - 1)
+        heads = 0
+        while left:
+            low = left & -left
+            for right_bit, head_bit in self.index.by_left.get(low, ()):
+                if right & right_bit:
+                    heads |= head_bit
+            left ^= low
+        self[key] = heads
+        return heads
 
 
 @dataclass(frozen=True)
@@ -263,30 +322,52 @@ def to_cnf(g: Cfg) -> CnfGrammar:
 
 
 def cyk_membership(g: CnfGrammar, w: str) -> bool:
-    """Bottom-up span parsing on the CNF stage."""
+    """Bottom-up span parsing on the CNF stage.
+
+    The chart is filled column by column, one column per end position, and
+    its cells are nonterminal bit masks.  Everything behind it is kept per
+    grammar instance (see _CykIndex): the index is built on the first call,
+    and the chart of the last word parsed is kept, so a call computes only
+    the columns past the prefix it shares with the previous word.  A call
+    takes that chart off the index and puts it back when done, so calls on
+    one grammar from several threads never share a chart.
+    """
     if g.is_empty:
         return False
     if w == "":
         return g.derives_epsilon
-    by_terminal: dict[str, set[str]] = {}
-    by_pair: dict[tuple[str, str], set[str]] = {}
-    for p in g.productions:
-        if len(p.body) == 1:
-            by_terminal.setdefault(p.body[0], set()).add(p.head)
-        elif len(p.body) == 2:
-            by_pair.setdefault((p.body[0], p.body[1]), set()).add(p.head)
-    n = len(w)
-    table = [[set() for _ in range(n)] for _ in range(n + 1)]
-    for i, ch in enumerate(w):
-        table[1][i] = set(by_terminal.get(ch, ()))
-    for span in range(2, n + 1):
-        for i in range(n - span + 1):
-            cell = table[span][i]
-            for split in range(1, span):
-                for left in table[split][i]:
-                    for right in table[span - split][i + split]:
-                        cell |= by_pair.get((left, right), set())
-    return g.start in table[n][0]
+    index = g._cyk_index
+    try:
+        word, starting = index.charts.pop()
+    except IndexError:
+        word, starting = "", []
+    shared = 0
+    for old, new in zip(word, w):
+        if old != new:
+            break
+        shared += 1
+    # keep the cells of the spans inside the shared prefix, drop the rest
+    del starting[shared:]
+    for i, cells in enumerate(starting):
+        del cells[shared - i :]
+    leaves = index.leaves
+    joins = index.joins
+    shift = index.width
+    for j in range(shared + 1, len(w) + 1):
+        leaf = leaves.get(w[j - 1], 0)
+        starting.append([leaf])
+        # column j: the spans w[i:j] for i = j - 1 down to 0, so column[-1]
+        # is always the span w[i + 1:j]
+        column = [leaf]
+        for i in range(j - 2, -1, -1):
+            mask = 0
+            for left, right in zip(starting[i], reversed(column)):
+                if left and right:
+                    mask |= joins[(left << shift) | right]
+            starting[i].append(mask)
+            column.append(mask)
+    index.charts.append((w, starting))
+    return bool(starting[0][-1] & index.start)
 
 
 _PAIR_CAP = 500

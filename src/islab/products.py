@@ -36,6 +36,7 @@ from .pda import (
     Transition,
     explore_reachable,
     pda_to_json,
+    validate_normal_form,
 )
 
 DISPLACEMENT = "displacement"
@@ -119,11 +120,19 @@ class _ProductBase:
     state to its outgoing transitions, filled on first request: the control
     graph is finite, so every state is expanded once per product.
     `parameter` is the bound the construction is built for: the gap bound k
-    or the inner bound d."""
+    or the inner bound d.  Both components must be in normal form (see
+    `validate_normal_form`); the constructors raise ValueError otherwise,
+    since the per-position simulation below assumes it."""
 
     kind = "abstract"
 
     def __init__(self, first: Pda, second: Pda, parameter: int):
+        for owner, machine in ((1, first), (2, second)):
+            diagnostics = validate_normal_form(machine)
+            if diagnostics:
+                raise ValueError(
+                    f"machine {owner} is not in normal form: " + "; ".join(diagnostics)
+                )
         self.first = first
         self.second = second
         self.parameter = parameter
@@ -135,6 +144,11 @@ class _ProductBase:
             2: tuple(sorted(second.stack_alphabet - {second.bottom})),
         }
         self._table: dict = {}
+        self._bottom_only_owners = frozenset(
+            owner
+            for owner in (1, 2)
+            if self.component(owner).acceptance_mode == FINAL_STATE_BOTTOM_ONLY
+        )
 
     def component(self, owner: int) -> Pda:
         return self.first if owner == 1 else self.second
@@ -161,25 +175,27 @@ class _ProductBase:
             out = self._table[state] = self._expand(state)
         return out
 
-    def is_accepting(self, state, stack) -> bool:
-        if not state.is_sync:
-            return False
-        if state.q1 not in self.first.accept or state.q2 not in self.second.accept:
-            return False
-        for owner in (1, 2):
-            if self.component(owner).acceptance_mode == FINAL_STATE_BOTTOM_ONLY:
-                if self._owner_residue(state, stack, owner):
-                    return False
-        return True
+    def accepts_control(self, state) -> bool:
+        """Acceptance as far as the composite control state decides it: a
+        synchronized state whose two component states both accept.  The
+        fragment export marks exactly these states accepting."""
+        return (
+            state.is_sync
+            and state.q1 in self.first.accept
+            and state.q2 in self.second.accept
+        )
 
-    def _owner_residue(self, state, stack, owner: int) -> bool:
-        """Whether an entry of `owner` lies above the bottom of the stack
-        cell `stack`."""
+    def is_accepting(self, state, stack) -> bool:
+        """Control acceptance, and no entry of an owner that accepts on its
+        bottom only left above the bottom of the stack cell `stack`."""
+        if not self.accepts_control(state):
+            return False
+        owners = self._bottom_only_owners
         while stack.depth > 1:
-            if stack.top[0] == owner:
-                return True
+            if stack.top[0] in owners:
+                return False
             stack = stack.below
-        return False
+        return True
 
     def _reads(self, state) -> tuple:
         """Reading steps of a sync state, covering both machines' move
@@ -253,10 +269,12 @@ class BufferedProduct(_ProductBase):
     def _after_read(self, state, t1, t2, queue) -> BufferedState:
         return BufferedState(t1, t2, queue, state.buffer, closing=True)
 
-    def _owner_residue(self, state, stack, owner: int) -> bool:
-        if super()._owner_residue(state, stack, owner):
-            return True
-        return any(entry[0] == owner for entry in state.buffer)
+    def accepts_control(self, state: BufferedState) -> bool:
+        """Also asks that no owner that accepts on its bottom only still has
+        a short push waiting in the buffer."""
+        return super().accepts_control(state) and not any(
+            entry[0] in self._bottom_only_owners for entry in state.buffer
+        )
 
     def projection(self, state: BufferedState):
         """Counting view: sync states only, as control pair plus buffer."""
@@ -432,11 +450,7 @@ def fragment_to_json(
         transitions=transitions,
         start=labels[start],
         bottom=bottom,
-        accept=[
-            label
-            for s, label in labels.items()
-            if s.is_sync and s.q1 in product.first.accept and s.q2 in product.second.accept
-        ],
+        accept=[label for s, label in labels.items() if product.accepts_control(s)],
         acceptance_mode=modes[0],
     )
     document = pda_to_json(fragment)

@@ -85,25 +85,19 @@ def _meets(window: tuple, interval: tuple) -> bool:
     return max(window[0], interval[0]) < min(window[1], interval[1])
 
 
-def _factorizations(n: int):
-    """All cut tuples ordered by window width, then left to right."""
-    for width in range(n + 1):
-        for a in range(n - width + 1):
-            d = a + width
-            for b in range(a, d + 1):
-                for c in range(b, d + 1):
-                    yield (a, b, c, d)
-
-
 def check_linkage(
     oracle, word: str, cuts: SegmentDecomposition, pair: tuple = OUTER_PAIR
 ) -> LinkageReport:
     """Exhaustively test one segment pair; the reported counterexample, if
     any, is the first in window-width order.
 
-    `oracle` is a membership predicate for the language under test.  When
-    either member of the pair is empty the linkage holds vacuously and no
-    factorization is examined.
+    Factorizations are taken by window width, then window start, then b,
+    then c.  `examined` counts every factorization up to the reported one
+    (all C(|w|+4, 4) when the linkage holds), `relevant` those whose window
+    meets exactly one member of the pair and that pump something, and
+    `oracle_calls` the distinct pumped words asked of `oracle`, a membership
+    predicate for the language under test.  When either member of the pair
+    is empty the linkage holds vacuously and no factorization is examined.
     """
     if pair not in (OUTER_PAIR, INNER_PAIR):
         raise ValueError(f"pair must be {OUTER_PAIR} or {INNER_PAIR}")
@@ -116,34 +110,41 @@ def check_linkage(
         return LinkageReport(pair, True, True, None, 0, 0, 0)
     n = len(word)
     memo: dict = {}
-
-    def member(w: str) -> bool:
-        if w not in memo:
-            memo[w] = bool(oracle(w))
-        return memo[w]
-
     examined = 0
     relevant = 0
-    for a, b, c, d in _factorizations(n):
-        examined += 1
-        if b == a and d == c:
-            continue
-        window = (a, d)
-        if _meets(window, member_a) == _meets(window, member_b):
-            continue
-        relevant += 1
-        fact = Factorization((a, b, c, d))
-        pumped = fact.pumped(word)
-        if member(pumped):
-            return LinkageReport(
-                pair,
-                False,
-                False,
-                Counterexample(fact, fact.parts(word), pumped),
-                examined,
-                relevant,
-                len(memo),
-            )
+    for width in range(n + 1):
+        # (b, c) with a <= b <= c <= d: the factorizations of one window
+        per_window = (width + 1) * (width + 2) // 2
+        for a in range(n - width + 1):
+            d = a + width
+            window = (a, d)
+            if _meets(window, member_a) == _meets(window, member_b):
+                examined += per_window
+                continue
+            # u v v x y y z == w[:b] + w[a:b] + w[b:d] + w[c:]
+            for b in range(a, d + 1):
+                head = word[:b] + word[a:b] + word[b:d]
+                # at b == a, c == d nothing is pumped: examined, not relevant
+                for c in range(b, d + 1) if b > a else range(a, d):
+                    examined += 1
+                    relevant += 1
+                    pumped = head + word[c:]
+                    hit = memo.get(pumped)
+                    if hit is None:
+                        hit = memo[pumped] = bool(oracle(pumped))
+                    if hit:
+                        fact = Factorization((a, b, c, d))
+                        return LinkageReport(
+                            pair,
+                            False,
+                            False,
+                            Counterexample(fact, fact.parts(word), pumped),
+                            examined,
+                            relevant,
+                            len(memo),
+                        )
+                if b == a:
+                    examined += 1
     return LinkageReport(pair, True, False, None, examined, relevant, len(memo))
 
 

@@ -18,6 +18,7 @@ from islab.pda import (
     pda_from_json,
     pda_to_json,
 )
+from test_products import epsilon_counter
 
 
 def run_cli(capsys, *argv):
@@ -278,6 +279,35 @@ def test_negative_count_flag_rejected(capsys, argv, flag):
         main(argv)
     assert exc.value.code == 2
     assert f"argument {flag}: must be nonnegative" in capsys.readouterr().err
+
+
+def test_linkage_hypotheses_zero_threshold_rejected(capsys):
+    code, out, err = run_cli(
+        capsys, "linkage", "--blocks", "all-equal", "--witness", "abcd",
+        "--n", "0", "--hypotheses", "four-large",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: --hypotheses needs a positive size threshold --n, got 0\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "displacement", "--k", "1", "--max-len", "4"],
+        ["verify", "--construct", "buffered", "--d", "1", "--max-len", "4"],
+        ["crossings", "--word", "aabb"],
+    ],
+    ids=["construct", "verify", "crossings"],
+)
+def test_pair_outside_normal_form_refused(capsys, tmp_path, argv):
+    counter = write_machine(tmp_path, corpus.get("counter").machine("counter"), "ok.json")
+    bad = write_machine(tmp_path, epsilon_counter(), "eps.json")
+    code, out, err = run_cli(capsys, *argv, "--pair", f"{counter},{bad}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {bad} is not in normal form: ")
+    assert "non-auxiliary transition reads no input symbol" in err
 
 
 @pytest.mark.parametrize("command", ["classify", "report"])

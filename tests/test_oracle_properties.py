@@ -1,0 +1,189 @@
+"""Differential tests for the two brute-force oracles: the bit-mask CYK
+parser against a plain set-based CYK on random small grammars and in
+several call orders, and the window-level linkage scan against a scan that
+walks every factorization."""
+
+import random
+import sys
+import threading
+from itertools import product
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from islab import corpus
+from islab.arcs import SegmentDecomposition
+from islab.grammar import Cfg, Production, cyk_membership, to_cnf
+from islab.pumping import INNER_PAIR, OUTER_PAIR, check_linkage
+
+MAX_LEN = 6
+NONTERMINALS = ("S", "A", "B")
+TERMINALS = ("a", "b")
+
+
+def words(alphabet, max_len: int):
+    for length in range(max_len + 1):
+        for letters in product(sorted(alphabet), repeat=length):
+            yield "".join(letters)
+
+
+def set_cyk(g, w: str) -> bool:
+    """Textbook CYK over sets of nonterminal names."""
+    if not g.productions:
+        return False
+    if w == "":
+        return Production(g.start, ()) in g.productions
+    n = len(w)
+    table = {}
+    for i, ch in enumerate(w):
+        table[i, 1] = {p.head for p in g.productions if p.body == (ch,)}
+    for span in range(2, n + 1):
+        for i in range(n - span + 1):
+            table[i, span] = {
+                p.head
+                for split in range(1, span)
+                for p in g.productions
+                if len(p.body) == 2
+                and p.body[0] in table[i, split]
+                and p.body[1] in table[i + split, span - split]
+            }
+    return g.start in table[0, n]
+
+
+@st.composite
+def grammars(draw) -> Cfg:
+    """1-3 nonterminals over {a, b}, 1-7 productions with bodies of length
+    0-3: nullable, unit, useless and left-recursive rules all turn up."""
+    nts = NONTERMINALS[: draw(st.integers(1, 3))]
+    body = st.lists(st.sampled_from(nts + TERMINALS), max_size=3).map(tuple)
+    prods = draw(
+        st.lists(st.builds(Production, st.sampled_from(nts), body), min_size=1, max_size=7)
+    )
+    return Cfg(nonterminals=nts, terminals=TERMINALS, productions=prods, start="S")
+
+
+def grammar(*rules) -> Cfg:
+    prods = [Production(head, tuple(body)) for head, body in rules]
+    return Cfg(nonterminals={"S", "A"}, terminals=TERMINALS, productions=prods, start="S")
+
+
+@settings(max_examples=80, deadline=None)
+@given(g=grammars())
+# generates nothing: to_cnf returns the designated empty grammar
+@example(g=grammar(("S", "S"), ("S", "aA"), ("A", "Ab")))
+# nullable start: the empty word is in, and S also recurs on the right
+@example(g=grammar(("S", ""), ("S", "aSb"), ("S", "SS")))
+def test_cyk_matches_set_based_cyk(g):
+    cnf = to_cnf(g)
+    expected = {w: set_cyk(cnf, w) for w in words(TERMINALS, MAX_LEN)}
+    ordered = list(expected)
+    # one grammar object across orders: each call reuses the chart of the
+    # prefix it shares with the previous word, whatever that word was
+    shuffled = random.Random(len(cnf.productions)).sample(ordered, len(ordered))
+    for w in ordered + ordered[::-1] + shuffled:
+        assert cyk_membership(cnf, w) == expected[w], w
+
+
+def test_examples_cover_empty_grammar_and_nullable_start():
+    assert to_cnf(grammar(("S", "S"), ("S", "aA"), ("A", "Ab"))).is_empty
+    nullable = to_cnf(grammar(("S", ""), ("S", "aSb"), ("S", "SS")))
+    assert nullable.derives_epsilon and cyk_membership(nullable, "")
+
+
+def test_cyk_calls_from_threads_share_no_chart():
+    cnf = to_cnf(corpus.get("even-palindrome-grammar").grammar)
+    expected = {w: set_cyk(cnf, w) for w in words(cnf.terminals, 8)}
+    mismatches = []
+
+    def parse(seed):
+        for w in random.Random(seed).sample(list(expected), len(expected)):
+            if cyk_membership(cnf, w) != expected[w]:
+                mismatches.append(w)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=parse, args=(seed,)) for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == []
+
+
+def reference_linkage(oracle, word: str, cuts, pair) -> tuple:
+    """Every factorization (a, b, c, d), by window width, then a, b, c,
+    pumped as u v v x y y z.  Returns (holds, vacuous, counterexample as
+    (cuts, parts, pumped) or None, examined, relevant, distinct words asked)."""
+    i, i_prime, j = cuts.cuts()
+    segments = [(0, i), (i, i_prime), (i_prime, j), (j, len(word))]
+    first, second = segments[pair[0] - 1], segments[pair[1] - 1]
+    if first[0] == first[1] or second[0] == second[1]:
+        return True, True, None, 0, 0, 0
+    asked = {}
+    examined = relevant = 0
+    n = len(word)
+    for width in range(n + 1):
+        for a in range(n - width + 1):
+            d = a + width
+            for b in range(a, d + 1):
+                for c in range(b, d + 1):
+                    examined += 1
+                    if b == a and c == d:
+                        continue
+                    meets = [max(a, lo) < min(d, hi) for lo, hi in (first, second)]
+                    if meets[0] == meets[1]:
+                        continue
+                    relevant += 1
+                    parts = (word[:a], word[a:b], word[b:c], word[c:d], word[d:])
+                    u, v, x, y, z = parts
+                    pumped = u + v + v + x + y + y + z
+                    if pumped not in asked:
+                        asked[pumped] = oracle(pumped)
+                    if asked[pumped]:
+                        witness = ((a, b, c, d), parts, pumped)
+                        return False, False, witness, examined, relevant, len(asked)
+    return True, False, None, examined, relevant, len(asked)
+
+
+class CountingOracle:
+    """A fixed random language: each word is a member with probability
+    `density`, decided by a generator seeded from the word."""
+
+    def __init__(self, salt: int, density: float):
+        self.salt = salt
+        self.density = density
+        self.asked = []
+
+    def __call__(self, w: str) -> bool:
+        self.asked.append(w)
+        return random.Random(f"{self.salt}:{w}").random() < self.density
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    word=st.text(alphabet="abc", max_size=9),
+    raw_cuts=st.lists(st.integers(0, 9), min_size=3, max_size=3),
+    pair=st.sampled_from([OUTER_PAIR, INNER_PAIR]),
+    salt=st.integers(0, 2**16),
+    density=st.sampled_from([0.0, 0.01, 0.05, 0.3, 1.0]),
+)
+def test_linkage_scan_matches_full_scan(word, raw_cuts, pair, salt, density):
+    cuts = SegmentDecomposition(len(word), *sorted(min(c, len(word)) for c in raw_cuts))
+    oracle = CountingOracle(salt, density)
+    report = check_linkage(oracle, word, cuts, pair)
+    # each distinct pumped word is asked once
+    assert len(oracle.asked) == len(set(oracle.asked)) == report.oracle_calls
+    ce = report.counterexample
+    got = (
+        report.holds,
+        report.vacuous,
+        ce and (ce.factorization.cuts, ce.parts, ce.pumped),
+        report.examined,
+        report.relevant,
+        report.oracle_calls,
+    )
+    assert got == reference_linkage(CountingOracle(salt, density), word, cuts, pair)

@@ -262,6 +262,38 @@ class TestBufferedIncompleteness:
         assert not accepts(BufferedProduct(*palindrome_pair(), d=0), "0000")[0]
 
 
+def epsilon_counter():
+    """a^n b^n with a plain (non-auxiliary) epsilon move from the a-loop to
+    the b-loop: a valid machine, but not in normal form."""
+    return Pda(
+        states={"p", "q"},
+        input_alphabet={"a", "b"},
+        stack_alphabet={"$", "A"},
+        transitions=[
+            Transition("p", "a", StackAction.push("A"), "p"),
+            Transition("p", None, StackAction.none(), "q"),
+            Transition("q", "b", StackAction.pop("A"), "q"),
+        ],
+        start="p",
+        bottom="$",
+        accept={"q"},
+    )
+
+
+class TestNormalFormRequired:
+    def test_machines_outside_normal_form_refused(self):
+        machine = epsilon_counter()
+        assert enumerate_language(machine, 4) == {"", "ab", "aabb"}
+        counter = corpus.get("counter").machine("counter")
+        for make in (DisplacementProduct, BufferedProduct):
+            for first, second, owner in ((machine, machine, 1), (counter, machine, 2)):
+                with pytest.raises(ValueError) as info:
+                    make(first, second, 1)
+                message = str(info.value)
+                assert message.startswith(f"machine {owner} is not in normal form: ")
+                assert "non-auxiliary transition reads no input symbol" in message
+
+
 class TestSoundness:
     def pairs(self):
         yield palindrome_pair(), both_projections_palindromic
@@ -384,12 +416,21 @@ class TestFragmentExport:
 
     def test_fragment_reloads_and_matches_product(self):
         final_state_pair = [final_state_copy(m) for m in palindrome_pair()]
-        for product in (
+        # a buffered state may still hold short pushes: the reloaded
+        # fragment must not accept there, on any two-machine bundle
+        buffered = [
+            BufferedProduct(*bundle.machines.values(), d=d)
+            for bundle in map(corpus.get, corpus.list_bundles())
+            if len(bundle.machines) == 2
+            for d in (1, 2)
+        ]
+        assert len(buffered) == 12
+        for product in [
             DisplacementProduct(*palindrome_pair(), k=1),
             BufferedProduct(*refutation_pair(), d=1),
             DisplacementProduct(*final_state_pair, k=1),
             BufferedProduct(*final_state_pair, d=1),
-        ):
+        ] + buffered:
             frag = fragment_to_json(product, 4)
             loaded = pda_from_json(frag)
             assert enumerate_language(loaded, 4) == enumerate_language(product, 4)
