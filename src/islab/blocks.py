@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arcs import SegmentDecomposition
-from .pda import FINAL_STATE_BOTTOM_ONLY, Pda, StackAction, Transition
+from .pda import FINAL_STATE_BOTTOM_ONLY, JsonFields, Pda, StackAction, Transition
 
 BLOCKS_FORMAT = "blocks-v1"
 
@@ -344,15 +344,18 @@ def joint_to_json(j: JointSpec) -> dict:
 
 
 def joint_from_json(data: dict) -> JointSpec:
-    if data.get("format") != BLOCKS_FORMAT:
-        raise ValueError(
-            f"expected format {BLOCKS_FORMAT!r}, got {data.get('format')!r}"
-        )
-    alphabets = tuple(frozenset(a) for a in data["alphabets"])
-    if data.get("k") is not None and int(data["k"]) != len(alphabets):
+    doc = JsonFields(data)
+    doc.check_format(BLOCKS_FORMAT)
+    alphabets = tuple(frozenset(a) for a in doc.lists("alphabets"))
+    k = doc.value("k", int, type(None), default=None)
+    if k is not None and k != len(alphabets):
         raise ValueError("declared k disagrees with the alphabet list")
-    return JointSpec(
-        alphabets=alphabets,
-        c1=tuple(tuple(c) for c in data["c1"]),
-        c2=tuple(tuple(c) for c in data["c2"]),
-    )
+    return JointSpec(alphabets=alphabets, c1=_constraints(doc, "c1"), c2=_constraints(doc, "c2"))
+
+
+def _constraints(doc: JsonFields, key: str) -> tuple:
+    pairs = doc.lists(key, int)
+    for i, pair in enumerate(pairs):
+        if len(pair) != 2:
+            raise ValueError(f"{key}[{i}] must be a pair of block indices, got {len(pair)} items")
+    return tuple(tuple(pair) for pair in pairs)

@@ -1,10 +1,11 @@
 """Context-free grammars and the normalization pipeline down to machines.
 
 Cfg -> CnfGrammar (start wrapper, terminal lifting, binarization, nullable
-and unit elimination, useless-symbol pruning) -> GnfGrammar (ordered
-substitution with left-recursion elimination, tails normalized to length
-at most two) -> a normal-form machine whose control holds the nonterminal
-under expansion.  cyk_membership on the CNF stage is the reference parser
+and unit elimination, useless-symbol pruning) -> GnfGrammar (the
+left-corner transform of the CNF grammar, in Greibach 2-standard form:
+every body is a, a B or a B C) -> a normal-form machine whose control holds
+the nonterminal under expansion.  No stage has a budget or can refuse a
+grammar.  cyk_membership on the CNF stage is the reference parser
 the rest of the pipeline is checked against.
 """
 
@@ -15,6 +16,7 @@ from functools import cached_property
 
 from .pda import (
     FINAL_STATE_BOTTOM_ONLY,
+    JsonFields,
     Pda,
     StackAction,
     Transition,
@@ -280,45 +282,44 @@ def to_cnf(g: Cfg) -> CnfGrammar:
                 out.add((a, body))
     prods = out
 
-    # drop non-generating, then unreachable
+    prods, keep = _prune(start, prods, g.terminals) or (set(), {start})
+    return CnfGrammar(
+        nonterminals=keep,
+        terminals=g.terminals,
+        productions=tuple(Production(h, b) for h, b in prods),
+        start=start,
+    )
+
+
+def _prune(start: str, prods: set, terminals) -> tuple[set, set] | None:
+    """The (head, body) pairs of `prods` whose symbols all generate a word
+    and are reachable from `start`, and the reachable nonterminals; None
+    when `start` generates nothing."""
     generating = set()
     changed = True
     while changed:
         changed = False
         for head, body in prods:
             if head not in generating and all(
-                s in generating or s in g.terminals for s in body
+                s in generating or s in terminals for s in body
             ):
                 generating.add(head)
                 changed = True
     if start not in generating:
-        return CnfGrammar(
-            nonterminals={start}, terminals=g.terminals, productions=(), start=start
-        )
-    prods = {
-        (h, b)
-        for h, b in prods
-        if h in generating and all(s in generating or s in g.terminals for s in b)
-    }
+        return None
+    by_head: dict = {}
+    for head, body in prods:
+        if all(s in generating or s in terminals for s in body):
+            by_head.setdefault(head, []).append(body)
     reachable = {start}
     frontier = [start]
     while frontier:
-        head = frontier.pop()
-        for h, b in prods:
-            if h == head:
-                for s in b:
-                    if s in nts and s not in reachable:
-                        reachable.add(s)
-                        frontier.append(s)
-    prods = {(h, b) for h, b in prods if h in reachable}
-
-    keep_nts = reachable & (generating | {start})
-    return CnfGrammar(
-        nonterminals=keep_nts,
-        terminals=g.terminals,
-        productions=tuple(Production(h, b) for h, b in prods),
-        start=start,
-    )
+        for body in by_head.get(frontier.pop(), ()):
+            for s in body:
+                if s not in terminals and s not in reachable:
+                    reachable.add(s)
+                    frontier.append(s)
+    return {(h, b) for h in reachable for b in by_head.get(h, ())}, reachable
 
 
 def cyk_membership(g: CnfGrammar, w: str) -> bool:
@@ -370,147 +371,47 @@ def cyk_membership(g: CnfGrammar, w: str) -> bool:
     return bool(starting[0][-1] & index.start)
 
 
-_PAIR_CAP = 500
-
-
 def to_gnf(g: CnfGrammar) -> GnfGrammar:
-    """Ordered substitution plus left-recursion elimination, then tail
-    normalization to length two via fresh pairing nonterminals."""
-    if g.is_empty:
-        return GnfGrammar(
-            nonterminals={g.start},
-            terminals=g.terminals,
-            productions=(),
-            start=g.start,
-            derives_epsilon=False,
-        )
-    derives_epsilon = g.derives_epsilon
+    """The left-corner transform (Rosenkrantz 1967) into 2-standard form.
+
+    For each pair of nonterminals A, B a fresh nonterminal A_B derives what
+    follows the left corner B inside A: the words v with A =>* B v down the
+    leftmost spine.  So A -> a A_B for each rule B -> a, and
+    A_B -> d D_E A_C for each rule C -> B D and each rule E -> d.  Since a
+    CNF grammar has no unit rules, X_Y derives the empty word exactly when
+    X = Y; instead of an epsilon body, each body using X_X gets a second
+    copy without it.  Every body is a, a X or a X Y by construction, and
+    only the generating/reachable pruning iterates.
+    """
     names = _Names(g.nonterminals | g.terminals)
-    # sorted, so the pairing names handed out below do not depend on hashing
-    bodies: dict[str, list[tuple[str, ...]]] = {nt: [] for nt in sorted(g.nonterminals)}
-    for p in g.productions:
-        if p.body:
-            bodies[p.head].append(p.body)
+    nts = sorted(g.nonterminals)
+    # named in sorted pair order, so the names do not depend on hashing
+    after = {(x, y): names.fresh(f"{x}_{y}") for x in nts for y in nts}
+    leaves = [(p.head, p.body[0]) for p in g.productions if len(p.body) == 1]
+    binaries = [(p.head, p.body) for p in g.productions if len(p.body) == 2]
 
-    order = [g.start] + sorted(nt for nt in g.nonterminals if nt != g.start)
-    index = {nt: i for i, nt in enumerate(order)}
+    def bodies(terminal: str, *pairs) -> list:
+        """`terminal` then X_Y for each pair (X, Y), X_X also left out."""
+        out = [(terminal,)]
+        for x, y in pairs:
+            tail = (after[x, y],)
+            out = [b + tail for b in out] + (out if x == y else [])
+        return out
 
-    def dedupe(items):
-        return list(dict.fromkeys(items))
-
-    for i, head in enumerate(order):
-        while True:
-            expanded = []
-            changed = False
-            for body in bodies[head]:
-                lead = body[0]
-                if lead in index and index[lead] < i:
-                    changed = True
-                    for sub in bodies[lead]:
-                        expanded.append(sub + body[1:])
-                else:
-                    expanded.append(body)
-            bodies[head] = dedupe(expanded)
-            if not changed:
-                break
-        recursive = [b for b in bodies[head] if b[0] == head]
-        if recursive:
-            rest = [b for b in bodies[head] if b[0] != head]
-            helper = names.fresh("Z")
-            bodies[head] = dedupe(rest + [b + (helper,) for b in rest])
-            bodies[helper] = dedupe(
-                [b[1:] for b in recursive] + [b[1:] + (helper,) for b in recursive]
-            )
-
-    # back-substitute until every body leads with a terminal
-    for _ in range(10 * (len(bodies) + 1)):
-        changed = False
-        for head in list(bodies):
-            expanded = []
-            for body in bodies[head]:
-                lead = body[0]
-                if lead in bodies:
-                    ready = all(sub[0] in g.terminals for sub in bodies[lead])
-                    if ready:
-                        changed = True
-                        for sub in bodies[lead]:
-                            expanded.append(sub + body[1:])
-                        continue
-                expanded.append(body)
-            bodies[head] = dedupe(expanded)
-        if not changed:
-            break
-    for head, bs in bodies.items():
-        for body in bs:
-            if body[0] not in g.terminals:
-                raise ValueError(
-                    f"substitution did not terminate: {head!r} -> {body!r}"
-                )
-
-    # normalize tails to <= 2 nonterminals with pairing symbols
-    pair_names: dict[tuple[str, str], str] = {}
-    pair_defs: dict[str, tuple[str, str]] = {}
-    defined: dict[str, list[tuple[str, ...]]] = {}
-
-    def get_pair(x: str, y: str) -> str:
-        key = (x, y)
-        if key not in pair_names:
-            if len(pair_names) >= _PAIR_CAP:
-                raise ValueError("tail normalization exceeded the pairing budget")
-            name = names.fresh("P")
-            pair_names[key] = name
-            pair_defs[name] = key
-        return pair_names[key]
-
-    def norm_tail(tail: tuple[str, ...]) -> tuple[str, ...]:
-        while len(tail) > 2:
-            tail = tail[:-2] + (get_pair(tail[-2], tail[-1]),)
-        return tail
-
-    def productions_of(sym: str, in_progress: tuple[str, ...] = ()) -> list[tuple[str, ...]]:
-        if sym in bodies:
-            return [(b[0],) + norm_tail(b[1:]) for b in bodies[sym]]
-        if sym in defined:
-            return defined[sym]
-        if sym in in_progress:
-            raise ValueError("cyclic pairing during tail normalization")
-        x, y = pair_defs[sym]
-        out = []
-        for sub in productions_of(x, in_progress + (sym,)):
-            out.append((sub[0],) + norm_tail(sub[1:] + (y,)))
-        defined[sym] = dedupe(out)
-        return defined[sym]
-
-    final: dict[str, list[tuple[str, ...]]] = {}
-    for head in list(bodies):
-        final[head] = dedupe([(b[0],) + norm_tail(b[1:]) for b in bodies[head]])
-    pending = [name for name in pair_defs if name not in defined]
-    while pending:
-        for name in pending:
-            final[name] = productions_of(name)
-        pending = [name for name in pair_defs if name not in final]
-
-    # prune nonterminals unreachable from the start
-    reachable = {g.start}
-    frontier = [g.start]
-    while frontier:
-        head = frontier.pop()
-        for body in final.get(head, []):
-            for sym in body[1:]:
-                if sym not in reachable:
-                    reachable.add(sym)
-                    frontier.append(sym)
-    productions = tuple(
-        Production(head, body)
-        for head in sorted(reachable)
-        for body in final.get(head, [])
-    )
+    prods = set()
+    for a in nts:
+        for b, t in leaves:
+            prods.update((a, body) for body in bodies(t, (a, b)))
+        for c, (b, d) in binaries:
+            for e, t in leaves:
+                prods.update((after[a, b], body) for body in bodies(t, (d, e), (a, c)))
+    prods, keep = _prune(g.start, prods, g.terminals) or (set(), {g.start})
     return GnfGrammar(
-        nonterminals=reachable,
+        nonterminals=keep,
         terminals=g.terminals,
-        productions=productions,
+        productions=tuple(Production(h, b) for h, b in prods),
         start=g.start,
-        derives_epsilon=derives_epsilon,
+        derives_epsilon=g.derives_epsilon,
     )
 
 
@@ -572,13 +473,13 @@ def cfg_to_json(g: Cfg) -> dict:
 
 
 def cfg_from_json(data: dict) -> Cfg:
-    if data.get("format") != CFG_FORMAT:
-        raise ValueError(f"expected format {CFG_FORMAT!r}, got {data.get('format')!r}")
+    doc = JsonFields(data)
+    doc.check_format(CFG_FORMAT)
     return Cfg(
-        nonterminals=frozenset(data["nonterminals"]),
-        terminals=frozenset(data["terminals"]),
+        nonterminals=frozenset(doc.items("nonterminals")),
+        terminals=frozenset(doc.items("terminals")),
         productions=tuple(
-            Production(p["head"], tuple(p["body"])) for p in data["productions"]
+            Production(p.value("head"), tuple(p.items("body"))) for p in doc.objects("productions")
         ),
-        start=data["start"],
+        start=doc.value("start"),
     )

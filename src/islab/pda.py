@@ -192,6 +192,8 @@ class Pda:
                 raise ValueError(f"transition references undeclared state: {t.describe()}")
             if t.read is not None and t.read not in self.input_alphabet:
                 raise ValueError(f"transition reads undeclared symbol: {t.describe()}")
+            if t.action.kind not in (PUSH, POP, NONE):
+                raise ValueError(f"transition has unknown action kind: {t.describe()}")
             if t.action.kind in (PUSH, POP) and t.action.symbol not in self.stack_alphabet:
                 raise ValueError(f"transition uses undeclared stack symbol: {t.describe()}")
 
@@ -237,9 +239,6 @@ def validate_normal_form(pda: Pda) -> list[str]:
     for t in pda.transitions:
         where = f"transition ({t.describe()})"
         kind = t.action.kind
-        if kind not in (PUSH, POP, NONE):
-            diags.append(f"{where}: action {kind!r} is not a single stack operation")
-            continue
         if kind in (PUSH, POP) and t.action.symbol is None:
             diags.append(f"{where}: {kind} without a stack symbol")
         if kind == NONE and t.action.symbol is not None:
@@ -347,12 +346,10 @@ class _Search:
                 if not cell.depth or cell.top != action.symbol or cell.depth > cap + 1:
                     continue
                 nxt = cell.below
-            elif kind == NONE:
+            else:  # NONE: Pda._check admits no other kind
                 if cell.depth > cap:
                     continue
                 nxt = cell
-            else:
-                raise ValueError(f"cannot simulate stack action {kind!r}")
             yield t, new_pos, nxt
 
     def closure(self, configs: Iterable[tuple], budget: list) -> dict:
@@ -571,28 +568,98 @@ def pda_to_json(pda: Pda) -> dict:
     }
 
 
+_JSON_TYPES = {
+    str: "a string",
+    int: "an integer",
+    bool: "a boolean",
+    list: "a list",
+    dict: "an object",
+    type(None): "null",
+}
+
+_REQUIRED = object()  # `default` of a field that must be present
+
+
+class JsonFields:
+    """One object of a JSON document, read field by field: a missing field
+    or a value of the wrong type raises ValueError naming the field's path
+    in the document, such as `transitions[0].action.kind`."""
+
+    def __init__(self, data, path: str = ""):
+        self.data = _typed(data, (dict,), path or "document")
+        self.path = path
+
+    def check_format(self, expected: str) -> None:
+        if self.data.get("format") != expected:
+            raise ValueError(f"expected format {expected!r}, got {self.data.get('format')!r}")
+
+    def where(self, key: str) -> str:
+        return f"{self.path}.{key}" if self.path else key
+
+    def value(self, key: str, *types, default=_REQUIRED):
+        """The value at `key`, of one of `types` (a string if none given)."""
+        if key not in self.data:
+            if default is _REQUIRED:
+                raise ValueError(f"missing field {self.where(key)}")
+            return default
+        return _typed(self.data[key], types, self.where(key))
+
+    def items(self, key: str, *types) -> list:
+        """The list at `key`, each item of one of `types` (a string if none
+        given)."""
+        where = self.where(key)
+        return [
+            _typed(item, types, f"{where}[{i}]")
+            for i, item in enumerate(self.value(key, list))
+        ]
+
+    def lists(self, key: str, *types) -> list:
+        """The list of lists at `key`, each inner item of one of `types` (a
+        string if none given)."""
+        where = self.where(key)
+        return [
+            [_typed(item, types, f"{where}[{i}][{j}]") for j, item in enumerate(inner)]
+            for i, inner in enumerate(self.items(key, list))
+        ]
+
+    def objects(self, key: str) -> list:
+        where = self.where(key)
+        return [JsonFields(item, f"{where}[{i}]") for i, item in enumerate(self.value(key, list))]
+
+
+def _typed(value, types: tuple, where: str):
+    """`value` if it is of one of `types` (a string if none given)."""
+    types = types or (str,)
+    # a JSON true is no integer, though Python's bool is an int
+    if isinstance(value, types) and (bool in types or not isinstance(value, bool)):
+        return value
+    wanted = " or ".join(_JSON_TYPES[t] for t in types)
+    got = _JSON_TYPES.get(type(value), type(value).__name__)
+    raise ValueError(f"{where} must be {wanted}, got {got}")
+
+
 def pda_from_json(data: dict) -> Pda:
-    if data.get("format") != PDA_FORMAT:
-        raise ValueError(f"expected format {PDA_FORMAT!r}, got {data.get('format')!r}")
+    doc = JsonFields(data)
+    doc.check_format(PDA_FORMAT)
     transitions = []
-    for item in data["transitions"]:
-        action = item["action"]
+    for item in doc.objects("transitions"):
+        action = JsonFields(item.value("action", dict), item.where("action"))
         transitions.append(
             Transition(
-                source=item["from"],
-                read=item["read"],
-                action=StackAction(action["kind"], action.get("symbol")),
-                target=item["to"],
-                auxiliary=bool(item.get("auxiliary", False)),
+                source=item.value("from"),
+                read=item.value("read", str, type(None)),
+                action=StackAction(action.value("kind"), action.value("symbol", str, type(None), default=None)),
+                target=item.value("to"),
+                auxiliary=item.value("auxiliary", bool, default=False),
             )
         )
     return Pda(
-        states=frozenset(data["states"]),
-        input_alphabet=frozenset(data["input_alphabet"]),
-        stack_alphabet=frozenset(data["stack_alphabet"]),
+        states=frozenset(doc.items("states")),
+        input_alphabet=frozenset(doc.items("input_alphabet")),
+        stack_alphabet=frozenset(doc.items("stack_alphabet")),
         transitions=tuple(transitions),
-        start=data["start"],
-        bottom=data["bottom"],
-        accept=frozenset(data["accept"]),
-        acceptance_mode=data["acceptance_mode"],
+        start=doc.value("start"),
+        bottom=doc.value("bottom"),
+        accept=frozenset(doc.items("accept")),
+        acceptance_mode=doc.value("acceptance_mode"),
     )

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -22,6 +23,7 @@ from islab.blocks import (
     witness_string,
 )
 from islab.pda import enumerate_language, validate_normal_form
+from test_pda import DELETE, edited
 
 CROSSING_J = corpus.get("crossing-blocks").joint
 SHARED_J = corpus.get("shared-endpoint-blocks").joint
@@ -281,6 +283,23 @@ class TestJson:
         data["format"] = "nope"
         with pytest.raises(ValueError, match="format"):
             joint_from_json(data)
+
+    @pytest.mark.parametrize(
+        "keys, value, message",
+        [
+            ((), [], "document must be an object, got a list"),
+            (("alphabets",), DELETE, "missing field alphabets"),
+            (("alphabets", 1), "b", "alphabets[1] must be a list, got a string"),
+            (("alphabets", 1, 0), 2, "alphabets[1][0] must be a string, got an integer"),
+            (("c1",), DELETE, "missing field c1"),
+            (("c1", 0), [1, 2, 4], "c1[0] must be a pair of block indices, got 3 items"),
+            (("c2", 0, 1), "3", "c2[0][1] must be an integer, got a string"),
+            (("k",), "4", "k must be an integer or null, got a string"),
+        ],
+    )
+    def test_malformed_document_names_field(self, keys, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            joint_from_json(edited(joint_to_json(NESTED_J), keys, value))
 
     def test_k_disagreement_rejected(self):
         data = joint_to_json(NESTED_J)

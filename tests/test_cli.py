@@ -10,6 +10,7 @@ import pytest
 import islab
 from islab import corpus
 from islab.cli import main
+from islab.grammar import cfg_to_json
 from islab.pda import (
     FINAL_STATE,
     Pda,
@@ -18,6 +19,7 @@ from islab.pda import (
     pda_from_json,
     pda_to_json,
 )
+from test_oracle_properties import MUTUAL_RECURSION
 from test_products import epsilon_counter
 
 
@@ -503,8 +505,8 @@ class TestConstruct:
 
 GRAMMAR_BUNDLES = [name for name in corpus.list_bundles() if corpus.get(name).grammar]
 
-# Its GNF stage needs pairing nonterminals for two heads, and their names
-# follow the order in which the heads are visited.
+# Its GNF stage has left-corner nonterminals for several heads, and their
+# names must not follow the order in which a set is iterated.
 PAIRING_GRAMMAR = {
     "format": "cfg-v1",
     "nonterminals": ["S", "A"],
@@ -541,6 +543,18 @@ def test_construct_grammar_independent_of_hash_seed(tmp_path, grammar):
         assert done.returncode == 0, done.stderr
         outputs.append(done.stdout)
     assert outputs[0] == outputs[1]
+
+
+def test_mutually_recursive_grammar_file(tmp_path, capsys):
+    path = tmp_path / "mutual.cfg.json"
+    path.write_text(json.dumps(cfg_to_json(MUTUAL_RECURSION)))
+    code, _, err = run_cli(capsys, "construct", "grammar", "--grammar", str(path))
+    assert code == 0, err
+    code, out, err = run_cli(
+        capsys, "verify", "--construct", "grammar", "--grammar", str(path), "--max-len", "8"
+    )
+    assert code == 0, err
+    assert "0 mismatches" in out
 
 
 class TestVerify:

@@ -1,4 +1,5 @@
 import itertools
+import re
 from collections import deque
 
 import pytest
@@ -17,6 +18,7 @@ from islab.grammar import (
     to_gnf,
 )
 from islab.pda import enumerate_language, validate_normal_form
+from test_pda import DELETE, edited
 
 
 def derived_words(g: Cfg, max_len: int, budget: int = 400_000) -> set:
@@ -245,6 +247,21 @@ class TestJson:
         data["format"] = "bogus"
         with pytest.raises(ValueError, match="format"):
             cfg_from_json(data)
+
+    @pytest.mark.parametrize(
+        "keys, value, message",
+        [
+            ((), [], "document must be an object, got a list"),
+            (("nonterminals",), DELETE, "missing field nonterminals"),
+            (("productions",), None, "productions must be a list, got null"),
+            (("productions", 1, "body"), DELETE, "missing field productions[1].body"),
+            (("productions", 1, "body", 0), 7, "productions[1].body[0] must be a string, got an integer"),
+            (("start",), ["S"], "start must be a string, got a list"),
+        ],
+    )
+    def test_malformed_document_names_field(self, keys, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cfg_from_json(edited(cfg_to_json(inline_matched()), keys, value))
 
     def test_epsilon_body_survives(self):
         g = inline_matched()

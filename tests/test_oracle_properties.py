@@ -1,23 +1,24 @@
 """Differential tests for the two brute-force oracles: the bit-mask CYK
 parser against a plain set-based CYK on random small grammars and in
-several call orders, and the window-level linkage scan against a scan that
-walks every factorization."""
+several call orders, the grammar pipeline's machine against CYK, and the
+window-level linkage scan against a scan that walks every factorization."""
 
 import random
 import sys
 import threading
 from itertools import product
 
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from islab import corpus
 from islab.arcs import SegmentDecomposition
-from islab.grammar import Cfg, Production, cyk_membership, to_cnf
+from islab.grammar import Cfg, Production, cyk_membership, gnf_to_pda, to_cnf, to_gnf
+from islab.pda import LimitExceeded, SearchLimits, enumerate_language
 from islab.pumping import INNER_PAIR, OUTER_PAIR, check_linkage
 
 MAX_LEN = 6
-NONTERMINALS = ("S", "A", "B")
+NONTERMINALS = ("S", "A", "B", "C")
 TERMINALS = ("a", "b")
 
 
@@ -51,11 +52,12 @@ def set_cyk(g, w: str) -> bool:
 
 
 @st.composite
-def grammars(draw) -> Cfg:
-    """1-3 nonterminals over {a, b}, 1-7 productions with bodies of length
-    0-3: nullable, unit, useless and left-recursive rules all turn up."""
-    nts = NONTERMINALS[: draw(st.integers(1, 3))]
-    body = st.lists(st.sampled_from(nts + TERMINALS), max_size=3).map(tuple)
+def grammars(draw, max_nonterminals: int = 3, max_body: int = 3) -> Cfg:
+    """1 to `max_nonterminals` nonterminals over {a, b}, 1-7 productions
+    with bodies of length 0 to `max_body`: nullable, unit, useless and
+    left-recursive rules all turn up."""
+    nts = NONTERMINALS[: draw(st.integers(1, max_nonterminals))]
+    body = st.lists(st.sampled_from(nts + TERMINALS), max_size=max_body).map(tuple)
     prods = draw(
         st.lists(st.builds(Production, st.sampled_from(nts), body), min_size=1, max_size=7)
     )
@@ -88,6 +90,37 @@ def test_examples_cover_empty_grammar_and_nullable_start():
     assert to_cnf(grammar(("S", "S"), ("S", "aA"), ("A", "Ab"))).is_empty
     nullable = to_cnf(grammar(("S", ""), ("S", "aSb"), ("S", "SS")))
     assert nullable.derives_epsilon and cyk_membership(nullable, "")
+
+
+BUDGET = SearchLimits(max_configs=20_000)
+
+# left and right recursion through each other: Greibach conversion by
+# repeated substitution needs more than 500 pairing nonterminals for it
+MUTUAL_RECURSION = Cfg(
+    nonterminals={"S", "A", "B"},
+    terminals={"a", "b", "c"},
+    productions=[
+        Production(head, tuple(body))
+        for head, body in [
+            ("S", "ASB"), ("S", "c"), ("A", "aAB"), ("A", "a"), ("B", "bBAb"), ("B", "b"),
+        ]
+    ],
+    start="S",
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=grammars(max_nonterminals=4, max_body=4))
+@example(g=MUTUAL_RECURSION)
+def test_gnf_machine_matches_cyk(g):
+    cnf = to_cnf(g)
+    # never refuses: every grammar has a Greibach form
+    machine = gnf_to_pda(to_gnf(cnf))
+    try:
+        language = enumerate_language(machine, MAX_LEN, BUDGET)
+    except LimitExceeded:
+        reject()  # inconclusive within the budget; not a counterexample
+    assert language == {w for w in words(cnf.terminals, MAX_LEN) if cyk_membership(cnf, w)}
 
 
 def test_cyk_calls_from_threads_share_no_chart():

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import re
@@ -25,6 +26,26 @@ from islab.pda import (
     step,
     validate_normal_form,
 )
+
+
+DELETE = object()
+
+
+def edited(document, keys: tuple, value):
+    """A copy of `document` with the value at the path `keys` set to
+    `value`, or removed if `value` is DELETE; the empty path replaces the
+    whole document."""
+    if not keys:
+        return value
+    document = copy.deepcopy(document)
+    target = document
+    for key in keys[:-1]:
+        target = target[key]
+    if value is DELETE:
+        del target[keys[-1]]
+    else:
+        target[keys[-1]] = value
+    return document
 
 
 def counter() -> Pda:
@@ -361,6 +382,26 @@ class TestJson:
         data["format"] = "pda-v2"
         with pytest.raises(ValueError, match="format"):
             pda_from_json(data)
+
+    @pytest.mark.parametrize(
+        "keys, value, message",
+        [
+            ((), [], "document must be an object, got a list"),
+            (("transitions",), DELETE, "missing field transitions"),
+            (("transitions",), {}, "transitions must be a list, got an object"),
+            (("transitions", 0), "p", "transitions[0] must be an object, got a string"),
+            (("transitions", 0, "action", "kind"), DELETE, "missing field transitions[0].action.kind"),
+            (("transitions", 0, "read"), 1, "transitions[0].read must be a string or null, got an integer"),
+            (("transitions", 0, "auxiliary"), "yes", "transitions[0].auxiliary must be a boolean, got a string"),
+            (("states",), "pq", "states must be a list, got a string"),
+            (("accept", 0), ["q"], "accept[0] must be a string, got a list"),
+            (("start",), DELETE, "missing field start"),
+            (("transitions", 0, "action", "kind"), "jump", "unknown action kind: p --a/jump A--> p"),
+        ],
+    )
+    def test_malformed_document_names_field(self, keys, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            pda_from_json(edited(pda_to_json(counter()), keys, value))
 
     def test_document_is_plain_json(self):
         text = json.dumps(pda_to_json(doubler()), sort_keys=True)
