@@ -16,6 +16,7 @@ requests above the cap are rejected, never clamped.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -487,23 +488,18 @@ def _cmd_construct(args) -> int:
 
 def _block_candidates(spec: JointSpec, max_len: int):
     """Every word of block shape up to max_len; the support of block
-    membership, so comparing against it is a complete differential."""
-    def expand(prefix: str, block: int, remaining: int):
-        if block > spec.k:
-            yield prefix
-            return
-        alphabet = sorted(spec.alphabets[block - 1])
-        def block_words(length: int):
-            if length == 0:
-                yield ""
-                return
-            for shorter in block_words(length - 1):
-                for ch in alphabet:
-                    yield shorter + ch
-        for length in range(remaining + 1):
-            for body in block_words(length):
-                yield from expand(prefix + body, block + 1, remaining - length)
-    yield from expand("", 1, max_len)
+    membership, so comparing against it is a complete differential.  One
+    generator per block, none per letter: long blocks never recurse."""
+    def extend(words, letters):
+        for word in words:
+            for length in range(max_len - len(word) + 1):
+                for body in itertools.product(letters, repeat=length):
+                    yield word + "".join(body)
+
+    words = iter([""])
+    for alphabet in spec.alphabets:
+        words = extend(words, sorted(alphabet))
+    return words
 
 
 def _verify_joint(args) -> tuple:
@@ -845,9 +841,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--max-expand",
             type=_nonnegative_int,
-            help="cap on the configurations each search visits or expands"
-            f" (default {SearchLimits().max_configs}); a search that reaches"
-            " it ends with exit 2",
+            help="cap on the successor-step calls of each search, one per"
+            f" configuration expanded (default {SearchLimits().max_configs});"
+            " a search that passes it ends with exit 2 and 'expanded N"
+            " configurations, furthest input position p of n'",
         )
 
     p = sub.add_parser("simulate", help="run one machine on one word")

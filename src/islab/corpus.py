@@ -217,7 +217,7 @@ _CHAINED_BLOCKS = JointSpec(
 )
 
 
-def _grammar(name, nts, ts, prods, start):
+def _grammar(nts, ts, prods, start):
     return Cfg(
         nonterminals=nts,
         terminals=ts,
@@ -337,7 +337,7 @@ def _build_bundles() -> dict:
             kind=GRAMMAR,
             description="even-length palindromes over 0 and 1",
             grammar=_grammar(
-                "ep", {"S"}, {"0", "1"},
+                {"S"}, {"0", "1"},
                 [("S", ("0", "S", "0")), ("S", ("1", "S", "1")), ("S", ())],
                 "S",
             ),
@@ -347,7 +347,7 @@ def _build_bundles() -> dict:
             kind=GRAMMAR,
             description="a^n b^n",
             grammar=_grammar(
-                "mp", {"S"}, {"a", "b"}, [("S", ("a", "S", "b")), ("S", ())], "S"
+                {"S"}, {"a", "b"}, [("S", ("a", "S", "b")), ("S", ())], "S"
             ),
         ),
         ExampleBundle(
@@ -355,7 +355,7 @@ def _build_bundles() -> dict:
             kind=GRAMMAR,
             description="balanced parentheses",
             grammar=_grammar(
-                "bp", {"S"}, {"(", ")"},
+                {"S"}, {"(", ")"},
                 [("S", ("(", "S", ")", "S")), ("S", ())],
                 "S",
             ),
@@ -366,7 +366,7 @@ def _build_bundles() -> dict:
             description="b followed by any number of a's, written with "
             "direct left recursion",
             grammar=_grammar(
-                "lr", {"S"}, {"a", "b"}, [("S", ("S", "a")), ("S", ("b",))], "S"
+                {"S"}, {"a", "b"}, [("S", ("S", "a")), ("S", ("b",))], "S"
             ),
         ),
         ExampleBundle(
@@ -374,7 +374,7 @@ def _build_bundles() -> dict:
             kind=GRAMMAR,
             description="a* b behind a unit production",
             grammar=_grammar(
-                "uc", {"S", "A"}, {"a", "b"},
+                {"S", "A"}, {"a", "b"},
                 [("S", ("A",)), ("A", ("a", "A")), ("A", ("b",))],
                 "S",
             ),

@@ -14,10 +14,11 @@ fragments and state counts in `products`) keys its configurations as plain
 top symbol, the cell below it and the depth; each search call interns its
 cells in a table of its own, so equal stacks are one object, and push, pop,
 depth, hashing and equality each cost O(1) however deep the stack.  All
-searches step through the one successor generator `_Search.successors`, and
-no search recurses: run length never becomes Python recursion depth.  What a
-caller gets back still holds tuples: `Configuration.stack` is the whole
-stack, bottom first, in `AcceptingRun.final` and in the results of `step`.
+searches step through the one successor generator `_Search.successors`,
+which also charges each search's budget, and no search recurses: run
+length never becomes Python recursion depth.  What a caller gets back
+still holds tuples: `Configuration.stack` is the whole stack, bottom
+first, in `AcceptingRun.final` and in the results of `step`.
 
 Machines, plain or product, meet the engine through a duck-typed protocol
 that products follow without being normal-form themselves:
@@ -55,8 +56,10 @@ _KIND_RANK = {PUSH: 0, POP: 1, NONE: 2}
 class LimitExceeded(Exception):
     """A search hit its configuration cap before exhausting the graph.
 
-    Signals an inconclusive search, never a wrong answer: whenever a result
-    is returned it is exact.
+    The cap counts calls of the successor step in one search, and the
+    message always reads "expanded N configurations, furthest input
+    position p of n".  Signals an inconclusive search, never a wrong
+    answer: whenever a result is returned it is exact.
     """
 
 
@@ -136,10 +139,11 @@ class AcceptingRun:
 
 @dataclass(frozen=True)
 class SearchLimits:
-    """Work cap for one search: `max_configs` bounds the configurations it
-    visits (breadth-first searches), expands (run enumeration, product
-    exploration) or reaches (language enumeration).  It is a count, not a
-    memory bound: the memory a configuration takes depends on the machine."""
+    """Work cap for one search: `max_configs` bounds the calls of the
+    successor step one search makes, and the call past it raises
+    LimitExceeded("expanded N configurations, furthest input position p of
+    n").  It is a count, not a memory bound: the memory a configuration
+    takes depends on the machine."""
 
     max_configs: int = 500_000
 
@@ -297,13 +301,18 @@ _ANY = object()  # `symbol` for successors that may read any input symbol
 
 class _Search:
     """What one search call shares: the machine, the stack depth cap for
-    inputs of length `input_len`, and the table interning the search's
-    stack cells by (cell below, top symbol)."""
+    inputs of length `input_len`, the table interning the search's stack
+    cells by (cell below, top symbol), and the search's budget: how many
+    configurations it has expanded, out of `limits.max_configs`, and the
+    furthest input position among them."""
 
-    def __init__(self, machine, input_len: int):
+    def __init__(self, machine, input_len: int, limits: SearchLimits):
         self.machine = machine
+        self.input_len = input_len
         self.cap = machine.stack_depth_cap(input_len)
         self.cells: dict = {}
+        self.max_configs = limits.max_configs
+        self.expanded = self.furthest = 0
 
     def intern(self, config: Configuration) -> tuple:
         """A configuration as a search key (state, input position, cell)."""
@@ -321,7 +330,16 @@ class _Search:
         out of `state` that moves on epsilon (if `epsilon`) or reads
         `symbol` (any symbol if it is _ANY, none if it is None) and whose
         stack operation applies to `cell` within the depth cap, in
-        transition order.  This is the engine's only stack step."""
+        transition order.  This is the engine's only stack step, and each
+        call is one expansion charged to the budget."""
+        if self.expanded >= self.max_configs:
+            raise LimitExceeded(
+                f"expanded {self.expanded} configurations, furthest input"
+                f" position {self.furthest} of {self.input_len}"
+            )
+        self.expanded += 1
+        if pos > self.furthest:
+            self.furthest = pos
         cells, cap = self.cells, self.cap
         for t in self.machine.transitions_from(state):
             read = t.read
@@ -352,7 +370,7 @@ class _Search:
                 nxt = cell
             yield t, new_pos, nxt
 
-    def closure(self, configs: Iterable[tuple], budget: list) -> dict:
+    def closure(self, configs: Iterable[tuple]) -> dict:
         """Epsilon-closure as an insertion-ordered dict (values unused)."""
         out = dict.fromkeys(configs, True)
         stack = list(out)
@@ -361,9 +379,6 @@ class _Search:
             for t, _, nxt_cell in self.successors(state, pos, cell, None):
                 nxt = (t.target, pos, nxt_cell)
                 if nxt not in out:
-                    budget[0] += 1
-                    if budget[0] > budget[1]:
-                        raise LimitExceeded("configuration budget exhausted during closure")
                     out[nxt] = True
                     stack.append(nxt)
         return out
@@ -384,7 +399,7 @@ def _run(node: tuple) -> AcceptingRun:
 
 def step(machine, config: Configuration, w: str) -> tuple:
     """One-step successor configurations of `config` on input `w`."""
-    search = _Search(machine, len(w))
+    search = _Search(machine, len(w), DEFAULT_LIMITS)
     state, pos, cell = search.intern(config)
     symbol = w[pos] if pos < len(w) else None
     return tuple(
@@ -404,7 +419,7 @@ def accepts(
     found.
     """
     n = len(w)
-    search = _Search(machine, n)
+    search = _Search(machine, n, limits)
     init = search.intern(machine.initial_config())
     seen = {init}
     queue = [(init, None, None)]
@@ -416,10 +431,6 @@ def accepts(
         for t, new_pos, nxt_cell in search.successors(state, pos, cell, symbol):
             nxt = (t.target, new_pos, nxt_cell)
             if nxt not in seen:
-                if len(seen) >= limits.max_configs:
-                    raise LimitExceeded(
-                        f"visited {len(seen)} configurations on input of length {n}"
-                    )
                 seen.add(nxt)
                 queue.append((nxt, t, node))
     return False, None
@@ -439,9 +450,8 @@ def enumerate_runs(
     if cap <= 0:
         return []
     n = len(w)
-    search = _Search(machine, n)
+    search = _Search(machine, n, limits)
     runs: list[AcceptingRun] = []
-    expansions = 0
     work = [(search.intern(machine.initial_config()), None, None)]
     while work:
         node = work.pop()
@@ -450,9 +460,6 @@ def enumerate_runs(
             runs.append(_run(node))
             if len(runs) >= cap:
                 break
-        expansions += 1
-        if expansions > limits.max_configs:
-            raise LimitExceeded(f"expanded {expansions} configurations enumerating runs")
         symbol = w[pos] if pos < n else None
         children = [
             ((t.target, new_pos, nxt), t, node)
@@ -472,12 +479,11 @@ def enumerate_language(
     the size of the reachable prefix tree rather than |alphabet|^max_len.
     Agrees with per-word `accepts` on every word it reports or omits.
     """
-    search = _Search(machine, max_len)
-    budget = [0, limits.max_configs]
+    search = _Search(machine, max_len, limits)
     alphabet = sorted(machine.input_alphabet)
     accepted: set[str] = set()
     init = search.intern(machine.initial_config())
-    frontier: list[tuple[str, dict]] = [("", search.closure([init], budget))]
+    frontier: list[tuple[str, dict]] = [("", search.closure([init]))]
     while frontier:
         next_frontier = []
         for word, configs in frontier:
@@ -492,42 +498,28 @@ def enumerate_language(
                     for t, new_pos, nxt in search.successors(
                         state, pos, cell, sym, epsilon=False
                     ):
-                        budget[0] += 1
-                        if budget[0] > budget[1]:
-                            raise LimitExceeded(
-                                f"configuration budget exhausted at prefix {word + sym!r}"
-                            )
                         advanced.append((t.target, new_pos, nxt))
                 if advanced:
-                    next_frontier.append((word + sym, search.closure(advanced, budget)))
+                    next_frontier.append((word + sym, search.closure(advanced)))
         frontier = next_frontier
     return accepted
 
 
-def explore_reachable(machine, max_len: int, limits: SearchLimits, what: str):
+def explore_reachable(machine, max_len: int, limits: SearchLimits):
     """Depth-first over the configurations reachable on some input of length
     at most max_len, keeping each (state, stack cell) at the least input
     consumed.
 
     Yields the state of every expanded configuration together with the
-    transitions that apply to it within the machine's stack cap.  `what`
-    names the search in the LimitExceeded message.
+    transitions that apply to it within the machine's stack cap.
     """
-    search = _Search(machine, max_len)
+    search = _Search(machine, max_len, limits)
     init = search.intern(machine.initial_config())
     start, _, bottom = init
     best = {(start, bottom): 0}
     frontier = [init]
-    expanded = furthest = 0
     while frontier:
         state, pos, cell = frontier.pop()
-        if expanded >= limits.max_configs:
-            raise LimitExceeded(
-                f"{what} exploration budget exhausted: expanded {expanded}"
-                f" configurations, furthest input position {furthest} of {max_len}"
-            )
-        expanded += 1
-        furthest = max(furthest, pos)
         applied = []
         reads = _ANY if pos < max_len else None
         for t, consumed, nxt in search.successors(state, pos, cell, reads):

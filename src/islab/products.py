@@ -343,10 +343,8 @@ def reachable_composite_states(
 ) -> set:
     """Distinct counting-view projections reachable on any input of length
     at most max_len."""
-    explored = explore_reachable(product, max_len, limits, "composite")
-    projections = {product.projection(state) for state, _ in explored}
-    projections.discard(None)
-    return projections
+    explored = explore_reachable(product, max_len, limits)
+    return {product.projection(state) for state, _ in explored} - {None}
 
 
 @dataclass(frozen=True)
@@ -426,7 +424,7 @@ def fragment_to_json(
             f" and {modes[1]}: pda-v1 has one acceptance mode per machine"
         )
     edges = set()
-    for _, applied in explore_reachable(product, max_len, limits, "fragment"):
+    for _, applied in explore_reachable(product, max_len, limits):
         edges.update(applied)
     start = product.initial_config().state
     labels = {start: "c0"}

@@ -11,7 +11,7 @@ from islab.arcs import analyze_pair
 from islab.cli import main
 from islab.pda import enumerate_runs
 
-SHALLOW = 200  # frames; every run searched below is 1200 steps long
+SHALLOW = 200  # frames; every word searched below is 300 letters or longer
 
 
 @pytest.fixture
@@ -58,3 +58,13 @@ def test_analyze_pair_on_long_palindrome_word(shallow_recursion):
     (analysis,) = analyze_pair(first, second, "0" * 1200)
     assert len(analysis.crossings) == 300
     assert {c.measures.gap for c in analysis.crossings} == {1}
+
+
+def test_cli_verifies_a_long_one_block_spec(shallow_recursion, tmp_path, capsys):
+    spec = tmp_path / "one-block.json"
+    spec.write_text(
+        json.dumps({"format": "blocks-v1", "alphabets": [["a"]], "c1": [], "c2": []})
+    )
+    argv = ["verify", "--construct", "joint", "--blocks", str(spec), "--max-len", "300"]
+    assert main(argv) == 0
+    assert "0 mismatches" in capsys.readouterr().out

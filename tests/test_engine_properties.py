@@ -1,10 +1,13 @@
 """Property tests on random small normal-form machines: the engine's
-searches agree with each other on every word up to length 5, and every
-witness run replays step by step to its final configuration."""
+searches agree with each other on every word up to length 5, every
+witness run replays step by step to its final configuration, and what a
+search returns under a cap is exact."""
 
+import re
 from itertools import product
 
 from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from islab.pda import (
     FINAL_STATE_BOTTOM_ONLY,
@@ -12,6 +15,7 @@ from islab.pda import (
     PUSH,
     Configuration,
     LimitExceeded,
+    SearchLimits,
     accepts,
     enumerate_language,
     enumerate_runs,
@@ -69,3 +73,30 @@ def test_searches_agree_and_witnesses_replay(machine):
                 replay(machine, run, word)
     except LimitExceeded:
         reject()  # inconclusive within the budget; not a counterexample
+
+
+@settings(max_examples=150, deadline=None)
+@given(machine=machines(), cap=st.integers(0, 40), data=st.data())
+def test_results_under_any_cap_are_exact(machine, cap, data):
+    """Under a cap a search either stops with the one LimitExceeded message
+    or returns what it returns with the cap out of reach."""
+    word = data.draw(st.sampled_from(list(words(machine.input_alphabet, MAX_LEN))))
+    searches = [
+        (lambda limits: accepts(machine, word, limits), len(word)),
+        (lambda limits: enumerate_runs(machine, word, limits=limits), len(word)),
+        (lambda limits: enumerate_language(machine, MAX_LEN, limits), MAX_LEN),
+    ]
+    pattern = rf"expanded {cap} configurations, furthest input position (\d+) of (\d+)"
+    for search, input_len in searches:
+        try:
+            exact = search(BUDGET)
+        except LimitExceeded:
+            reject()
+        try:
+            answer = search(SearchLimits(max_configs=cap))
+        except LimitExceeded as exc:
+            match = re.fullmatch(pattern, str(exc))
+            assert match, str(exc)
+            assert int(match[1]) <= int(match[2]) == input_len
+        else:
+            assert answer == exact

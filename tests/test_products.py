@@ -391,7 +391,13 @@ class TestReachableStates:
         from islab.pda import LimitExceeded
 
         product = DisplacementProduct(*palindrome_pair(), k=1)
-        for explore in (reachable_composite_states, fragment_to_json):
+        searches = (
+            reachable_composite_states,
+            fragment_to_json,
+            lambda product, n, limits: accepts(product, "0" * n, limits),
+            enumerate_language,
+        )
+        for explore in searches:
             with pytest.raises(LimitExceeded) as info:
                 explore(product, 8, SearchLimits(max_configs=10))
             message = str(info.value)
