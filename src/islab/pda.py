@@ -15,10 +15,12 @@ top symbol, the cell below it and the depth; each search call interns its
 cells in a table of its own, so equal stacks are one object, and push, pop,
 depth, hashing and equality each cost O(1) however deep the stack.  All
 searches step through the one successor generator `_Search.successors`,
-which also charges each search's budget, and no search recurses: run
-length never becomes Python recursion depth.  What a caller gets back
-still holds tuples: `Configuration.stack` is the whole stack, bottom
-first, in `AcceptingRun.final` and in the results of `step`.
+which also charges each search's budget and drops every successor whose
+stack is too deep to be emptied in the input left (see `live_depths`).
+No search recurses: run length never becomes Python recursion depth.
+What a caller gets back still holds tuples: `Configuration.stack` is the
+whole stack, bottom first, in `AcceptingRun.final` and in the results of
+`step`.
 
 Machines, plain or product, meet the engine through a duck-typed protocol
 that products follow without being normal-form themselves:
@@ -29,13 +31,17 @@ that products follow without being normal-form themselves:
 * `is_accepting(state, stack)`: whether a run that has read the whole input
   and ends in `state` over the stack cell `stack` accepts;
 * `stack_depth_cap(input_len)`: the deepest stack a search keeps on inputs
-  of that length.
+  of that length;
+* `live_depths(input_len)`: None, or for each state the deepest stack from
+  which an accepting run can still be reached at each input position
+  0..input_len of inputs of at most that length (see `Pda.live_depths`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Hashable, Iterable
 
 EPSILON = None  # the `read` field of a transition that consumes no input
@@ -226,6 +232,47 @@ class Pda:
     def stack_depth_cap(self, input_len: int) -> int:
         return 2 * input_len + 1
 
+    def live_depths(self, input_len: int) -> dict | None:
+        """For each state q, a list over input positions 0..n (n =
+        `input_len`) whose entry at `pos` is 1 + P(q, n - pos): P(q, r) is
+        the most pops the control graph allows in r reads from q.  A
+        configuration in q at `pos` whose stack is deeper can never empty
+        it down to the bottom, so it cannot lead to acceptance.
+
+        Only sound, and so only given, when the machine accepts on its
+        bottom only and no epsilon-transition pops: then only reads pop,
+        at most one symbol each.  None otherwise.  P never decreases as r
+        grows, so the table also serves inputs shorter than n.  Costs
+        O(n * |transitions|) per epsilon-chain length, which is one in
+        normal form.
+        """
+        if self.acceptance_mode != FINAL_STATE_BOTTOM_ONLY:
+            return None
+        if any(t.read is None and t.action.kind == POP for t in self.transitions):
+            return None
+        reads = [
+            (t.source, t.action.kind == POP, t.target)
+            for t in self.transitions
+            if t.read is not None
+        ]
+        moves = [(t.source, t.target) for t in self.transitions if t.read is None]
+        pops = dict.fromkeys(self.states, 0)  # P(q, r), r = 0 first
+        columns = [pops]
+        for _ in range(input_len):
+            prev, pops = pops, dict.fromkeys(self.states, 0)
+            for source, popping, target in reads:
+                pops[source] = max(pops[source], popping + prev[target])
+            changed = True
+            while changed:  # epsilon moves never pop: P(src, r) >= P(tgt, r)
+                changed = False
+                for source, target in moves:
+                    if pops[target] > pops[source]:
+                        pops[source] = pops[target]
+                        changed = True
+            columns.append(pops)
+        columns.reverse()  # now indexed by input position
+        return {q: [1 + column[q] for column in columns] for q in self.states}
+
 
 def validate_normal_form(pda: Pda) -> list[str]:
     """Check the normal-form contract; return one diagnostic per violation.
@@ -301,15 +348,17 @@ _ANY = object()  # `symbol` for successors that may read any input symbol
 
 class _Search:
     """What one search call shares: the machine, the stack depth cap for
-    inputs of length `input_len`, the table interning the search's stack
-    cells by (cell below, top symbol), and the search's budget: how many
-    configurations it has expanded, out of `limits.max_configs`, and the
-    furthest input position among them."""
+    inputs of length `input_len`, the machine's live depths for them (or
+    None), the table interning the search's stack cells by (cell below, top
+    symbol), and the search's budget: how many configurations it has
+    expanded, out of `limits.max_configs`, and the furthest input position
+    among them."""
 
     def __init__(self, machine, input_len: int, limits: SearchLimits):
         self.machine = machine
         self.input_len = input_len
         self.cap = machine.stack_depth_cap(input_len)
+        self.live = machine.live_depths(input_len)
         self.cells: dict = {}
         self.max_configs = limits.max_configs
         self.expanded = self.furthest = 0
@@ -330,8 +379,11 @@ class _Search:
         out of `state` that moves on epsilon (if `epsilon`) or reads
         `symbol` (any symbol if it is _ANY, none if it is None) and whose
         stack operation applies to `cell` within the depth cap, in
-        transition order.  This is the engine's only stack step, and each
-        call is one expansion charged to the budget."""
+        transition order, leaving out every successor whose stack is deeper
+        than the live depth of its state and position: none of those, nor
+        any configuration after them, can accept.  This is the engine's
+        only stack step, and each call is one expansion charged to the
+        budget."""
         if self.expanded >= self.max_configs:
             raise LimitExceeded(
                 f"expanded {self.expanded} configurations, furthest input"
@@ -340,7 +392,7 @@ class _Search:
         self.expanded += 1
         if pos > self.furthest:
             self.furthest = pos
-        cells, cap = self.cells, self.cap
+        cells, cap, live = self.cells, self.cap, self.live
         for t in self.machine.transitions_from(state):
             read = t.read
             if read is None:
@@ -368,6 +420,8 @@ class _Search:
                 if cell.depth > cap:
                     continue
                 nxt = cell
+            if live is not None and nxt.depth > live[t.target][new_pos]:
+                continue
             yield t, new_pos, nxt
 
     def closure(self, configs: Iterable[tuple]) -> dict:
@@ -398,7 +452,12 @@ def _run(node: tuple) -> AcceptingRun:
 
 
 def step(machine, config: Configuration, w: str) -> tuple:
-    """One-step successor configurations of `config` on input `w`."""
+    """The one-step successors of `config` on input `w` that the searches
+    keep: those from which the rest of `w` can still be accepted, as far
+    as the machine's live depths tell.  A configuration past either end of
+    `w` has none."""
+    if not 0 <= config.input_pos <= len(w):
+        return ()
     search = _Search(machine, len(w), DEFAULT_LIMITS)
     state, pos, cell = search.intern(config)
     symbol = w[pos] if pos < len(w) else None
@@ -408,32 +467,53 @@ def step(machine, config: Configuration, w: str) -> tuple:
     )
 
 
+def _accepting_nodes(machine, w: str, limits: SearchLimits, seen: set | None):
+    """Depth-first over the runs on `w` in transition order, yielding the
+    search node (see `_run`) of each accepting configuration reached.
+
+    With a `seen` set, a configuration is expanded only the first time it
+    is taken off the work stack; without, every path is followed, so
+    distinct runs through shared configurations are all reached.  The
+    depth-first order is kept on an explicit work stack, each entry linked
+    to its path, so run length never becomes Python recursion depth.
+    """
+    n = len(w)
+    search = _Search(machine, n, limits)
+    work = [(search.intern(machine.initial_config()), None, None)]
+    while work:
+        node = work.pop()
+        config = node[0]
+        if seen is not None:
+            if config in seen:
+                continue
+            seen.add(config)
+        state, pos, cell = config
+        if pos == n and machine.is_accepting(state, cell):
+            yield node
+        symbol = w[pos] if pos < n else None
+        children = [
+            ((t.target, new_pos, nxt), t, node)
+            for t, new_pos, nxt in search.successors(state, pos, cell, symbol)
+        ]
+        work.extend(reversed(children))
+
+
 def accepts(
     machine, w: str, limits: SearchLimits = DEFAULT_LIMITS
 ) -> tuple[bool, AcceptingRun | None]:
     """Decide acceptance of `w`; on success also return one witness run.
 
-    Breadth-first over the configuration graph with a visited set keyed on
-    (state, input position, stack cell).  Raises LimitExceeded if the cap is
-    hit before the graph is exhausted and no accepting configuration was
-    found.
+    Depth-first over the configuration graph in transition order, each
+    (state, input position, stack cell) expanded once, stopping at the
+    first accepting configuration.  The witness is the first accepting run
+    in transition order, the one `enumerate_runs(machine, w, cap=1)`
+    lists.  Raises LimitExceeded if the cap is hit before the graph is
+    exhausted and no accepting configuration was found.
     """
-    n = len(w)
-    search = _Search(machine, n, limits)
-    init = search.intern(machine.initial_config())
-    seen = {init}
-    queue = [(init, None, None)]
-    for node in queue:
-        state, pos, cell = node[0]
-        if pos == n and machine.is_accepting(state, cell):
-            return True, _run(node)
-        symbol = w[pos] if pos < n else None
-        for t, new_pos, nxt_cell in search.successors(state, pos, cell, symbol):
-            nxt = (t.target, new_pos, nxt_cell)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append((nxt, t, node))
-    return False, None
+    node = next(_accepting_nodes(machine, w, limits, set()), None)
+    if node is None:
+        return False, None
+    return True, _run(node)
 
 
 def enumerate_runs(
@@ -442,31 +522,13 @@ def enumerate_runs(
     """Up to `cap` accepting runs on `w`, lexicographic by transition order.
 
     Depth-first without cross-path pruning, so distinct runs through shared
-    configurations are all reported.  Rejected words give an empty list.
-    The depth-first order is kept on an explicit work stack, each entry
-    linked to its path, so run length never becomes Python recursion depth.
-    A cap of zero or less gives no run.
+    configurations are all reported.  Rejected words give an empty list,
+    and so does a cap of zero or less.
     """
     if cap <= 0:
         return []
-    n = len(w)
-    search = _Search(machine, n, limits)
-    runs: list[AcceptingRun] = []
-    work = [(search.intern(machine.initial_config()), None, None)]
-    while work:
-        node = work.pop()
-        state, pos, cell = node[0]
-        if pos == n and machine.is_accepting(state, cell):
-            runs.append(_run(node))
-            if len(runs) >= cap:
-                break
-        symbol = w[pos] if pos < n else None
-        children = [
-            ((t.target, new_pos, nxt), t, node)
-            for t, new_pos, nxt in search.successors(state, pos, cell, symbol)
-        ]
-        work.extend(reversed(children))
-    return runs
+    nodes = _accepting_nodes(machine, w, limits, None)
+    return [_run(node) for node in islice(nodes, cap)]
 
 
 def enumerate_language(
@@ -511,7 +573,9 @@ def explore_reachable(machine, max_len: int, limits: SearchLimits):
     consumed.
 
     Yields the state of every expanded configuration together with the
-    transitions that apply to it within the machine's stack cap.
+    transitions that apply to it within the machine's stack cap.  Products,
+    the machines this search serves, have no live depths, so no successor
+    is left out for being too deep to accept.
     """
     search = _Search(machine, max_len, limits)
     init = search.intern(machine.initial_config())

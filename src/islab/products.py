@@ -159,6 +159,11 @@ class _ProductBase:
     def stack_depth_cap(self, input_len: int) -> int:
         return 4 * input_len + 3
 
+    def live_depths(self, input_len: int) -> None:
+        """None: the engine prunes nothing by depth.  Products lift and
+        buffer entries in epsilon micro-steps, so they give no bound."""
+        return None
+
     def state_bound(self) -> int:
         return state_bound(
             self.kind,

@@ -217,7 +217,7 @@ class TestCrossings:
 @pytest.mark.parametrize(
     "argv",
     [
-        ["crossings", "--word", "0000"],
+        ["crossings", "--word", "00000000"],
         ["classify", "--sizes", "2,3,4"],
         ["report", "--sizes", "2,3,4"],
     ],
@@ -543,6 +543,25 @@ def test_construct_grammar_independent_of_hash_seed(tmp_path, grammar):
         assert done.returncode == 0, done.stderr
         outputs.append(done.stdout)
     assert outputs[0] == outputs[1]
+
+
+def test_closed_stdout_ends_quietly():
+    """A reader that stops early, as `| head` does, gets no traceback."""
+    src = str(Path(islab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "islab.cli", "construct", "joint", "--blocks", "nested-blocks"],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    proc.stdout.close()  # before the child has started to write
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == ""
 
 
 def test_mutually_recursive_grammar_file(tmp_path, capsys):

@@ -1,15 +1,18 @@
 """Property tests on random small normal-form machines: the engine's
-searches agree with each other on every word up to length 5, every
-witness run replays step by step to its final configuration, and what a
-search returns under a cap is exact."""
+searches agree with each other and with a reference search that shares no
+engine code on every word up to length 5, every witness run replays step
+by step to its final configuration, and what a search returns under a cap
+is exact."""
 
 import re
+from dataclasses import replace
 from itertools import product
 
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from islab.pda import (
+    ACCEPTANCE_MODES,
     FINAL_STATE_BOTTOM_ONLY,
     POP,
     PUSH,
@@ -30,6 +33,47 @@ def words(alphabet, max_len: int):
     for length in range(max_len + 1):
         for letters in product(sorted(alphabet), repeat=length):
             yield "".join(letters)
+
+
+def reference_accepts(machine, word: str) -> bool:
+    """Breadth-first over (state, position, stack) with the stack a plain
+    tuple and pushes capped at the static depth 2|w|+1; uses neither the
+    engine's search nor `step`."""
+    n = len(word)
+    cap = 2 * n + 1
+    start = (machine.start, 0, (machine.bottom,))
+    seen = {start}
+    queue = [start]
+    for state, pos, stack in queue:
+        if pos == n and state in machine.accept:
+            if machine.acceptance_mode != FINAL_STATE_BOTTOM_ONLY:
+                return True
+            if stack == (machine.bottom,):
+                return True
+        for t in machine.transitions:
+            if t.source != state:
+                continue
+            if t.read is None:
+                new_pos = pos
+            elif pos < n and t.read == word[pos]:
+                new_pos = pos + 1
+            else:
+                continue
+            if t.action.kind == PUSH:
+                if len(stack) >= cap:
+                    continue
+                new_stack = stack + (t.action.symbol,)
+            elif t.action.kind == POP:
+                if stack[-1:] != (t.action.symbol,):
+                    continue
+                new_stack = stack[:-1]
+            else:
+                new_stack = stack
+            nxt = (t.target, new_pos, new_stack)
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return False
 
 
 def replay(machine, run, word: str) -> None:
@@ -71,6 +115,23 @@ def test_searches_agree_and_witnesses_replay(machine):
                 replay(machine, witness, word)
             for run in runs:
                 replay(machine, run, word)
+    except LimitExceeded:
+        reject()  # inconclusive within the budget; not a counterexample
+
+
+@settings(max_examples=60, deadline=None)
+@given(machine=machines())
+def test_accepts_matches_reference_and_lists_first_run(machine):
+    """In both acceptance modes `accepts` agrees with the reference search,
+    and its witness is the first run `enumerate_runs` lists."""
+    try:
+        for mode in ACCEPTANCE_MODES:
+            moded = replace(machine, acceptance_mode=mode)
+            for word in words(moded.input_alphabet, MAX_LEN):
+                ok, witness = accepts(moded, word, BUDGET)
+                assert ok == reference_accepts(moded, word), (mode, word)
+                first = enumerate_runs(moded, word, cap=1, limits=BUDGET)
+                assert first == ([witness] if ok else []), (mode, word)
     except LimitExceeded:
         reject()  # inconclusive within the budget; not a counterexample
 

@@ -215,6 +215,10 @@ class TestStep:
         succ = step(machine, machine.initial_config(), "ab")
         assert succ == (Configuration("p", 1, ("$", "A")),)
 
+    def test_config_past_the_input_has_no_successors(self):
+        config = Configuration("daux", 3, ("$", "A"))
+        assert step(doubler(), config, "ab") == ()
+
     def test_pop_with_mismatched_top_excluded(self):
         machine = counter()
         config = Configuration("p", 0, ("$",))
@@ -263,6 +267,78 @@ class TestAccepts:
         machine = even_track()
         results = {accepts(machine, "0110")[0] for _ in range(3)}
         assert len(results) == 1
+
+
+def two_symbol_pusher() -> Pda:
+    """0^n 1^n, pushing A or B per 0 and popping either per 1: 2^n distinct
+    stacks after the zeros."""
+    t = []
+    for sym in "AB":
+        t.append(Transition("p", "0", StackAction.push(sym), "p"))
+        t.append(Transition("p", "1", StackAction.pop(sym), "q"))
+        t.append(Transition("q", "1", StackAction.pop(sym), "q"))
+    return Pda(
+        states={"p", "q"},
+        input_alphabet={"0", "1"},
+        stack_alphabet={"$", "A", "B"},
+        transitions=t,
+        start="p",
+        bottom="$",
+        accept={"q"},
+    )
+
+
+class TestLiveDepths:
+    def test_counter_table_by_hand(self):
+        # from either state, r reads can pop r entries
+        assert counter().live_depths(2) == {"p": [3, 2, 1], "q": [3, 2, 1]}
+
+    def test_epsilon_move_carries_the_bound_back(self):
+        # daux reads nothing: its bound is d0's, reached by the second push
+        table = doubler().live_depths(3)
+        assert table["daux"] == table["d0"] == [4, 3, 2, 1]
+
+    def test_final_state_machine_has_none(self):
+        machine = Pda(
+            states={"p"},
+            input_alphabet={"a"},
+            stack_alphabet={"$", "A"},
+            transitions=[Transition("p", "a", StackAction.push("A"), "p")],
+            start="p",
+            bottom="$",
+            accept={"p"},
+            acceptance_mode=FINAL_STATE,
+        )
+        assert machine.live_depths(3) is None
+        assert accepts(machine, "aaa")[0]
+
+    def test_epsilon_pop_machine_has_none_and_accepts(self):
+        machine = Pda(
+            states={"p", "q", "r"},
+            input_alphabet={"a"},
+            stack_alphabet={"$", "A"},
+            transitions=[
+                Transition("p", "a", StackAction.push("A"), "q"),
+                Transition("q", None, StackAction.pop("A"), "r"),
+            ],
+            start="p",
+            bottom="$",
+            accept={"r"},
+        )
+        assert machine.live_depths(1) is None
+        ok, run = accepts(machine, "a")
+        assert ok
+        assert [s.transition.action.kind for s in run.steps] == [PUSH, POP]
+
+    @pytest.mark.parametrize(
+        "machine, word",
+        [(odd_track(), "0" * 1600), (two_symbol_pusher(), "0" * 18 + "1" * 18)],
+        ids=["odd-track", "two-symbol-pusher"],
+    )
+    def test_blow_up_words_accepted_cheaply(self, machine, word):
+        ok, run = accepts(machine, word, SearchLimits(max_configs=10_000))
+        assert ok
+        assert run.final == Configuration(run.final.state, len(word), ("$",))
 
 
 class TestEnumerateRuns:
