@@ -91,8 +91,6 @@ def _checked_max_len(value: int) -> int:
             raise CliError(
                 f"--max-len {value} exceeds the {ORACLE_ENV} cap of {cap}"
             )
-    if value < 0:
-        raise CliError("--max-len must be nonnegative")
     return value
 
 
@@ -187,7 +185,8 @@ def _family_word(args, bundle) -> str:
 
 
 def _limits(args) -> SearchLimits:
-    cap = getattr(args, "max_expand", None)
+    """The budget of --max-expand, which only the searching subcommands take."""
+    cap = args.max_expand
     return SearchLimits() if cap is None else SearchLimits(max_configs=cap)
 
 
@@ -836,8 +835,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--corpus", help="corpus bundle name")
         p.add_argument("--machine", help="machine name within the bundle")
 
-    def add_common(p):
+    def add_json(p):
         p.add_argument("--json", action="store_true", help="machine-readable output")
+
+    def add_search_flags(p):
+        add_json(p)
         p.add_argument(
             "--max-expand",
             type=_nonnegative_int,
@@ -850,14 +852,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run one machine on one word")
     add_machine_flags(p)
     p.add_argument("--word", help="input word (may be empty)")
-    add_common(p)
+    add_search_flags(p)
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("runs", help="enumerate accepting runs")
     add_machine_flags(p)
     p.add_argument("--word", help="input word")
     p.add_argument("--runs-cap", type=_nonnegative_int, default=20)
-    add_common(p)
+    add_search_flags(p)
     p.set_defaults(handler=_cmd_runs)
 
     p = sub.add_parser("crossings", help="cross-machine crossing analysis")
@@ -867,18 +869,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all-runs", action="store_true")
     p.add_argument("--runs-cap", type=_nonnegative_int, default=20)
     p.add_argument("--svg", help="write an arc diagram here")
-    add_common(p)
+    add_search_flags(p)
     p.set_defaults(handler=_cmd_crossings)
 
     p = sub.add_parser("classify", help="growth regime across family sizes")
     p.add_argument("--pair", help="corpus bundle name")
     p.add_argument("--sizes", default="1,2,3,4,5", help="comma-separated sizes")
-    add_common(p)
+    add_search_flags(p)
     p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("characterize", help="block-spec intersection verdict")
     p.add_argument("--blocks", required=True, help="blocks-v1 file or corpus name")
-    add_common(p)
+    add_json(p)
     p.set_defaults(handler=_cmd_characterize)
 
     p = sub.add_parser("construct", help="emit a constructed machine as JSON")
@@ -893,10 +895,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, help="gap bound (displacement)")
     p.add_argument("--d", type=int, help="inner bound (buffered)")
     p.add_argument(
-        "--max-len", type=int, default=8, help="exploration depth for fragments"
+        "--max-len", type=_nonnegative_int, default=8, help="exploration depth for fragments"
     )
     p.add_argument("--out", help="output file (default stdout)")
-    add_common(p)
+    add_search_flags(p)
     p.set_defaults(handler=_cmd_construct)
 
     p = sub.add_parser("verify", help="differential check against an oracle")
@@ -910,8 +912,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair")
     p.add_argument("--k", type=int)
     p.add_argument("--d", type=int)
-    p.add_argument("--max-len", type=int, default=8)
-    add_common(p)
+    p.add_argument("--max-len", type=_nonnegative_int, default=8)
+    add_search_flags(p)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("linkage", help="pump-sensitive linkage checks")
@@ -947,20 +949,20 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[FOUR_LARGE, INNER_GROWING],
         help="run the full hypothesis report in this mode instead",
     )
-    add_common(p)
+    add_json(p)
     p.set_defaults(handler=_cmd_linkage)
 
     p = sub.add_parser("corpus", help="list or export built-in examples")
     p.add_argument("--name", help="show one bundle in detail")
     p.add_argument("--export", metavar="DIR", help="write artifacts as JSON files")
-    add_common(p)
+    add_json(p)
     p.set_defaults(handler=_cmd_corpus)
 
     p = sub.add_parser("report", help="classification table for a family")
     p.add_argument("--pair", required=True, help="corpus bundle name")
     p.add_argument("--sizes", default="1,2,3,4,5")
     p.add_argument("--svg", help="arc diagram of the largest size")
-    add_common(p)
+    add_search_flags(p)
     p.set_defaults(handler=_cmd_report)
 
     return parser

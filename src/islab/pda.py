@@ -1,11 +1,12 @@
-"""Normal-form pushdown machines: model, validation, simulation, enumeration.
+"""Pushdown machines: model, validation, simulation, enumeration.
 
 The normal form expected of hand-built and grammar-derived machines: every
 non-auxiliary transition reads exactly one input symbol and performs at most
 one stack operation (a single push or a single pop), and epsilon-transitions
 exist only as auxiliary second-push steps chained directly after a pushing
 read.  Each input position therefore contributes at most two pushes or one
-pop per machine, and stack depth never exceeds 2*|w|+1.
+pop per machine, and stack depth never exceeds 2*|w|+1.  The engine itself
+runs any `Pda`, in normal form or not.
 
 The engine.  Every search (`accepts`, `enumerate_runs`, `enumerate_language`,
 `step`, and `explore_reachable`, the reachability search behind the product
@@ -22,6 +23,14 @@ What a caller gets back still holds tuples: `Configuration.stack` is the
 whole stack, bottom first, in `AcceptingRun.final` and in the results of
 `step`.
 
+What bounds a search.  The engine caps no stack depth: a machine in normal
+form stays within 2*|w|+1 by construction, products within 4*|w|+1
+because they take normal-form components only, and live depths prune the
+machines that accept on their bottom only.  Everything else, such as a
+machine whose epsilon moves push without end, is bounded by the search's
+one budget, `SearchLimits.max_configs`: such a search ends in
+LimitExceeded, never in a wrong answer.
+
 Machines, plain or product, meet the engine through a duck-typed protocol
 that products follow without being normal-form themselves:
 
@@ -30,8 +39,6 @@ that products follow without being normal-form themselves:
 * `initial_config()`: the start `Configuration`, its stack a tuple;
 * `is_accepting(state, stack)`: whether a run that has read the whole input
   and ends in `state` over the stack cell `stack` accepts;
-* `stack_depth_cap(input_len)`: the deepest stack a search keeps on inputs
-  of that length;
 * `live_depths(input_len)`: None, or for each state the deepest stack from
   which an accepting run can still be reached at each input position
   0..input_len of inputs of at most that length (see `Pda.live_depths`).
@@ -229,9 +236,6 @@ class Pda:
             return stack.depth == 1 and stack.top == self.bottom
         return True
 
-    def stack_depth_cap(self, input_len: int) -> int:
-        return 2 * input_len + 1
-
     def live_depths(self, input_len: int) -> dict | None:
         """For each state q, a list over input positions 0..n (n =
         `input_len`) whose entry at `pos` is 1 + P(q, n - pos): P(q, r) is
@@ -347,17 +351,15 @@ _ANY = object()  # `symbol` for successors that may read any input symbol
 
 
 class _Search:
-    """What one search call shares: the machine, the stack depth cap for
-    inputs of length `input_len`, the machine's live depths for them (or
-    None), the table interning the search's stack cells by (cell below, top
-    symbol), and the search's budget: how many configurations it has
-    expanded, out of `limits.max_configs`, and the furthest input position
-    among them."""
+    """What one search call shares: the machine, its live depths for inputs
+    of length `input_len` (or None), the table interning the search's stack
+    cells by (cell below, top symbol), and the search's budget: how many
+    configurations it has expanded, out of `limits.max_configs`, and the
+    furthest input position among them."""
 
     def __init__(self, machine, input_len: int, limits: SearchLimits):
         self.machine = machine
         self.input_len = input_len
-        self.cap = machine.stack_depth_cap(input_len)
         self.live = machine.live_depths(input_len)
         self.cells: dict = {}
         self.max_configs = limits.max_configs
@@ -378,12 +380,12 @@ class _Search:
         """Yield (transition, input position, cell) after each transition
         out of `state` that moves on epsilon (if `epsilon`) or reads
         `symbol` (any symbol if it is _ANY, none if it is None) and whose
-        stack operation applies to `cell` within the depth cap, in
-        transition order, leaving out every successor whose stack is deeper
-        than the live depth of its state and position: none of those, nor
-        any configuration after them, can accept.  This is the engine's
-        only stack step, and each call is one expansion charged to the
-        budget."""
+        stack operation applies to `cell`, in transition order, leaving out
+        every successor whose stack is deeper than the live depth of its
+        state and position: none of those, nor any configuration after
+        them, can accept.  No stack depth is capped otherwise.  This is the
+        engine's only stack step, and each call is one expansion charged to
+        the budget."""
         if self.expanded >= self.max_configs:
             raise LimitExceeded(
                 f"expanded {self.expanded} configurations, furthest input"
@@ -392,7 +394,7 @@ class _Search:
         self.expanded += 1
         if pos > self.furthest:
             self.furthest = pos
-        cells, cap, live = self.cells, self.cap, self.live
+        cells, live = self.cells, self.live
         for t in self.machine.transitions_from(state):
             read = t.read
             if read is None:
@@ -406,19 +408,15 @@ class _Search:
             action = t.action
             kind = action.kind
             if kind == PUSH:
-                if cell.depth >= cap:
-                    continue
                 key = (cell, action.symbol)
                 nxt = cells.get(key)
                 if nxt is None:
                     nxt = cells[key] = _Cell(action.symbol, cell, cell.depth + 1)
             elif kind == POP:
-                if not cell.depth or cell.top != action.symbol or cell.depth > cap + 1:
+                if not cell.depth or cell.top != action.symbol:
                     continue
                 nxt = cell.below
             else:  # NONE: Pda._check admits no other kind
-                if cell.depth > cap:
-                    continue
                 nxt = cell
             if live is not None and nxt.depth > live[t.target][new_pos]:
                 continue
@@ -573,9 +571,9 @@ def explore_reachable(machine, max_len: int, limits: SearchLimits):
     consumed.
 
     Yields the state of every expanded configuration together with the
-    transitions that apply to it within the machine's stack cap.  Products,
-    the machines this search serves, have no live depths, so no successor
-    is left out for being too deep to accept.
+    transitions that apply to it.  Products, the machines this search
+    serves, have no live depths, so no successor is left out for being too
+    deep to accept.
     """
     search = _Search(machine, max_len, limits)
     init = search.intern(machine.initial_config())

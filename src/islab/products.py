@@ -156,9 +156,6 @@ class _ProductBase:
     def initial_config(self) -> Configuration:
         return Configuration(self._initial_state(), 0, (_BOTTOM,))
 
-    def stack_depth_cap(self, input_len: int) -> int:
-        return 4 * input_len + 3
-
     def live_depths(self, input_len: int) -> None:
         """None: the engine prunes nothing by depth.  Products lift and
         buffer entries in epsilon micro-steps, so they give no bound."""

@@ -231,12 +231,31 @@ def test_max_expand_limits_run_search(capsys, argv):
         assert "search limit exceeded" in err
 
 
-@pytest.mark.parametrize("command", [["simulate", "--corpus", "counter"], ["corpus"]])
+@pytest.mark.parametrize(
+    "command", [["simulate", "--corpus", "counter"], ["runs", "--corpus", "counter"]]
+)
 def test_negative_max_expand_rejected(capsys, command):
     with pytest.raises(SystemExit) as exc:
         main([*command, "--max-expand", "-1"])
     assert exc.value.code == 2
     assert "argument --max-expand: must be nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["characterize", "--blocks", "nested-blocks"],
+        ["linkage", "--blocks", "abcd", "--n", "1"],
+        ["corpus"],
+    ],
+    ids=["characterize", "linkage", "corpus"],
+)
+def test_max_expand_only_on_searching_subcommands(capsys, command):
+    # these subcommands run no engine search, so there is nothing to cap
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--max-expand", "0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-expand" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -273,8 +292,24 @@ def test_zero_runs_cap_gives_no_run(capsys):
         (["crossings", "--pair", "gap-refutation", "--n", "1", "--runs-cap", "-1"], "--runs-cap"),
         (["crossings", "--pair", "gap-refutation", "--n", "-1"], "--n"),
         (["linkage", "--blocks", "abcd", "--n", "-1"], "--n"),
+        (
+            ["construct", "displacement", "--pair", "gap-refutation", "--k", "1"]
+            + ["--max-len", "-1"],
+            "--max-len",
+        ),
+        (
+            ["verify", "--construct", "joint", "--blocks", "nested-blocks", "--max-len", "-1"],
+            "--max-len",
+        ),
     ],
-    ids=["runs-runs-cap", "crossings-runs-cap", "crossings-n", "linkage-n"],
+    ids=[
+        "runs-runs-cap",
+        "crossings-runs-cap",
+        "crossings-n",
+        "linkage-n",
+        "construct-max-len",
+        "verify-max-len",
+    ],
 )
 def test_negative_count_flag_rejected(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:

@@ -1,24 +1,30 @@
-"""Property tests on random small normal-form machines: the engine's
-searches agree with each other and with a reference search that shares no
-engine code on every word up to length 5, every witness run replays step
-by step to its final configuration, and what a search returns under a cap
-is exact."""
+"""Property tests on random small machines: the engine's searches agree
+with each other and with a reference search that shares no engine code on
+every word up to length 5, every witness run replays step by step to its
+final configuration, and what a search returns under a cap is exact.  The
+machines are in normal form, except those of the last test, whose epsilon
+moves push, pop or do nothing in any number but never cycle."""
 
 import re
 from dataclasses import replace
 from itertools import product
 
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
+from islab import corpus
 from islab.pda import (
     ACCEPTANCE_MODES,
+    FINAL_STATE,
     FINAL_STATE_BOTTOM_ONLY,
     POP,
     PUSH,
     Configuration,
     LimitExceeded,
+    Pda,
     SearchLimits,
+    StackAction,
+    Transition,
     accepts,
     enumerate_language,
     enumerate_runs,
@@ -37,10 +43,10 @@ def words(alphabet, max_len: int):
 
 def reference_accepts(machine, word: str) -> bool:
     """Breadth-first over (state, position, stack) with the stack a plain
-    tuple and pushes capped at the static depth 2|w|+1; uses neither the
+    tuple and no bound on its depth, so it ends on every machine whose
+    epsilon moves cannot cycle, normal form included; uses neither the
     engine's search nor `step`."""
     n = len(word)
-    cap = 2 * n + 1
     start = (machine.start, 0, (machine.bottom,))
     seen = {start}
     queue = [start]
@@ -60,8 +66,6 @@ def reference_accepts(machine, word: str) -> bool:
             else:
                 continue
             if t.action.kind == PUSH:
-                if len(stack) >= cap:
-                    continue
                 new_stack = stack + (t.action.symbol,)
             elif t.action.kind == POP:
                 if stack[-1:] != (t.action.symbol,):
@@ -121,6 +125,9 @@ def test_searches_agree_and_witnesses_replay(machine):
 
 @settings(max_examples=60, deadline=None)
 @given(machine=machines())
+# an auxiliary push out of a state with no reads: live depths must carry
+# the bound back over the epsilon move
+@example(machine=corpus.get("double-push").machine("doubler"))
 def test_accepts_matches_reference_and_lists_first_run(machine):
     """In both acceptance modes `accepts` agrees with the reference search,
     and its witness is the first run `enumerate_runs` lists."""
@@ -161,3 +168,80 @@ def test_results_under_any_cap_are_exact(machine, cap, data):
             assert int(match[1]) <= int(match[2]) == input_len
         else:
             assert answer == exact
+
+
+@st.composite
+def forward_machines(draw) -> Pda:
+    """2-4 states, reads between any two states, and epsilon moves (push,
+    pop or none) only from a lower- to a higher-numbered state: out of
+    normal form, yet every search ends."""
+    count = draw(st.integers(2, 4))
+    states = [f"s{i}" for i in range(count)]
+    alphabet = draw(st.sampled_from([("a",), ("a", "b")]))
+    symbols = ["A", "B"][: draw(st.integers(1, 2))]
+    actions = st.one_of(
+        st.just(StackAction.none()),
+        st.sampled_from(symbols).map(StackAction.push),
+        st.sampled_from(symbols).map(StackAction.pop),
+    )
+    reads = draw(
+        st.lists(
+            st.builds(
+                Transition,
+                st.sampled_from(states),
+                st.sampled_from(alphabet),
+                actions,
+                st.sampled_from(states),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    forward = [(i, j) for i in range(count) for j in range(i + 1, count)]
+    moves = draw(st.lists(st.tuples(st.sampled_from(forward), actions), max_size=5))
+    epsilon = [Transition(states[i], None, action, states[j]) for (i, j), action in moves]
+    return Pda(
+        states=states,
+        input_alphabet=alphabet,
+        stack_alphabet=["$"] + symbols,
+        transitions=list(dict.fromkeys(reads + epsilon)),
+        start=states[0],
+        bottom="$",
+        accept=draw(st.sets(st.sampled_from(states), min_size=1)),
+        acceptance_mode=draw(st.sampled_from(ACCEPTANCE_MODES)),
+    )
+
+
+# a read that pushes, then two chained epsilon pushes: three entries for
+# one input symbol, deeper than 2|w|+1
+TRIPLE_PUSH = Pda(
+    states=["s0", "s1", "s2", "s3"],
+    input_alphabet=["a"],
+    stack_alphabet=["$", "A"],
+    transitions=[
+        Transition("s0", "a", StackAction.push("A"), "s1"),
+        Transition("s1", None, StackAction.push("A"), "s2", auxiliary=True),
+        Transition("s2", None, StackAction.push("A"), "s3", auxiliary=True),
+    ],
+    start="s0",
+    bottom="$",
+    accept=["s3"],
+    acceptance_mode=FINAL_STATE,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(machine=forward_machines())
+@example(machine=TRIPLE_PUSH)
+def test_searches_agree_outside_normal_form(machine):
+    """No stack depth is cut: on every word up to length 4 `accepts`,
+    `enumerate_runs` and `enumerate_language` agree with each other and
+    with the reference search, and every witness replays."""
+    language = enumerate_language(machine, 4)
+    for word in words(machine.input_alphabet, 4):
+        ok, witness = accepts(machine, word)
+        runs = enumerate_runs(machine, word)
+        assert ok == (word in language) == bool(runs) == reference_accepts(machine, word), word
+        if ok:
+            replay(machine, witness, word)
+            assert runs[0] == witness

@@ -263,6 +263,21 @@ class TestAccepts:
         with pytest.raises(LimitExceeded):
             accepts(machine, "0" * 8, SearchLimits(max_configs=5))
 
+    def test_pushing_epsilon_loop_is_inconclusive(self):
+        # no stack depth bounds this machine: only the budget ends the search
+        machine = Pda(
+            states={"p"},
+            input_alphabet={"a"},
+            stack_alphabet={"$", "X"},
+            transitions=[Transition("p", None, StackAction.push("X"), "p")],
+            start="p",
+            bottom="$",
+            accept={"p"},
+            acceptance_mode=FINAL_STATE,
+        )
+        with pytest.raises(LimitExceeded):
+            accepts(machine, "a", SearchLimits(max_configs=1_000))
+
     def test_boolean_result_stable(self):
         machine = even_track()
         results = {accepts(machine, "0110")[0] for _ in range(3)}

@@ -422,6 +422,9 @@ class TestFragmentExport:
 
     def test_fragment_reloads_and_matches_product(self):
         final_state_pair = [final_state_copy(m) for m in palindrome_pair()]
+        # a fragment pushes up to four entries per position, beyond the
+        # 2|w|+1 a normal-form machine needs: its runs must still all count
+        doubler = final_state_copy(corpus.get("double-push").machine("doubler"))
         # a buffered state may still hold short pushes: the reloaded
         # fragment must not accept there, on any two-machine bundle
         buffered = [
@@ -436,10 +439,16 @@ class TestFragmentExport:
             BufferedProduct(*refutation_pair(), d=1),
             DisplacementProduct(*final_state_pair, k=1),
             BufferedProduct(*final_state_pair, d=1),
+            DisplacementProduct(doubler, doubler, k=1),
+            BufferedProduct(doubler, doubler, d=1),
         ] + buffered:
             frag = fragment_to_json(product, 4)
             loaded = pda_from_json(frag)
             assert enumerate_language(loaded, 4) == enumerate_language(product, 4)
+            for length in range(5):
+                for letters in itertools.product(sorted(product.input_alphabet), repeat=length):
+                    word = "".join(letters)
+                    assert accepts(loaded, word)[0] == accepts(product, word)[0], word
 
     def test_mixed_acceptance_modes_refused(self):
         # such a product requires only one owner's entries to drain (here it
