@@ -53,9 +53,6 @@ class Arc:
     owner: int = 1
     push_ordinal: int = 1
 
-    def span(self) -> int:
-        return self.pop_pos - self.push_pos
-
     def positions(self) -> tuple[int, int]:
         return (self.push_pos, self.pop_pos)
 

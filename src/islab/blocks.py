@@ -89,10 +89,6 @@ class BlockSpec:
     def k(self) -> int:
         return len(self.alphabets)
 
-    def block_of(self, ch: str):
-        """The 1-based block whose alphabet holds `ch`, or None."""
-        return self._block_index.get(ch)
-
     def block_counts(self, word: str):
         """Per-block symbol counts, or None when the word does not scan as
         consecutive blocks in order."""

@@ -30,7 +30,6 @@ from .arcs import (
 )
 from .blocks import (
     CROSSING,
-    JointSpec,
     build_joint_pda,
     characterize,
     joint_from_json,
@@ -54,7 +53,6 @@ from .products import (
     BufferedProduct,
     DisplacementProduct,
     fragment_to_json,
-    state_bound,
 )
 from .pumping import (
     FOUR_LARGE,
@@ -66,6 +64,7 @@ from .pumping import (
 )
 
 ORACLE_ENV = "ISL_ORACLE_MAX_LEN"
+DEFAULT_MAX_LEN = 8
 
 
 class CliError(Exception):
@@ -80,7 +79,10 @@ def _emit(payload: dict, args, text_lines) -> None:
             print(line)
 
 
-def _checked_max_len(value: int) -> int:
+def _max_len(args) -> int:
+    """--max-len, or DEFAULT_MAX_LEN when it is not given, checked against
+    the ISL_ORACLE_MAX_LEN cap."""
+    value = DEFAULT_MAX_LEN if args.max_len is None else args.max_len
     cap_raw = os.environ.get(ORACLE_ENV)
     if cap_raw is not None:
         try:
@@ -357,8 +359,9 @@ def _family_pair(args) -> tuple:
 
 
 def _regime(first, second, bundle, sizes, limits) -> tuple:
-    """(regime, detail, evidence rows) of the bundle's family across the
-    sizes; detail says why when the regime is inconclusive, else is None."""
+    """(regime, detail, evidence rows, analyses of the last size) of the
+    bundle's family across the sizes; detail says why when the regime is
+    inconclusive, else is None."""
     samples = []
     for n in sizes:
         word = bundle.family(n)
@@ -368,8 +371,8 @@ def _regime(first, second, bundle, sizes, limits) -> tuple:
     try:
         report = classify_family(samples)
     except InconclusiveRegime as exc:
-        return "inconclusive", str(exc), exc.evidence
-    return report.regime, None, report.evidence
+        return "inconclusive", str(exc), exc.evidence, analyses
+    return report.regime, None, report.evidence, analyses
 
 
 def _evidence_payload(evidence) -> list:
@@ -397,7 +400,7 @@ def _evidence_lines(evidence) -> list:
 
 def _cmd_classify(args) -> int:
     first, second, bundle, sizes = _family_pair(args)
-    regime, detail, evidence = _regime(first, second, bundle, sizes, _limits(args))
+    regime, detail, evidence, _ = _regime(first, second, bundle, sizes, _limits(args))
     payload = {
         "command": "classify",
         "bundle": bundle.name,
@@ -448,46 +451,40 @@ def _cmd_characterize(args) -> int:
     return 0
 
 
-def _product_from_args(args, first, second):
-    if args.construct == "displacement":
-        if args.k is None:
-            raise CliError("displacement products need --k")
-        return DisplacementProduct(first, second, args.k)
-    if args.d is None:
-        raise CliError("buffered products need --d")
-    return BufferedProduct(first, second, args.d)
+# The construction flags each kind reads, by argparse dest.  `verify` also
+# reads the search flags for every kind, `construct` only for the products,
+# whose fragments it explores; any other construction flag is refused.
+_KIND_FLAGS = {
+    "joint": ("blocks",),
+    "displacement": ("pair", "k"),
+    "buffered": ("pair", "d"),
+    "grammar": ("grammar",),
+}
+_PRODUCTS = ("displacement", "buffered")
+_SEARCH_FLAGS = ("max_len", "max_expand")
+_CONSTRUCTION_FLAGS = ("blocks", "grammar", "pair", "k", "d") + _SEARCH_FLAGS
 
 
-def _cmd_construct(args) -> int:
-    if args.construct == "joint":
-        if not args.blocks:
-            raise CliError("construct joint needs --blocks")
-        spec = _load_document(args.blocks, "joint")
-        verdict = characterize(spec)
-        if not verdict.is_cfl:
-            raise CliError(f"cannot build a joint machine: {_verdict_text(verdict)}")
-        document = pda_to_json(build_joint_pda(spec))
-    elif args.construct == "grammar":
-        if not args.grammar:
-            raise CliError("construct grammar needs --grammar")
-        grammar = _load_document(args.grammar, "grammar")
-        document = pda_to_json(gnf_to_pda(to_gnf(to_cnf(grammar))))
-    else:
-        first, second, _ = _load_pair(args)
-        product = _product_from_args(args, first, second)
-        max_len = _checked_max_len(args.max_len)
-        document = fragment_to_json(product, max_len, _limits(args))
-    if args.out:
-        _write_json(args.out, document)
-        print(f"wrote {args.out}", file=sys.stderr)
-    else:
-        print(json.dumps(document, indent=2, sort_keys=True))
-    return 0
+def _check_construction_flags(args) -> None:
+    kind = args.construct
+    name = f"construct {kind}" if args.command == "construct" else f"verify --construct {kind}"
+    required = _KIND_FLAGS[kind]
+    reads = required
+    if args.command == "verify" or kind in _PRODUCTS:
+        reads += _SEARCH_FLAGS
+    for dest in _CONSTRUCTION_FLAGS:
+        flag = "--" + dest.replace("_", "-")
+        given = getattr(args, dest) is not None
+        if dest in required and not given:
+            raise CliError(f"{name} needs {flag}")
+        if dest not in reads and given:
+            raise CliError(f"{name} does not take {flag}")
 
 
-def _block_candidates(spec: JointSpec, max_len: int):
-    """Every word of block shape up to max_len; the support of block
-    membership, so comparing against it is a complete differential.  One
+def _block_words(alphabets, max_len: int):
+    """Every word up to max_len made of one block over each alphabet in turn:
+    the support of block membership, or every word when there is one
+    alphabet, so comparing against it is a complete differential.  One
     generator per block, none per letter: long blocks never recurse."""
     def extend(words, letters):
         for word in words:
@@ -496,65 +493,68 @@ def _block_candidates(spec: JointSpec, max_len: int):
                     yield word + "".join(body)
 
     words = iter([""])
-    for alphabet in spec.alphabets:
+    for alphabet in alphabets:
         words = extend(words, sorted(alphabet))
     return words
 
 
-def _verify_joint(args) -> tuple:
-    if not args.blocks:
-        raise CliError("verify --construct joint needs --blocks")
-    spec = _load_document(args.blocks, "joint")
-    verdict = characterize(spec)
-    if not verdict.is_cfl:
-        raise CliError(f"cannot verify a joint machine: {_verdict_text(verdict)}")
-    max_len = _checked_max_len(args.max_len)
-    machine_language = enumerate_language(build_joint_pda(spec), max_len, _limits(args))
-    oracle_language = {
-        w for w in _block_candidates(spec, max_len) if spec.in_intersection(w)
-    }
-    return machine_language, oracle_language, f"joint machine vs block membership <= {max_len}"
+def _construction(args) -> tuple:
+    """(machine, oracle, label) of `args.construct`: the joint machine, the
+    grammar pipeline's machine or the product; its oracle, which maps a length
+    bound to the language the machine must have up to it; and the check's label."""
+    _check_construction_flags(args)
+    kind = args.construct
+    if kind == "joint":
+        spec = _load_document(args.blocks, "joint")
+        verdict = characterize(spec)
+        if not verdict.is_cfl:
+            verb = "build" if args.command == "construct" else "verify"
+            raise CliError(f"cannot {verb} a joint machine: {_verdict_text(verdict)}")
 
+        def oracle(n):
+            return set(filter(spec.in_intersection, _block_words(spec.alphabets, n)))
 
-def _verify_product(args) -> tuple:
+        return build_joint_pda(spec), oracle, "joint machine vs block membership"
+    if kind == "grammar":
+        cnf = to_cnf(_load_document(args.grammar, "grammar"))
+
+        def oracle(n):
+            return {w for w in _block_words([cnf.terminals], n) if cyk_membership(cnf, w)}
+
+        return gnf_to_pda(to_gnf(cnf)), oracle, "grammar pipeline machine vs CYK"
     first, second, _ = _load_pair(args)
-    product = _product_from_args(args, first, second)
-    max_len = _checked_max_len(args.max_len)
+    if kind == "displacement":
+        product = DisplacementProduct(first, second, args.k)
+    else:
+        product = BufferedProduct(first, second, args.d)
     limits = _limits(args)
-    lhs = enumerate_language(product, max_len, limits)
-    rhs = enumerate_language(first, max_len, limits) & enumerate_language(
-        second, max_len, limits
-    )
-    return lhs, rhs, f"{args.construct} product vs component intersection <= {max_len}"
+
+    def oracle(n):
+        return enumerate_language(first, n, limits) & enumerate_language(second, n, limits)
+
+    return product, oracle, f"{kind} product vs component intersection"
 
 
-def _verify_grammar(args) -> tuple:
-    if not args.grammar:
-        raise CliError("verify --construct grammar needs --grammar")
-    grammar = _load_document(args.grammar, "grammar")
-    cnf = to_cnf(grammar)
-    machine = gnf_to_pda(to_gnf(cnf))
-    max_len = _checked_max_len(args.max_len)
-    lhs = enumerate_language(machine, max_len, _limits(args))
-    rhs = set()
-    alphabet = sorted(cnf.terminals)
-    frontier = [""]
-    while frontier:
-        word = frontier.pop()
-        if cyk_membership(cnf, word):
-            rhs.add(word)
-        if len(word) < max_len:
-            frontier.extend(word + ch for ch in alphabet)
-    return lhs, rhs, f"grammar pipeline machine vs CYK <= {max_len}"
+def _cmd_construct(args) -> int:
+    machine, _, _ = _construction(args)
+    if args.construct in _PRODUCTS:
+        document = fragment_to_json(machine, _max_len(args), _limits(args))
+    else:
+        document = pda_to_json(machine)
+    if args.out:
+        _write_json(args.out, document)
+        print(f"wrote {args.out}", file=sys.stderr)
+    else:
+        print(json.dumps(document, indent=2, sort_keys=True))
+    return 0
 
 
 def _cmd_verify(args) -> int:
-    if args.construct == "joint":
-        lhs, rhs, label = _verify_joint(args)
-    elif args.construct == "grammar":
-        lhs, rhs, label = _verify_grammar(args)
-    else:
-        lhs, rhs, label = _verify_product(args)
+    machine, oracle, check = _construction(args)
+    max_len = _max_len(args)
+    lhs = enumerate_language(machine, max_len, _limits(args))
+    rhs = oracle(max_len)
+    label = f"{check} <= {max_len}"
     only_machine = sorted(lhs - rhs)
     only_oracle = sorted(rhs - lhs)
     mismatches = len(only_machine) + len(only_oracle)
@@ -781,8 +781,7 @@ def _export_corpus(args) -> None:
 
 def _cmd_report(args) -> int:
     first, second, bundle, sizes = _family_pair(args)
-    limits = _limits(args)
-    regime, detail, evidence = _regime(first, second, bundle, sizes, limits)
+    regime, detail, evidence, analyses = _regime(first, second, bundle, sizes, _limits(args))
     rows = [dict(n=n, **row) for n, row in zip(sizes, _evidence_payload(evidence))]
     payload = {
         "command": "report",
@@ -811,8 +810,6 @@ def _cmd_report(args) -> int:
         lines.append(f"  expected regime: {bundle.expected['regime']}")
     _emit(payload, args, lines)
     if args.svg:
-        word = bundle.family(sizes[-1])
-        analyses = analyze_pair(first, second, word, limits=limits)
         if not analyses:
             raise CliError("no analysis to draw at the largest size")
         _write_svg(
@@ -849,6 +846,20 @@ def build_parser() -> argparse.ArgumentParser:
             " configurations, furthest input position p of n'",
         )
 
+    def add_construction_flags(p):
+        p.add_argument("--blocks", help="blocks-v1 file or corpus name (joint)")
+        p.add_argument("--grammar", help="cfg-v1 file or corpus name (grammar)")
+        p.add_argument("--pair", help="corpus bundle or FILE1,FILE2 (products)")
+        p.add_argument("--k", type=_nonnegative_int, help="gap bound (displacement)")
+        p.add_argument("--d", type=_nonnegative_int, help="inner bound (buffered)")
+        p.add_argument(
+            "--max-len",
+            type=_nonnegative_int,
+            help="word length bound of a product fragment or of a check"
+            f" (default {DEFAULT_MAX_LEN})",
+        )
+        add_search_flags(p)
+
     p = sub.add_parser("simulate", help="run one machine on one word")
     add_machine_flags(p)
     p.add_argument("--word", help="input word (may be empty)")
@@ -884,36 +895,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_characterize)
 
     p = sub.add_parser("construct", help="emit a constructed machine as JSON")
-    p.add_argument(
-        "construct",
-        choices=["joint", "displacement", "buffered", "grammar"],
-        help="what to build",
-    )
-    p.add_argument("--blocks", help="blocks-v1 file or corpus name (joint)")
-    p.add_argument("--grammar", help="cfg-v1 file or corpus name (grammar)")
-    p.add_argument("--pair", help="corpus bundle or FILE1,FILE2 (products)")
-    p.add_argument("--k", type=int, help="gap bound (displacement)")
-    p.add_argument("--d", type=int, help="inner bound (buffered)")
-    p.add_argument(
-        "--max-len", type=_nonnegative_int, default=8, help="exploration depth for fragments"
-    )
+    p.add_argument("construct", choices=list(_KIND_FLAGS), help="what to build")
+    add_construction_flags(p)
     p.add_argument("--out", help="output file (default stdout)")
-    add_search_flags(p)
     p.set_defaults(handler=_cmd_construct)
 
     p = sub.add_parser("verify", help="differential check against an oracle")
-    p.add_argument(
-        "--construct",
-        required=True,
-        choices=["joint", "displacement", "buffered", "grammar"],
-    )
-    p.add_argument("--blocks")
-    p.add_argument("--grammar")
-    p.add_argument("--pair")
-    p.add_argument("--k", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--max-len", type=_nonnegative_int, default=8)
-    add_search_flags(p)
+    p.add_argument("--construct", required=True, choices=list(_KIND_FLAGS))
+    add_construction_flags(p)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("linkage", help="pump-sensitive linkage checks")

@@ -146,9 +146,6 @@ class AcceptingRun:
     steps: tuple[RunStep, ...]
     final: Configuration
 
-    def transition_sequence(self) -> tuple[Transition, ...]:
-        return tuple(s.transition for s in self.steps)
-
 
 @dataclass(frozen=True)
 class SearchLimits:

@@ -9,6 +9,7 @@ import pytest
 
 import islab
 from islab import corpus
+from islab.arcs import analyze_pair
 from islab.cli import main
 from islab.grammar import cfg_to_json
 from islab.pda import (
@@ -301,6 +302,8 @@ def test_zero_runs_cap_gives_no_run(capsys):
             ["verify", "--construct", "joint", "--blocks", "nested-blocks", "--max-len", "-1"],
             "--max-len",
         ),
+        (["construct", "displacement", "--pair", "gap-refutation", "--k", "-1"], "--k"),
+        (["verify", "--construct", "buffered", "--pair", "gap-refutation", "--d", "-1"], "--d"),
     ],
     ids=[
         "runs-runs-cap",
@@ -309,6 +312,8 @@ def test_zero_runs_cap_gives_no_run(capsys):
         "linkage-n",
         "construct-max-len",
         "verify-max-len",
+        "construct-k",
+        "verify-d",
     ],
 )
 def test_negative_count_flag_rejected(capsys, argv, flag):
@@ -536,6 +541,70 @@ class TestConstruct:
             "--max-len", "4",
         )
         assert first == second
+
+
+CONSTRUCTION_FLAGS = {
+    "joint": ["--blocks", "nested-blocks"],
+    "displacement": ["--pair", "gap-refutation", "--k", "1"],
+    "buffered": ["--pair", "gap-refutation", "--d", "1"],
+    "grammar": ["--grammar", "even-palindrome-grammar"],
+}
+FLAG_VALUES = {
+    "--blocks": "nested-blocks",
+    "--grammar": "even-palindrome-grammar",
+    "--pair": "gap-refutation",
+    "--k": "1",
+    "--d": "1",
+    "--max-len": "4",
+    "--max-expand": "100",
+}
+# what each construction does not read: `verify` reads --max-len and
+# --max-expand for every kind, `construct` only for the two products
+FOREIGN_FLAGS = {
+    ("construct", "joint"): ["--grammar", "--pair", "--k", "--d", "--max-len", "--max-expand"],
+    ("construct", "displacement"): ["--blocks", "--grammar", "--d"],
+    ("construct", "buffered"): ["--blocks", "--grammar", "--k"],
+    ("construct", "grammar"): ["--blocks", "--pair", "--k", "--d", "--max-len", "--max-expand"],
+    ("verify", "joint"): ["--grammar", "--pair", "--k", "--d"],
+    ("verify", "displacement"): ["--blocks", "--grammar", "--d"],
+    ("verify", "buffered"): ["--blocks", "--grammar", "--k"],
+    ("verify", "grammar"): ["--blocks", "--pair", "--k", "--d"],
+}
+
+
+def construction_argv(command, kind, flags):
+    head = ["construct", kind] if command == "construct" else ["verify", "--construct", kind]
+    return head + flags
+
+
+@pytest.mark.parametrize(
+    "command, kind, flag",
+    [(command, kind, flag) for (command, kind), flags in FOREIGN_FLAGS.items() for flag in flags],
+)
+def test_foreign_construction_flag_refused(capsys, command, kind, flag):
+    argv = construction_argv(command, kind, CONSTRUCTION_FLAGS[kind] + [flag, FLAG_VALUES[flag]])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.endswith(f" does not take {flag}\n")
+
+
+@pytest.mark.parametrize(
+    "command, kind, flag",
+    [
+        (command, kind, flag)
+        for command in ("construct", "verify")
+        for kind, flags in CONSTRUCTION_FLAGS.items()
+        for flag in flags[::2]
+    ],
+)
+def test_missing_construction_flag_refused(capsys, command, kind, flag):
+    flags = CONSTRUCTION_FLAGS[kind]
+    at = flags.index(flag)
+    code, out, err = run_cli(capsys, *construction_argv(command, kind, flags[:at] + flags[at + 2:]))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.endswith(f" needs {flag}\n")
 
 
 GRAMMAR_BUNDLES = [name for name in corpus.list_bundles() if corpus.get(name).grammar]
@@ -940,6 +1009,21 @@ class TestReport:
         )
         assert code == 0
         assert target.read_text().startswith("<svg")
+
+    def test_svg_reuses_the_last_analysis(self, capsys, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return analyze_pair(*args, **kwargs)
+
+        monkeypatch.setattr("islab.cli.analyze_pair", counted)
+        code, _, _ = run_cli(
+            capsys, "report", "--pair", "gap-refutation", "--sizes", "1,2,3",
+            "--svg", str(tmp_path / "fam.svg"),
+        )
+        assert code == 0
+        assert [len(word) for word in calls] == [6, 8, 10]
 
 
 class TestDeterminism:
