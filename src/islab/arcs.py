@@ -242,19 +242,20 @@ def analyze_pair(
     machine_1,
     machine_2,
     word: str,
-    all_runs: bool = False,
-    runs_cap: int = 20,
+    runs_cap: int = 1,
     limits: SearchLimits = DEFAULT_LIMITS,
 ) -> list[PairAnalysis]:
     """Overlay matchings of two machines on one word.
 
-    Default: the first run of each machine in deterministic order.  With
-    all_runs, every run combination up to runs_cap per machine is analyzed.
-    Words rejected by either machine give an empty list.
+    Every combination of the first runs_cap runs of each machine, in
+    deterministic order, is analyzed; by default the first run of each.
+    Words rejected by either machine give an empty list.  A runs_cap below
+    1 raises ValueError, since it would analyze nothing on any word.
     """
-    cap = runs_cap if all_runs else 1
-    runs_1 = enumerate_runs(machine_1, word, cap=cap, limits=limits)
-    runs_2 = enumerate_runs(machine_2, word, cap=cap, limits=limits)
+    if runs_cap < 1:
+        raise ValueError(f"runs_cap must be at least 1, got {runs_cap}")
+    runs_1 = enumerate_runs(machine_1, word, cap=runs_cap, limits=limits)
+    runs_2 = enumerate_runs(machine_2, word, cap=runs_cap, limits=limits)
     out = []
     for idx1, r1 in enumerate(runs_1):
         m1 = extract_matching(r1, word, owner=1)

@@ -112,19 +112,17 @@ def _read_json(path: str) -> dict:
 
 
 def _load_machine(args):
-    if getattr(args, "pda", None):
+    if args.pda is not None:
         return pda_from_json(_read_json(args.pda))
-    if getattr(args, "corpus", None):
-        bundle = _bundle(args.corpus)
-        if args.machine:
-            return bundle.machine(args.machine)
-        if len(bundle.machines) == 1:
-            return next(iter(bundle.machines.values()))
-        raise CliError(
-            f"bundle {bundle.name!r} has machines {sorted(bundle.machines)}; "
-            "pick one with --machine"
-        )
-    raise CliError("select a machine with --pda FILE or --corpus NAME")
+    bundle = _bundle(args.corpus)
+    if args.machine:
+        return bundle.machine(args.machine)
+    if len(bundle.machines) == 1:
+        return next(iter(bundle.machines.values()))
+    raise CliError(
+        f"bundle {bundle.name!r} has machines {sorted(bundle.machines)}; "
+        "pick one with --machine"
+    )
 
 
 def _bundle(name: str):
@@ -137,8 +135,6 @@ def _bundle(name: str):
 def _load_pair(args):
     """The two machines of --pair; both must be in normal form, which the
     products and the arc geometry of every pair command assume."""
-    if not getattr(args, "pair", None):
-        raise CliError("select a machine pair with --pair NAME (corpus bundle)")
     if "," in args.pair:
         paths = args.pair.split(",", 1)
         machines = [pda_from_json(_read_json(path)) for path in paths]
@@ -174,16 +170,6 @@ def _load_document(value: str, kind: str):
     if document is None:
         raise CliError(f"bundle {bundle.name!r} carries no {noun}")
     return document
-
-
-def _family_word(args, bundle) -> str:
-    if args.word is not None:
-        return args.word
-    if args.n is None:
-        raise CliError("provide --word or --n")
-    if bundle is None or bundle.family is None:
-        raise CliError("--n needs a corpus bundle with a word family")
-    return bundle.family(args.n)
 
 
 def _limits(args) -> SearchLimits:
@@ -300,16 +286,13 @@ def _crossing_rows(analysis) -> list:
 
 def _cmd_crossings(args) -> int:
     first, second, bundle = _load_pair(args)
-    word = _family_word(args, bundle)
+    word = args.word
+    if word is None:
+        if bundle is None or bundle.family is None:
+            raise CliError("--n needs a corpus bundle with a word family")
+        word = bundle.family(args.n)
     limits = _limits(args)
-    analyses = analyze_pair(
-        first,
-        second,
-        word,
-        all_runs=args.all_runs,
-        runs_cap=args.runs_cap,
-        limits=limits,
-    )
+    analyses = analyze_pair(first, second, word, runs_cap=args.runs_cap, limits=limits)
     rejected = []
     if not analyses:
         for tag, machine in ((1, first), (2, second)):
@@ -451,33 +434,60 @@ def _cmd_characterize(args) -> int:
     return 0
 
 
-# The construction flags each kind reads, by argparse dest.  `verify` also
-# reads the search flags for every kind, `construct` only for the products,
-# whose fragments it explores; any other construction flag is refused.
-_KIND_FLAGS = {
-    "joint": ("blocks",),
-    "displacement": ("pair", "k"),
-    "buffered": ("pair", "d"),
-    "grammar": ("grammar",),
-}
+_KINDS = ("joint", "displacement", "buffered", "grammar")
 _PRODUCTS = ("displacement", "buffered")
-_SEARCH_FLAGS = ("max_len", "max_expand")
-_CONSTRUCTION_FLAGS = ("blocks", "grammar", "pair", "k", "d") + _SEARCH_FLAGS
+_SEARCH = ("max_len", "max_expand")
+
+# (subcommand, mode): the flags the mode needs, then the others it reads, by
+# argparse dest.  A mode is the construction kind, else the first entry whose
+# flags in its name are all given.  A flag that only other modes of the
+# subcommand list is refused; one that no mode lists is read by every mode.
+_MODES = {
+    ("construct", "joint"): (("blocks",), ()),
+    ("construct", "displacement"): (("pair", "k"), _SEARCH),
+    ("construct", "buffered"): (("pair", "d"), _SEARCH),
+    ("construct", "grammar"): (("grammar",), ()),
+    ("verify", "--construct joint"): (("blocks",), ()),
+    ("verify", "--construct displacement"): (("pair", "k"), ()),
+    ("verify", "--construct buffered"): (("pair", "d"), ()),
+    ("verify", "--construct grammar"): (("grammar",), ()),
+    ("simulate", "--pda"): (("pda",), ()),
+    ("simulate", "--corpus"): (("corpus",), ("machine",)),
+    ("runs", "--pda"): (("pda",), ()),
+    ("runs", "--corpus"): (("corpus",), ("machine",)),
+    ("crossings", "--word"): (("word",), ()),
+    ("crossings", "--n"): (("n",), ()),
+    ("linkage", "--word --hypotheses"): (("word", "cuts", "hypotheses"), ("n",)),
+    ("linkage", "--word"): (("word", "cuts"), ("segments",)),
+    ("linkage", "--n --hypotheses"): (("n", "hypotheses"), ("witness",)),
+    ("linkage", "--n"): (("n",), ("witness", "segments")),
+}
 
 
-def _check_construction_flags(args) -> None:
-    kind = args.construct
-    name = f"construct {kind}" if args.command == "construct" else f"verify --construct {kind}"
-    required = _KIND_FLAGS[kind]
-    reads = required
-    if args.command == "verify" or kind in _PRODUCTS:
-        reads += _SEARCH_FLAGS
-    for dest in _CONSTRUCTION_FLAGS:
+def _check_flags(args) -> None:
+    """Refuse a flag that the mode of args needs and lacks, or has and does not read."""
+    modes = [mode for command, mode in _MODES if command == args.command]
+    if not modes:
+        return
+    if args.command == "construct":
+        mode = args.construct
+    elif args.command == "verify":
+        mode = f"--construct {args.construct}"
+    else:
+        selected = [m for m in modes if all(getattr(args, f[2:]) is not None for f in m.split())]
+        if not selected:
+            choices = dict.fromkeys(m.split()[0] for m in modes)
+            raise CliError(f"{args.command} needs {' or '.join(choices)}")
+        mode = selected[0]
+    name = f"{args.command} {mode}"
+    needs, reads = _MODES[args.command, mode]
+    listed = dict.fromkeys(d for m in modes for part in _MODES[args.command, m] for d in part)
+    for dest in listed:
         flag = "--" + dest.replace("_", "-")
         given = getattr(args, dest) is not None
-        if dest in required and not given:
+        if dest in needs and not given:
             raise CliError(f"{name} needs {flag}")
-        if dest not in reads and given:
+        if dest not in needs + reads and given:
             raise CliError(f"{name} does not take {flag}")
 
 
@@ -502,7 +512,6 @@ def _construction(args) -> tuple:
     """(machine, oracle, label) of `args.construct`: the joint machine, the
     grammar pipeline's machine or the product; its oracle, which maps a length
     bound to the language the machine must have up to it; and the check's label."""
-    _check_construction_flags(args)
     kind = args.construct
     if kind == "joint":
         spec = _load_document(args.blocks, "joint")
@@ -629,8 +638,6 @@ def _linkage_lines(report) -> list:
 
 
 def _cmd_linkage(args) -> int:
-    if not args.blocks:
-        raise CliError("linkage needs --blocks as the membership oracle")
     if args.hypotheses and args.n == 0:
         raise CliError("--hypotheses needs a positive size threshold --n, got 0")
     oracle_spec = _load_document(args.blocks, "joint")
@@ -641,13 +648,9 @@ def _cmd_linkage(args) -> int:
         oracle = oracle_spec.side(int(args.side)).contains
         oracle_name = f"side {args.side}"
     if args.word is not None:
-        if not args.cuts:
-            raise CliError("--word needs --cuts i,i',j")
         word = args.word
         decomposition = _parse_cuts(args.cuts, word)
     else:
-        if args.n is None:
-            raise CliError("provide --word with --cuts, or --n")
         source_spec = _load_document(args.witness, "joint") if args.witness else oracle_spec
         verdict = characterize(source_spec)
         if verdict.violation is None or verdict.violation.kind != CROSSING:
@@ -835,8 +838,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_json(p):
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
-    def add_search_flags(p):
-        add_json(p)
+    def add_search_flags(p, with_json=True):
+        if with_json:
+            add_json(p)
         p.add_argument(
             "--max-expand",
             type=_nonnegative_int,
@@ -858,7 +862,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="word length bound of a product fragment or of a check"
             f" (default {DEFAULT_MAX_LEN})",
         )
-        add_search_flags(p)
+        add_search_flags(p, with_json=False)
 
     p = sub.add_parser("simulate", help="run one machine on one word")
     add_machine_flags(p)
@@ -874,17 +878,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_runs)
 
     p = sub.add_parser("crossings", help="cross-machine crossing analysis")
-    p.add_argument("--pair", help="corpus bundle name, or FILE1,FILE2")
+    p.add_argument("--pair", required=True, help="corpus bundle name, or FILE1,FILE2")
     p.add_argument("--word")
     p.add_argument("--n", type=_nonnegative_int, help="family size (uses the bundle's words)")
-    p.add_argument("--all-runs", action="store_true")
-    p.add_argument("--runs-cap", type=_nonnegative_int, default=20)
+    p.add_argument(
+        "--runs-cap", type=_nonnegative_int, default=1, help="runs per machine (default 1)"
+    )
     p.add_argument("--svg", help="write an arc diagram here")
     add_search_flags(p)
     p.set_defaults(handler=_cmd_crossings)
 
     p = sub.add_parser("classify", help="growth regime across family sizes")
-    p.add_argument("--pair", help="corpus bundle name")
+    p.add_argument("--pair", required=True, help="corpus bundle name")
     p.add_argument("--sizes", default="1,2,3,4,5", help="comma-separated sizes")
     add_search_flags(p)
     p.set_defaults(handler=_cmd_classify)
@@ -895,20 +900,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_characterize)
 
     p = sub.add_parser("construct", help="emit a constructed machine as JSON")
-    p.add_argument("construct", choices=list(_KIND_FLAGS), help="what to build")
+    p.add_argument("construct", choices=_KINDS, help="what to build")
     add_construction_flags(p)
     p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(handler=_cmd_construct)
 
     p = sub.add_parser("verify", help="differential check against an oracle")
-    p.add_argument("--construct", required=True, choices=list(_KIND_FLAGS))
+    p.add_argument("--construct", required=True, choices=_KINDS)
     add_construction_flags(p)
+    add_json(p)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("linkage", help="pump-sensitive linkage checks")
-    p.add_argument(
-        "--blocks", required=True, help="oracle spec: blocks-v1 file or corpus name"
-    )
+    p.add_argument("--blocks", required=True, help="oracle spec: blocks-v1 file or corpus name")
     p.add_argument(
         "--side",
         choices=["1", "2", "both"],
@@ -920,18 +924,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--n",
         type=_nonnegative_int,
-        help="witness size (derives word and cuts); with --hypotheses also the"
-        " size threshold, which must be positive (default 1)",
+        help="witness size (derives word and cuts); with --hypotheses the size"
+        " threshold, which must be positive (default 1)",
     )
-    p.add_argument(
-        "--witness",
-        help="spec whose crossing supplies word and cuts (default: --blocks)",
-    )
+    p.add_argument("--witness", help="spec whose crossing supplies word and cuts (default --blocks)")
     p.add_argument(
         "--segments",
         choices=["1,3", "2,4", "both"],
-        default="both",
-        help="which segment pair(s) to check",
+        help="which segment pair(s) to check (default both; not with --hypotheses)",
     )
     p.add_argument(
         "--hypotheses",
@@ -961,6 +961,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         code = args.handler(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
@@ -968,13 +969,10 @@ def main(argv=None) -> int:
         # the reader stopped early, as `| head` does: drop the rest quietly
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except LimitExceeded as exc:
         print(f"error: search limit exceeded: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError) as exc:
+    except (CliError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

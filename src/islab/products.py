@@ -161,16 +161,6 @@ class _ProductBase:
         buffer entries in epsilon micro-steps, so they give no bound."""
         return None
 
-    def state_bound(self) -> int:
-        return state_bound(
-            self.kind,
-            len(self.first.states),
-            len(self.second.states),
-            len(self._symbols[1]),
-            len(self._symbols[2]),
-            self.parameter,
-        )
-
     def transitions_from(self, state) -> tuple:
         out = self._table.get(state)
         if out is None:

@@ -259,9 +259,11 @@ class TestAnalyzePair:
             bottom="$",
             accept={"r"},
         )
-        assert len(analyze_pair(machine, machine, "ab", all_runs=True)) == 4
+        assert len(analyze_pair(machine, machine, "ab", runs_cap=20)) == 4
         assert len(analyze_pair(machine, machine, "ab")) == 1
-        assert len(analyze_pair(machine, machine, "ab", all_runs=True, runs_cap=1)) == 1
+        assert len(analyze_pair(machine, machine, "ab", runs_cap=1)) == 1
+        with pytest.raises(ValueError, match="runs_cap must be at least 1"):
+            analyze_pair(machine, machine, "ab", runs_cap=0)
 
 
 def family_samples(bundle_name, machine_a, machine_b, sizes):

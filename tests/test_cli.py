@@ -214,6 +214,25 @@ class TestCrossings:
         )
         assert code == 2
 
+    def test_runs_cap_pairs_every_run(self, capsys, tmp_path):
+        path = write_machine(tmp_path, two_path_machine())
+        argv = ["crossings", "--pair", f"{path},{path}", "--word", "ab", "--json"]
+        code, payload, _ = run_json(capsys, *argv, "--runs-cap", "2")
+        assert code == 0
+        pairs = [(a["run_1"], a["run_2"]) for a in payload["analyses"]]
+        assert pairs == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        code, payload, _ = run_json(capsys, *argv)
+        assert [(a["run_1"], a["run_2"]) for a in payload["analyses"]] == [(0, 0)]
+
+    def test_zero_runs_cap_refused(self, capsys):
+        # it would analyze no run pair, and report none while both machines accept
+        code, out, err = run_cli(
+            capsys, "crossings", "--pair", "gap-refutation", "--n", "2", "--runs-cap", "0"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: runs_cap must be at least 1, got 0\n"
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -605,6 +624,55 @@ def test_missing_construction_flag_refused(capsys, command, kind, flag):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.endswith(f" needs {flag}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (
+            ["linkage", "--blocks", "all-equal", "--witness", "abcd", "--n", "2"]
+            + ["--hypotheses", "four-large", "--segments", "1,3"],
+            "--segments",
+        ),
+        (["crossings", "--pair", "gap-refutation", "--word", "abaddeef", "--n", "7"], "--n"),
+        (["linkage", "--blocks", "all-equal", "--word", "aabbccdd", "--cuts", "2,4,6", "--n", "5"], "--n"),
+        (
+            ["linkage", "--blocks", "all-equal", "--word", "aabbccdd", "--cuts", "2,4,6"]
+            + ["--witness", "abcd"],
+            "--witness",
+        ),
+        (["linkage", "--blocks", "all-equal", "--n", "2", "--witness", "abcd", "--cuts", "1,2,3"], "--cuts"),
+        (["simulate", "--pda", "{path}", "--word", "ab", "--machine", "nope"], "--machine"),
+        (["simulate", "--pda", "{path}", "--word", "ab", "--corpus", "counter"], "--corpus"),
+        (["runs", "--pda", "{path}", "--word", "ab", "--machine", "nope"], "--machine"),
+        (["runs", "--pda", "{path}", "--word", "ab", "--corpus", "counter"], "--corpus"),
+        (["construct", "joint", "--blocks", "nested-blocks", "--json"], "--json"),
+    ],
+    ids=[
+        "linkage-hypotheses-segments",
+        "crossings-word-n",
+        "linkage-word-n",
+        "linkage-word-witness",
+        "linkage-n-cuts",
+        "simulate-pda-machine",
+        "simulate-pda-corpus",
+        "runs-pda-machine",
+        "runs-pda-corpus",
+        "construct-json",
+    ],
+)
+def test_flag_the_mode_does_not_read_refused(capsys, tmp_path, argv, flag):
+    """Each of these flags used to be accepted and then ignored."""
+    path = write_machine(tmp_path, two_path_machine())
+    argv = [arg.replace("{path}", path) for arg in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses a flag the subcommand lacks
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.endswith(f" {flag}\n")
 
 
 GRAMMAR_BUNDLES = [name for name in corpus.list_bundles() if corpus.get(name).grammar]

@@ -339,19 +339,6 @@ class TestStateBound:
         # just inside the guard still evaluates exactly
         assert state_bound(DISPLACEMENT, 1, 1, 0, 0, 5000) == 1
 
-    def test_product_methods_agree_with_free_function(self):
-        odd, even = palindrome_pair()
-        g1 = len(odd.stack_alphabet - {odd.bottom})
-        g2 = len(even.stack_alphabet - {even.bottom})
-        dp = DisplacementProduct(odd, even, 2)
-        assert dp.state_bound() == state_bound(
-            DISPLACEMENT, len(odd.states), len(even.states), g1, g2, 2
-        )
-        bp = BufferedProduct(odd, even, 1)
-        assert bp.state_bound() == state_bound(
-            BUFFERED, len(odd.states), len(even.states), g1, g2, 1
-        )
-
     def test_negative_parameter_rejected_by_constructors(self):
         odd, even = palindrome_pair()
         with pytest.raises(ValueError):
@@ -360,16 +347,29 @@ class TestStateBound:
             BufferedProduct(odd, even, -1)
 
 
+def product_bound(product) -> int:
+    """`state_bound` for a product's kind, components and parameter."""
+    first, second = product.first, product.second
+    return state_bound(
+        product.kind,
+        len(first.states),
+        len(second.states),
+        len(first.stack_alphabet - {first.bottom}),
+        len(second.stack_alphabet - {second.bottom}),
+        product.parameter,
+    )
+
+
 class TestReachableStates:
     def test_displacement_reachable_within_bound(self):
         product = DisplacementProduct(*palindrome_pair(), k=1)
         reached = reachable_composite_states(product, 6)
-        assert 0 < len(reached) <= product.state_bound()
+        assert 0 < len(reached) <= product_bound(product)
 
     def test_buffered_reachable_within_bound(self):
         product = BufferedProduct(*refutation_pair(), d=1)
         reached = reachable_composite_states(product, 8)
-        assert 0 < len(reached) <= product.state_bound()
+        assert 0 < len(reached) <= product_bound(product)
         # sync-only projections: buffer entries, no queue leakage
         for q1, q2, buffer in reached:
             assert len(buffer) <= 8
