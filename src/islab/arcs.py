@@ -6,6 +6,10 @@ the pop that removes it, giving an arc (push position, pop position) over
 read that triggered them.  Matchings from a single run are well nested; the
 interesting structure appears when two machines' matchings on the same word
 are overlaid and arcs from different machines cross.
+
+The geometry is decided here alone: whether two arcs cross (`crosses`, also
+for block constraints), well-nestedness (`is_well_nested`), and the split
+w = P1 P2 P3 P4 a crossing induces (`SegmentDecomposition`).
 """
 
 from __future__ import annotations
@@ -95,29 +99,23 @@ def extract_matching(run: AcceptingRun, word: str, owner: int = 1) -> Matching:
     return Matching(word, owner, tuple(arcs))
 
 
-def _crossing(first: Arc, second: Arc) -> bool:
-    return first.push_pos < second.push_pos < first.pop_pos < second.pop_pos
+def crosses(i: int, j: int, i_prime: int, j_prime: int) -> bool:
+    """Whether arc (i, j) crosses arc (i', j') from the left: i < i' < j < j'.
+    Arcs that share an endpoint do not cross."""
+    return i < i_prime < j < j_prime
 
 
 def is_well_nested(arcs) -> tuple[bool, tuple[Arc, Arc] | None]:
-    """Pairwise crossing check; on failure also return the lexicographically
-    smallest crossing pair (ordered by earlier push position)."""
+    """Pairwise crossing check; on failure also return the crossing pair with
+    the smallest key (i, j, i', j'), which is the first one met in push
+    order."""
     items = sorted(arcs, key=lambda a: (a.push_pos, a.pop_pos, a.owner, a.push_ordinal))
-    worst = None
     for idx, a in enumerate(items):
         for b in items[idx + 1 :]:
-            pair = None
-            if _crossing(a, b):
-                pair = (a, b)
-            elif _crossing(b, a):
-                pair = (b, a)
-            if pair is not None:
-                key = (pair[0].push_pos, pair[0].pop_pos, pair[1].push_pos, pair[1].pop_pos)
-                if worst is None or key < worst[0]:
-                    worst = (key, pair)
-    if worst is None:
-        return True, None
-    return False, worst[1]
+            # b pushes no earlier than a, so only a can cross b from the left
+            if crosses(a.push_pos, a.pop_pos, b.push_pos, b.pop_pos):
+                return False, (a, b)
+    return True, None
 
 
 def union_well_nested(first, second) -> tuple[bool, tuple[Arc, Arc] | None]:
@@ -160,32 +158,38 @@ class CrossingPair:
 @dataclass(frozen=True)
 class SegmentDecomposition:
     """The four-way split a crossing pair induces on its word:
-    P1 = w[1..i], P2 = w[i+1..i'], P3 = w[i'+1..j], P4 = w[j+1..|w|]."""
+    P1 = w[1..i], P2 = w[i+1..i'], P3 = w[i'+1..j], P4 = w[j+1..|w|].
+
+    Cuts outside 0 <= i <= i' <= j <= word_len raise ValueError."""
 
     word_len: int
     i: int
     i_prime: int
     j: int
 
+    def __post_init__(self):
+        if not 0 <= self.i <= self.i_prime <= self.j <= self.word_len:
+            raise ValueError(f"cuts {self.cuts()} out of order for word length {self.word_len}")
+
+    def intervals(self, word: str | None = None) -> tuple:
+        """0-based (start, end) offsets of P1..P4, each segment being
+        word[start:end].  Given a word, first refuse it unless the split
+        was made for its length."""
+        if word is not None and len(word) != self.word_len:
+            n = self.word_len
+            raise ValueError(f"cuts made for a different word length: {n}, not {len(word)}")
+        i, i_prime, j = self.cuts()
+        return ((0, i), (i, i_prime), (i_prime, j), (j, self.word_len))
+
     def lengths(self) -> tuple[int, int, int, int]:
-        return (
-            self.i,
-            self.i_prime - self.i,
-            self.j - self.i_prime,
-            self.word_len - self.j,
-        )
+        return tuple(end - start for start, end in self.intervals())
 
     def cuts(self) -> tuple[int, int, int]:
         """0-based cut offsets: segment m is word[cuts[m-1]:cuts[m]]."""
         return (self.i, self.i_prime, self.j)
 
     def parts(self, word: str) -> tuple[str, str, str, str]:
-        return (
-            word[: self.i],
-            word[self.i : self.i_prime],
-            word[self.i_prime : self.j],
-            word[self.j :],
-        )
+        return tuple(word[start:end] for start, end in self.intervals(word))
 
 
 @dataclass(frozen=True)
@@ -213,14 +217,20 @@ def crossing_pairs(m1: Matching, m2: Matching) -> list[CrossingAnalysis]:
         raise SourceMismatch(f"matchings over different words: {m1.word!r} vs {m2.word!r}")
     if m1.owner == m2.owner:
         raise PreconditionViolated("crossing pairs need matchings from two distinct machines")
+    n = len(m1.word)
     out = []
     for a in m1.arcs:
+        i, j = a.push_pos, a.pop_pos
         for b in m2.arcs:
-            for first, second in ((a, b), (b, a)):
-                if _crossing(first, second):
-                    pair = CrossingPair(first, second)
-                    deco = SegmentDecomposition(len(m1.word), pair.i, pair.i_prime, pair.j)
-                    out.append(CrossingAnalysis(pair, deco, measures_of(pair)))
+            i_prime, j_prime = b.push_pos, b.pop_pos
+            if crosses(i, j, i_prime, j_prime):
+                pair = CrossingPair(a, b)
+            elif crosses(i_prime, j_prime, i, j):
+                pair = CrossingPair(b, a)
+            else:
+                continue
+            deco = SegmentDecomposition(n, pair.i, pair.i_prime, pair.j)
+            out.append(CrossingAnalysis(pair, deco, measures_of(pair)))
     out.sort(
         key=lambda c: (c.pair.i, c.pair.i_prime, c.pair.j, c.pair.j_prime)
     )
@@ -254,8 +264,16 @@ def analyze_pair(
     """
     if runs_cap < 1:
         raise ValueError(f"runs_cap must be at least 1, got {runs_cap}")
-    runs_1 = enumerate_runs(machine_1, word, cap=runs_cap, limits=limits)
-    runs_2 = enumerate_runs(machine_2, word, cap=runs_cap, limits=limits)
+    return analyze_runs(
+        word,
+        enumerate_runs(machine_1, word, cap=runs_cap, limits=limits),
+        enumerate_runs(machine_2, word, cap=runs_cap, limits=limits),
+    )
+
+
+def analyze_runs(word: str, runs_1: list, runs_2: list) -> list[PairAnalysis]:
+    """Crossing analyses for every (run of machine 1, run of machine 2)
+    combination on `word`, in list order; empty when either list is."""
     out = []
     for idx1, r1 in enumerate(runs_1):
         m1 = extract_matching(r1, word, owner=1)

@@ -12,8 +12,9 @@ positive case and a family of pumping witnesses in the negative one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
-from .arcs import SegmentDecomposition
+from .arcs import Arc, SegmentDecomposition, crosses, is_well_nested
 from .pda import FINAL_STATE_BOTTOM_ONLY, JsonFields, Pda, StackAction, Transition
 
 BLOCKS_FORMAT = "blocks-v1"
@@ -25,12 +26,6 @@ SHARED_ENDPOINT = "shared-endpoint"
 class NoCrossing(ValueError):
     """Raised when an operation needs a crossing violation but was handed
     a shared-endpoint one (or none at all)."""
-
-
-def _arcs_cross(first: tuple, second: tuple) -> bool:
-    l1, r1 = first
-    l2, r2 = second
-    return l1 < l2 < r1 < r2 or l2 < l1 < r2 < r1
 
 
 def _balanced(counts: list, constraints: tuple) -> bool:
@@ -80,10 +75,9 @@ class BlockSpec:
                 if e in endpoints:
                     raise ValueError(f"block {e} appears in two constraints")
                 endpoints.add(e)
-        for a in self.constraints:
-            for b in self.constraints:
-                if a < b and _arcs_cross(a, b):
-                    raise ValueError(f"constraints {a} and {b} cross")
+        ok, bad = is_well_nested(Arc(l, r) for l, r in self.constraints)
+        if not ok:
+            raise ValueError(f"constraints {bad[0].positions()} and {bad[1].positions()} cross")
 
     @property
     def k(self) -> int:
@@ -182,7 +176,7 @@ def is_jointly_well_nested(j: JointSpec):
                 continue
             if set(e1) & set(e2):
                 return False, Violation(SHARED_ENDPOINT, e1, e2)
-            if _arcs_cross(e1, e2):
+            if crosses(*e1, *e2) or crosses(*e2, *e1):
                 return False, Violation(CROSSING, e1, e2)
     return True, None
 
@@ -275,17 +269,23 @@ def witness_blocks(j: JointSpec, violation: Violation) -> frozenset:
     return frozenset(reached)
 
 
-def witness_string(j: JointSpec, violation: Violation, n: int) -> str:
-    """Member of the intersection with every violation-connected block of
-    length n and all remaining blocks empty."""
+def _witness_lengths(j: JointSpec, violation: Violation, n: int) -> list:
+    """Per-block lengths of the witness: n for every violation-connected
+    block, 0 for the rest."""
     if n < 0:
         raise ValueError("witness size must be nonnegative")
     large = witness_blocks(j, violation)
-    parts = []
-    for idx in range(1, j.k + 1):
-        ch = min(j.alphabets[idx - 1])
-        parts.append(ch * (n if idx in large else 0))
-    return "".join(parts)
+    return [n if idx in large else 0 for idx in range(1, j.k + 1)]
+
+
+def _spell(j: JointSpec, lengths: list) -> str:
+    return "".join(min(alpha) * length for alpha, length in zip(j.alphabets, lengths))
+
+
+def witness_string(j: JointSpec, violation: Violation, n: int) -> str:
+    """Member of the intersection with every violation-connected block of
+    length n and all remaining blocks empty."""
+    return _spell(j, _witness_lengths(j, violation, n))
 
 
 def witness_decomposition(j: JointSpec, violation: Violation, n: int):
@@ -298,18 +298,12 @@ def witness_decomposition(j: JointSpec, violation: Violation, n: int):
     if violation.kind != CROSSING:
         raise NoCrossing("segment decomposition is defined for crossings only")
     first, second = violation.first, violation.second
-    if not first[0] < second[0] < first[1] < second[1]:
+    if not crosses(*first, *second):
         first, second = second, first
-    l1, r1 = first
-    l2, _ = second
-    word = witness_string(j, violation, n)
-    large = witness_blocks(j, violation)
-    ends = [0]
-    for idx in range(1, j.k + 1):
-        ends.append(ends[-1] + (n if idx in large else 0))
-    return word, SegmentDecomposition(
-        word_len=len(word), i=ends[l1], i_prime=ends[l2], j=ends[r1]
-    )
+    (l1, r1), (l2, _) = first, second
+    lengths = _witness_lengths(j, violation, n)
+    ends = list(accumulate(lengths, initial=0))
+    return _spell(j, lengths), SegmentDecomposition(ends[-1], ends[l1], ends[l2], ends[r1])
 
 
 @dataclass(frozen=True)

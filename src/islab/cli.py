@@ -26,6 +26,7 @@ from .arcs import (
     InconclusiveRegime,
     SegmentDecomposition,
     analyze_pair,
+    analyze_runs,
     classify_family,
 )
 from .blocks import (
@@ -114,22 +115,17 @@ def _read_json(path: str) -> dict:
 def _load_machine(args):
     if args.pda is not None:
         return pda_from_json(_read_json(args.pda))
-    bundle = _bundle(args.corpus)
+    bundle = corpus.get(args.corpus)
     if args.machine:
         return bundle.machine(args.machine)
     if len(bundle.machines) == 1:
         return next(iter(bundle.machines.values()))
+    if not bundle.machines:
+        raise CliError(f"bundle {bundle.name!r} has no machine")
     raise CliError(
         f"bundle {bundle.name!r} has machines {sorted(bundle.machines)}; "
         "pick one with --machine"
     )
-
-
-def _bundle(name: str):
-    try:
-        return corpus.get(name)
-    except KeyError as exc:
-        raise CliError(str(exc.args[0]))
 
 
 def _load_pair(args):
@@ -145,11 +141,8 @@ def _load_pair(args):
                     f"{path} is not in normal form: " + "; ".join(diagnostics)
                 )
         return machines[0], machines[1], None
-    bundle = _bundle(args.pair)
-    try:
-        first, second = bundle.pair()
-    except ValueError as exc:
-        raise CliError(str(exc))
+    bundle = corpus.get(args.pair)
+    first, second = bundle.pair()
     return first, second, bundle
 
 
@@ -165,7 +158,7 @@ def _load_document(value: str, kind: str):
     from_json, noun = _DOCUMENTS[kind]
     if value.endswith(".json") or os.path.exists(value):
         return from_json(_read_json(value))
-    bundle = _bundle(value)
+    bundle = corpus.get(value)
     document = getattr(bundle, kind)
     if document is None:
         raise CliError(f"bundle {bundle.name!r} carries no {noun}")
@@ -291,14 +284,16 @@ def _cmd_crossings(args) -> int:
         if bundle is None or bundle.family is None:
             raise CliError("--n needs a corpus bundle with a word family")
         word = bundle.family(args.n)
+    if args.runs_cap < 1:
+        # analyze_pair's refusal, made before any search
+        raise CliError(f"runs_cap must be at least 1, got {args.runs_cap}")
     limits = _limits(args)
-    analyses = analyze_pair(first, second, word, runs_cap=args.runs_cap, limits=limits)
-    rejected = []
-    if not analyses:
-        for tag, machine in ((1, first), (2, second)):
-            ok, _ = accepts(machine, word, limits)
-            if not ok:
-                rejected.append(tag)
+    runs = [
+        enumerate_runs(machine, word, cap=args.runs_cap, limits=limits)
+        for machine in (first, second)
+    ]
+    rejected = [tag for tag, found in enumerate(runs, start=1) if not found]
+    analyses = analyze_runs(word, *runs)
     payload = {
         "command": "crossings",
         "word": word,
@@ -593,8 +588,6 @@ def _parse_cuts(raw: str, word: str) -> SegmentDecomposition:
         i, i_prime, j = (int(part) for part in raw.split(","))
     except ValueError:
         raise CliError(f"--cuts must be three comma-separated integers, got {raw!r}")
-    if not 0 <= i <= i_prime <= j <= len(word):
-        raise CliError(f"cuts {raw!r} out of order for a word of length {len(word)}")
     return SegmentDecomposition(word_len=len(word), i=i, i_prime=i_prime, j=j)
 
 
@@ -715,7 +708,7 @@ def _cmd_linkage(args) -> int:
 
 def _cmd_corpus(args) -> int:
     if args.name:
-        bundle = _bundle(args.name)
+        bundle = corpus.get(args.name)
         payload = {
             "command": "corpus",
             "name": bundle.name,
@@ -973,7 +966,8 @@ def main(argv=None) -> int:
         print(f"error: search limit exceeded: {exc}", file=sys.stderr)
         return 2
     except (CliError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # the message itself: str() of a KeyError quotes it
+        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 2
 
 

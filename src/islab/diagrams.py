@@ -54,11 +54,8 @@ def render_arcs(
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
     if decomposition is not None:
-        if decomposition.word_len != len(word):
-            raise ValueError("decomposition was made for a different word length")
-        i, i_prime, j = decomposition.cuts()
-        for seg, (lo, hi) in ((2, (i, i_prime)), (3, (i_prime, j))):
-            if hi > lo:
+        for seg, (lo, hi) in enumerate(decomposition.intervals(word), start=1):
+            if seg in _SHADE and hi > lo:
                 x0 = _MARGIN + lo * _STEP
                 out.append(
                     f'<rect x="{x0}" y="14" width="{(hi - lo) * _STEP}" '

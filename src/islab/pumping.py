@@ -76,11 +76,6 @@ class HypothesesReport:
     note: str
 
 
-def _segment_intervals(cuts: SegmentDecomposition) -> tuple:
-    i, i_prime, j = cuts.cuts()
-    return ((0, i), (i, i_prime), (i_prime, j), (j, cuts.word_len))
-
-
 def _meets(window: tuple, interval: tuple) -> bool:
     return max(window[0], interval[0]) < min(window[1], interval[1])
 
@@ -101,9 +96,7 @@ def check_linkage(
     """
     if pair not in (OUTER_PAIR, INNER_PAIR):
         raise ValueError(f"pair must be {OUTER_PAIR} or {INNER_PAIR}")
-    if cuts.word_len != len(word):
-        raise ValueError("cut positions were made for a different word length")
-    intervals = _segment_intervals(cuts)
+    intervals = cuts.intervals(word)
     member_a = intervals[pair[0] - 1]
     member_b = intervals[pair[1] - 1]
     if member_a[0] == member_a[1] or member_b[0] == member_b[1]:
@@ -155,9 +148,7 @@ def case_trace(
     invokes: the outer pair when exactly one of segments one and three is
     met, else the inner pair when exactly one of two and four is, else
     none."""
-    if cuts.word_len != len(word):
-        raise ValueError("cut positions were made for a different word length")
-    intervals = _segment_intervals(cuts)
+    intervals = cuts.intervals(word)
     window = factorization.window()
     touched = tuple(
         idx for idx, iv in enumerate(intervals, start=1) if _meets(window, iv)

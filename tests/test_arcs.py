@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from islab import corpus
 from islab.arcs import (
@@ -13,6 +15,7 @@ from islab.arcs import (
     InconclusiveRegime,
     Matching,
     PreconditionViolated,
+    SegmentDecomposition,
     SourceMismatch,
     analyze_pair,
     classify_family,
@@ -22,6 +25,7 @@ from islab.arcs import (
     measures_of,
     union_well_nested,
 )
+from islab.diagrams import render_arcs
 from islab.pda import (
     FINAL_STATE,
     AcceptingRun,
@@ -33,6 +37,7 @@ from islab.pda import (
     accepts,
     enumerate_runs,
 )
+from islab.pumping import Factorization, case_trace, check_linkage
 
 
 def first_matching(machine, word, owner=1):
@@ -116,6 +121,74 @@ class TestWellNested:
         ok, bad = is_well_nested(arcs)
         assert not ok
         assert (bad[0].positions(), bad[1].positions()) == ((1, 3), (2, 4))
+
+
+@st.composite
+def arc_sets(draw):
+    """Up to eight arcs over positions 1..8, owners and push ordinals mixed,
+    duplicates and same-position loops allowed."""
+    arcs = []
+    for _ in range(draw(st.integers(0, 8))):
+        push = draw(st.integers(1, 8))
+        arcs.append(
+            Arc(push, draw(st.integers(push, 8)), draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+        )
+    return arcs
+
+
+@settings(max_examples=300, deadline=None)
+@given(arc_sets())
+def test_first_crossing_has_smallest_key(arcs):
+    # brute force over every ordered pair: (i, j, i', j') with i < i' < j < j'
+    smallest = min(
+        (
+            (a.push_pos, a.pop_pos, b.push_pos, b.pop_pos)
+            for a in arcs
+            for b in arcs
+            if a.push_pos < b.push_pos < a.pop_pos < b.pop_pos
+        ),
+        default=None,
+    )
+    ok, bad = is_well_nested(arcs)
+    assert ok == (smallest is None)
+    if bad is not None:
+        assert bad[0].positions() + bad[1].positions() == smallest
+
+
+class TestSegmentDecomposition:
+    def test_intervals_lengths_parts(self):
+        cuts = SegmentDecomposition(word_len=8, i=2, i_prime=3, j=6)
+        assert cuts.intervals() == ((0, 2), (2, 3), (3, 6), (6, 8))
+        assert cuts.lengths() == (2, 1, 3, 2)
+        assert cuts.parts("aabbccdd") == ("aa", "b", "bcc", "dd")
+
+    @pytest.mark.parametrize(
+        "i, i_prime, j",
+        [(6, 2, 4), (2, 1, 4), (2, 5, 4), (3, 2, 1), (-1, 2, 4), (2, 4, 9), (0, 0, 9)],
+        ids=["i>i'", "i>i'<j", "i'>j", "reversed", "negative", "past-end", "j-past-end"],
+    )
+    def test_cuts_out_of_order_refused(self, i, i_prime, j):
+        with pytest.raises(ValueError, match=r"out of order for word length 8$"):
+            SegmentDecomposition(word_len=8, i=i, i_prime=i_prime, j=j)
+
+    @pytest.mark.parametrize("i, i_prime, j", [(0, 0, 0), (8, 8, 8), (0, 8, 8), (3, 3, 3)])
+    def test_boundary_cuts_accepted(self, i, i_prime, j):
+        assert sum(SegmentDecomposition(8, i, i_prime, j).lengths()) == 8
+
+    @pytest.mark.parametrize(
+        "use",
+        [
+            lambda word, cuts: check_linkage(lambda w: True, word, cuts),
+            lambda word, cuts: case_trace(word, cuts, Factorization((0, 1, 1, 2))),
+            lambda word, cuts: render_arcs(word, [], decomposition=cuts),
+        ],
+        ids=["check_linkage", "case_trace", "render_arcs"],
+    )
+    def test_word_of_another_length_refused(self, use):
+        cuts = SegmentDecomposition(word_len=8, i=2, i_prime=4, j=6)
+        use("aabbccdd", cuts)
+        with pytest.raises(ValueError, match="different word length: 8, not 7"):
+            use("abbccdd", cuts)
 
 
 def random_stack_matching(rng, length, owner):

@@ -17,6 +17,8 @@ from islab.pda import (
     Pda,
     StackAction,
     Transition,
+    accepts,
+    enumerate_runs,
     pda_from_json,
     pda_to_json,
 )
@@ -113,6 +115,24 @@ class TestSimulate:
         )
         assert code == 2
         assert "--machine" in err
+
+    def test_unknown_machine_message_unquoted(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--corpus", "interleaved-palindrome",
+            "--machine", "nope", "--word", "00",
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: bundle 'interleaved-palindrome' has no machine 'nope'; "
+            "available: ['even-track', 'odd-track']\n"
+        )
+
+    def test_bundle_without_machines(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--corpus", "even-palindrome-grammar", "--word", "00"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: bundle 'even-palindrome-grammar' has no machine\n"
 
 
 class TestRuns:
@@ -223,6 +243,26 @@ class TestCrossings:
         assert pairs == [(0, 0), (0, 1), (1, 0), (1, 1)]
         code, payload, _ = run_json(capsys, *argv)
         assert [(a["run_1"], a["run_2"]) for a in payload["analyses"]] == [(0, 0)]
+
+    def test_rejected_word_searched_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return function(*args, **kwargs)
+            return wrapper
+
+        runs = counted("enumerate_runs", enumerate_runs)
+        monkeypatch.setattr("islab.cli.enumerate_runs", runs)
+        monkeypatch.setattr("islab.arcs.enumerate_runs", runs)
+        monkeypatch.setattr("islab.cli.accepts", counted("accepts", accepts))
+        code, payload, _ = run_json(
+            capsys, "crossings", "--pair", "interleaved-palindrome", "--word", "0100", "--json"
+        )
+        assert code == 0
+        assert payload["rejected_by"] == [2]
+        assert calls == ["enumerate_runs", "enumerate_runs"]
 
     def test_zero_runs_cap_refused(self, capsys):
         # it would analyze no run pair, and report none while both machines accept
