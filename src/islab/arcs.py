@@ -28,8 +28,8 @@ class SourceMismatch(Exception):
     """Two matchings being compared were extracted from different words."""
 
 
-class PreconditionViolated(Exception):
-    pass
+class PreconditionViolated(ValueError):
+    """An input outside what the geometry is defined on."""
 
 
 class InconclusiveRegime(Exception):
@@ -274,15 +274,13 @@ def analyze_pair(
 def analyze_runs(word: str, runs_1: list, runs_2: list) -> list[PairAnalysis]:
     """Crossing analyses for every (run of machine 1, run of machine 2)
     combination on `word`, in list order; empty when either list is."""
-    out = []
-    for idx1, r1 in enumerate(runs_1):
-        m1 = extract_matching(r1, word, owner=1)
-        for idx2, r2 in enumerate(runs_2):
-            m2 = extract_matching(r2, word, owner=2)
-            out.append(
-                PairAnalysis(idx1, idx2, m1, m2, tuple(crossing_pairs(m1, m2)))
-            )
-    return out
+    matchings_1 = [extract_matching(r, word, owner=1) for r in runs_1]
+    matchings_2 = [extract_matching(r, word, owner=2) for r in runs_2]
+    return [
+        PairAnalysis(idx1, idx2, m1, m2, tuple(crossing_pairs(m1, m2)))
+        for idx1, m1 in enumerate(matchings_1)
+        for idx2, m2 in enumerate(matchings_2)
+    ]
 
 
 @dataclass(frozen=True)
@@ -311,12 +309,16 @@ def classify_family(samples: list[tuple[str, list[CrossingMeasures]]]) -> Regime
     """Classify measure growth over word samples of increasing size.
 
     Each sample is (word, crossing measures found on it).  Requires at least
-    two samples.  Growth detection is deliberately blunt: a measure series is
-    bounded when constant across all samples and unbounded when strictly
-    increasing; anything in between raises InconclusiveRegime.
+    two samples whose word lengths strictly grow: a repeated size gives a
+    constant series, which would read as bounded.  Growth detection is
+    deliberately blunt: a measure series is bounded when constant across all
+    samples and unbounded when strictly increasing; anything in between
+    raises InconclusiveRegime.
     """
     if len(samples) < 2:
         raise PreconditionViolated("need at least two sample sizes to classify")
+    if any(len(a) >= len(b) for (a, _), (b, _) in zip(samples, samples[1:])):
+        raise PreconditionViolated("sample word lengths must strictly grow")
     evidence = tuple(
         EvidenceRow(
             word_len=len(word),

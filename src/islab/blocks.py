@@ -12,7 +12,7 @@ positive case and a family of pumping witnesses in the negative one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, product
 
 from .arcs import Arc, SegmentDecomposition, crosses, is_well_nested
 from .pda import FINAL_STATE_BOTTOM_ONLY, JsonFields, Pda, StackAction, Transition
@@ -162,6 +162,21 @@ class JointSpec:
             and _balanced(counts, self.c1)
             and _balanced(counts, self.c2)
         )
+
+    def words(self, max_len: int) -> set:
+        """The words of the intersection up to max_len: every word made of
+        one block over each alphabet in turn that `in_intersection` accepts.
+        One generator per block, none per letter: long blocks never recurse."""
+        def extend(prefixes, letters):
+            for prefix in prefixes:
+                for length in range(max_len - len(prefix) + 1):
+                    for body in product(letters, repeat=length):
+                        yield prefix + "".join(body)
+
+        candidates = iter([""])
+        for alphabet in self.alphabets:
+            candidates = extend(candidates, sorted(alphabet))
+        return set(filter(self.in_intersection, candidates))
 
 
 def is_jointly_well_nested(j: JointSpec):

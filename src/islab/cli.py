@@ -8,15 +8,12 @@ pumping checker, corpus browses the built-in examples, and report renders
 a classification table for a family across sizes.
 
 Exit codes: 0 for any computed answer, 1 when simulate rejects or verify
-finds mismatches, 2 for bad flags, bad files, or exceeded limits.  The
-environment variable ISL_ORACLE_MAX_LEN caps every enumeration bound;
-requests above the cap are rejected, never clamped.
+finds mismatches, 2 for bad flags, bad files, or exceeded limits.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -39,7 +36,7 @@ from .blocks import (
     witness_string,
 )
 from .diagrams import render_pair_analysis
-from .grammar import cfg_from_json, cfg_to_json, cyk_membership, gnf_to_pda, to_cnf, to_gnf
+from .grammar import cfg_from_json, cfg_to_json, gnf_to_pda, to_cnf, to_gnf
 from .pda import (
     LimitExceeded,
     SearchLimits,
@@ -64,7 +61,6 @@ from .pumping import (
     check_linkage,
 )
 
-ORACLE_ENV = "ISL_ORACLE_MAX_LEN"
 DEFAULT_MAX_LEN = 8
 
 
@@ -81,20 +77,7 @@ def _emit(payload: dict, args, text_lines) -> None:
 
 
 def _max_len(args) -> int:
-    """--max-len, or DEFAULT_MAX_LEN when it is not given, checked against
-    the ISL_ORACLE_MAX_LEN cap."""
-    value = DEFAULT_MAX_LEN if args.max_len is None else args.max_len
-    cap_raw = os.environ.get(ORACLE_ENV)
-    if cap_raw is not None:
-        try:
-            cap = int(cap_raw)
-        except ValueError:
-            raise CliError(f"{ORACLE_ENV} must be an integer, got {cap_raw!r}")
-        if value > cap:
-            raise CliError(
-                f"--max-len {value} exceeds the {ORACLE_ENV} cap of {cap}"
-            )
-    return value
+    return DEFAULT_MAX_LEN if args.max_len is None else args.max_len
 
 
 def _read_json(path: str) -> dict:
@@ -186,9 +169,7 @@ def _parse_sizes(raw: str) -> list:
         sizes = [int(part) for part in raw.split(",") if part.strip() != ""]
     except ValueError:
         raise CliError(f"--sizes must be comma-separated integers, got {raw!r}")
-    if len(sizes) < 2:
-        raise CliError("--sizes needs at least two values")
-    if min(sizes) < 0:
+    if any(n < 0 for n in sizes):
         raise CliError(f"--sizes must be nonnegative, got {raw!r}")
     return sizes
 
@@ -486,23 +467,6 @@ def _check_flags(args) -> None:
             raise CliError(f"{name} does not take {flag}")
 
 
-def _block_words(alphabets, max_len: int):
-    """Every word up to max_len made of one block over each alphabet in turn:
-    the support of block membership, or every word when there is one
-    alphabet, so comparing against it is a complete differential.  One
-    generator per block, none per letter: long blocks never recurse."""
-    def extend(words, letters):
-        for word in words:
-            for length in range(max_len - len(word) + 1):
-                for body in itertools.product(letters, repeat=length):
-                    yield word + "".join(body)
-
-    words = iter([""])
-    for alphabet in alphabets:
-        words = extend(words, sorted(alphabet))
-    return words
-
-
 def _construction(args) -> tuple:
     """(machine, oracle, label) of `args.construct`: the joint machine, the
     grammar pipeline's machine or the product; its oracle, which maps a length
@@ -514,18 +478,10 @@ def _construction(args) -> tuple:
         if not verdict.is_cfl:
             verb = "build" if args.command == "construct" else "verify"
             raise CliError(f"cannot {verb} a joint machine: {_verdict_text(verdict)}")
-
-        def oracle(n):
-            return set(filter(spec.in_intersection, _block_words(spec.alphabets, n)))
-
-        return build_joint_pda(spec), oracle, "joint machine vs block membership"
+        return build_joint_pda(spec), spec.words, "joint machine vs block membership"
     if kind == "grammar":
         cnf = to_cnf(_load_document(args.grammar, "grammar"))
-
-        def oracle(n):
-            return {w for w in _block_words([cnf.terminals], n) if cyk_membership(cnf, w)}
-
-        return gnf_to_pda(to_gnf(cnf)), oracle, "grammar pipeline machine vs CYK"
+        return gnf_to_pda(to_gnf(cnf)), cnf.words, "grammar pipeline machine vs CNF derivations"
     first, second, _ = _load_pair(args)
     if kind == "displacement":
         product = DisplacementProduct(first, second, args.k)

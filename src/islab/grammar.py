@@ -5,12 +5,13 @@ and unit elimination, useless-symbol pruning) -> GnfGrammar (the
 left-corner transform of the CNF grammar, in Greibach 2-standard form:
 every body is a, a B or a B C) -> a normal-form machine whose control holds
 the nonterminal under expansion.  No stage has a budget or can refuse a
-grammar.  cyk_membership on the CNF stage is the reference parser
-the rest of the pipeline is checked against.
+grammar.  cyk_membership and CnfGrammar.words on the CNF stage are the
+references the rest of the pipeline is checked against.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -104,6 +105,30 @@ class CnfGrammar(Cfg):
     @cached_property
     def _cyk_index(self) -> "_CykIndex":
         return _CykIndex(self)
+
+    def words(self, max_len: int) -> set:
+        """Every word the grammar derives up to max_len, built bottom-up by
+        length: a leaf rule gives a word of length 1, and a rule A -> B C
+        joins the words of B and C over every split.  Only the start can
+        derive the empty word, and it never appears on a right side, so no
+        split is empty.  The cost follows the language, not the alphabet."""
+        if self.is_empty:
+            return set()
+        # by_length[n][A]: the words of length n that A derives
+        by_length = [defaultdict(set) for _ in range(max_len + 1)]
+        for n in range(1, max_len + 1):
+            for p in self.productions:
+                if len(p.body) == 1 and n == 1:
+                    by_length[1][p.head].add(p.body[0])
+                elif len(p.body) == 2:
+                    left, right = p.body
+                    for split in range(1, n):
+                        firsts, seconds = by_length[split][left], by_length[n - split][right]
+                        by_length[n][p.head].update(u + v for u in firsts for v in seconds)
+        found = {w for level in by_length for w in level[self.start]}
+        if self.derives_epsilon:
+            found.add("")
+        return found
 
 
 class _CykIndex:

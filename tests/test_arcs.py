@@ -38,6 +38,7 @@ from islab.pda import (
     enumerate_runs,
 )
 from islab.pumping import Factorization, case_trace, check_linkage
+from test_cli import two_path_machine
 
 
 def first_matching(machine, word, owner=1):
@@ -318,25 +319,31 @@ class TestAnalyzePair:
         )
 
     def test_all_runs_cross_product(self):
-        machine = Pda(
-            states={"p", "q1", "q2", "r"},
-            input_alphabet={"a", "b"},
-            stack_alphabet={"$", "A"},
-            transitions=[
-                Transition("p", "a", StackAction.push("A"), "q1"),
-                Transition("p", "a", StackAction.none(), "q2"),
-                Transition("q1", "b", StackAction.pop("A"), "r"),
-                Transition("q2", "b", StackAction.none(), "r"),
-            ],
-            start="p",
-            bottom="$",
-            accept={"r"},
-        )
+        machine = two_path_machine()
         assert len(analyze_pair(machine, machine, "ab", runs_cap=20)) == 4
         assert len(analyze_pair(machine, machine, "ab")) == 1
         assert len(analyze_pair(machine, machine, "ab", runs_cap=1)) == 1
         with pytest.raises(ValueError, match="runs_cap must be at least 1"):
             analyze_pair(machine, machine, "ab", runs_cap=0)
+
+    def test_each_run_matched_once(self, monkeypatch):
+        machine = two_path_machine()
+        owners = []
+
+        def counted(run, word, owner=1):
+            owners.append(owner)
+            return extract_matching(run, word, owner=owner)
+
+        monkeypatch.setattr("islab.arcs.extract_matching", counted)
+        analyses = analyze_pair(machine, machine, "ab", runs_cap=2)
+        assert owners == [1, 1, 2, 2]
+        assert [(a.run_index_1, a.run_index_2) for a in analyses] == [
+            (0, 0), (0, 1), (1, 0), (1, 1)
+        ]
+        # run 0 of each side pushes at a and pops at b; arcs on one span do not cross
+        assert analyses[0].matching_1.arcs == (Arc(1, 2, 1),)
+        assert analyses[0].matching_2.arcs == (Arc(1, 2, 2),)
+        assert all(a.crossings == () for a in analyses)
 
 
 def family_samples(bundle_name, machine_a, machine_b, sizes):

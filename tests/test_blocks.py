@@ -2,6 +2,8 @@ import itertools
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from islab import corpus
 from islab.blocks import (
@@ -40,6 +42,27 @@ def block_words(spec, max_len):
             bounds = (0,) + cuts + (total,)
             counts = [bounds[i + 1] - bounds[i] for i in range(k)]
             yield "".join(ch * c for ch, c in zip(letters, counts))
+
+
+@st.composite
+def joint_specs(draw, max_blocks: int = 5) -> JointSpec:
+    """2 to `max_blocks` blocks of 1-2 letters each and 0-2 constraints per
+    side; a drawn constraint that would make its side invalid is dropped."""
+    k = draw(st.integers(2, max_blocks))
+    letters = iter("abcdefghij")
+    alphabets = [{next(letters) for _ in range(draw(st.integers(1, 2)))} for _ in range(k)]
+    pair = st.lists(st.integers(1, k), min_size=2, max_size=2, unique=True).map(sorted)
+
+    def side() -> tuple:
+        kept = ()
+        for constraint in draw(st.lists(pair, max_size=2)):
+            try:
+                kept = BlockSpec(alphabets, kept + (tuple(constraint),)).constraints
+            except ValueError:
+                pass
+        return kept
+
+    return JointSpec(alphabets, side(), side())
 
 
 class TestBlockSpecValidation:
@@ -194,6 +217,18 @@ class TestMachines:
         j = JointSpec(alphabets=({"a"}, {"b"}), c1=((1, 2),), c2=((1, 2),))
         machine = build_joint_pda(j)
         assert enumerate_language(machine, 6) == {"", "ab", "aabb", "aaabbb"}
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=joint_specs())
+    @example(spec=CROSSING_J)  # crossing arcs are rare among the drawn specs
+    def test_dichotomy_on_random_specs(self, spec):
+        """Jointly well nested: the joint machine has the intersection as its
+        language.  Otherwise no joint machine is built."""
+        if characterize(spec).is_cfl:
+            assert enumerate_language(build_joint_pda(spec), 7) == spec.words(7)
+        else:
+            with pytest.raises(ValueError, match="not jointly well nested"):
+                build_joint_pda(spec)
 
     def test_joint_machine_refused_on_violation(self):
         with pytest.raises(ValueError, match="not jointly well nested: crossing"):

@@ -457,6 +457,15 @@ class TestClassify:
         assert code == 2
         assert "at least two" in err
 
+    @pytest.mark.parametrize("command", ["classify", "report"])
+    @pytest.mark.parametrize("sizes", ["3,3,3", "4,3"])
+    def test_sizes_that_do_not_grow_rejected(self, capsys, command, sizes):
+        """A repeated size gives constant series, which would read as bounded."""
+        code, out, err = run_cli(capsys, command, "--pair", "gap-refutation", "--sizes", sizes)
+        assert code == 2
+        assert out == ""
+        assert "strictly grow" in err
+
 
 class TestCharacterize:
     def test_crossing_outcome(self, capsys):
@@ -871,51 +880,6 @@ class TestVerify:
         assert payload["mismatches"] > 0
         assert "000000" in payload["only_oracle"]
         assert payload["only_machine"] == []
-
-
-class TestOracleCap:
-    def test_cap_rejects_larger_request(self, capsys, monkeypatch):
-        monkeypatch.setenv("ISL_ORACLE_MAX_LEN", "6")
-        code, _, err = run_cli(
-            capsys,
-            "verify",
-            "--construct",
-            "joint",
-            "--blocks",
-            "nested-blocks",
-            "--max-len",
-            "8",
-        )
-        assert code == 2
-        assert "exceeds the ISL_ORACLE_MAX_LEN cap of 6" in err
-
-    def test_cap_allows_equal_request(self, capsys, monkeypatch):
-        monkeypatch.setenv("ISL_ORACLE_MAX_LEN", "8")
-        code, _, _ = run_cli(
-            capsys,
-            "verify",
-            "--construct",
-            "joint",
-            "--blocks",
-            "nested-blocks",
-            "--max-len",
-            "8",
-        )
-        assert code == 0
-
-    def test_invalid_cap_value(self, capsys, monkeypatch):
-        monkeypatch.setenv("ISL_ORACLE_MAX_LEN", "many")
-        code, _, err = run_cli(
-            capsys,
-            "construct",
-            "displacement",
-            "--pair",
-            "interleaved-palindrome",
-            "--k",
-            "1",
-        )
-        assert code == 2
-        assert "must be an integer" in err
 
 
 class TestLinkage:

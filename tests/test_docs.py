@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from islab.blocks import joint_from_json
-from islab.cli import ORACLE_ENV, main
+from islab.cli import main
 from islab.grammar import cfg_from_json
 from islab.pda import pda_from_json
 
@@ -58,7 +58,6 @@ def test_readme_has_five_sessions():
 
 
 @pytest.mark.parametrize("argv, expected", SESSIONS, ids=[argv[0] for argv, _ in SESSIONS])
-def test_readme_session_output(capsys, monkeypatch, argv, expected):
-    monkeypatch.delenv(ORACLE_ENV, raising=False)
+def test_readme_session_output(capsys, argv, expected):
     assert main(argv) == 0
     assert capsys.readouterr().out == expected

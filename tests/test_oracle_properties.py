@@ -1,6 +1,8 @@
-"""Differential tests for the two brute-force oracles: the bit-mask CYK
-parser against a plain set-based CYK on random small grammars and in
-several call orders, the grammar pipeline's machine against CYK, and the
+"""Differential tests for the reference languages and the brute-force
+oracles: the bit-mask CYK parser against a plain set-based CYK on random
+small grammars and in several call orders, the word generators
+`CnfGrammar.words` and `JointSpec.words` against membership filters over
+every word, the grammar pipeline's machine against CYK, and the
 window-level linkage scan against a scan that walks every factorization."""
 
 import random
@@ -16,6 +18,7 @@ from islab.arcs import SegmentDecomposition
 from islab.grammar import Cfg, Production, cyk_membership, gnf_to_pda, to_cnf, to_gnf
 from islab.pda import LimitExceeded, SearchLimits, enumerate_language
 from islab.pumping import INNER_PAIR, OUTER_PAIR, check_linkage
+from test_blocks import joint_specs
 
 MAX_LEN = 6
 NONTERMINALS = ("S", "A", "B", "C")
@@ -84,6 +87,24 @@ def test_cyk_matches_set_based_cyk(g):
     shuffled = random.Random(len(cnf.productions)).sample(ordered, len(ordered))
     for w in ordered + ordered[::-1] + shuffled:
         assert cyk_membership(cnf, w) == expected[w], w
+
+
+@settings(max_examples=80, deadline=None)
+@given(g=grammars())
+@example(g=grammar(("S", "S"), ("S", "aA"), ("A", "Ab")))
+@example(g=grammar(("S", ""), ("S", "aSb"), ("S", "SS")))
+def test_cnf_words_match_cyk_filter(g):
+    cnf = to_cnf(g)
+    derived = {w for w in words(TERMINALS, MAX_LEN) if cyk_membership(cnf, w)}
+    for n in range(MAX_LEN + 1):
+        assert cnf.words(n) == {w for w in derived if len(w) <= n}, n
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=joint_specs(max_blocks=3))
+def test_joint_words_match_membership_filter(spec):
+    union = set().union(*spec.alphabets)
+    assert spec.words(MAX_LEN) == set(filter(spec.in_intersection, words(union, MAX_LEN)))
 
 
 def test_examples_cover_empty_grammar_and_nullable_start():
