@@ -164,19 +164,39 @@ class JointSpec:
         )
 
     def words(self, max_len: int) -> set:
-        """The words of the intersection up to max_len: every word made of
-        one block over each alphabet in turn that `in_intersection` accepts.
-        One generator per block, none per letter: long blocks never recurse."""
-        def extend(prefixes, letters):
-            for prefix in prefixes:
-                for length in range(max_len - len(prefix) + 1):
-                    for body in product(letters, repeat=length):
-                        yield prefix + "".join(body)
+        """The words of the intersection up to max_len, generated, not
+        filtered: the blocks that c1 and c2 together force to equal length
+        form classes, and each way to give the classes lengths within
+        max_len is filled with every choice of letters per block.  The
+        alphabets are disjoint, so no word is made twice, and the cost
+        follows the intersection, not the block alphabets."""
+        owner = list(range(self.k))  # union-find over 0-based blocks
 
-        candidates = iter([""])
-        for alphabet in self.alphabets:
-            candidates = extend(candidates, sorted(alphabet))
-        return set(filter(self.in_intersection, candidates))
+        def find(block: int) -> int:
+            while owner[block] != block:
+                block = owner[block]
+            return block
+
+        for l, r in self.c1 + self.c2:
+            owner[find(l - 1)] = find(r - 1)
+        classes = [find(block) for block in range(self.k)]
+        sizes = {c: classes.count(c) for c in classes}
+        lengths = [({}, 0)]  # class -> block length, letters used so far
+        for c, size in sizes.items():
+            lengths = [
+                ({**fixed, c: n}, used + size * n)
+                for fixed, used in lengths
+                for n in range((max_len - used) // size + 1)
+            ]
+        letters = [sorted(alphabet) for alphabet in self.alphabets]
+        out = set()
+        for fixed, _ in lengths:
+            bodies = [
+                ["".join(body) for body in product(block, repeat=fixed[c])]
+                for block, c in zip(letters, classes)
+            ]
+            out.update(map("".join, product(*bodies)))
+        return out
 
 
 def is_jointly_well_nested(j: JointSpec):

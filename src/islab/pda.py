@@ -26,10 +26,11 @@ whole stack, bottom first, in `AcceptingRun.final` and in the results of
 What bounds a search.  The engine caps no stack depth: a machine in normal
 form stays within 2*|w|+1 by construction, products within 4*|w|+1
 because they take normal-form components only, and live depths prune the
-machines that accept on their bottom only.  Everything else, such as a
-machine whose epsilon moves push without end, is bounded by the search's
-one budget, `SearchLimits.max_configs`: such a search ends in
-LimitExceeded, never in a wrong answer.
+machines that accept on their bottom only, products of two such machines
+included.  Everything else, such as a machine whose epsilon moves push
+without end, is bounded by the search's one budget,
+`SearchLimits.max_configs`: such a search ends in LimitExceeded, never in
+a wrong answer.
 
 Machines, plain or product, meet the engine through a duck-typed protocol
 that products follow without being normal-form themselves:
@@ -39,9 +40,11 @@ that products follow without being normal-form themselves:
 * `initial_config()`: the start `Configuration`, its stack a tuple;
 * `is_accepting(state, stack)`: whether a run that has read the whole input
   and ends in `state` over the stack cell `stack` accepts;
-* `live_depths(input_len)`: None, or for each state the deepest stack from
-  which an accepting run can still be reached at each input position
-  0..input_len of inputs of at most that length (see `Pda.live_depths`).
+* `live_depths(input_len)`: None, or a mapping from each state to the
+  deepest stack from which an accepting run can still be reached at each
+  input position 0..input_len of inputs of at most that length (see
+  `Pda.live_depths`).  The mapping may fill its rows on first lookup, as
+  a product's does: its composite states are only known once reached.
 """
 
 from __future__ import annotations
@@ -349,15 +352,17 @@ _ANY = object()  # `symbol` for successors that may read any input symbol
 
 class _Search:
     """What one search call shares: the machine, its live depths for inputs
-    of length `input_len` (or None), the table interning the search's stack
-    cells by (cell below, top symbol), and the search's budget: how many
-    configurations it has expanded, out of `limits.max_configs`, and the
-    furthest input position among them."""
+    of length `input_len` (None if it has none or `prune` is off), the
+    table interning the search's stack cells by (cell below, top symbol),
+    and the search's budget: how many configurations it has expanded, out
+    of `limits.max_configs`, and the furthest input position among them."""
 
-    def __init__(self, machine, input_len: int, limits: SearchLimits):
+    def __init__(
+        self, machine, input_len: int, limits: SearchLimits, prune: bool = True
+    ):
         self.machine = machine
         self.input_len = input_len
-        self.live = machine.live_depths(input_len)
+        self.live = machine.live_depths(input_len) if prune else None
         self.cells: dict = {}
         self.max_configs = limits.max_configs
         self.expanded = self.furthest = 0
@@ -568,11 +573,12 @@ def explore_reachable(machine, max_len: int, limits: SearchLimits):
     consumed.
 
     Yields the state of every expanded configuration together with the
-    transitions that apply to it.  Products, the machines this search
-    serves, have no live depths, so no successor is left out for being too
-    deep to accept.
+    transitions that apply to it.  This search prunes nothing by live
+    depth, on purpose: the product fragments, counting views and
+    `state_bound` checks it serves are defined over every configuration
+    reachable within max_len, accepting or not.
     """
-    search = _Search(machine, max_len, limits)
+    search = _Search(machine, max_len, limits, prune=False)
     init = search.intern(machine.initial_config())
     start, _, bottom = init
     best = {(start, bottom): 0}

@@ -115,6 +115,24 @@ def _aux(state, action: StackAction, target) -> Transition:
     return Transition(state, None, action, target, auxiliary=True)
 
 
+class _LiveDepths(dict):
+    """A product's live depths: composite state -> list over input
+    positions, each row composed from the two component tables when the
+    state is first looked up.  One instance serves one search."""
+
+    def __init__(self, first: dict, second: dict):
+        super().__init__()
+        self.first = first
+        self.second = second
+
+    def __missing__(self, state) -> list:
+        queued = sum(op == POP for op, _, _ in state.queue)
+        row = self[state] = [
+            a + b - 1 + queued for a, b in zip(self.first[state.q1], self.second[state.q2])
+        ]
+        return row
+
+
 class _ProductBase:
     """Shared product machinery.  Each instance keeps a table from composite
     state to its outgoing transitions, filled on first request: the control
@@ -156,10 +174,26 @@ class _ProductBase:
     def initial_config(self) -> Configuration:
         return Configuration(self._initial_state(), 0, (_BOTTOM,))
 
-    def live_depths(self, input_len: int) -> None:
-        """None: the engine prunes nothing by depth.  Products lift and
-        buffer entries in epsilon micro-steps, so they give no bound."""
-        return None
+    def live_depths(self, input_len: int) -> _LiveDepths | None:
+        """The components' live depths composed, one row per composite
+        state filled on first lookup: a state with component states q1, q2
+        at input position pos gets 1 + P1(q1, n - pos) + P2(q2, n - pos)
+        plus the pops still queued in it (see `Pda.live_depths` for P).
+
+        Sound because every entry on the stack belongs to an owner that
+        accepts on its bottom only, so an accepting run must pop each one,
+        by a pop already queued or by one of a later read of its owner;
+        the displacement product puts back every entry it lifts.  Entries
+        lifted aside and the buffered product's short pushes are off the
+        stack, and a queued pop may take from the buffer instead, so they
+        only loosen the bound.
+        None when either component has no table: a machine that accepts in
+        any final state may leave its entries on the stack, so a pair with
+        one (mixed-mode pairs included) has no depth bound."""
+        tables = (self.first.live_depths(input_len), self.second.live_depths(input_len))
+        if None in tables:
+            return None
+        return _LiveDepths(*tables)
 
     def transitions_from(self, state) -> tuple:
         out = self._table.get(state)

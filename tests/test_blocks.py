@@ -148,6 +148,31 @@ class TestJointSpec:
             expected = n1 == n2 == n3 == n4
             assert CHAINED_J.in_intersection(word) == expected, word
 
+    @settings(max_examples=60, deadline=None)
+    @given(spec=joint_specs())
+    @example(spec=CROSSING_J)
+    @example(spec=CHAINED_J)
+    def test_words_match_membership_filter(self, spec):
+        """`words` generates exactly the block-shaped words that
+        `in_intersection` accepts, at every length bound."""
+        shaped = [""]
+        for alphabet in spec.alphabets:
+            shaped = [
+                prefix + "".join(body)
+                for prefix in shaped
+                for length in range(7 - len(prefix))
+                for body in itertools.product(sorted(alphabet), repeat=length)
+            ]
+        accepted = set(filter(spec.in_intersection, shaped))
+        for n in range(7):
+            assert spec.words(n) == {w for w in accepted if len(w) <= n}, n
+
+    def test_words_of_classes_spanning_both_sides(self):
+        """c1 ties blocks 1 and 2, c2 ties 2 and 3: all three share one
+        length, block 1's letters vary and block 4 is free."""
+        j = JointSpec(alphabets=({"a", "b"}, {"c"}, {"d"}, {"e"}), c1=((1, 2),), c2=((2, 3),))
+        assert j.words(4) == {"", "e", "ee", "eee", "eeee", "acd", "bcd", "acde", "bcde"}
+
 
 class TestJointWellNested:
     def test_crossing_detected(self):

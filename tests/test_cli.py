@@ -881,6 +881,45 @@ class TestVerify:
         assert "000000" in payload["only_oracle"]
         assert payload["only_machine"] == []
 
+    def test_displacement_length_12_within_default_budget(self, capsys):
+        """The product's live depths keep this search under the default
+        budget; without them it is LimitExceeded."""
+        code, out, err = run_cli(
+            capsys,
+            "verify",
+            "--construct",
+            "displacement",
+            "--pair",
+            "interleaved-palindrome",
+            "--k",
+            "1",
+            "--max-len",
+            "12",
+        )
+        assert code == 0, err
+        assert "language equality confirmed, 0 mismatches (295 words)" in out
+
+    def test_buffered_length_12_within_default_budget(self, capsys):
+        """d=1 is not complete on this pair: exit 1, with the mismatches a
+        search without live depths finds at a budget of 3 000 000."""
+        code, payload, err = run_json(
+            capsys,
+            "verify",
+            "--construct",
+            "buffered",
+            "--pair",
+            "interleaved-palindrome",
+            "--d",
+            "1",
+            "--max-len",
+            "12",
+            "--json",
+        )
+        assert code == 1, err
+        assert payload["mismatches"] == 160
+        assert payload["only_machine"] == []
+        assert payload["only_oracle"][:4] == ["000000", "00000000", "0000000000", "000000000000"]
+
 
 class TestLinkage:
     def test_intersection_oracle_holds(self, capsys):

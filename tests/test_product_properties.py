@@ -1,11 +1,15 @@
 """Property tests on random small normal-form machine pairs: the per-product
-transition table answers as a fresh expansion would, and every product
-accepts only words both components accept."""
+transition table answers as a fresh expansion would, every product accepts
+only words both components accept, and pruning by live depth changes no
+answer a product gives."""
+
+import itertools
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
+from islab import corpus
 from islab.pda import (
     FINAL_STATE,
     FINAL_STATE_BOTTOM_ONLY,
@@ -14,19 +18,27 @@ from islab.pda import (
     SearchLimits,
     StackAction,
     Transition,
+    accepts,
     enumerate_language,
+    enumerate_runs,
     validate_normal_form,
 )
-from islab.products import BufferedProduct, DisplacementProduct
+from islab.products import (
+    BufferedProduct,
+    DisplacementProduct,
+    fragment_to_json,
+    reachable_composite_states,
+)
 
 PRODUCTS = [DisplacementProduct, BufferedProduct]
 BUDGET = SearchLimits(max_configs=20_000)
 
 
 @st.composite
-def machines(draw) -> Pda:
+def machines(draw, modes=(FINAL_STATE, FINAL_STATE_BOTTOM_ONLY)) -> Pda:
     """2-3 states, 1-2 stack symbols, reading transitions plus auxiliary
-    second pushes wherever the normal form allows one."""
+    second pushes wherever the normal form allows one, accepting in one of
+    `modes`."""
     states = [f"s{i}" for i in range(draw(st.integers(2, 3)))]
     alphabet = draw(st.sampled_from([("a",), ("a", "b")]))
     symbols = ["A", "B"][: draw(st.integers(1, 2))]
@@ -69,7 +81,7 @@ def machines(draw) -> Pda:
         start=states[0],
         bottom="$",
         accept=draw(st.sets(st.sampled_from(states), min_size=1)),
-        acceptance_mode=draw(st.sampled_from([FINAL_STATE, FINAL_STATE_BOTTOM_ONLY])),
+        acceptance_mode=draw(st.sampled_from(modes)),
     )
     assert validate_normal_form(machine) == []
     return machine
@@ -115,3 +127,60 @@ def test_product_within_component_intersection(make, first, second, parameter, m
         reject()  # inconclusive within the budget; not a counterexample
     both = enumerate_language(first, max_len) & enumerate_language(second, max_len)
     assert language <= both
+
+
+class Unpruned:
+    """A product that gives the engine no live depths, so its searches
+    prune nothing by depth; every other call goes to the product."""
+
+    def __init__(self, product):
+        self._product = product
+
+    def __getattr__(self, attr):
+        return getattr(self._product, attr)
+
+    def live_depths(self, input_len: int) -> None:
+        return None
+
+
+def answers(product, max_len: int) -> list:
+    """Everything the searches tell about `product` up to max_len: its
+    language, each word's verdict with its witness and first three runs,
+    the counting views and the fragment (or why it cannot be exported)."""
+    out = [enumerate_language(product, max_len, BUDGET)]
+    alphabet = sorted(product.input_alphabet)
+    for length in range(max_len + 1):
+        for word in map("".join, itertools.product(alphabet, repeat=length)):
+            out.append((word, accepts(product, word, BUDGET)))
+            out.append((word, enumerate_runs(product, word, cap=3, limits=BUDGET)))
+    out.append(reachable_composite_states(product, max_len, BUDGET))
+    try:
+        out.append(fragment_to_json(product, max_len, BUDGET))
+    except ValueError as refusal:  # mixed acceptance modes
+        out.append(str(refusal))
+    return out
+
+
+# Only pairs that both accept on their bottom only have live depths: for
+# the others the engine prunes nothing, with or without the proxy.
+BOTTOM_ONLY = (FINAL_STATE_BOTTOM_ONLY,)
+COUNTER = corpus.get("counter").machine("counter")
+
+
+@pytest.mark.parametrize("make", PRODUCTS)
+@settings(max_examples=40, deadline=None)
+@given(
+    first=machines(BOTTOM_ONLY),
+    second=machines(BOTTOM_ONLY),
+    parameter=st.integers(0, 2),
+    max_len=st.integers(0, 5),
+)
+# the last read of "ab" queues a pop per machine over a stack three deep
+@example(first=COUNTER, second=COUNTER, parameter=0, max_len=2)
+def test_live_depths_change_no_answer(make, first, second, parameter, max_len):
+    try:
+        pruned = answers(make(first, second, parameter), max_len)
+        unpruned = answers(Unpruned(make(first, second, parameter)), max_len)
+    except LimitExceeded:
+        reject()  # inconclusive within the budget; not a counterexample
+    assert pruned == unpruned

@@ -312,6 +312,26 @@ class TestSoundness:
                     assert oracle(word), (product.kind, word)
 
 
+class TestLiveDepths:
+    def test_none_when_a_component_accepts_in_any_final_state(self):
+        counter = corpus.get("counter").machine("counter")
+        loose = final_state_copy(counter)
+        for make in (DisplacementProduct, BufferedProduct):
+            for first, second in ((loose, counter), (counter, loose), (loose, loose)):
+                assert make(first, second, 1).live_depths(4) is None
+            assert make(counter, counter, 1).live_depths(4) is not None
+
+    def test_row_composes_component_tables_and_queued_pops(self):
+        first, second = palindrome_pair()
+        live = DisplacementProduct(first, second, 1).live_depths(6)
+        t1, t2 = first.live_depths(6), second.live_depths(6)
+        q1, q2 = sorted(first.states)[0], sorted(second.states)[0]
+        queue = ((POP, 1, "A"), (PUSH, 2, "B"), (POP, 2, "B"))
+        state = DisplacedState(q1, q2, queue, ((2, "B"),))
+        assert live[state] == [a + b + 1 for a, b in zip(t1[q1], t2[q2])]
+        assert live[state] is live[state]  # filled once, on first lookup
+
+
 class TestStateBound:
     def test_displacement_example(self):
         assert state_bound(DISPLACEMENT, 2, 2, 1, 1, 1) == 36
