@@ -392,8 +392,11 @@ def cyk_membership(g: CnfGrammar, w: str) -> bool:
                     mask |= joins[(left << shift) | right]
             starting[i].append(mask)
             column.append(mask)
+    # read the answer before the chart goes back: once it is on the index,
+    # another thread may take it and cut its rows
+    member = bool(starting[0][-1] & index.start)
     index.charts.append((w, starting))
-    return bool(starting[0][-1] & index.start)
+    return member
 
 
 def to_gnf(g: CnfGrammar) -> GnfGrammar:

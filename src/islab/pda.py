@@ -36,7 +36,9 @@ Machines, plain or product, meet the engine through a duck-typed protocol
 that products follow without being normal-form themselves:
 
 * `transitions_from(state)`: the transitions out of a control state, in the
-  order the searches try them;
+  order the searches try them.  Every search keys its tables by state, so
+  states should hash and compare cheaply: a product's states are canonical
+  objects, hashed by identity;
 * `initial_config()`: the start `Configuration`, its stack a tuple;
 * `is_accepting(state, stack)`: whether a run that has read the whole input
   and ends in `state` over the stack cell `stack` accepts;

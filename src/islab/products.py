@@ -17,11 +17,20 @@ Each position is simulated as one reading step followed by epsilon
 micro-steps that drain the queued stack operations (plus, for the
 buffered product, one closing step that advances the countdowns), so the
 standard engine in pda explores these machines unchanged.
+
+Composite states are canonical: building a state with the fields of one
+that is still alive returns that object.  So equal states are one object,
+and the engine's tables, the product's expansion table and the live-depth
+rows hash and compare them by identity, in C, however long their queues
+and buffers are.  Value equality still holds, because no two live states
+have equal fields; copies and pickles come back as the canonical object.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import threading
+import weakref
+from dataclasses import dataclass, fields, replace
 
 from .pda import (
     Configuration,
@@ -49,16 +58,54 @@ def _describe_entry(entry) -> str:
     return f"{entry[0]}:{entry[1]}"
 
 
-@dataclass(frozen=True)
-class DisplacedState:
+class _Canonical:
+    """Hash-consing (Filliâtre & Conchon, "Type-safe modular hash-consing",
+    2006) for the frozen composite states: each subclass keeps a table from
+    field tuples to the one live state with those fields.  The table holds
+    its states weakly, so a state lives only as long as a product, a search
+    or a run refers to it, and nothing persists across calls.  The lock
+    guards the miss path only, so two threads never build two objects for
+    one value; a hit takes no lock."""
+
+    _lock = threading.Lock()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._interned = weakref.WeakValueDictionary()
+
+    @classmethod
+    def _intern(cls, values: tuple):
+        state = cls._interned.get(values)
+        if state is None:
+            with cls._lock:
+                state = cls._interned.get(values)
+                if state is None:
+                    state = object.__new__(cls)
+                    for field, value in zip(fields(cls), values):
+                        object.__setattr__(state, field.name, value)
+                    cls._interned[values] = state
+        return state
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through __new__, so each gives
+        # back the canonical object
+        return type(self), tuple(getattr(self, field.name) for field in fields(self))
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class DisplacedState(_Canonical):
     """Composite control: both machine states, the queue of stack
     operations still owed for the current position, and the foreign
-    entries currently lifted aside mid-pop."""
+    entries currently lifted aside mid-pop.  Canonical, so compared and
+    hashed by identity (see `_Canonical`)."""
 
     q1: object
     q2: object
-    queue: tuple = ()
-    displaced: tuple = ()
+    queue: tuple
+    displaced: tuple
+
+    def __new__(cls, q1, q2, queue=(), displaced=()):
+        return cls._intern((q1, q2, queue, displaced))
 
     @property
     def is_sync(self) -> bool:
@@ -70,16 +117,20 @@ class DisplacedState:
         return f"[{self.q1}|{self.q2}|ops {ops}|held {held}]"
 
 
-@dataclass(frozen=True)
-class BufferedState:
+@dataclass(frozen=True, eq=False, init=False)
+class BufferedState(_Canonical):
     """Composite control for the buffered product; closing marks the
-    pending end-of-position countdown step."""
+    pending end-of-position countdown step.  Canonical, so compared and
+    hashed by identity (see `_Canonical`)."""
 
     q1: object
     q2: object
-    queue: tuple = ()
-    buffer: tuple = ()
-    closing: bool = False
+    queue: tuple
+    buffer: tuple
+    closing: bool
+
+    def __new__(cls, q1, q2, queue=(), buffer=(), closing=False):
+        return cls._intern((q1, q2, queue, buffer, closing))
 
     @property
     def is_sync(self) -> bool:

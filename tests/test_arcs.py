@@ -25,7 +25,7 @@ from islab.arcs import (
     measures_of,
     union_well_nested,
 )
-from islab.diagrams import render_arcs
+from islab.diagrams import render_arcs, render_pair_analysis
 from islab.pda import (
     FINAL_STATE,
     AcceptingRun,
@@ -344,6 +344,29 @@ class TestAnalyzePair:
         assert analyses[0].matching_1.arcs == (Arc(1, 2, 1),)
         assert analyses[0].matching_2.arcs == (Arc(1, 2, 2),)
         assert all(a.crossings == () for a in analyses)
+
+    def test_same_position_arc_drawn_as_a_loop(self):
+        # outside normal form an epsilon move may pop what the read just
+        # pushed, so the arc starts and ends at one position
+        machine = Pda(
+            states={"p", "q", "r"},
+            input_alphabet={"a"},
+            stack_alphabet={"$", "A"},
+            transitions=[
+                Transition("p", "a", StackAction.push("A"), "q"),
+                Transition("q", None, StackAction.pop("A"), "r"),
+            ],
+            start="p",
+            bottom="$",
+            accept={"r"},
+        )
+        (analysis,) = analyze_pair(machine, machine, "a")
+        assert analysis.matching_1.arcs == (Arc(1, 1, 1),)
+        svg = render_pair_analysis(analysis)
+        paths = [line for line in svg.splitlines() if line.startswith("<path ")]
+        # one short loop, a cubic curve, per machine; no elliptical arc
+        assert len(paths) == 2
+        assert all(" C " in path and " A " not in path for path in paths)
 
 
 def family_samples(bundle_name, machine_a, machine_b, sizes):

@@ -146,13 +146,26 @@ def test_gnf_machine_matches_cyk(g):
 
 def test_cyk_calls_from_threads_share_no_chart():
     cnf = to_cnf(corpus.get("even-palindrome-grammar").grammar)
-    expected = {w: set_cyk(cnf, w) for w in words(cnf.terminals, 8)}
+    # short words, parsed many times over: the threads meet at the start
+    # and end of a parse, where a chart changes hands, most often
+    expected = {w: set_cyk(cnf, w) for w in words(cnf.terminals, 3)}
     mismatches = []
+    finished = []
+
+    def no_op(frame, event, arg):
+        return no_op
 
     def parse(seed):
-        for w in random.Random(seed).sample(list(expected), len(expected)):
-            if cyk_membership(cnf, w) != expected[w]:
-                mismatches.append(w)
+        # a trace function, even one that does nothing, is called on every
+        # line, and each call lets the thread switch, so the threads
+        # interleave between any two lines of a parse
+        sys.settrace(no_op)
+        rng = random.Random(seed)
+        for _ in range(100):
+            for w in rng.sample(list(expected), len(expected)):
+                if cyk_membership(cnf, w) != expected[w]:
+                    mismatches.append(w)
+        finished.append(seed)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -165,6 +178,7 @@ def test_cyk_calls_from_threads_share_no_chart():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
+    assert sorted(finished) == list(range(4))
     assert mismatches == []
 
 

@@ -1,6 +1,12 @@
+import copy
+import gc
 import itertools
+import pickle
 import re
-from dataclasses import replace
+import sys
+import threading
+import weakref
+from dataclasses import fields, replace
 
 import pytest
 
@@ -239,6 +245,11 @@ class TestBufferedCompleteness:
             assert ok
         assert seen_canonical
 
+    def test_arcs_of_a_plain_machine_run_are_empty(self):
+        counter = corpus.get("counter").machine("counter")
+        (run,) = enumerate_runs(counter, "aabb", cap=1)
+        assert buffered_arcs(run) == []
+
     def test_d0_still_covers_crossing_free_words(self):
         product = BufferedProduct(*palindrome_pair(), d=0)
         assert accepts(product, "00")[0]
@@ -330,6 +341,92 @@ class TestLiveDepths:
         state = DisplacedState(q1, q2, queue, ((2, "B"),))
         assert live[state] == [a + b + 1 for a, b in zip(t1[q1], t2[q2])]
         assert live[state] is live[state]  # filled once, on first lookup
+
+
+def refreshed(state):
+    """The fields of `state`, each tuple rebuilt as an equal new object."""
+    return [
+        tuple(list(value)) if isinstance(value, tuple) else value
+        for value in (getattr(state, field.name) for field in fields(state))
+    ]
+
+
+class TestCanonicalStates:
+    def explored(self):
+        for make in (DisplacementProduct, BufferedProduct):
+            product = make(*palindrome_pair(), 1)
+            enumerate_language(product, 6)
+            yield product
+
+    def test_equal_fields_give_one_object(self):
+        queue = ((PUSH, 1, "A"), (POP, 2, "B"))
+        state = DisplacedState("p", "q", queue, ((2, "B"),))
+        assert DisplacedState(*refreshed(state)) is state
+        assert DisplacedState("p", "q", queue=queue, displaced=((2, "B"),)) is state
+        assert replace(state, queue=queue[:1]) is DisplacedState("p", "q", queue[:1], ((2, "B"),))
+        assert replace(state) is state
+        buffered = BufferedState("p", "q", (), (("1", "A", 2),), True)
+        assert BufferedState(*refreshed(buffered)) is buffered
+        assert replace(buffered, closing=False) is BufferedState("p", "q", buffer=(("1", "A", 2),))
+        assert DisplacedState("p", "q") != DisplacedState("q", "p")
+        assert len({DisplacedState("p", "q"), DisplacedState("p", "q", (), ())}) == 1
+
+    def test_table_targets_are_canonical(self):
+        for product in self.explored():
+            assert product._table
+            for source, transitions in product._table.items():
+                for t in transitions:
+                    assert t.source is source
+                    assert type(t.target)(*refreshed(t.target)) is t.target
+
+    def test_copies_and_pickles_give_the_canonical_object(self):
+        for product in self.explored():
+            for state in product._table:
+                assert copy.copy(state) is state
+                assert copy.deepcopy(state) is state
+                for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                    assert pickle.loads(pickle.dumps(state, protocol)) is state
+
+    def test_states_die_with_their_product(self):
+        product = DisplacementProduct(*palindrome_pair(), k=1)
+        enumerate_language(product, 6)
+        refs = [weakref.ref(state) for state in product._table]
+        keys = [tuple(refreshed(state)) for state in product._table]
+        assert all(key in DisplacedState._interned for key in keys)
+        del product
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        assert not any(key in DisplacedState._interned for key in keys)
+
+    def test_equal_states_built_from_threads_are_one_object(self):
+        keys = [("p", n, ((PUSH, 1, "A"),) * (n % 3), ()) for n in range(3000)]
+        built = [None] * 4
+        barrier = threading.Barrier(len(built))
+
+        def no_op(frame, event, arg):
+            return no_op
+
+        def build(slot):
+            # called on every line, a trace function lets the threads
+            # switch inside the lookup that misses
+            sys.settrace(no_op)
+            barrier.wait(timeout=60)
+            built[slot] = [DisplacedState(*key) for key in keys]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(slot,)) for slot in range(len(built))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert None not in built
+        for states in zip(*built):
+            assert all(state is states[0] for state in states)
 
 
 class TestStateBound:
