@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import accumulate, product
 
 from .arcs import Arc, SegmentDecomposition, crosses, is_well_nested
-from .pda import FINAL_STATE_BOTTOM_ONLY, JsonFields, Pda, StackAction, Transition
+from .pda import FINAL_STATE_BOTTOM_ONLY, JsonFields, Pda, StackAction, Transition, check_length_bound
 
 BLOCKS_FORMAT = "blocks-v1"
 
@@ -127,8 +127,10 @@ class Verdict:
 class JointSpec:
     """Two constraint sets over one shared block structure.
 
-    Both sides are validated and built once, at construction, and kept on
-    the instance: `side` and `in_intersection` reuse them on every call.
+    Both sides, and the classes of the blocks that c1 and c2 together force
+    to equal length, are built once, at construction, and kept on the
+    instance: `side`, `in_intersection`, `words` and `witness_blocks` reuse
+    them on every call.
     """
 
     alphabets: tuple
@@ -141,8 +143,13 @@ class JointSpec:
         object.__setattr__(self, "alphabets", first.alphabets)
         object.__setattr__(self, "c1", first.constraints)
         object.__setattr__(self, "c2", second.constraints)
-        # not a field: per instance, and left out of equality and repr
+        classes = list(range(self.k))  # union-find by relabelling: each block's class
+        for l, r in self.c1 + self.c2:
+            old, new = classes[l - 1], classes[r - 1]
+            classes = [new if c == old else c for c in classes]
+        # not fields: per instance, and left out of equality and repr
         object.__setattr__(self, "_sides", (first, second))
+        object.__setattr__(self, "_classes", tuple(classes))
 
     @property
     def k(self) -> int:
@@ -170,16 +177,8 @@ class JointSpec:
         max_len is filled with every choice of letters per block.  The
         alphabets are disjoint, so no word is made twice, and the cost
         follows the intersection, not the block alphabets."""
-        owner = list(range(self.k))  # union-find over 0-based blocks
-
-        def find(block: int) -> int:
-            while owner[block] != block:
-                block = owner[block]
-            return block
-
-        for l, r in self.c1 + self.c2:
-            owner[find(l - 1)] = find(r - 1)
-        classes = [find(block) for block in range(self.k)]
+        check_length_bound(max_len)
+        classes = self._classes
         sizes = {c: classes.count(c) for c in classes}
         lengths = [({}, 0)]  # class -> block length, letters used so far
         for c, size in sizes.items():
@@ -287,21 +286,14 @@ def build_joint_pda(j: JointSpec) -> Pda:
 
 
 def witness_blocks(j: JointSpec, violation: Violation) -> frozenset:
-    """Blocks connected to the violating arcs through the constraint graph.
+    """Blocks connected to the violating arcs through the constraint graph:
+    the classes that hold the violation's blocks.
 
     These are the blocks that must grow together in the witness family;
     every other block can stay empty while both sides remain satisfied.
     """
-    edges = set(j.c1) | set(j.c2)
-    reached = set(violation.blocks())
-    changed = True
-    while changed:
-        changed = False
-        for l, r in edges:
-            if (l in reached) != (r in reached):
-                reached |= {l, r}
-                changed = True
-    return frozenset(reached)
+    classes = {j._classes[block - 1] for block in violation.blocks()}
+    return frozenset(b for b, c in enumerate(j._classes, start=1) if c in classes)
 
 
 def _witness_lengths(j: JointSpec, violation: Violation, n: int) -> list:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, product
 
 from .pda import (
     FINAL_STATE_BOTTOM_ONLY,
@@ -21,6 +22,7 @@ from .pda import (
     Pda,
     StackAction,
     Transition,
+    check_length_bound,
 )
 
 CFG_FORMAT = "cfg-v1"
@@ -112,6 +114,7 @@ class CnfGrammar(Cfg):
         joins the words of B and C over every split.  Only the start can
         derive the empty word, and it never appears on a right side, so no
         split is empty.  The cost follows the language, not the alphabet."""
+        check_length_bound(max_len)
         if self.is_empty:
             return set()
         # by_length[n][A]: the words of length n that A derives
@@ -131,21 +134,25 @@ class CnfGrammar(Cfg):
         return found
 
 
-class _CykIndex:
-    """The bit-vector view of one CNF grammar that cyk_membership parses with.
+class _CykIndex(dict):
+    """The bit-vector view of one CNF grammar that cyk_membership parses
+    with, and the memo of its joins.
 
     Each nonterminal owns one bit (in sorted name order), so a set of
     nonterminals is an int mask.  `leaves` maps a terminal to the mask of
-    heads producing it, `by_left` maps a left bit to the (right bit, head
-    bit) pairs of the binary rules it starts, and `joins` memoizes the head
-    mask derived from a (left mask, right mask) pair of adjacent spans.
-    `charts` holds the charts of the last words parsed as (word, starting),
-    with `starting[i][s - 1]` the mask of the nonterminals deriving
-    word[i:i + s]; it holds one chart unless calls ran at the same time.
-    One index belongs to one grammar instance and dies with it.
+    heads producing it, and `by_left` maps a left bit to the (right bit,
+    head bit) pairs of the binary rules it starts.  As a dict, the index
+    maps a (left mask, right mask) pair of adjacent spans, keyed as
+    `left << width | right`, to the heads A of every rule A -> B C with B
+    in the left mask and C in the right one; a pair is joined on first
+    lookup.  `charts` holds the charts of the last words parsed as (word,
+    starting), with `starting[i][s - 1]` the mask of the nonterminals
+    deriving word[i:i + s]; it holds one chart unless calls ran at the same
+    time.  One index belongs to one grammar instance and dies with it.
     """
 
     def __init__(self, g: CnfGrammar):
+        super().__init__()
         bit = {nt: 1 << i for i, nt in enumerate(sorted(g.nonterminals))}
         self.width = len(bit)
         self.start = bit[g.start]
@@ -158,26 +165,15 @@ class _CykIndex:
                 self.by_left.setdefault(bit[p.body[0]], []).append(
                     (bit[p.body[1]], bit[p.head])
                 )
-        self.joins = _Joins(self)
         self.charts: list[tuple[str, list[list[int]]]] = []
 
-
-class _Joins(dict):
-    """Memo from a (left mask, right mask) pair of adjacent spans, keyed as
-    `left << width | right`, to the heads A of every rule A -> B C with B in
-    the left mask and C in the right one; a pair is joined on first lookup."""
-
-    def __init__(self, index: _CykIndex):
-        super().__init__()
-        self.index = index
-
     def __missing__(self, key: int) -> int:
-        width = self.index.width
+        width = self.width
         left, right = key >> width, key & ((1 << width) - 1)
         heads = 0
         while left:
             low = left & -left
-            for right_bit, head_bit in self.index.by_left.get(low, ()):
+            for right_bit, head_bit in self.by_left.get(low, ()):
                 if right & right_bit:
                     heads |= head_bit
             left ^= low
@@ -265,29 +261,15 @@ def to_cnf(g: Cfg) -> CnfGrammar:
         out.add((head, body))
     prods = out
 
-    # nullable elimination
-    nullable = set()
-    changed = True
-    while changed:
-        changed = False
-        for head, body in prods:
-            if head not in nullable and all(s in nullable for s in body):
-                nullable.add(head)
-                changed = True
+    # nullable elimination: each nullable symbol of a body is kept or dropped
+    nullable = _deriving(prods)
     out = set()
     for head, body in prods:
-        optional = [idx for idx, s in enumerate(body) if s in nullable]
-        for mask in range(1 << len(optional)):
-            kept = [
-                s
-                for idx, s in enumerate(body)
-                if idx not in optional or not (mask >> optional.index(idx)) & 1
-            ]
+        for parts in product(*[((s,), ()) if s in nullable else ((s,),) for s in body]):
+            kept = tuple(chain.from_iterable(parts))
             if kept or head == start:
-                out.add((head, tuple(kept)))
-    prods = {(h, b) for h, b in out if b or h == start}
-    if start in nullable:
-        prods.add((start, ()))
+                out.add((head, kept))
+    prods = out
 
     # unit elimination
     unit_pairs = {(a, a) for a in nts}
@@ -316,20 +298,25 @@ def to_cnf(g: Cfg) -> CnfGrammar:
     )
 
 
-def _prune(start: str, prods: set, terminals) -> tuple[set, set] | None:
-    """The (head, body) pairs of `prods` whose symbols all generate a word
-    and are reachable from `start`, and the reachable nonterminals; None
-    when `start` generates nothing."""
-    generating = set()
+def _deriving(prods: set, symbols=frozenset()) -> set:
+    """The heads of the (head, body) pairs `prods` that derive a string over
+    `symbols`, as a least fixpoint: given no symbols, the nullable heads."""
+    derived: set = set()
     changed = True
     while changed:
         changed = False
         for head, body in prods:
-            if head not in generating and all(
-                s in generating or s in terminals for s in body
-            ):
-                generating.add(head)
+            if head not in derived and all(s in derived or s in symbols for s in body):
+                derived.add(head)
                 changed = True
+    return derived
+
+
+def _prune(start: str, prods: set, terminals) -> tuple[set, set] | None:
+    """The (head, body) pairs of `prods` whose symbols all generate a word
+    and are reachable from `start`, and the reachable nonterminals; None
+    when `start` generates nothing."""
+    generating = _deriving(prods, terminals)
     if start not in generating:
         return None
     by_head: dict = {}
@@ -352,11 +339,12 @@ def cyk_membership(g: CnfGrammar, w: str) -> bool:
 
     The chart is filled column by column, one column per end position, and
     its cells are nonterminal bit masks.  Everything behind it is kept per
-    grammar instance (see _CykIndex): the index is built on the first call,
-    and the chart of the last word parsed is kept, so a call computes only
-    the columns past the prefix it shares with the previous word.  A call
-    takes that chart off the index and puts it back when done, so calls on
-    one grammar from several threads never share a chart.
+    grammar instance in one _CykIndex, built on the first call: the rule
+    masks, the memo of the heads that join each pair of adjacent spans, and
+    the chart of the last word parsed, so a call computes only the columns
+    past the prefix it shares with the previous word.  A call takes that
+    chart off the index and puts it back when done, so calls on one grammar
+    from several threads never share a chart.
     """
     if g.is_empty:
         return False
@@ -377,7 +365,6 @@ def cyk_membership(g: CnfGrammar, w: str) -> bool:
     for i, cells in enumerate(starting):
         del cells[shared - i :]
     leaves = index.leaves
-    joins = index.joins
     shift = index.width
     for j in range(shared + 1, len(w) + 1):
         leaf = leaves.get(w[j - 1], 0)
@@ -389,7 +376,7 @@ def cyk_membership(g: CnfGrammar, w: str) -> bool:
             mask = 0
             for left, right in zip(starting[i], reversed(column)):
                 if left and right:
-                    mask |= joins[(left << shift) | right]
+                    mask |= index[(left << shift) | right]
             starting[i].append(mask)
             column.append(mask)
     # read the answer before the chart goes back: once it is on the index,

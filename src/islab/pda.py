@@ -166,13 +166,20 @@ class SearchLimits:
 DEFAULT_LIMITS = SearchLimits()
 
 
+def check_length_bound(max_len: int) -> None:
+    """Refuse a negative bound on word length, in one message for all."""
+    if max_len < 0:
+        raise ValueError(f"length bound must be nonnegative, got {max_len}")
+
+
 @dataclass(frozen=True)
 class Pda:
     """An explicit pushdown machine over single-character input symbols.
 
     Transitions are canonically sorted at construction (by source, read,
     action ranked push < pop < none, symbol, target) so that every search
-    below is deterministic and the "first run" is well defined.
+    below is deterministic and the "first run" is well defined.  A
+    transition listed twice is kept once, as a production is in `Cfg`.
     """
 
     states: frozenset
@@ -190,7 +197,7 @@ class Pda:
         object.__setattr__(self, "stack_alphabet", frozenset(self.stack_alphabet))
         object.__setattr__(self, "accept", frozenset(self.accept))
         object.__setattr__(
-            self, "transitions", tuple(sorted(self.transitions, key=Transition.sort_key))
+            self, "transitions", tuple(sorted(set(self.transitions), key=Transition.sort_key))
         )
         self._check()
 
@@ -362,6 +369,7 @@ class _Search:
     def __init__(
         self, machine, input_len: int, limits: SearchLimits, prune: bool = True
     ):
+        check_length_bound(input_len)
         self.machine = machine
         self.input_len = input_len
         self.live = machine.live_depths(input_len) if prune else None

@@ -25,10 +25,21 @@ INNER_PAIR = (2, 4)
 
 @dataclass(frozen=True)
 class Factorization:
-    cuts: tuple  # (a, b, c, d) with u=w[:a], v=w[a:b], x=w[b:c], y=w[c:d]
+    """u v x y z = w[:a], w[a:b], w[b:c], w[c:d], w[d:] for cuts (a, b, c, d).
+    Cuts outside 0 <= a <= b <= c <= d raise ValueError, and so does a word
+    shorter than d given to `parts` or `pumped`."""
+
+    cuts: tuple
+
+    def __post_init__(self):
+        a, b, c, d = self.cuts
+        if not 0 <= a <= b <= c <= d:
+            raise ValueError(f"cuts {self.cuts} out of order")
 
     def parts(self, word: str) -> tuple:
         a, b, c, d = self.cuts
+        if len(word) < d:
+            raise ValueError(f"cuts {self.cuts} reach past a word of length {len(word)}")
         return (word[:a], word[a:b], word[b:c], word[c:d], word[d:])
 
     def pumped(self, word: str) -> str:

@@ -173,6 +173,11 @@ class TestJointSpec:
         j = JointSpec(alphabets=({"a", "b"}, {"c"}, {"d"}, {"e"}), c1=((1, 2),), c2=((2, 3),))
         assert j.words(4) == {"", "e", "ee", "eee", "eeee", "acd", "bcd", "acde", "bcde"}
 
+    def test_negative_bound_refused(self):
+        message = "length bound must be nonnegative, got -1"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CHAINED_J.words(-1)
+
 
 class TestJointWellNested:
     def test_crossing_detected(self):
@@ -281,6 +286,30 @@ class TestWitnesses:
         assert not ok
         assert witness_blocks(j, violation) == frozenset({1, 2, 3, 4, 5})
         assert witness_string(j, violation, 2) == "aabbccddee"
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=joint_specs())
+    @example(spec=CROSSING_J)
+    @example(spec=CHAINED_J)
+    def test_witness_blocks_match_closure(self, spec):
+        """The blocks read off the spec's partition are those a closure over
+        the constraint graph reaches from the violation's blocks."""
+
+        def closure(violation):
+            reached = set(violation.blocks())
+            changed = True
+            while changed:
+                changed = False
+                for l, r in set(spec.c1) | set(spec.c2):
+                    if (l in reached) != (r in reached):
+                        reached |= {l, r}
+                        changed = True
+            return frozenset(reached)
+
+        constraints = spec.c1 + spec.c2
+        for first, second in itertools.product(constraints, repeat=2):
+            violation = Violation(CROSSING, first, second)
+            assert witness_blocks(spec, violation) == closure(violation)
 
     def test_unconnected_block_stays_empty(self):
         j = JointSpec(

@@ -148,6 +148,13 @@ class TestCnf:
         assert cyk_membership(cnf, "a")
         assert not cyk_membership(cnf, "ax")
 
+    @pytest.mark.parametrize("name", ["matched-pairs-grammar", "unit-chain-grammar"])
+    def test_negative_bound_refused(self, name):
+        cnf = to_cnf(corpus.get(name).grammar)
+        message = "length bound must be nonnegative, got -1"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cnf.words(-1)
+
 
 class TestCyk:
     def test_epsilon_follows_flag(self):

@@ -2,6 +2,7 @@ import copy
 import itertools
 import json
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -415,6 +416,13 @@ class TestEnumerateLanguage:
     def test_max_len_zero(self):
         assert enumerate_language(counter(), 0) == {""}
 
+    @pytest.mark.parametrize("mode", [FINAL_STATE_BOTTOM_ONLY, FINAL_STATE])
+    def test_negative_bound_refused(self, mode):
+        machine = replace(counter(), acceptance_mode=mode)
+        message = "length bound must be nonnegative, got -1"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            enumerate_language(machine, -1)
+
     def test_agrees_with_per_word_accepts(self):
         machine = corpus.get("gap-refutation").machine("short-arc")
         assert enumerate_language(machine, 5) == brute_force_language(machine, 5)
@@ -493,6 +501,13 @@ class TestJson:
     def test_malformed_document_names_field(self, keys, value, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             pda_from_json(edited(pda_to_json(counter()), keys, value))
+
+    def test_duplicate_transition_kept_once(self):
+        data = pda_to_json(counter())
+        data["transitions"].append(data["transitions"][0])
+        machine = pda_from_json(data)
+        assert len(machine.transitions) == 3
+        assert len(enumerate_runs(machine, "aabb")) == 1
 
     def test_document_is_plain_json(self):
         text = json.dumps(pda_to_json(doubler()), sort_keys=True)

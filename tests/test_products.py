@@ -521,6 +521,15 @@ class TestReachableStates:
             assert "expanded 10 configurations" in message
             assert re.search(r"furthest input position [1-8] of 8", message)
 
+    @pytest.mark.parametrize(
+        "explore", [reachable_composite_states, fragment_to_json, enumerate_language]
+    )
+    def test_negative_bound_refused(self, explore):
+        product = DisplacementProduct(*palindrome_pair(), k=1)
+        message = "length bound must be nonnegative, got -1"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            explore(product, -1)
+
 
 class TestFragmentExport:
     def test_shape_and_metadata(self):

@@ -51,6 +51,20 @@ class TestFactorization:
         f = Factorization((2, 2, 2, 2))
         assert f.pumped("abcd") == "abcd"
 
+    @pytest.mark.parametrize(
+        "cuts", [(3, 1, 2, 0), (0, 2, 1, 3), (0, 1, 2, 1), (-1, 0, 0, 0)]
+    )
+    def test_cuts_out_of_order_refused(self, cuts):
+        with pytest.raises(ValueError, match="out of order"):
+            Factorization(cuts)
+
+    @pytest.mark.parametrize("use", ["parts", "pumped"])
+    def test_word_shorter_than_window_refused(self, use):
+        f = Factorization((1, 2, 3, 5))
+        assert getattr(f, use)("abcde")
+        with pytest.raises(ValueError, match="reach past a word of length 4"):
+            getattr(f, use)("abcd")
+
 
 class TestCheckLinkage:
     def test_all_equal_holds_both_pairs(self):
