@@ -16,8 +16,10 @@ top symbol, the cell below it and the depth; each search call interns its
 cells in a table of its own, so equal stacks are one object, and push, pop,
 depth, hashing and equality each cost O(1) however deep the stack.  All
 searches step through the one successor generator `_Search.successors`,
-which also charges each search's budget and drops every successor whose
-stack is too deep to be emptied in the input left (see `live_depths`).
+which also charges each search's budget, one expansion per configuration
+(per configuration of each prefix in `enumerate_language`, whatever the
+alphabet size), and drops every successor whose stack is too deep to be
+emptied in the input left (see `live_depths`).
 No search recurses: run length never becomes Python recursion depth.
 What a caller gets back still holds tuples: `Configuration.stack` is the
 whole stack, bottom first, in `AcceptingRun.final` and in the results of
@@ -54,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from typing import Hashable, Iterable
+from typing import Hashable
 
 EPSILON = None  # the `read` field of a transition that consumes no input
 
@@ -388,16 +390,15 @@ class _Search:
                 cell = cells[key] = _Cell(symbol, below, below.depth + 1)
         return config.state, config.input_pos, cell
 
-    def successors(self, state, pos: int, cell: _Cell, symbol, epsilon: bool = True):
+    def successors(self, state, pos: int, cell: _Cell, symbol):
         """Yield (transition, input position, cell) after each transition
-        out of `state` that moves on epsilon (if `epsilon`) or reads
-        `symbol` (any symbol if it is _ANY, none if it is None) and whose
-        stack operation applies to `cell`, in transition order, leaving out
-        every successor whose stack is deeper than the live depth of its
-        state and position: none of those, nor any configuration after
-        them, can accept.  No stack depth is capped otherwise.  This is the
-        engine's only stack step, and each call is one expansion charged to
-        the budget."""
+        out of `state` that moves on epsilon or reads `symbol` (any symbol
+        if it is _ANY, none if it is None) and whose stack operation applies
+        to `cell`, in transition order, leaving out every successor whose
+        stack is deeper than the live depth of its state and position: none
+        of those, nor any configuration after them, can accept.  No stack
+        depth is capped otherwise.  This is the engine's only stack step,
+        and each call is one expansion charged to the budget."""
         if self.expanded >= self.max_configs:
             raise LimitExceeded(
                 f"expanded {self.expanded} configurations, furthest input"
@@ -410,8 +411,6 @@ class _Search:
         for t in self.machine.transitions_from(state):
             read = t.read
             if read is None:
-                if not epsilon:
-                    continue
                 new_pos = pos
             elif read == symbol or symbol is _ANY:
                 new_pos = pos + 1
@@ -433,19 +432,6 @@ class _Search:
             if live is not None and nxt.depth > live[t.target][new_pos]:
                 continue
             yield t, new_pos, nxt
-
-    def closure(self, configs: Iterable[tuple]) -> dict:
-        """Epsilon-closure as an insertion-ordered dict (values unused)."""
-        out = dict.fromkeys(configs, True)
-        stack = list(out)
-        while stack:
-            state, pos, cell = stack.pop()
-            for t, _, nxt_cell in self.successors(state, pos, cell, None):
-                nxt = (t.target, pos, nxt_cell)
-                if nxt not in out:
-                    out[nxt] = True
-                    stack.append(nxt)
-        return out
 
 
 def _run(node: tuple) -> AcceptingRun:
@@ -546,33 +532,36 @@ def enumerate_language(
 ) -> set[str]:
     """All accepted words of length <= max_len.
 
-    Breadth-first over prefixes, carrying the live configuration set of each
-    prefix; prefixes with no live configurations are pruned, so cost tracks
-    the size of the reachable prefix tree rather than |alphabet|^max_len.
-    Agrees with per-word `accepts` on every word it reports or omits.
+    Breadth-first over prefixes in sorted-symbol order.  One worklist
+    closes each prefix's configuration set: every configuration is
+    expanded once, its epsilon successors joining the set and its reads
+    seeding the set of the prefix one symbol longer.  Prefixes with no live
+    configurations are pruned, so cost tracks the size of the reachable
+    prefix tree rather than |alphabet|^max_len.  Agrees with per-word
+    `accepts` on every word it reports or omits.
     """
     search = _Search(machine, max_len, limits)
-    alphabet = sorted(machine.input_alphabet)
     accepted: set[str] = set()
-    init = search.intern(machine.initial_config())
-    frontier: list[tuple[str, dict]] = [("", search.closure([init]))]
+    frontier = [("", {search.intern(machine.initial_config()): None})]
     while frontier:
         next_frontier = []
         for word, configs in frontier:
+            reads = _ANY if len(word) < max_len else None
+            work = list(configs)
+            advanced: dict = {}  # symbol -> configurations after reading it
+            while work:
+                state, pos, cell = work.pop()
+                for t, new_pos, nxt_cell in search.successors(state, pos, cell, reads):
+                    nxt = (t.target, new_pos, nxt_cell)
+                    if t.read is not None:
+                        advanced.setdefault(t.read, {})[nxt] = None
+                    elif nxt not in configs:
+                        configs[nxt] = None
+                        work.append(nxt)
             # every configuration of a prefix has read the whole prefix
             if any(machine.is_accepting(state, cell) for state, _, cell in configs):
                 accepted.add(word)
-            if len(word) == max_len:
-                continue
-            for sym in alphabet:
-                advanced = []
-                for state, pos, cell in configs:
-                    for t, new_pos, nxt in search.successors(
-                        state, pos, cell, sym, epsilon=False
-                    ):
-                        advanced.append((t.target, new_pos, nxt))
-                if advanced:
-                    next_frontier.append((word + sym, search.closure(advanced)))
+            next_frontier.extend((word + sym, advanced[sym]) for sym in sorted(advanced))
         frontier = next_frontier
     return accepted
 

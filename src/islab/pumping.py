@@ -158,7 +158,9 @@ def case_trace(
     """Which segments the pumping window meets, and which linkage that
     invokes: the outer pair when exactly one of segments one and three is
     met, else the inner pair when exactly one of two and four is, else
-    none."""
+    none.  A window reaching past the word is refused as `parts` refuses
+    it."""
+    factorization.parts(word)
     intervals = cuts.intervals(word)
     window = factorization.window()
     touched = tuple(

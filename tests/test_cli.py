@@ -899,6 +899,26 @@ class TestVerify:
         assert code == 0, err
         assert "language equality confirmed, 0 mismatches (295 words)" in out
 
+    def test_displacement_length_14_expands_each_configuration_once(self, capsys):
+        """Each configuration of each prefix is expanded once, so the
+        product's search fits in 44 581 expansions."""
+        code, out, err = run_cli(
+            capsys,
+            "verify",
+            "--construct",
+            "displacement",
+            "--pair",
+            "interleaved-palindrome",
+            "--k",
+            "1",
+            "--max-len",
+            "14",
+            "--max-expand",
+            "50000",
+        )
+        assert code == 0, err
+        assert "language equality confirmed, 0 mismatches (679 words)" in out
+
     def test_buffered_length_12_within_default_budget(self, capsys):
         """d=1 is not complete on this pair: exit 1, with the mismatches a
         search without live depths finds at a budget of 3 000 000."""

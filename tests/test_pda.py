@@ -84,6 +84,22 @@ def ambiguous_two_path() -> Pda:
     )
 
 
+class CountingMachine:
+    """A machine that counts the engine's `transitions_from` calls, one per
+    configuration expanded."""
+
+    def __init__(self, machine):
+        self.machine = machine
+        self.calls = 0
+
+    def transitions_from(self, state):
+        self.calls += 1
+        return self.machine.transitions_from(state)
+
+    def __getattr__(self, attr):
+        return getattr(self.machine, attr)
+
+
 class TestConstruction:
     def test_undeclared_state_rejected(self):
         with pytest.raises(ValueError, match="undeclared state"):
@@ -440,6 +456,33 @@ class TestEnumerateLanguage:
         for word in enumerate_language(machine, 8):
             m = pattern.fullmatch(word)
             assert m and len(m.group(1)) == len(m.group(2)), word
+
+    def test_each_configuration_expanded_once_per_prefix(self):
+        """One state looping on a and b, no stack moves: each word up to
+        length 3 has one configuration, expanded once (1 + 2 + 4 + 8)."""
+        loop = Pda(
+            states={"p"},
+            input_alphabet={"a", "b"},
+            stack_alphabet={"$"},
+            transitions=[
+                Transition("p", "a", StackAction.none(), "p"),
+                Transition("p", "b", StackAction.none(), "p"),
+            ],
+            start="p",
+            bottom="$",
+            accept={"p"},
+            acceptance_mode=FINAL_STATE_BOTTOM_ONLY,
+        )
+        machine = CountingMachine(loop)
+        assert len(enumerate_language(machine, 3)) == 15
+        assert machine.calls == 15
+
+    def test_epsilon_successors_expanded_once_per_prefix(self):
+        """The doubler at length 3: "" has its start, "a" the auxiliary
+        state and then d0 over two A's, "ab" and "abb" one d1 each."""
+        machine = CountingMachine(doubler())
+        assert enumerate_language(machine, 3) == {"", "abb"}
+        assert machine.calls == 5
 
 
 class TestRunInvariants:

@@ -203,6 +203,11 @@ class TestCaseTrace:
         with pytest.raises(ValueError):
             case_trace("abc", self.cuts, Factorization((0, 1, 1, 2)))
 
+    def test_window_past_the_word_refused(self):
+        cuts = SegmentDecomposition(8, 2, 4, 6)
+        with pytest.raises(ValueError, match="reach past a word of length 8"):
+            case_trace("aabbccdd", cuts, Factorization((9, 10, 11, 12)))
+
 
 class TestCrossingHypotheses:
     def test_four_large_holds_on_all_equal(self):
