@@ -291,11 +291,11 @@ def _cmd_crossings(args) -> int:
     lines = [f"word {word!r}"]
     if rejected:
         lines.append(f"no analysis: rejected by machine(s) {rejected}")
-    for a in analyses:
-        lines.append(f"runs ({a.run_index_1}, {a.run_index_2}):")
-        if not a.crossings:
+    for entry in payload["analyses"]:
+        lines.append(f"runs ({entry['run_1']}, {entry['run_2']}):")
+        if not entry["crossings"]:
             lines.append("  no crossing pairs")
-        for row in _crossing_rows(a):
+        for row in entry["crossings"]:
             lines.append(
                 f"  arcs ({row['i']},{row['j']}) x ({row['i_prime']},{row['j_prime']})"
                 f": gap={row['gap']} inner={row['inner']}"
@@ -688,23 +688,16 @@ def _cmd_corpus(args) -> int:
             lines.append(f"  expected {key}: {value}")
         _emit(payload, args, lines)
     else:
-        names = corpus.list_bundles()
+        bundles = [corpus.get(name) for name in corpus.list_bundles()]
         payload = {
             "command": "corpus",
             "bundles": [
-                {
-                    "name": name,
-                    "kind": corpus.get(name).kind,
-                    "description": corpus.get(name).description,
-                }
-                for name in names
+                {"name": b.name, "kind": b.kind, "description": b.description}
+                for b in bundles
             ],
             "aliases": dict(sorted(corpus.ALIASES.items())),
         }
-        lines = []
-        for name in names:
-            bundle = corpus.get(name)
-            lines.append(f"{name:<26} {bundle.kind:<12} {bundle.description}")
+        lines = [f"{b.name:<26} {b.kind:<12} {b.description}" for b in bundles]
         _emit(payload, args, lines)
     if args.export:
         _export_corpus(args)

@@ -4,9 +4,11 @@ Cfg -> CnfGrammar (start wrapper, terminal lifting, binarization, nullable
 and unit elimination, useless-symbol pruning) -> GnfGrammar (the
 left-corner transform of the CNF grammar, in Greibach 2-standard form:
 every body is a, a B or a B C) -> a normal-form machine whose control holds
-the nonterminal under expansion.  No stage has a budget or can refuse a
-grammar.  cyk_membership and CnfGrammar.words on the CNF stage are the
-references the rest of the pipeline is checked against.
+the nonterminal under expansion.  Every closure of the pipeline (nullable,
+unit-reachable, generating and reachable symbols) is one least fixpoint,
+`_deriving`.  No stage has a budget or can refuse a grammar.
+cyk_membership and CnfGrammar.words on the CNF stage are the references
+the rest of the pipeline is checked against.
 """
 
 from __future__ import annotations
@@ -115,8 +117,6 @@ class CnfGrammar(Cfg):
         derive the empty word, and it never appears on a right side, so no
         split is empty.  The cost follows the language, not the alphabet."""
         check_length_bound(max_len)
-        if self.is_empty:
-            return set()
         # by_length[n][A]: the words of length n that A derives
         by_length = [defaultdict(set) for _ in range(max_len + 1)]
         for n in range(1, max_len + 1):
@@ -271,25 +271,13 @@ def to_cnf(g: Cfg) -> CnfGrammar:
                 out.add((head, kept))
     prods = out
 
-    # unit elimination
-    unit_pairs = {(a, a) for a in nts}
-    changed = True
-    while changed:
-        changed = False
-        for head, body in prods:
-            if len(body) == 1 and body[0] in nts:
-                for a, b in list(unit_pairs):
-                    if b == head and (a, body[0]) not in unit_pairs:
-                        unit_pairs.add((a, body[0]))
-                        changed = True
-    out = set()
-    for a, b in unit_pairs:
-        for head, body in prods:
-            if head == b and not (len(body) == 1 and body[0] in nts):
-                out.add((a, body))
-    prods = out
+    # unit elimination: A =>* B through unit rules exactly when A derives a
+    # string over {B} by them, so each rule of B is copied to every such A
+    units = {(head, body) for head, body in prods if len(body) == 1 and body[0] in nts}
+    reach = {b: _deriving(units, {b}) | {b} for b in nts}
+    prods = {(a, body) for head, body in prods - units for a in reach[head]}
 
-    prods, keep = _prune(start, prods, g.terminals) or (set(), {start})
+    prods, keep = _prune(start, prods, g.terminals)
     return CnfGrammar(
         nonterminals=keep,
         terminals=g.terminals,
@@ -300,7 +288,11 @@ def to_cnf(g: Cfg) -> CnfGrammar:
 
 def _deriving(prods: set, symbols=frozenset()) -> set:
     """The heads of the (head, body) pairs `prods` that derive a string over
-    `symbols`, as a least fixpoint: given no symbols, the nullable heads."""
+    `symbols`, as a least fixpoint.  It is every closure of the pipeline:
+    given no symbols, the nullable heads; given the terminals, the
+    generating heads; over the unit rules given {B}, the heads that reach B
+    through unit rules; over the pairs (symbol, (head,)), the symbols
+    reachable from the given ones."""
     derived: set = set()
     changed = True
     while changed:
@@ -312,26 +304,17 @@ def _deriving(prods: set, symbols=frozenset()) -> set:
     return derived
 
 
-def _prune(start: str, prods: set, terminals) -> tuple[set, set] | None:
+def _prune(start: str, prods: set, terminals) -> tuple[set, set]:
     """The (head, body) pairs of `prods` whose symbols all generate a word
-    and are reachable from `start`, and the reachable nonterminals; None
-    when `start` generates nothing."""
+    and are reachable from `start`, and the reachable nonterminals, both as
+    `_deriving` closures: the generating heads, then the symbols in the
+    bodies of kept rules with reachable heads.  When `start` generates
+    nothing, no rule of it is kept, so this is (set(), {start})."""
     generating = _deriving(prods, terminals)
-    if start not in generating:
-        return None
-    by_head: dict = {}
-    for head, body in prods:
-        if all(s in generating or s in terminals for s in body):
-            by_head.setdefault(head, []).append(body)
-    reachable = {start}
-    frontier = [start]
-    while frontier:
-        for body in by_head.get(frontier.pop(), ()):
-            for s in body:
-                if s not in terminals and s not in reachable:
-                    reachable.add(s)
-                    frontier.append(s)
-    return {(h, b) for h in reachable for b in by_head.get(h, ())}, reachable
+    kept = {(h, b) for h, b in prods if all(s in generating or s in terminals for s in b)}
+    edges = {(s, (h,)) for h, b in kept for s in b if s not in terminals}
+    reachable = _deriving(edges, {start}) | {start}
+    return {(h, b) for h, b in kept if h in reachable}, reachable
 
 
 def cyk_membership(g: CnfGrammar, w: str) -> bool:
@@ -346,8 +329,6 @@ def cyk_membership(g: CnfGrammar, w: str) -> bool:
     chart off the index and puts it back when done, so calls on one grammar
     from several threads never share a chart.
     """
-    if g.is_empty:
-        return False
     if w == "":
         return g.derives_epsilon
     index = g._cyk_index
@@ -420,7 +401,7 @@ def to_gnf(g: CnfGrammar) -> GnfGrammar:
         for c, (b, d) in binaries:
             for e, t in leaves:
                 prods.update((after[a, b], body) for body in bodies(t, (d, e), (a, c)))
-    prods, keep = _prune(g.start, prods, g.terminals) or (set(), {g.start})
+    prods, keep = _prune(g.start, prods, g.terminals)
     return GnfGrammar(
         nonterminals=keep,
         terminals=g.terminals,

@@ -433,23 +433,21 @@ class ArcRecord:
     mode: str  # "long" or "short"
 
 
+def _high_water(run, state_class: type, field: str) -> int:
+    """The longest `field` of any `state_class` state a step of `run` enters."""
+    targets = (step_.transition.target for step_ in run.steps)
+    return max(
+        (len(getattr(t, field)) for t in targets if isinstance(t, state_class)), default=0
+    )
+
+
 def max_displacement(run) -> int:
     """Largest number of foreign entries held aside by any single pop."""
-    high = 0
-    for step_ in run.steps:
-        target = step_.transition.target
-        if isinstance(target, DisplacedState):
-            high = max(high, len(target.displaced))
-    return high
+    return _high_water(run, DisplacedState, "displaced")
 
 
 def buffer_high_water(run) -> int:
-    high = 0
-    for step_ in run.steps:
-        target = step_.transition.target
-        if isinstance(target, BufferedState):
-            high = max(high, len(target.buffer))
-    return high
+    return _high_water(run, BufferedState, "buffer")
 
 
 def buffered_arcs(run) -> list[ArcRecord]:

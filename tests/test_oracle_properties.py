@@ -2,8 +2,9 @@
 oracles: the bit-mask CYK parser against a plain set-based CYK on random
 small grammars and in several call orders, the word generators
 `CnfGrammar.words` and `JointSpec.words` against membership filters over
-every word, the grammar pipeline's machine against CYK, and the
-window-level linkage scan against a scan that walks every factorization."""
+every word, the CNF stage's words against a fixpoint over the raw
+grammar, the grammar pipeline's machine against CYK, and the window-level
+linkage scan against a scan that walks every factorization."""
 
 import random
 import sys
@@ -98,6 +99,45 @@ def test_cnf_words_match_cyk_filter(g):
     derived = {w for w in words(TERMINALS, MAX_LEN) if cyk_membership(cnf, w)}
     for n in range(MAX_LEN + 1):
         assert cnf.words(n) == {w for w in derived if len(w) <= n}, n
+
+
+def raw_words(g: Cfg, max_len: int) -> set:
+    """The words up to max_len that `g` derives, read off the raw grammar:
+    a least fixpoint over one word set per nonterminal, where each body
+    joins its symbols' sets and drops whatever grows past max_len."""
+    found = {nt: set() for nt in g.nonterminals}
+    changed = True
+    while changed:
+        changed = False
+        for p in g.productions:
+            joined = {""}
+            for s in p.body:
+                options = found.get(s, {s})
+                joined = {u + v for u in joined for v in options if len(u + v) <= max_len}
+            if not joined <= found[p.head]:
+                found[p.head] |= joined
+                changed = True
+    return found[g.start]
+
+
+# the unit chain S -> A -> B -> C, which the start wrapper S0 -> S of to_cnf
+# lengthens: in most rule orders one pass over the unit rules misses a link
+UNIT_CHAIN = Cfg(
+    nonterminals=NONTERMINALS,
+    terminals=TERMINALS,
+    productions=[
+        Production(head, tuple(body))
+        for head, body in [("S", "A"), ("A", "B"), ("B", "C"), ("C", "aCb"), ("C", "")]
+    ],
+    start="S",
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=grammars(max_nonterminals=4, max_body=4))
+@example(g=UNIT_CHAIN)
+def test_cnf_keeps_the_raw_grammars_words(g):
+    assert to_cnf(g).words(MAX_LEN) == raw_words(g, MAX_LEN)
 
 
 @settings(max_examples=60, deadline=None)
