@@ -248,6 +248,12 @@ class PairAnalysis:
     crossings: tuple[CrossingAnalysis, ...]
 
 
+def check_runs_cap(runs_cap: int) -> None:
+    """Refuse a runs_cap below 1: it would analyze no run pair on any word."""
+    if runs_cap < 1:
+        raise ValueError(f"runs_cap must be at least 1, got {runs_cap}")
+
+
 def analyze_pair(
     machine_1,
     machine_2,
@@ -260,10 +266,9 @@ def analyze_pair(
     Every combination of the first runs_cap runs of each machine, in
     deterministic order, is analyzed; by default the first run of each.
     Words rejected by either machine give an empty list.  A runs_cap below
-    1 raises ValueError, since it would analyze nothing on any word.
+    1 raises ValueError (see `check_runs_cap`).
     """
-    if runs_cap < 1:
-        raise ValueError(f"runs_cap must be at least 1, got {runs_cap}")
+    check_runs_cap(runs_cap)
     return analyze_runs(
         word,
         enumerate_runs(machine_1, word, cap=runs_cap, limits=limits),

@@ -24,6 +24,7 @@ from .arcs import (
     SegmentDecomposition,
     analyze_pair,
     analyze_runs,
+    check_runs_cap,
     classify_family,
 )
 from .blocks import (
@@ -265,9 +266,7 @@ def _cmd_crossings(args) -> int:
         if bundle is None or bundle.family is None:
             raise CliError("--n needs a corpus bundle with a word family")
         word = bundle.family(args.n)
-    if args.runs_cap < 1:
-        # analyze_pair's refusal, made before any search
-        raise CliError(f"runs_cap must be at least 1, got {args.runs_cap}")
+    check_runs_cap(args.runs_cap)  # analyze_pair's refusal, made before any search
     limits = _limits(args)
     runs = [
         enumerate_runs(machine, word, cap=args.runs_cap, limits=limits)

@@ -15,7 +15,7 @@ fragments and state counts in `products`) keys its configurations as plain
 top symbol, the cell below it and the depth; each search call interns its
 cells in a table of its own, so equal stacks are one object, and push, pop,
 depth, hashing and equality each cost O(1) however deep the stack.  All
-searches step through the one successor generator `_Search.successors`,
+searches step through the one successor function `_Search.successors`,
 which also charges each search's budget, one expansion per configuration
 (per configuration of each prefix in `enumerate_language`, whatever the
 alphabet size), and drops every successor whose stack is too deep to be
@@ -258,35 +258,57 @@ class Pda:
         bottom only and no epsilon-transition pops: then only reads pop,
         at most one symbol each.  None otherwise.  P never decreases as r
         grows, so the table also serves inputs shorter than n.  Costs
-        O(n * |transitions|) per epsilon-chain length, which is one in
-        normal form.
+        O(|transitions|) per column r, times the epsilon-chain length (one
+        in normal form), until a column repeats an earlier one up to a
+        constant shift; every later column is then copied from the one a
+        period before, in O(|states|).
         """
         if self.acceptance_mode != FINAL_STATE_BOTTOM_ONLY:
             return None
         if any(t.read is None and t.action.kind == POP for t in self.transitions):
             return None
+        states = list(self.states)
+        index = {q: i for i, q in enumerate(states)}
         reads = [
-            (t.source, t.action.kind == POP, t.target)
+            (index[t.source], t.action.kind == POP, index[t.target])
             for t in self.transitions
             if t.read is not None
         ]
-        moves = [(t.source, t.target) for t in self.transitions if t.read is None]
-        pops = dict.fromkeys(self.states, 0)  # P(q, r), r = 0 first
-        columns = [pops]
-        for _ in range(input_len):
-            prev, pops = pops, dict.fromkeys(self.states, 0)
+        moves = [(index[t.source], index[t.target]) for t in self.transitions if t.read is None]
+        # Column r holds 1 + P(q, r) at index[q].  One step is F(x) =
+        # max(1, H(x)): H is the reads, then the epsilon closure, and it
+        # commutes with adding a constant.  A state that reaches no read
+        # through epsilon moves has H = -inf and stays at 1 in every column,
+        # so when column r repeats column r0 shifted by c > 0, no state is
+        # such: H(x) >= 1 at every state whenever x >= 1, so F(x + c) =
+        # F(x) + c, and every later column j is column j - (r - r0) plus c.
+        # A repeat with c = 0 is periodic anyway: F is a function.
+        column = [1] * len(states)
+        columns = [column]
+        shapes = {(0,) * len(states): (0, 1)}  # column minus its minimum -> (r, minimum)
+        for r in range(1, input_len + 1):
+            prev, column = column, [1] * len(states)
             for source, popping, target in reads:
-                pops[source] = max(pops[source], popping + prev[target])
+                value = popping + prev[target]
+                if value > column[source]:
+                    column[source] = value
             changed = True
             while changed:  # epsilon moves never pop: P(src, r) >= P(tgt, r)
                 changed = False
                 for source, target in moves:
-                    if pops[target] > pops[source]:
-                        pops[source] = pops[target]
+                    if column[target] > column[source]:
+                        column[source] = column[target]
                         changed = True
-            columns.append(pops)
+            columns.append(column)
+            low = min(column)
+            r0, low0 = shapes.setdefault(tuple([v - low for v in column]), (r, low))
+            if r0 < r:
+                period, lift = r - r0, low - low0
+                for j in range(r + 1, input_len + 1):
+                    columns.append([v + lift for v in columns[j - period]])
+                break
         columns.reverse()  # now indexed by input position
-        return {q: [1 + column[q] for column in columns] for q in self.states}
+        return dict(zip(states, map(list, zip(*columns))))
 
 
 def validate_normal_form(pda: Pda) -> list[str]:
@@ -390,15 +412,16 @@ class _Search:
                 cell = cells[key] = _Cell(symbol, below, below.depth + 1)
         return config.state, config.input_pos, cell
 
-    def successors(self, state, pos: int, cell: _Cell, symbol):
-        """Yield (transition, input position, cell) after each transition
-        out of `state` that moves on epsilon or reads `symbol` (any symbol
-        if it is _ANY, none if it is None) and whose stack operation applies
-        to `cell`, in transition order, leaving out every successor whose
-        stack is deeper than the live depth of its state and position: none
-        of those, nor any configuration after them, can accept.  No stack
-        depth is capped otherwise.  This is the engine's only stack step,
-        and each call is one expansion charged to the budget."""
+    def successors(self, state, pos: int, cell: _Cell, symbol) -> list:
+        """Return a list of (transition, input position, cell), one after
+        each transition out of `state` that moves on epsilon or reads
+        `symbol` (any symbol if it is _ANY, none if it is None) and whose
+        stack operation applies to `cell`, in transition order, leaving out
+        every successor whose stack is deeper than the live depth of its
+        state and position: none of those, nor any configuration after
+        them, can accept.  No stack depth is capped otherwise.  This is the
+        engine's only stack step, and each call is one expansion charged to
+        the budget."""
         if self.expanded >= self.max_configs:
             raise LimitExceeded(
                 f"expanded {self.expanded} configurations, furthest input"
@@ -408,6 +431,7 @@ class _Search:
         if pos > self.furthest:
             self.furthest = pos
         cells, live = self.cells, self.live
+        out = []
         for t in self.machine.transitions_from(state):
             read = t.read
             if read is None:
@@ -431,7 +455,8 @@ class _Search:
                 nxt = cell
             if live is not None and nxt.depth > live[t.target][new_pos]:
                 continue
-            yield t, new_pos, nxt
+            out.append((t, new_pos, nxt))
+        return out
 
 
 def _run(node: tuple) -> AcceptingRun:
@@ -487,11 +512,8 @@ def _accepting_nodes(machine, w: str, limits: SearchLimits, seen: set | None):
         if pos == n and machine.is_accepting(state, cell):
             yield node
         symbol = w[pos] if pos < n else None
-        children = [
-            ((t.target, new_pos, nxt), t, node)
-            for t, new_pos, nxt in search.successors(state, pos, cell, symbol)
-        ]
-        work.extend(reversed(children))
+        for t, new_pos, nxt in reversed(search.successors(state, pos, cell, symbol)):
+            work.append(((t.target, new_pos, nxt), t, node))
 
 
 def accepts(

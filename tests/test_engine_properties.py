@@ -1,9 +1,10 @@
 """Property tests on random small machines: the engine's searches agree
 with each other and with a reference search that shares no engine code on
 every word up to length 5, every witness run replays step by step to its
-final configuration, and what a search returns under a cap is exact.  The
-machines are in normal form, except those of the last test, whose epsilon
-moves push, pop or do nothing in any number but never cycle."""
+final configuration, what a search returns under a cap is exact, and the
+live-depth table equals one computed column by column.  The machines are in
+normal form, except those of `forward_machines`, whose epsilon moves push,
+pop or do nothing in any number but never cycle."""
 
 import re
 from dataclasses import replace
@@ -245,3 +246,91 @@ def test_searches_agree_outside_normal_form(machine):
         if ok:
             replay(machine, witness, word)
             assert runs[0] == witness
+
+
+def reference_live_depths(machine, input_len: int):
+    """The live-depth table column by column: P(q, r) for every r up to
+    `input_len`, each column from the one before, with no search for a
+    repeat."""
+    if machine.acceptance_mode != FINAL_STATE_BOTTOM_ONLY:
+        return None
+    if any(t.read is None and t.action.kind == POP for t in machine.transitions):
+        return None
+    reads = [
+        (t.source, t.action.kind == POP, t.target)
+        for t in machine.transitions
+        if t.read is not None
+    ]
+    moves = [(t.source, t.target) for t in machine.transitions if t.read is None]
+    pops = dict.fromkeys(machine.states, 0)
+    columns = [pops]
+    for _ in range(input_len):
+        prev, pops = pops, dict.fromkeys(machine.states, 0)
+        for source, popping, target in reads:
+            pops[source] = max(pops[source], popping + prev[target])
+        changed = True
+        while changed:
+            changed = False
+            for source, target in moves:
+                if pops[target] > pops[source]:
+                    pops[source] = pops[target]
+                    changed = True
+        columns.append(pops)
+    columns.reverse()
+    return {q: [1 + column[q] for column in columns] for q in machine.states}
+
+
+def bottom_only(transitions, states) -> Pda:
+    return Pda(
+        states=states,
+        input_alphabet=["a"],
+        stack_alphabet=["$", "A"],
+        transitions=transitions,
+        start=states[0],
+        bottom="$",
+        accept=[states[0]],
+    )
+
+
+def reading(source, action, target) -> Transition:
+    return Transition(source, "a", action, target)
+
+
+POP_A, NO_OP = StackAction.pop("A"), StackAction.none()
+
+# s0 pops on every read and grows; s1 has no reads and stays at depth 1
+STUCK_BESIDE_GROWING = bottom_only([reading("s0", POP_A, "s0")], ["s0", "s1"])
+# s0 pops on every read, s1 and s2 on every other: their columns drift
+# apart, so no column repeats and every one is computed
+TWO_RATES = bottom_only(
+    [
+        reading("s0", POP_A, "s0"),
+        reading("s1", POP_A, "s2"),
+        reading("s2", NO_OP, "s1"),
+    ],
+    ["s0", "s1", "s2"],
+)
+# one pop every other read, as on the palindrome tracks: period 2, lift 1
+PERIOD_TWO = bottom_only(
+    [reading("s0", POP_A, "s1"), reading("s1", NO_OP, "s0")], ["s0", "s1"]
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(machine=st.one_of(machines(), forward_machines()))
+@example(machine=STUCK_BESIDE_GROWING)
+@example(machine=TWO_RATES)
+@example(machine=PERIOD_TWO)
+@example(machine=corpus.get("interleaved-palindrome").machine("even-track"))
+def test_live_depths_match_the_column_by_column_reference(machine):
+    """However early the columns repeat, the table is the one computed
+    column by column, in both acceptance modes and at every length 0-40:
+    at length n, the last n + 1 positions of the reference at 40."""
+    for mode in ACCEPTANCE_MODES:
+        moded = replace(machine, acceptance_mode=mode)
+        reference = reference_live_depths(moded, 40)
+        for input_len in range(41):
+            expected = None
+            if reference is not None:
+                expected = {q: row[40 - input_len :] for q, row in reference.items()}
+            assert moded.live_depths(input_len) == expected, (mode, input_len)

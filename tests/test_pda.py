@@ -280,6 +280,21 @@ class TestAccepts:
         with pytest.raises(LimitExceeded):
             accepts(machine, "0" * 8, SearchLimits(max_configs=5))
 
+    @pytest.mark.parametrize(
+        "machine, word, expansions",
+        [
+            (odd_track(), "1" + "0" * 299, 11_253),
+            (even_track(), "01" + "0" * 398, 20_004),
+        ],
+        ids=["odd-track", "even-track"],
+    )
+    def test_rejected_palindrome_takes_exact_budget(self, machine, word, expansions):
+        # the search expands these configurations, no more and no fewer
+        assert accepts(machine, word, SearchLimits(max_configs=expansions)) == (False, None)
+        pattern = rf"expanded {expansions - 1} configurations, furthest input position"
+        with pytest.raises(LimitExceeded, match=pattern):
+            accepts(machine, word, SearchLimits(max_configs=expansions - 1))
+
     def test_pushing_epsilon_loop_is_inconclusive(self):
         # no stack depth bounds this machine: only the budget ends the search
         machine = Pda(
