@@ -11,7 +11,9 @@ positive case and a family of pumping witnesses in the negative one.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, product
 
 from .arcs import Arc, SegmentDecomposition, crosses, is_well_nested
@@ -39,8 +41,12 @@ class BlockSpec:
     Constraints are pairs (l, r) of 1-based block indices with l < r; they
     must be well nested and no block may appear in two constraints, which
     is what makes the language recognizable by a single counting machine.
-    The symbol -> block map that membership scans with is built once, at
-    construction, and kept on the instance.
+    Membership scans with one pattern, ([A1]*)([A2]*)...([Ak]*), compiled
+    on the first scan and kept on the instance.  It is called with `match`,
+    not `fullmatch`: the alphabets are disjoint, so the first greedy
+    attempt is the only parse and `match` never backtracks, while
+    `fullmatch` backtracks through every star on a word that is not
+    block-shaped.
     """
 
     alphabets: tuple
@@ -55,22 +61,22 @@ class BlockSpec:
         )
         if not self.alphabets:
             raise ValueError("at least one block is required")
-        block_index: dict = {}
+        seen: set = set()
         for idx, alpha in enumerate(self.alphabets, start=1):
             if not alpha:
                 raise ValueError(f"block {idx} has an empty alphabet")
             for ch in alpha:
                 if not (isinstance(ch, str) and len(ch) == 1):
                     raise ValueError(f"block symbols must be single characters, got {ch!r}")
-                if ch in block_index:
+                if ch in seen:
                     raise ValueError(f"symbol {ch!r} appears in two block alphabets")
-                block_index[ch] = idx
-        # not a field: per instance, and left out of equality and repr
-        object.__setattr__(self, "_block_index", block_index)
+                seen.add(ch)
         endpoints: set = set()
         for l, r in self.constraints:
-            if not (1 <= l < r <= self.k):
+            if not (1 <= l <= self.k and 1 <= r <= self.k):
                 raise ValueError(f"constraint {(l, r)} out of range for k={self.k}")
+            if l >= r:
+                raise ValueError(f"constraint {(l, r)} needs 1 <= l < r <= {self.k}")
             for e in (l, r):
                 if e in endpoints:
                     raise ValueError(f"block {e} appears in two constraints")
@@ -83,19 +89,22 @@ class BlockSpec:
     def k(self) -> int:
         return len(self.alphabets)
 
+    @cached_property
+    def _scan(self):
+        return re.compile(
+            "".join(
+                "([" + "".join(map(re.escape, sorted(alpha))) + "]*)"
+                for alpha in self.alphabets
+            )
+        ).match
+
     def block_counts(self, word: str):
         """Per-block symbol counts, or None when the word does not scan as
         consecutive blocks in order."""
-        block_index = self._block_index
-        counts = [0] * self.k
-        current = 1
-        for ch in word:
-            idx = block_index.get(ch)
-            if idx is None or idx < current:
-                return None
-            current = idx
-            counts[idx - 1] += 1
-        return counts
+        m = self._scan(word)
+        if m.end() != len(word):
+            return None
+        return list(map(len, m.groups()))
 
     def contains(self, word: str) -> bool:
         counts = self.block_counts(word)

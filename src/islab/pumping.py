@@ -113,6 +113,7 @@ def check_linkage(
     if member_a[0] == member_a[1] or member_b[0] == member_b[1]:
         return LinkageReport(pair, True, True, None, 0, 0, 0)
     n = len(word)
+    tails = [word[c:] for c in range(n + 1)]
     memo: dict = {}
     examined = 0
     relevant = 0
@@ -132,7 +133,7 @@ def check_linkage(
                 for c in range(b, d + 1) if b > a else range(a, d):
                     examined += 1
                     relevant += 1
-                    pumped = head + word[c:]
+                    pumped = head + tails[c]
                     hit = memo.get(pumped)
                     if hit is None:
                         hit = memo[pumped] = bool(oracle(pumped))

@@ -65,6 +65,81 @@ def joint_specs(draw, max_blocks: int = 5) -> JointSpec:
     return JointSpec(alphabets, side(), side())
 
 
+# regex metacharacters and non-ASCII letters, enough for five blocks of
+# three; FOREIGN is in no alphabet
+SCAN_POOL = "][^-\\.*$?aéßλΩ中"
+FOREIGN = "x"
+
+
+@st.composite
+def scan_cases(draw):
+    """A spec of 1-5 blocks of 1-3 letters from SCAN_POOL, with 0-2
+    constraints per side, and words over its letters plus FOREIGN: some
+    block-shaped, some not, the empty word among them."""
+    pool = draw(st.permutations(SCAN_POOL))
+    k = draw(st.integers(1, 5))
+    sizes = [draw(st.integers(1, 3)) for _ in range(k)]
+    starts = list(itertools.accumulate([0] + sizes))
+    alphabets = [set(pool[starts[i] : starts[i + 1]]) for i in range(k)]
+    pair = st.lists(st.integers(1, k), min_size=2, max_size=2, unique=True).map(sorted)
+
+    def side() -> tuple:
+        kept = ()
+        for constraint in draw(st.lists(pair, max_size=2)) if k > 1 else ():
+            try:
+                kept = BlockSpec(alphabets, kept + (tuple(constraint),)).constraints
+            except ValueError:
+                pass
+        return kept
+
+    spec = JointSpec(alphabets, side(), side())
+    letters = sorted(set().union(*alphabets)) + [FOREIGN]
+    shaped = st.tuples(
+        *(st.lists(st.sampled_from(sorted(a)), max_size=3).map("".join) for a in alphabets)
+    ).map("".join)
+    anything = st.text(alphabet=letters, max_size=8)
+    return spec, [""] + draw(st.lists(st.one_of(shaped, anything), max_size=12))
+
+
+def loop_counts(spec: BlockSpec, word: str):
+    """The per-character block scan that the compiled pattern replaced."""
+    block_index = {ch: idx for idx, alpha in enumerate(spec.alphabets, 1) for ch in alpha}
+    counts = [0] * spec.k
+    current = 1
+    for ch in word:
+        idx = block_index.get(ch)
+        if idx is None or idx < current:
+            return None
+        current = idx
+        counts[idx - 1] += 1
+    return counts
+
+
+def loop_contains(spec: BlockSpec, word: str) -> bool:
+    counts = loop_counts(spec, word)
+    return counts is not None and all(counts[l - 1] == counts[r - 1] for l, r in spec.constraints)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=scan_cases())
+@example(
+    case=(
+        JointSpec(("]", "^", "-", "\\"), ((1, 4),), ((2, 3),)),
+        ["", "]^-\\", "]]\\", "^-", "]-^\\", "]^-\\x", "\\]"],
+    )
+)
+def test_block_scan_matches_character_loop(case):
+    spec, words = case
+    first, second = spec.side(1), spec.side(2)
+    for word in words:
+        assert first.block_counts(word) == loop_counts(first, word), word
+        assert first.contains(word) == loop_contains(first, word), word
+        assert second.contains(word) == loop_contains(second, word), word
+        assert spec.in_intersection(word) == (
+            loop_contains(first, word) and loop_contains(second, word)
+        ), word
+
+
 class TestBlockSpecValidation:
     def test_overlapping_alphabets_rejected(self):
         with pytest.raises(ValueError, match="two block alphabets"):
@@ -77,6 +152,20 @@ class TestBlockSpecValidation:
     def test_constraint_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             BlockSpec(alphabets=({"a"}, {"b"}), constraints=((1, 3),))
+
+    @pytest.mark.parametrize("constraint", [(2, 1), (1, 1)])
+    def test_reversed_or_degenerate_constraint_names_the_rule(self, constraint):
+        # both blocks exist, so the constraint is not out of range
+        message = f"constraint {constraint} needs 1 <= l < r <= 2"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            joint_from_json(
+                {
+                    "format": "blocks-v1",
+                    "alphabets": [["a"], ["b"]],
+                    "c1": [list(constraint)],
+                    "c2": [],
+                }
+            )
 
     def test_reused_endpoint_rejected(self):
         with pytest.raises(ValueError, match="two constraints"):

@@ -502,6 +502,16 @@ class TestCharacterize:
         assert code2 == 0
         assert payload2["outcome"] == payload["outcome"] == "NotCFL"
 
+    @pytest.mark.parametrize("constraint", [[2, 1], [1, 1]])
+    def test_reversed_constraint_in_file_refused(self, capsys, tmp_path, constraint):
+        spec_file = tmp_path / "spec.json"
+        spec = {"format": "blocks-v1", "alphabets": [["a"], ["b"]], "c1": [constraint], "c2": []}
+        spec_file.write_text(json.dumps(spec))
+        code, out, err = run_cli(capsys, "characterize", "--blocks", str(spec_file))
+        assert code == 2
+        assert out == ""
+        assert f"constraint {tuple(constraint)} needs 1 <= l < r <= 2" in err
+
 
 class TestConstruct:
     def test_joint_machine_is_valid_pda_json(self, capsys):

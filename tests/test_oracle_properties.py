@@ -295,3 +295,57 @@ def test_linkage_scan_matches_full_scan(word, raw_cuts, pair, salt, density):
         report.oracle_calls,
     )
     assert got == reference_linkage(CountingOracle(salt, density), word, cuts, pair)
+
+
+CHAINED = corpus.get("chained-equal-blocks").joint
+BLOCK_ORACLES = {"joint": CHAINED.in_intersection, "side 1": CHAINED.side(1).contains}
+
+
+@st.composite
+def linkage_cases(draw):
+    """A word over abcd, random or block-shaped with 1-2 letters a block,
+    and three cuts, most often strictly inside it so that no segment is
+    empty and the linkage is not vacuous."""
+    word = draw(
+        st.one_of(
+            st.text(alphabet="abcd", min_size=4, max_size=8),
+            st.lists(st.integers(1, 2), min_size=4, max_size=4).map(
+                lambda counts: "".join(ch * n for ch, n in zip("abcd", counts))
+            ),
+        )
+    )
+    n = len(word)
+    inside = st.lists(st.integers(1, n - 1), min_size=3, max_size=3, unique=True)
+    anywhere = st.lists(st.integers(0, n), min_size=3, max_size=3)
+    cuts = sorted(draw(st.one_of(inside, inside, inside, anywhere)))
+    return word, SegmentDecomposition(n, *cuts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=linkage_cases(),
+    pair=st.sampled_from([OUTER_PAIR, INNER_PAIR]),
+    oracle=st.sampled_from(sorted(BLOCK_ORACLES)),
+)
+# holds: every relevant pump unbalances a constraint
+@example(case=("abcd", SegmentDecomposition(4, 1, 2, 3)), pair=OUTER_PAIR, oracle="joint")
+# fails: pumping a and b together keeps |a| = |b| and |c| = |d|
+@example(case=("abcd", SegmentDecomposition(4, 1, 2, 3)), pair=OUTER_PAIR, oracle="side 1")
+# fails on the inner pair: a window across the a|b boundary pumps both
+@example(
+    case=("aabbccdd", SegmentDecomposition(8, 2, 4, 6)), pair=INNER_PAIR, oracle="side 1"
+)
+def test_linkage_scan_matches_full_scan_on_block_oracles(case, pair, oracle):
+    word, cuts = case
+    member = BLOCK_ORACLES[oracle]
+    report = check_linkage(member, word, cuts, pair)
+    ce = report.counterexample
+    got = (
+        report.holds,
+        report.vacuous,
+        ce and (ce.factorization.cuts, ce.parts, ce.pumped),
+        report.examined,
+        report.relevant,
+        report.oracle_calls,
+    )
+    assert got == reference_linkage(member, word, cuts, pair)
