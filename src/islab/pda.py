@@ -19,7 +19,9 @@ searches step through the one successor function `_Search.successors`,
 which also charges each search's budget, one expansion per configuration
 (per configuration of each prefix in `enumerate_language`, whatever the
 alphabet size), and drops every successor whose stack is too deep to be
-emptied in the input left (see `live_depths`).
+emptied in the input left (see `live_depths`) or, in the searches over one
+word (`accepts`, `enumerate_runs`, `step`), too shallow to last it (see
+`floor_depths`).
 No search recurses: run length never becomes Python recursion depth.
 What a caller gets back still holds tuples: `Configuration.stack` is the
 whole stack, bottom first, in `AcceptingRun.final` and in the results of
@@ -29,10 +31,14 @@ What bounds a search.  The engine caps no stack depth: a machine in normal
 form stays within 2*|w|+1 by construction, products within 4*|w|+1
 because they take normal-form components only, and live depths prune the
 machines that accept on their bottom only, products of two such machines
-included.  Everything else, such as a machine whose epsilon moves push
-without end, is bounded by the search's one budget,
-`SearchLimits.max_configs`: such a search ends in LimitExceeded, never in
-a wrong answer.
+included.  On one word, floor depths also prune such a plain machine's
+stacks that are too shallow to last the input left: from a pop-only state
+(one that can reach no push) a run must pop down to the bottom in exactly
+the input left, so a guess of where the pops begin that comes too early
+dies where it is made, not where the stack runs out.  Everything else,
+such as a machine whose epsilon moves push without end, is bounded by the
+search's one budget, `SearchLimits.max_configs`: such a search ends in
+LimitExceeded, never in a wrong answer.
 
 Machines, plain or product, meet the engine through a duck-typed protocol
 that products follow without being normal-form themselves:
@@ -48,14 +54,19 @@ that products follow without being normal-form themselves:
   deepest stack from which an accepting run can still be reached at each
   input position 0..input_len of inputs of at most that length (see
   `Pda.live_depths`).  The mapping may fill its rows on first lookup, as
-  a product's does: its composite states are only known once reached.
+  a product's does: its composite states are only known once reached;
+* `floor_depths(input_len)`: None, or a mapping from each state to the
+  shallowest stack from which an accepting run can still be reached at
+  each input position 0..input_len of inputs of exactly that length (see
+  `Pda.floor_depths`).  Products give None.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import islice
+from math import isfinite
 from typing import Hashable
 
 EPSILON = None  # the `read` field of a transition that consumes no input
@@ -174,6 +185,27 @@ def check_length_bound(max_len: int) -> None:
         raise ValueError(f"length bound must be nonnegative, got {max_len}")
 
 
+_NO_PATH = float("-inf")  # a depth-table entry that no control path reaches
+
+
+def _last_length(table):
+    """Memoize a machine's per-length table method in one slot on the
+    machine, keyed by input length: a call for another length replaces it,
+    so a machine keeps one table of each kind, however many lengths it is
+    asked for."""
+    slot = "_last_" + table.__name__
+
+    @wraps(table)
+    def memoized(self, input_len: int):
+        last = self.__dict__.get(slot)
+        if last is None or last[0] != input_len:
+            # the class is frozen; cached_property stores the same way
+            last = self.__dict__[slot] = (input_len, table(self, input_len))
+        return last[1]
+
+    return memoized
+
+
 @dataclass(frozen=True)
 class Pda:
     """An explicit pushdown machine over single-character input symbols.
@@ -247,6 +279,16 @@ class Pda:
             return stack.depth == 1 and stack.top == self.bottom
         return True
 
+    @cached_property
+    def _depth_bounded(self) -> bool:
+        """Whether the depth tables exist: the machine accepts on its bottom
+        only and no epsilon-transition pops, so only reads pop, at most one
+        symbol each."""
+        return self.acceptance_mode == FINAL_STATE_BOTTOM_ONLY and not any(
+            t.read is None and t.action.kind == POP for t in self.transitions
+        )
+
+    @_last_length
     def live_depths(self, input_len: int) -> dict | None:
         """For each state q, a list over input positions 0..n (n =
         `input_len`) whose entry at `pos` is 1 + P(q, n - pos): P(q, r) is
@@ -255,60 +297,161 @@ class Pda:
         it down to the bottom, so it cannot lead to acceptance.
 
         Only sound, and so only given, when the machine accepts on its
-        bottom only and no epsilon-transition pops: then only reads pop,
-        at most one symbol each.  None otherwise.  P never decreases as r
-        grows, so the table also serves inputs shorter than n.  Costs
-        O(|transitions|) per column r, times the epsilon-chain length (one
-        in normal form), until a column repeats an earlier one up to a
-        constant shift; every later column is then copied from the one a
-        period before, in O(|states|).
+        bottom only and no epsilon-transition pops; None otherwise.  P
+        never decreases as r grows, so the table also serves inputs
+        shorter than n.  Costs O(|transitions|) per column r, times the
+        epsilon-chain length (one in normal form), until a column repeats
+        an earlier one up to a constant shift (see `_depth_rows`).  The
+        table is shared with every later call for the same n: read it,
+        never change it.
         """
-        if self.acceptance_mode != FINAL_STATE_BOTTOM_ONLY:
-            return None
-        if any(t.read is None and t.action.kind == POP for t in self.transitions):
+        if not self._depth_bounded:
             return None
         states = list(self.states)
         index = {q: i for i, q in enumerate(states)}
         reads = [
-            (index[t.source], t.action.kind == POP, index[t.target])
+            (index[t.source], int(t.action.kind == POP), index[t.target])
             for t in self.transitions
             if t.read is not None
         ]
         moves = [(index[t.source], index[t.target]) for t in self.transitions if t.read is None]
-        # Column r holds 1 + P(q, r) at index[q].  One step is F(x) =
-        # max(1, H(x)): H is the reads, then the epsilon closure, and it
-        # commutes with adding a constant.  A state that reaches no read
-        # through epsilon moves has H = -inf and stays at 1 in every column,
-        # so when column r repeats column r0 shifted by c > 0, no state is
-        # such: H(x) >= 1 at every state whenever x >= 1, so F(x + c) =
-        # F(x) + c, and every later column j is column j - (r - r0) plus c.
-        # A repeat with c = 0 is periodic anyway: F is a function.
-        column = [1] * len(states)
-        columns = [column]
-        shapes = {(0,) * len(states): (0, 1)}  # column minus its minimum -> (r, minimum)
-        for r in range(1, input_len + 1):
-            prev, column = column, [1] * len(states)
-            for source, popping, target in reads:
-                value = popping + prev[target]
+        # Column r holds 1 + P(q, r): at least 1, and epsilon moves never
+        # pop, so P(source, r) >= P(target, r).
+        return dict(zip(states, _depth_rows([1] * len(states), reads, moves, 1, input_len)))
+
+    @_last_length
+    def floor_depths(self, input_len: int) -> dict | None:
+        """For each state q, a list over input positions 0..n (n =
+        `input_len`) of the shallowest stack from which an input of length
+        exactly n can still be accepted: a configuration in q at `pos`
+        whose stack is shallower cannot lead to acceptance.
+
+        A state is pop-only when no push transition, reading or not, can be
+        reached from it.  A pop-only state's entry at `pos` is 1 + M(q, n -
+        pos): M(q, r) is the fewest pops over control paths of exactly r
+        reads from q that end in an accepting state (inf if there is none).
+        A run from a pop-only state at depth d never grows the stack and
+        must end at depth 1, so it pops exactly d - 1 entries along such a
+        path.  Every other state shares one row of 1s: a stack emptied
+        below its bottom is refilled only by pushing the bottom marker, so
+        the row is of 0s when a transition does.
+
+        Has the preconditions of `live_depths`, and is None otherwise.
+        Unlike P, M may fall as r grows, so the table serves inputs of
+        length n only.  Costs O(|transitions|) per column over the pop-only
+        states until a column repeats (see `_depth_rows`).  The table, its
+        shared row included, is shared with every later call for the same
+        n: read it, never change it.
+        """
+        if not self._depth_bounded:
+            return None
+        states = list(self.states)
+        index = {q: i for i, q in enumerate(states)}
+        reaches_push = [0] * len(states)
+        for t in self.transitions:
+            if t.action.kind == PUSH:
+                reaches_push[index[t.source]] = 1
+        _close(reaches_push, [(index[t.source], index[t.target]) for t in self.transitions])
+        pop_only = [q for q, reaches in zip(states, reaches_push) if not reaches]
+        refilled = any(t.action == StackAction.push(self.bottom) for t in self.transitions)
+        shared = [int(not refilled)] * (input_len + 1)
+        table = dict.fromkeys(states, shared)
+        if not pop_only:
+            return table
+        # Max-plus over -M: weight -1 per pop, _NO_PATH for no path.  Every
+        # transition out of a pop-only state enters one and pushes nothing.
+        index = {q: i for i, q in enumerate(pop_only)}
+        reads = [
+            (index[t.source], -int(t.action.kind == POP), index[t.target])
+            for t in self.transitions
+            if t.read is not None and t.source in index
+        ]
+        moves = [
+            (index[t.source], index[t.target])
+            for t in self.transitions
+            if t.read is None and t.source in index
+        ]
+        seed = [0 if q in self.accept else _NO_PATH for q in pop_only]
+        rows = _depth_rows(seed, reads, moves, _NO_PATH, input_len, complement=True)
+        table.update(zip(pop_only, rows))
+        return table
+
+
+def _close(column: list, moves: list) -> list:
+    """Raise the entry of each source of `moves` (source, target) to its
+    target's until none changes, in place; return `column`."""
+    changed = True
+    while changed:
+        changed = False
+        for source, target in moves:
+            if column[target] > column[source]:
+                column[source] = column[target]
+                changed = True
+    return column
+
+
+def _depth_rows(
+    seed: list, reads: list, moves: list, base, count: int, complement: bool = False
+) -> list:
+    """One row per state index, over input positions 0..count, of the
+    table whose column r (r = count - position, the reads left) is: for r
+    = 0, `seed` closed under `moves` (see `_close`); after that, at each
+    state the largest of `base` and weight + column r - 1 at the target
+    over its `reads` (source, weight, target), closed under `moves`.  With
+    `complement`, each entry v is given as 1 - v.
+
+    The column loop of both depth tables.  It stops at the first column
+    that repeats an earlier one up to a constant shift, and fills every
+    later entry of each row from the one a period before.
+    """
+    # One step is F(x) = max(base, H(x)): H is the reads, then the
+    # closure, and it commutes with adding a constant.  If column r is
+    # column r0 shifted by c, every later column j is column j - (r - r0)
+    # plus c when F commutes with that shift too.  With c = 0 that holds
+    # because F is a function; with base = _NO_PATH because F = H.  With a
+    # finite base all weights are >= 0 and columns start at base (live
+    # depths): a state that reaches no read through moves stays at base in
+    # every column, so c > 0 leaves none such, H(x) >= base at every state,
+    # and F = H on the columns that follow.
+    column = _close(list(seed), moves)
+    columns = []
+    shapes: dict = {}  # column minus its top -> (r, top)
+    period = lift = 0  # until a column repeats
+    for r in range(count + 1):
+        if r:
+            prev, column = column, [base] * len(seed)
+            for source, weight, target in reads:
+                value = weight + prev[target]
                 if value > column[source]:
                     column[source] = value
-            changed = True
-            while changed:  # epsilon moves never pop: P(src, r) >= P(tgt, r)
-                changed = False
-                for source, target in moves:
-                    if column[target] > column[source]:
-                        column[source] = column[target]
-                        changed = True
-            columns.append(column)
-            low = min(column)
-            r0, low0 = shapes.setdefault(tuple([v - low for v in column]), (r, low))
-            if r0 < r:
-                period, lift = r - r0, low - low0
-                for j in range(r + 1, input_len + 1):
-                    columns.append([v + lift for v in columns[j - period]])
-                break
-        columns.reverse()  # now indexed by input position
-        return dict(zip(states, map(list, zip(*columns))))
+            _close(column, moves)
+        columns.append(column)
+        top = max(column)
+        if top == _NO_PATH:
+            top = 0
+        r0, top0 = shapes.setdefault(tuple([v - top for v in column]), (r, top))
+        if r0 < r:
+            period, lift = r - r0, top - top0
+            break
+    if complement:
+        columns = [[1 - v for v in column] for column in columns]
+        lift = -lift
+    rows = [list(row) for row in zip(*columns)]  # indexed by r
+    left = count + 1 - len(columns)
+    for row in rows:
+        if left:
+            # entry r is entry r - period plus lift: each phase of the last
+            # period goes on as an arithmetic sequence, or stays put
+            later = [None] * left
+            for phase, value in enumerate(row[-period:]):
+                times = len(range(phase, left, period))
+                if lift and isfinite(value):
+                    later[phase::period] = range(value + lift, value + lift * (times + 1), lift)
+                else:
+                    later[phase::period] = [value] * times
+            row += later
+        row.reverse()  # now indexed by input position
+    return rows
 
 
 def validate_normal_form(pda: Pda) -> list[str]:
@@ -385,18 +528,26 @@ _ANY = object()  # `symbol` for successors that may read any input symbol
 
 class _Search:
     """What one search call shares: the machine, its live depths for inputs
-    of length `input_len` (None if it has none or `prune` is off), the
-    table interning the search's stack cells by (cell below, top symbol),
-    and the search's budget: how many configurations it has expanded, out
-    of `limits.max_configs`, and the furthest input position among them."""
+    of length `input_len` (None if it has none or `prune` is off), its
+    floor depths (None unless the search reads one word of exactly that
+    length, `one_word`), the table interning the search's stack cells by
+    (cell below, top symbol), and the search's budget: how many
+    configurations it has expanded, out of `limits.max_configs`, and the
+    furthest input position among them."""
 
     def __init__(
-        self, machine, input_len: int, limits: SearchLimits, prune: bool = True
+        self,
+        machine,
+        input_len: int,
+        limits: SearchLimits,
+        prune: bool = True,
+        one_word: bool = False,
     ):
         check_length_bound(input_len)
         self.machine = machine
         self.input_len = input_len
         self.live = machine.live_depths(input_len) if prune else None
+        self.floor = machine.floor_depths(input_len) if prune and one_word else None
         self.cells: dict = {}
         self.max_configs = limits.max_configs
         self.expanded = self.furthest = 0
@@ -418,10 +569,10 @@ class _Search:
         `symbol` (any symbol if it is _ANY, none if it is None) and whose
         stack operation applies to `cell`, in transition order, leaving out
         every successor whose stack is deeper than the live depth of its
-        state and position: none of those, nor any configuration after
-        them, can accept.  No stack depth is capped otherwise.  This is the
-        engine's only stack step, and each call is one expansion charged to
-        the budget."""
+        state and position, or shallower than its floor depth: none of
+        those, nor any configuration after them, can accept.  No stack
+        depth is capped otherwise.  This is the engine's only stack step,
+        and each call is one expansion charged to the budget."""
         if self.expanded >= self.max_configs:
             raise LimitExceeded(
                 f"expanded {self.expanded} configurations, furthest input"
@@ -430,7 +581,7 @@ class _Search:
         self.expanded += 1
         if pos > self.furthest:
             self.furthest = pos
-        cells, live = self.cells, self.live
+        cells, live, floor = self.cells, self.live, self.floor
         out = []
         for t in self.machine.transitions_from(state):
             read = t.read
@@ -453,8 +604,12 @@ class _Search:
                 nxt = cell.below
             else:  # NONE: Pda._check admits no other kind
                 nxt = cell
-            if live is not None and nxt.depth > live[t.target][new_pos]:
-                continue
+            if live is not None:
+                depth = nxt.depth
+                if depth > live[t.target][new_pos]:
+                    continue
+                if floor is not None and depth < floor[t.target][new_pos]:
+                    continue
             out.append((t, new_pos, nxt))
         return out
 
@@ -473,13 +628,15 @@ def _run(node: tuple) -> AcceptingRun:
 
 
 def step(machine, config: Configuration, w: str) -> tuple:
-    """The one-step successors of `config` on input `w` that the searches
-    keep: those from which the rest of `w` can still be accepted, as far
-    as the machine's live depths tell.  A configuration past either end of
-    `w` has none."""
+    """The one-step successors of `config` on input `w` that `accepts` and
+    `enumerate_runs` keep: those from which the rest of `w` can still be
+    accepted, as far as the machine's live and floor depths tell.  A
+    configuration past either end of `w` has none.  The machine keeps its
+    depth tables for the last length asked, so replaying a run step by
+    step builds them once."""
     if not 0 <= config.input_pos <= len(w):
         return ()
-    search = _Search(machine, len(w), DEFAULT_LIMITS)
+    search = _Search(machine, len(w), DEFAULT_LIMITS, one_word=True)
     state, pos, cell = search.intern(config)
     symbol = w[pos] if pos < len(w) else None
     return tuple(
@@ -499,7 +656,7 @@ def _accepting_nodes(machine, w: str, limits: SearchLimits, seen: set | None):
     to its path, so run length never becomes Python recursion depth.
     """
     n = len(w)
-    search = _Search(machine, n, limits)
+    search = _Search(machine, n, limits, one_word=True)
     work = [(search.intern(machine.initial_config()), None, None)]
     while work:
         node = work.pop()

@@ -246,6 +246,12 @@ class _ProductBase:
             return None
         return _LiveDepths(*tables)
 
+    def floor_depths(self, input_len: int) -> None:
+        """None: a product has no floor depths.  Entries lifted aside and
+        buffered pushes take pops off the stack, so a run of pops need not
+        shrink it (see `Pda.floor_depths`)."""
+        return None
+
     def transitions_from(self, state) -> tuple:
         out = self._table.get(state)
         if out is None:

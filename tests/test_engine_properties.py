@@ -1,8 +1,10 @@
 """Property tests on random small machines: the engine's searches agree
 with each other and with a reference search that shares no engine code on
 every word up to length 5, every witness run replays step by step to its
-final configuration, what a search returns under a cap is exact, and the
-live-depth table equals one computed column by column.  The machines are in
+final configuration, what a search returns under a cap is exact, the
+live- and floor-depth tables equal ones computed column by column, every
+accepting run keeps within them, and pruning by floor depth changes no
+answer.  The machines are in
 normal form, except those of `forward_machines`, whose epsilon moves push,
 pop or do nothing in any number but never cycle."""
 
@@ -334,3 +336,141 @@ def test_live_depths_match_the_column_by_column_reference(machine):
             if reference is not None:
                 expected = {q: row[40 - input_len :] for q, row in reference.items()}
             assert moded.live_depths(input_len) == expected, (mode, input_len)
+
+
+def reference_floor_depths(machine, input_len: int):
+    """The floor-depth table column by column: a state is pop-only when no
+    state reachable from it, itself included, has a push transition, and
+    M(q, r) is taken for every r up to `input_len`, each column from the
+    one before, with no search for a repeat."""
+    if machine.acceptance_mode != FINAL_STATE_BOTTOM_ONLY:
+        return None
+    if any(t.read is None and t.action.kind == POP for t in machine.transitions):
+        return None
+    after = {q: {t.target for t in machine.transitions if t.source == q} for q in machine.states}
+    pushers = {t.source for t in machine.transitions if t.action.kind == PUSH}
+    pop_only = set()
+    for q in machine.states:
+        reached, todo = {q}, [q]
+        while todo:
+            for nxt in after[todo.pop()] - reached:
+                reached.add(nxt)
+                todo.append(nxt)
+        if not reached & pushers:
+            pop_only.add(q)
+    inf = float("inf")
+    inner = [t for t in machine.transitions if t.source in pop_only]
+    reads = [(t.source, t.action.kind == POP, t.target) for t in inner if t.read is not None]
+    moves = [(t.source, t.target) for t in inner if t.read is None]
+
+    def closed(pops):
+        changed = True
+        while changed:
+            changed = False
+            for source, target in moves:
+                if pops[target] < pops[source]:
+                    pops[source] = pops[target]
+                    changed = True
+        return pops
+
+    pops = closed({q: 0 if q in machine.accept else inf for q in pop_only})
+    columns = [pops]
+    for _ in range(input_len):
+        prev, pops = pops, dict.fromkeys(pop_only, inf)
+        for source, popping, target in reads:
+            pops[source] = min(pops[source], popping + prev[target])
+        columns.append(closed(pops))
+    columns.reverse()
+    refilled = any(
+        t.action.kind == PUSH and t.action.symbol == machine.bottom for t in machine.transitions
+    )
+    table = {q: [0 if refilled else 1] * (input_len + 1) for q in machine.states}
+    table.update({q: [1 + column[q] for column in columns] for q in pop_only})
+    return table
+
+
+ODD_TRACK = corpus.get("interleaved-palindrome").machine("odd-track")
+DOUBLER = corpus.get("double-push").machine("doubler")
+
+
+@settings(max_examples=100, deadline=None)
+@given(machine=st.one_of(machines(), forward_machines()))
+@example(machine=ODD_TRACK)
+@example(machine=DOUBLER)
+def test_floor_depths_match_the_column_by_column_reference(machine):
+    """However early the columns repeat, the floor table is the one computed
+    column by column, in both acceptance modes and at every length 0-40."""
+    for mode in ACCEPTANCE_MODES:
+        moded = replace(machine, acceptance_mode=mode)
+        for input_len in range(41):
+            expected = reference_floor_depths(moded, input_len)
+            assert moded.floor_depths(input_len) == expected, (mode, input_len)
+
+
+def run_configurations(machine, run):
+    """(state, input position, stack depth) of every configuration on the
+    run, the initial one included."""
+    config = machine.initial_config()
+    out = [(config.state, config.input_pos, len(config.stack))]
+    out.extend((s.transition.target, s.input_pos, s.stack_depth_after) for s in run.steps)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(machine=st.one_of(machines(), forward_machines()))
+@example(machine=ODD_TRACK)
+@example(machine=DOUBLER)
+def test_accepting_runs_keep_within_floor_and_live_depths(machine):
+    """Every configuration of every accepting run listed, on every word up
+    to length 5 in both acceptance modes, has a stack no shallower than its
+    floor depth and no deeper than its live depth."""
+    try:
+        for mode in ACCEPTANCE_MODES:
+            moded = replace(machine, acceptance_mode=mode)
+            for word in words(moded.input_alphabet, MAX_LEN):
+                live = moded.live_depths(len(word))
+                floor = moded.floor_depths(len(word))
+                if live is None:
+                    assert floor is None
+                    continue
+                for run in enumerate_runs(moded, word, cap=20, limits=BUDGET):
+                    for state, pos, depth in run_configurations(moded, run):
+                        assert floor[state][pos] <= depth <= live[state][pos], (mode, word)
+    except LimitExceeded:
+        reject()  # inconclusive within the budget; not a counterexample
+
+
+class Unfloored:
+    """A machine that gives the engine no floor depths, so its one-word
+    searches prune by live depth only; every other call goes to the
+    machine."""
+
+    def __init__(self, machine):
+        self._machine = machine
+
+    def __getattr__(self, attr):
+        return getattr(self._machine, attr)
+
+    def floor_depths(self, input_len: int) -> None:
+        return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(machine=st.one_of(machines(), forward_machines()))
+@example(machine=ODD_TRACK)
+@example(machine=DOUBLER)
+def test_floor_depths_change_no_answer(machine):
+    """Pruning by floor depth changes neither verdict nor witness of
+    `accepts`, nor the first three runs `enumerate_runs` lists, on every
+    word up to length 5 in both acceptance modes."""
+    try:
+        for mode in ACCEPTANCE_MODES:
+            moded = replace(machine, acceptance_mode=mode)
+            for word in words(moded.input_alphabet, MAX_LEN):
+                for search in (
+                    lambda m: accepts(m, word, BUDGET),
+                    lambda m: enumerate_runs(m, word, cap=3, limits=BUDGET),
+                ):
+                    assert search(moded) == search(Unfloored(moded)), (mode, word)
+    except LimitExceeded:
+        reject()  # inconclusive within the budget; not a counterexample

@@ -27,6 +27,7 @@ from islab.pda import (
     step,
     validate_normal_form,
 )
+from islab.products import BufferedProduct, DisplacementProduct
 
 
 DELETE = object()
@@ -283,8 +284,8 @@ class TestAccepts:
     @pytest.mark.parametrize(
         "machine, word, expansions",
         [
-            (odd_track(), "1" + "0" * 299, 11_253),
-            (even_track(), "01" + "0" * 398, 20_004),
+            (odd_track(), "1" + "0" * 299, 299),
+            (even_track(), "01" + "0" * 398, 400),
         ],
         ids=["odd-track", "even-track"],
     )
@@ -386,6 +387,82 @@ class TestLiveDepths:
         ok, run = accepts(machine, word, SearchLimits(max_configs=10_000))
         assert ok
         assert run.final == Configuration(run.final.state, len(word), ("$",))
+
+
+class TestFloorDepths:
+    def test_counter_table_by_hand(self):
+        # q pops on every read, so r reads left need r entries above the
+        # bottom; p can push, so its row is the shared row of 1s
+        assert counter().floor_depths(2) == {"p": [1, 1, 1], "q": [3, 2, 1]}
+
+    def test_final_state_machine_has_none(self):
+        machine = replace(counter(), acceptance_mode=FINAL_STATE)
+        assert machine.floor_depths(3) is None
+        assert accepts(machine, "aab")[0]
+
+    def test_epsilon_pop_machine_has_none(self):
+        machine = Pda(
+            states={"p", "q", "r"},
+            input_alphabet={"a"},
+            stack_alphabet={"$", "A"},
+            transitions=[
+                Transition("p", "a", StackAction.push("A"), "q"),
+                Transition("q", None, StackAction.pop("A"), "r"),
+            ],
+            start="p",
+            bottom="$",
+            accept={"r"},
+        )
+        assert machine.floor_depths(1) is None
+
+    @pytest.mark.parametrize("make", [DisplacementProduct, BufferedProduct])
+    def test_products_have_none(self, make):
+        product = make(counter(), counter(), 1)
+        assert product.live_depths(4) is not None
+        assert product.floor_depths(4) is None
+
+    def test_refilled_bottom_keeps_empty_stacks(self):
+        # q is entered with the bottom popped and pushes it back: an empty
+        # stack there can still accept, so the shared row is of 0s; r reads
+        # nothing, so it accepts only at the end
+        machine = Pda(
+            states={"p", "q", "r"},
+            input_alphabet={"a"},
+            stack_alphabet={"$"},
+            transitions=[
+                Transition("p", "a", StackAction.pop("$"), "q"),
+                Transition("q", "a", StackAction.push("$"), "r"),
+            ],
+            start="p",
+            bottom="$",
+            accept={"r"},
+        )
+        inf = float("inf")
+        assert machine.floor_depths(2) == {"p": [0, 0, 0], "q": [0, 0, 0], "r": [inf, inf, 1]}
+        assert accepts(machine, "aa")[0]
+
+    def test_unreachable_acceptance_floors_at_infinity(self):
+        # q only pops and does not accept: no stack there can accept
+        machine = replace(counter(), accept={"p"})
+        assert machine.floor_depths(2)["q"] == [float("inf")] * 3
+
+    def test_tables_kept_for_the_last_length(self):
+        machine = odd_track()
+        for table in (machine.live_depths, machine.floor_depths):
+            first = table(6)
+            assert table(6) is first
+            assert table(7) is not first
+            assert table(6) is not first and table(6) == first
+
+    def test_rejected_doubler_word_dies_at_its_first_pop(self):
+        # a^266 b^533: the first b leaves fewer entries than b's to pop, so
+        # the run ends there, not at the bottom 532 pops later; the search
+        # expands two configurations per a and one for the first b
+        word = "a" * 266 + "b" * 533
+        machine = doubler()
+        assert accepts(machine, word, SearchLimits(max_configs=533)) == (False, None)
+        with pytest.raises(LimitExceeded, match="expanded 532 configurations"):
+            accepts(machine, word, SearchLimits(max_configs=532))
 
 
 class TestEnumerateRuns:
