@@ -8,20 +8,18 @@ read.  Each input position therefore contributes at most two pushes or one
 pop per machine, and stack depth never exceeds 2*|w|+1.  The engine itself
 runs any `Pda`, in normal form or not.
 
-The engine.  Every search (`accepts`, `enumerate_runs`, `enumerate_language`,
-`step`, and `explore_reachable`, the reachability search behind the product
-fragments and state counts in `products`) keys its configurations as plain
-(state, input position, stack cell) tuples.  A stack cell holds a
-top symbol, the cell below it and the depth; each search call interns its
-cells in a table of its own, so equal stacks are one object, and push, pop,
-depth, hashing and equality each cost O(1) however deep the stack.  All
-searches step through the one successor function `_Search.successors`,
-which also charges each search's budget, one expansion per configuration
-(per configuration of each prefix in `enumerate_language`, whatever the
-alphabet size), and drops every successor whose stack is too deep to be
-emptied in the input left (see `live_depths`) or, in the searches over one
-word (`accepts`, `enumerate_runs`, `step`), too shallow to last it (see
-`floor_depths`).
+The engine.  Every search (`accepts`, `enumerate_runs`, `enumerate_language`
+and `step`) keys its configurations as plain (state, input position, stack
+cell) tuples.  A stack cell holds a top symbol, the cell below it and the
+depth; each search call interns its cells in a table of its own, so equal
+stacks are one object, and push, pop, depth, hashing and equality each cost
+O(1) however deep the stack.  All searches step through the one successor
+function `_Search.successors`, which also charges each search's budget,
+one expansion per configuration (per configuration of each prefix in
+`enumerate_language`, whatever the alphabet size), and drops every
+successor whose stack is too deep to be emptied in the input left (see
+`live_depths`) or, in the searches over one word (`accepts`,
+`enumerate_runs`, `step`), too shallow to last it (see `floor_depths`).
 No search recurses: run length never becomes Python recursion depth.
 What a caller gets back still holds tuples: `Configuration.stack` is the
 whole stack, bottom first, in `AcceptingRun.final` and in the results of
@@ -87,10 +85,10 @@ _KIND_RANK = {PUSH: 0, POP: 1, NONE: 2}
 class LimitExceeded(Exception):
     """A search hit its configuration cap before exhausting the graph.
 
-    The cap counts calls of the successor step in one search, and the
-    message always reads "expanded N configurations, furthest input
-    position p of n".  Signals an inconclusive search, never a wrong
-    answer: whenever a result is returned it is exact.
+    The cap counts the expansions of one search, and the message always
+    reads "expanded N configurations, furthest input position p of n".
+    Signals an inconclusive search, never a wrong answer: whenever a result
+    is returned it is exact.
     """
 
 
@@ -168,7 +166,8 @@ class AcceptingRun:
 @dataclass(frozen=True)
 class SearchLimits:
     """Work cap for one search: `max_configs` bounds the calls of the
-    successor step one search makes, and the call past it raises
+    successor step one search makes (the states a product's control-graph
+    walk fetches, in `products`), and the call past it raises
     LimitExceeded("expanded N configurations, furthest input position p of
     n").  It is a count, not a memory bound: the memory a configuration
     takes depends on the machine."""
@@ -177,6 +176,12 @@ class SearchLimits:
 
 
 DEFAULT_LIMITS = SearchLimits()
+
+
+def limit_exceeded(expanded: int, furthest: int, input_len: int) -> LimitExceeded:
+    """The one LimitExceeded of every search past its budget."""
+    where = f"furthest input position {furthest} of {input_len}"
+    return LimitExceeded(f"expanded {expanded} configurations, {where}")
 
 
 def check_length_bound(max_len: int) -> None:
@@ -528,26 +533,19 @@ _ANY = object()  # `symbol` for successors that may read any input symbol
 
 class _Search:
     """What one search call shares: the machine, its live depths for inputs
-    of length `input_len` (None if it has none or `prune` is off), its
-    floor depths (None unless the search reads one word of exactly that
-    length, `one_word`), the table interning the search's stack cells by
-    (cell below, top symbol), and the search's budget: how many
-    configurations it has expanded, out of `limits.max_configs`, and the
-    furthest input position among them."""
+    of length `input_len` (None if it has none), its floor depths (None
+    unless the search reads one word of exactly that length, `one_word`),
+    the table interning the search's stack cells by (cell below, top
+    symbol), and the search's budget: how many configurations it has
+    expanded, out of `limits.max_configs`, and the furthest input position
+    among them."""
 
-    def __init__(
-        self,
-        machine,
-        input_len: int,
-        limits: SearchLimits,
-        prune: bool = True,
-        one_word: bool = False,
-    ):
+    def __init__(self, machine, input_len: int, limits: SearchLimits, one_word: bool = False):
         check_length_bound(input_len)
         self.machine = machine
         self.input_len = input_len
-        self.live = machine.live_depths(input_len) if prune else None
-        self.floor = machine.floor_depths(input_len) if prune and one_word else None
+        self.live = machine.live_depths(input_len)
+        self.floor = machine.floor_depths(input_len) if one_word else None
         self.cells: dict = {}
         self.max_configs = limits.max_configs
         self.expanded = self.furthest = 0
@@ -574,10 +572,7 @@ class _Search:
         depth is capped otherwise.  This is the engine's only stack step,
         and each call is one expansion charged to the budget."""
         if self.expanded >= self.max_configs:
-            raise LimitExceeded(
-                f"expanded {self.expanded} configurations, furthest input"
-                f" position {self.furthest} of {self.input_len}"
-            )
+            raise limit_exceeded(self.expanded, self.furthest, self.input_len)
         self.expanded += 1
         if pos > self.furthest:
             self.furthest = pos
@@ -743,35 +738,6 @@ def enumerate_language(
             next_frontier.extend((word + sym, advanced[sym]) for sym in sorted(advanced))
         frontier = next_frontier
     return accepted
-
-
-def explore_reachable(machine, max_len: int, limits: SearchLimits):
-    """Depth-first over the configurations reachable on some input of length
-    at most max_len, keeping each (state, stack cell) at the least input
-    consumed.
-
-    Yields the state of every expanded configuration together with the
-    transitions that apply to it.  This search prunes nothing by live
-    depth, on purpose: the product fragments, counting views and
-    `state_bound` checks it serves are defined over every configuration
-    reachable within max_len, accepting or not.
-    """
-    search = _Search(machine, max_len, limits, prune=False)
-    init = search.intern(machine.initial_config())
-    start, _, bottom = init
-    best = {(start, bottom): 0}
-    frontier = [init]
-    while frontier:
-        state, pos, cell = frontier.pop()
-        applied = []
-        reads = _ANY if pos < max_len else None
-        for t, consumed, nxt in search.successors(state, pos, cell, reads):
-            applied.append(t)
-            key = (t.target, nxt)
-            if key not in best or best[key] > consumed:
-                best[key] = consumed
-                frontier.append((t.target, consumed, nxt))
-        yield state, applied
 
 
 def pda_to_json(pda: Pda) -> dict:

@@ -43,7 +43,8 @@ from .pda import (
     SearchLimits,
     StackAction,
     Transition,
-    explore_reachable,
+    check_length_bound,
+    limit_exceeded,
     pda_to_json,
     validate_normal_form,
 )
@@ -421,13 +422,38 @@ def state_bound(kind: str, q1: int, q2: int, g1: int, g2: int, parameter: int) -
     return q1 * q2 * base**exponent
 
 
+def _control_graph(product, max_len: int, limits: SearchLimits) -> dict:
+    """Each composite state reachable within max_len reads, whatever the
+    stack, mapped to (the fewest reads reaching it, its transitions).  Each
+    state fetched is one expansion charged to `limits.max_configs`."""
+    check_length_bound(max_len)
+    graph: dict = {}
+    layer = [product.initial_config().state]
+    furthest = 0
+    for reads in range(max_len + 1):
+        later = []
+        while layer:
+            state = layer.pop()
+            if state in graph:
+                continue
+            if len(graph) >= limits.max_configs:
+                raise limit_exceeded(len(graph), furthest, max_len)
+            furthest = reads
+            graph[state] = reads, product.transitions_from(state)
+            for t in graph[state][1]:
+                (layer if t.read is None else later).append(t.target)
+        layer = later
+    return graph
+
+
 def reachable_composite_states(
     product, max_len: int, limits: SearchLimits = DEFAULT_LIMITS
 ) -> set:
-    """Distinct counting-view projections reachable on any input of length
-    at most max_len."""
-    explored = explore_reachable(product, max_len, limits)
-    return {product.projection(state) for state, _ in explored} - {None}
+    """Distinct counting-view projections of the control states reachable
+    within max_len reads.  The stack is not consulted, so this
+    over-approximates the views of reachable configurations."""
+    graph = _control_graph(product, max_len, limits)
+    return {product.projection(state) for state in graph} - {None}
 
 
 @dataclass(frozen=True)
@@ -490,9 +516,14 @@ def buffered_arcs(run) -> list[ArcRecord]:
 def fragment_to_json(
     product, max_len: int, limits: SearchLimits = DEFAULT_LIMITS
 ) -> dict:
-    """Exhaustively expanded fragment of the product, as an interchange
+    """The product's control graph trimmed to max_len, as an interchange
     machine with opaque state labels plus a side table describing each
     composite state.
+
+    A transition s -> t is kept when the fewest reads to s, its own read
+    and the fewest reads from t to an `accepts_control` state add up to at
+    most max_len, so fragment and product accept the same words up to
+    max_len.  Without such a path the fragment is the start state alone.
 
     pda-v1 has one acceptance mode per machine, so a pair whose components
     differ in mode is refused: the product checks residue per owner, which a
@@ -504,9 +535,24 @@ def fragment_to_json(
             f"cannot export a fragment of machines with acceptance modes {modes[0]}"
             f" and {modes[1]}: pda-v1 has one acceptance mode per machine"
         )
-    edges = set()
-    for _, applied in explore_reachable(product, max_len, limits):
-        edges.update(applied)
+    graph = _control_graph(product, max_len, limits)
+    far = max_len + 1
+    left = {state: 0 for state in graph if product.accepts_control(state)}
+    changed = True
+    while changed:  # left: the fewest reads, up to max_len, to acceptance
+        changed = False
+        for state, (_, applied) in reversed(graph.items()):
+            for t in applied:
+                reads = left.get(t.target, far) + (t.read is not None)
+                if reads < left.get(state, far):
+                    left[state] = reads
+                    changed = True
+    edges = [
+        t
+        for reads, applied in graph.values()
+        for t in applied
+        if reads + (t.read is not None) + left.get(t.target, far) <= max_len
+    ]
     start = product.initial_config().state
     labels = {start: "c0"}
     for t in sorted(edges, key=lambda t: (str(t.source), str(t.read), str(t.target))):

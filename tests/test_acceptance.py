@@ -276,7 +276,7 @@ def test_criterion_06_state_bounds():
     reached = reachable_composite_states(
         displacement, 6, SearchLimits(max_configs=200_000)
     )
-    assert len(reached) == 28 <= bound
+    assert len(reached) == 32 <= bound
 
     r1, r2 = corpus.get("gap-refutation").pair()
     buffered = BufferedProduct(r1, r2, d=1)

@@ -552,7 +552,7 @@ class TestConstruct:
             "parameter": 1,
             "explored_input_length": 4,
         }
-        assert len(document["states"]) == 48
+        assert len(document["states"]) == 96
         assert set(document["composite_state_labels"]) == set(document["states"])
 
     def test_buffered_needs_d(self, capsys):

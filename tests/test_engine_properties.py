@@ -177,15 +177,17 @@ def test_results_under_any_cap_are_exact(machine, cap, data):
 def forward_machines(draw) -> Pda:
     """2-4 states, reads between any two states, and epsilon moves (push,
     pop or none) only from a lower- to a higher-numbered state: out of
-    normal form, yet every search ends."""
+    normal form, yet every search ends.  Stack operations take the bottom
+    marker too, so a stack may be popped below its bottom and refilled."""
     count = draw(st.integers(2, 4))
     states = [f"s{i}" for i in range(count)]
     alphabet = draw(st.sampled_from([("a",), ("a", "b")]))
     symbols = ["A", "B"][: draw(st.integers(1, 2))]
+    marked = ["$"] + symbols
     actions = st.one_of(
         st.just(StackAction.none()),
-        st.sampled_from(symbols).map(StackAction.push),
-        st.sampled_from(symbols).map(StackAction.pop),
+        st.sampled_from(marked).map(StackAction.push),
+        st.sampled_from(marked).map(StackAction.pop),
     )
     reads = draw(
         st.lists(
@@ -206,7 +208,7 @@ def forward_machines(draw) -> Pda:
     return Pda(
         states=states,
         input_alphabet=alphabet,
-        stack_alphabet=["$"] + symbols,
+        stack_alphabet=marked,
         transitions=list(dict.fromkeys(reads + epsilon)),
         start=states[0],
         bottom="$",

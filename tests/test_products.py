@@ -1,6 +1,7 @@
 import copy
 import gc
 import itertools
+import math
 import pickle
 import re
 import sys
@@ -531,6 +532,22 @@ class TestReachableStates:
             explore(product, -1)
 
 
+def fewest_reads(machine, ends, backward=False) -> dict:
+    """The fewest reads over the control graph of `machine` from any state
+    of `ends` (to one, if `backward`) to each state that has such a path,
+    by relaxing every transition until none changes."""
+    reads = dict.fromkeys(ends, 0)
+    changed = True
+    while changed:
+        changed = False
+        for t in machine.transitions:
+            near, far = (t.target, t.source) if backward else (t.source, t.target)
+            if near in reads and reads[near] + (t.read is not None) < reads.get(far, math.inf):
+                reads[far] = reads[near] + (t.read is not None)
+                changed = True
+    return reads
+
+
 class TestFragmentExport:
     def test_shape_and_metadata(self):
         product = DisplacementProduct(*palindrome_pair(), k=1)
@@ -541,7 +558,7 @@ class TestFragmentExport:
             "parameter": 1,
             "explored_input_length": 4,
         }
-        assert len(frag["states"]) == 48
+        assert len(frag["states"]) == 96
         labels = frag["composite_state_labels"]
         assert set(labels) == set(frag["states"])
         assert all(label.startswith("c") for label in labels)
@@ -560,21 +577,51 @@ class TestFragmentExport:
             for d in (1, 2)
         ]
         assert len(buffered) == 12
+        doubled = BufferedProduct(doubler, doubler, d=1)
         for product in [
             DisplacementProduct(*palindrome_pair(), k=1),
             BufferedProduct(*refutation_pair(), d=1),
             DisplacementProduct(*final_state_pair, k=1),
             BufferedProduct(*final_state_pair, d=1),
             DisplacementProduct(doubler, doubler, k=1),
-            BufferedProduct(doubler, doubler, d=1),
+            doubled,
         ] + buffered:
             frag = fragment_to_json(product, 4)
             loaded = pda_from_json(frag)
+            # trimmed: every state lies on a path from the start to an
+            # accepting state of at most 4 reads, within the fragment
+            to = fewest_reads(loaded, [loaded.start])
+            back = fewest_reads(loaded, loaded.accept, backward=True)
+            assert all(to.get(s, math.inf) + back.get(s, math.inf) <= 4 for s in loaded.states)
+            if product is doubled:
+                # its control graph within 4 reads: 15 012 states, 20 037 transitions
+                assert (len(frag["states"]), len(frag["transitions"])) == (722, 938)
             assert enumerate_language(loaded, 4) == enumerate_language(product, 4)
             for length in range(5):
                 for letters in itertools.product(sorted(product.input_alphabet), repeat=length):
                     word = "".join(letters)
                     assert accepts(loaded, word)[0] == accepts(product, word)[0], word
+
+    def test_product_that_accepts_nothing_exports_its_start(self):
+        # both machines count a's mod 2 in step, but accept on opposite
+        # parities, so no composite state accepts
+        odd = Pda(
+            states={"p0", "p1"},
+            input_alphabet={"a"},
+            stack_alphabet={"$"},
+            transitions=[
+                Transition("p0", "a", StackAction.none(), "p1"),
+                Transition("p1", "a", StackAction.none(), "p0"),
+            ],
+            start="p0",
+            bottom="$",
+            accept={"p1"},
+        )
+        even = replace(odd, accept={"p0"})
+        for product in (DisplacementProduct(odd, even, 1), BufferedProduct(odd, even, 1)):
+            frag = fragment_to_json(product, 4)
+            assert (frag["states"], frag["transitions"], frag["accept"]) == (["c0"], [], [])
+            assert enumerate_language(pda_from_json(frag), 4) == set()
 
     def test_mixed_acceptance_modes_refused(self):
         # such a product requires only one owner's entries to drain (here it
