@@ -30,10 +30,6 @@ class NoCrossing(ValueError):
     a shared-endpoint one (or none at all)."""
 
 
-def _balanced(counts: list, constraints: tuple) -> bool:
-    return all(counts[l - 1] == counts[r - 1] for l, r in constraints)
-
-
 @dataclass(frozen=True)
 class BlockSpec:
     """One machine's view: block alphabets plus equal-length constraints.
@@ -107,8 +103,19 @@ class BlockSpec:
         return list(map(len, m.groups()))
 
     def contains(self, word: str) -> bool:
-        counts = self.block_counts(word)
-        return counts is not None and _balanced(counts, self.constraints)
+        return self._meets(word, self.constraints)
+
+    def _meets(self, word: str, pairs: tuple) -> bool:
+        """Whether the word scans as blocks with equal lengths on each
+        (l, r) in pairs.  Group l of the scan is block l, so the pairs are
+        constraints as they stand; the first mismatch ends the check."""
+        m = self._scan(word)
+        if m.end() != len(word):
+            return False
+        for l, r in pairs:
+            if len(m[l]) != len(m[r]):
+                return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -136,10 +143,11 @@ class Verdict:
 class JointSpec:
     """Two constraint sets over one shared block structure.
 
-    Both sides, and the classes of the blocks that c1 and c2 together force
-    to equal length, are built once, at construction, and kept on the
-    instance: `side`, `in_intersection`, `words` and `witness_blocks` reuse
-    them on every call.
+    Both sides, the classes of the blocks that c1 and c2 together force to
+    equal length, and the constraint pairs of c1 and c2 in one tuple, are
+    built once, at construction, and kept on the instance: `side`,
+    `in_intersection`, `words` and `witness_blocks` reuse them on every
+    call.
     """
 
     alphabets: tuple
@@ -152,13 +160,15 @@ class JointSpec:
         object.__setattr__(self, "alphabets", first.alphabets)
         object.__setattr__(self, "c1", first.constraints)
         object.__setattr__(self, "c2", second.constraints)
+        pairs = self.c1 + self.c2
         classes = list(range(self.k))  # union-find by relabelling: each block's class
-        for l, r in self.c1 + self.c2:
+        for l, r in pairs:
             old, new = classes[l - 1], classes[r - 1]
             classes = [new if c == old else c for c in classes]
         # not fields: per instance, and left out of equality and repr
         object.__setattr__(self, "_sides", (first, second))
         object.__setattr__(self, "_classes", tuple(classes))
+        object.__setattr__(self, "_pairs", pairs)
 
     @property
     def k(self) -> int:
@@ -171,13 +181,8 @@ class JointSpec:
 
     def in_intersection(self, word: str) -> bool:
         """Block membership on both sides; the word is scanned once, since
-        the sides share their blocks."""
-        counts = self._sides[0].block_counts(word)
-        return (
-            counts is not None
-            and _balanced(counts, self.c1)
-            and _balanced(counts, self.c2)
-        )
+        the sides share their blocks, and checked on c1 and c2 together."""
+        return self._sides[0]._meets(word, self._pairs)
 
     def words(self, max_len: int) -> set:
         """The words of the intersection up to max_len, generated, not

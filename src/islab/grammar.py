@@ -146,9 +146,10 @@ class _CykIndex(dict):
     `left << width | right`, to the heads A of every rule A -> B C with B
     in the left mask and C in the right one; a pair is joined on first
     lookup.  `charts` holds the charts of the last words parsed as (word,
-    starting), with `starting[i][s - 1]` the mask of the nonterminals
-    deriving word[i:i + s]; it holds one chart unless calls ran at the same
-    time.  One index belongs to one grammar instance and dies with it.
+    ends), with `ends[j - 1][i]` the mask of the nonterminals deriving
+    word[i:j], one list per end position; it holds one chart unless calls
+    ran at the same time.  One index belongs to one grammar instance and
+    dies with it.
     """
 
     def __init__(self, g: CnfGrammar):
@@ -320,50 +321,54 @@ def _prune(start: str, prods: set, terminals) -> tuple[set, set]:
 def cyk_membership(g: CnfGrammar, w: str) -> bool:
     """Bottom-up span parsing on the CNF stage.
 
-    The chart is filled column by column, one column per end position, and
-    its cells are nonterminal bit masks.  Everything behind it is kept per
-    grammar instance in one _CykIndex, built on the first call: the rule
-    masks, the memo of the heads that join each pair of adjacent spans, and
-    the chart of the last word parsed, so a call computes only the columns
-    past the prefix it shares with the previous word.  A call takes that
-    chart off the index and puts it back when done, so calls on one grammar
-    from several threads never share a chart.
+    The chart is kept by end position: `ends[j - 1][i]` is the nonterminal
+    bit mask of the span w[i:j], and column j is filled from i = j - 2 down
+    to 0.  While it fills, the column keeps its nonzero cells w[k:j], each
+    with the column of spans ending at k, and cell i joins only those,
+    through `ends[k - 1][i]`: a split with an empty right side is never
+    visited.  Everything behind the chart is kept per grammar instance in
+    one _CykIndex, built on the first call: the rule masks, the memo of the
+    heads that join each pair of adjacent spans, and the chart of the last
+    word parsed.  A column depends only on the prefix it ends, so a call
+    truncates that chart to the prefix it shares with the previous word and
+    computes only the columns past it.  A call takes the chart off the
+    index and puts it back when done, so calls on one grammar from several
+    threads never share a chart.
     """
     if w == "":
         return g.derives_epsilon
     index = g._cyk_index
     try:
-        word, starting = index.charts.pop()
+        word, ends = index.charts.pop()
     except IndexError:
-        word, starting = "", []
+        word, ends = "", []
     shared = 0
     for old, new in zip(word, w):
         if old != new:
             break
         shared += 1
-    # keep the cells of the spans inside the shared prefix, drop the rest
-    del starting[shared:]
-    for i, cells in enumerate(starting):
-        del cells[shared - i :]
+    del ends[shared:]
     leaves = index.leaves
     shift = index.width
     for j in range(shared + 1, len(w) + 1):
-        leaf = leaves.get(w[j - 1], 0)
-        starting.append([leaf])
-        # column j: the spans w[i:j] for i = j - 1 down to 0, so column[-1]
-        # is always the span w[i + 1:j]
-        column = [leaf]
+        column = [0] * j
+        column[-1] = mask = leaves.get(w[j - 1], 0)
+        # (ends[k - 1], mask of w[k:j]) for each nonzero w[k:j] with k > i
+        nonzero = []
         for i in range(j - 2, -1, -1):
+            if mask:
+                nonzero.append((ends[i], mask))
             mask = 0
-            for left, right in zip(starting[i], reversed(column)):
-                if left and right:
+            for lefts, right in nonzero:
+                left = lefts[i]
+                if left:
                     mask |= index[(left << shift) | right]
-            starting[i].append(mask)
-            column.append(mask)
+            column[i] = mask
+        ends.append(column)
     # read the answer before the chart goes back: once it is on the index,
-    # another thread may take it and cut its rows
-    member = bool(starting[0][-1] & index.start)
-    index.charts.append((w, starting))
+    # another thread may take it and cut its columns
+    member = bool(ends[-1][0] & index.start)
+    index.charts.append((w, ends))
     return member
 
 

@@ -11,6 +11,7 @@ import sys
 import threading
 from itertools import product
 
+import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
@@ -145,6 +146,31 @@ def test_cnf_keeps_the_raw_grammars_words(g):
 def test_joint_words_match_membership_filter(spec):
     union = set().union(*spec.alphabets)
     assert spec.words(MAX_LEN) == set(filter(spec.in_intersection, words(union, MAX_LEN)))
+
+
+def stack_order(alphabet, max_len: int) -> list:
+    """Every word up to max_len in the order of a depth-first walk that pops
+    a word and pushes its one-letter extensions, as the bench does."""
+    order, frontier = [], [""]
+    while frontier:
+        word = frontier.pop()
+        order.append(word)
+        if len(word) < max_len:
+            frontier.extend(word + ch for ch in sorted(alphabet))
+    return order
+
+
+@pytest.mark.parametrize("bundle", corpus.grammar_bundles(), ids=lambda b: b.name)
+def test_cyk_matches_generated_words_on_long_words(bundle):
+    cnf = to_cnf(bundle.grammar)
+    # charts up to 12 columns, where the random grammars above stop at 6
+    max_len = 12 if len(cnf.terminals) <= 2 else 10
+    derived = cnf.words(max_len)
+    ascending = list(words(cnf.terminals, max_len))
+    shuffled = random.Random(max_len).sample(ascending, len(ascending))
+    # one grammar object across orders: long shared prefixes, then none
+    for w in stack_order(cnf.terminals, max_len) + ascending + shuffled:
+        assert cyk_membership(cnf, w) == (w in derived), w
 
 
 def test_examples_cover_empty_grammar_and_nullable_start():
