@@ -12,6 +12,8 @@ symbols past the other machine's material:
   short or long; short pushes live in a bounded side buffer under a
   countdown of 2d positions and never touch the stack, which suffices
   when crossings have bounded inner distance however large the gap.
+  Each machine keeps its own stack order: while it has a buffered push,
+  its pushes are buffered too, and its pops take its newest one.
 
 Each position is simulated as one reading step followed by epsilon
 micro-steps that drain the queued stack operations (plus, for the
@@ -32,7 +34,9 @@ import threading
 import weakref
 from dataclasses import dataclass, fields, replace
 
+from .arcs import UnbalancedRun
 from .pda import (
+    AcceptingRun,
     Configuration,
     DEFAULT_LIMITS,
     FINAL_STATE_BOTTOM_ONLY,
@@ -40,12 +44,15 @@ from .pda import (
     POP,
     PUSH,
     Pda,
+    RunStep,
     SearchLimits,
     StackAction,
     Transition,
+    _Search,
     check_length_bound,
     limit_exceeded,
     pda_to_json,
+    step,
     validate_normal_form,
 )
 
@@ -144,23 +151,24 @@ class BufferedState(_Canonical):
         return f"[{self.q1}|{self.q2}|ops {ops}|buf {buf}|{phase}]"
 
 
-def _moves(machine: Pda, state, symbol: str):
-    """All one-position moves of a machine: a reading transition, optionally
-    extended by a chained auxiliary push."""
+def _moves(machine: Pda, state, symbol: str) -> list:
+    """All one-position moves of a machine, as transition chains: a reading
+    transition, optionally followed by a chained auxiliary push."""
     out = []
     for t in machine.transitions_from(state):
         if t.read != symbol:
             continue
-        base = () if t.action.kind == NONE else (t.action,)
-        out.append((base, t.target))
+        out.append((t,))
         for aux in machine.transitions_from(t.target):
             if aux.read is None and aux.auxiliary:
-                out.append((base + (aux.action,), aux.target))
+                out.append((t, aux))
     return out
 
 
-def _tag(ops, owner: int) -> tuple:
-    return tuple((op.kind, owner, op.symbol) for op in ops)
+def _tag(chain, owner: int) -> tuple:
+    """A move's stack operations as queue entries (kind, owner, symbol)."""
+    ops = (t.action for t in chain)
+    return tuple((op.kind, owner, op.symbol) for op in ops if op.kind != NONE)
 
 
 def _aux(state, action: StackAction, target) -> Transition:
@@ -206,13 +214,7 @@ class _ProductBase:
         self.first = first
         self.second = second
         self.parameter = parameter
-        self.input_alphabet = frozenset(first.input_alphabet) & frozenset(
-            second.input_alphabet
-        )
-        self._symbols = {
-            1: tuple(sorted(first.stack_alphabet - {first.bottom})),
-            2: tuple(sorted(second.stack_alphabet - {second.bottom})),
-        }
+        self.input_alphabet = first.input_alphabet & second.input_alphabet
         self._table: dict = {}
         self._bottom_only_owners = frozenset(
             owner
@@ -224,7 +226,8 @@ class _ProductBase:
         return self.first if owner == 1 else self.second
 
     def initial_config(self) -> Configuration:
-        return Configuration(self._initial_state(), 0, (_BOTTOM,))
+        start = self.state_class(self.first.start, self.second.start)
+        return Configuration(start, 0, (_BOTTOM,))
 
     def live_depths(self, input_len: int) -> _LiveDepths | None:
         """The components' live depths composed, one row per composite
@@ -286,10 +289,11 @@ class _ProductBase:
         choices and both per-position operation orders."""
         out = []
         for symbol in sorted(self.input_alphabet):
-            for ops1, t1 in _moves(self.first, state.q1, symbol):
-                for ops2, t2 in _moves(self.second, state.q2, symbol):
-                    a, b = _tag(ops1, 1), _tag(ops2, 2)
+            for move1 in _moves(self.first, state.q1, symbol):
+                for move2 in _moves(self.second, state.q2, symbol):
+                    a, b = _tag(move1, 1), _tag(move2, 2)
                     queues = [a + b] if b + a == a + b else [a + b, b + a]
+                    t1, t2 = move1[-1].target, move2[-1].target
                     for queue in queues:
                         nxt = self._after_read(state, t1, t2, queue)
                         out.append(Transition(state, symbol, StackAction.none(), nxt))
@@ -301,14 +305,12 @@ class DisplacementProduct(_ProductBase):
     matchings has gap at most k."""
 
     kind = DISPLACEMENT
+    state_class = DisplacedState
 
     def __init__(self, first: Pda, second: Pda, k: int):
         if k < 0:
             raise ValueError("gap parameter must be nonnegative")
         super().__init__(first, second, k)
-
-    def _initial_state(self) -> DisplacedState:
-        return DisplacedState(self.first.start, self.second.start)
 
     def _after_read(self, state, t1, t2, queue) -> DisplacedState:
         return DisplacedState(t1, t2, queue, ())
@@ -329,7 +331,8 @@ class DisplacementProduct(_ProductBase):
         out = [_aux(state, StackAction.pop((owner, sym)), done)]
         if len(state.displaced) < 2 * self.parameter:
             other = 2 if owner == 1 else 1
-            for foreign in self._symbols[other]:
+            machine = self.component(other)
+            for foreign in sorted(machine.stack_alphabet - {machine.bottom}):
                 entry = (other, foreign)
                 lifted = replace(state, displaced=state.displaced + (entry,))
                 out.append(_aux(state, StackAction.pop(entry), lifted))
@@ -338,17 +341,20 @@ class DisplacementProduct(_ProductBase):
 
 class BufferedProduct(_ProductBase):
     """Sound for any pair; complete whenever every crossing between the two
-    matchings has inner distance at most d, with no bound on the gap."""
+    matchings has inner distance at most d, with no bound on the gap.
+
+    Sound because each owner pops in its own stack order.  While an owner
+    has an entry in the buffer, its pushes go there too: an arc nested in
+    a short arc is short.  A pop of that owner takes its newest buffered
+    entry, and the path dies if that entry holds another symbol."""
 
     kind = BUFFERED
+    state_class = BufferedState
 
     def __init__(self, first: Pda, second: Pda, d: int):
         if d < 0:
             raise ValueError("inner parameter must be nonnegative")
         super().__init__(first, second, d)
-
-    def _initial_state(self) -> BufferedState:
-        return BufferedState(self.first.start, self.second.start)
 
     def _after_read(self, state, t1, t2, queue) -> BufferedState:
         return BufferedState(t1, t2, queue, state.buffer, closing=True)
@@ -378,24 +384,18 @@ class BufferedProduct(_ProductBase):
             return (_aux(state, StackAction.none(), done),)
         (op, owner, sym), rest = state.queue[0], state.queue[1:]
         drained = replace(state, queue=rest)
+        mine = [idx for idx, entry in enumerate(buffer) if entry[0] == owner]
         if op == PUSH:
-            out = [_aux(state, StackAction.push((owner, sym)), drained)]
+            out = [] if mine else [_aux(state, StackAction.push((owner, sym)), drained)]
             if len(buffer) < 8 * self.parameter:
                 short = replace(drained, buffer=buffer + ((owner, sym, 2 * self.parameter),))
                 out.append(_aux(state, StackAction.none(), short))
             return tuple(out)
-        idx = self._newest_match(buffer, owner, sym)
-        if idx is None:
+        if not mine:
             return (_aux(state, StackAction.pop((owner, sym)), drained),)
+        idx = mine[-1]  # the owner's newest entry: another symbol ends the path
         taken = replace(drained, buffer=buffer[:idx] + buffer[idx + 1 :])
-        return (_aux(state, StackAction.none(), taken),)
-
-    @staticmethod
-    def _newest_match(buffer: tuple, owner: int, sym: str):
-        for idx in range(len(buffer) - 1, -1, -1):
-            if buffer[idx][0] == owner and buffer[idx][1] == sym:
-                return idx
-        return None
+        return (_aux(state, StackAction.none(), taken),) if buffer[idx][1] == sym else ()
 
 
 def state_bound(kind: str, q1: int, q2: int, g1: int, g2: int, parameter: int) -> int:
@@ -456,61 +456,59 @@ def reachable_composite_states(
     return {product.projection(state) for state in graph} - {None}
 
 
-@dataclass(frozen=True)
-class ArcRecord:
-    owner: int
-    symbol: str
-    push_pos: int
-    pop_pos: int
-    mode: str  # "long" or "short"
-
-
-def _high_water(run, state_class: type, field: str) -> int:
-    """The longest `field` of any `state_class` state a step of `run` enters."""
-    targets = (step_.transition.target for step_ in run.steps)
-    return max(
-        (len(getattr(t, field)) for t in targets if isinstance(t, state_class)), default=0
-    )
+def _high_water(run, field: str) -> int:
+    """The longest `field` of any state a step of `run` enters."""
+    return max((len(getattr(s.transition.target, field, ())) for s in run.steps), default=0)
 
 
 def max_displacement(run) -> int:
     """Largest number of foreign entries held aside by any single pop."""
-    return _high_water(run, DisplacedState, "displaced")
+    return _high_water(run, "displaced")
 
 
 def buffer_high_water(run) -> int:
-    return _high_water(run, BufferedState, "buffer")
+    return _high_water(run, "buffer")
 
 
-def buffered_arcs(run) -> list[ArcRecord]:
-    """Reconstruct each machine's arcs from a buffered-product run,
-    labelled short or long by how the push was realized."""
-    arcs: list[ArcRecord] = []
-    shadow: list[tuple] = []  # open long pushes as (owner, symbol, pos)
-    open_shorts: list[tuple] = []  # mirrors buffer order as (owner, symbol, pos)
-    for step_ in run.steps:
-        t = step_.transition
-        source, target = t.source, t.target
-        if not isinstance(target, BufferedState):
-            continue
-        pos = step_.input_pos
-        if t.action.kind == PUSH:
-            owner, sym = t.action.symbol
-            shadow.append((owner, sym, pos))
-        elif t.action.kind == POP:
-            owner, sym = t.action.symbol
-            o, s, opened = shadow.pop()
-            arcs.append(ArcRecord(o, s, opened, pos, "long"))
-        elif isinstance(source, BufferedState):
-            if len(target.buffer) == len(source.buffer) + 1:
-                owner, sym, _ = target.buffer[-1]
-                open_shorts.append((owner, sym, pos))
-            elif len(target.buffer) == len(source.buffer) - 1 and source.queue:
-                _, owner, sym = source.queue[0]
-                idx = BufferedProduct._newest_match(source.buffer, owner, sym)
-                o, s, opened = open_shorts.pop(idx)
-                arcs.append(ArcRecord(o, s, opened, pos, "short"))
-    return sorted(arcs, key=lambda a: (a.owner, a.push_pos, a.pop_pos))
+def component_runs(product, run: AcceptingRun) -> tuple:
+    """The two component runs behind an accepting product run, each
+    replayed through the engine's `step`.  Each reading step of a sync
+    state fixes each owner's move: its state in the step's target and its
+    stack operations as the target's queue orders them.  Raises
+    UnbalancedRun, naming the owner and the position, when a projected
+    step is not one its machine takes there, or the replay ends outside
+    acceptance."""
+    reads = [s for s in run.steps if s.transition.read is not None]
+    word = "".join(s.transition.read for s in reads)
+    out = []
+    for owner in (1, 2):
+        machine = product.component(owner)
+        config, steps = machine.initial_config(), []
+        for read in reads:
+            pos, target = read.input_pos, read.transition.target
+            ops = tuple(entry for entry in target.queue if entry[1] == owner)
+            state = target.q1 if owner == 1 else target.q2
+            for move in _moves(machine, config.state, read.transition.read):
+                if move[-1].target == state and _tag(move, owner) == ops:
+                    break
+            else:
+                raise UnbalancedRun(f"machine {owner} has no move at position {pos}")
+            for t in move:
+                kind, stack = t.action.kind, config.stack
+                if kind == PUSH:
+                    stack += (t.action.symbol,)
+                elif kind == POP:
+                    stack = stack[:-1] if stack[-1:] == (t.action.symbol,) else None
+                nxt = Configuration(t.target, pos, stack)
+                if nxt not in step(machine, config, word):
+                    raise UnbalancedRun(f"machine {owner} cannot {t.describe()} at position {pos}")
+                steps.append(RunStep(t, pos, len(stack)))
+                config = nxt
+        _, _, cell = _Search(machine, len(word), DEFAULT_LIMITS).intern(config)
+        if not machine.is_accepting(config.state, cell):
+            raise UnbalancedRun(f"machine {owner} does not accept at position {len(word)}")
+        out.append(AcceptingRun(tuple(steps), config))
+    return tuple(out)
 
 
 def fragment_to_json(

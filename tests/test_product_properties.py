@@ -1,6 +1,7 @@
 """Property tests on random small normal-form machine pairs: the per-product
 transition table answers as a fresh expansion would, every product accepts
-only words both components accept, and pruning by live depth changes no
+only words both components accept, every accepting product run projects to
+an accepting run of each component, and pruning by live depth changes no
 answer a product gives."""
 
 import itertools
@@ -10,6 +11,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from islab import corpus
+from islab.arcs import crossing_pairs, extract_matching
 from islab.pda import (
     FINAL_STATE,
     FINAL_STATE_BOTTOM_ONLY,
@@ -26,6 +28,7 @@ from islab.pda import (
 from islab.products import (
     BufferedProduct,
     DisplacementProduct,
+    component_runs,
     fragment_to_json,
     reachable_composite_states,
 )
@@ -35,13 +38,17 @@ BUDGET = SearchLimits(max_configs=20_000)
 
 
 @st.composite
-def machines(draw, modes=(FINAL_STATE, FINAL_STATE_BOTTOM_ONLY)) -> Pda:
+def machines(
+    draw, modes=(FINAL_STATE, FINAL_STATE_BOTTOM_ONLY), pushes_both: bool = False
+) -> Pda:
     """2-3 states, 1-2 stack symbols, reading transitions plus auxiliary
     second pushes wherever the normal form allows one, accepting in one of
-    `modes`."""
+    `modes`.  With `pushes_both`, both symbols are drawn and some state gets
+    a read that pushes each, so that one machine's stack can hold two
+    different symbols across another's arc."""
     states = [f"s{i}" for i in range(draw(st.integers(2, 3)))]
     alphabet = draw(st.sampled_from([("a",), ("a", "b")]))
-    symbols = ["A", "B"][: draw(st.integers(1, 2))]
+    symbols = ["A", "B"][: 2 if pushes_both else draw(st.integers(1, 2))]
     actions = st.one_of(
         st.just(StackAction.none()),
         st.sampled_from(symbols).map(StackAction.push),
@@ -54,7 +61,19 @@ def machines(draw, modes=(FINAL_STATE, FINAL_STATE_BOTTOM_ONLY)) -> Pda:
         actions,
         st.sampled_from(states),
     )
-    reads = list(dict.fromkeys(draw(st.lists(transition, min_size=2, max_size=10))))
+    reads = draw(st.lists(transition, min_size=2, max_size=10))
+    if pushes_both:
+        pusher = draw(st.sampled_from(states))
+        reads += [
+            Transition(
+                pusher,
+                draw(st.sampled_from(alphabet)),
+                StackAction.push(symbol),
+                draw(st.sampled_from(states)),
+            )
+            for symbol in symbols
+        ]
+    reads = list(dict.fromkeys(reads))
     entered_by_push = {
         q
         for q in states[1:]
@@ -127,6 +146,42 @@ def test_product_within_component_intersection(make, first, second, parameter, m
         reject()  # inconclusive within the budget; not a counterexample
     both = enumerate_language(first, max_len) & enumerate_language(second, max_len)
     assert language <= both
+
+
+PALINDROME = corpus.get("interleaved-palindrome").pair()
+
+
+@pytest.mark.parametrize("make", PRODUCTS)
+@settings(max_examples=40, deadline=None)
+@given(
+    first=machines(pushes_both=True),
+    second=machines(),
+    parameter=st.integers(0, 2),
+    max_len=st.integers(0, 5),
+)
+# at d = 2 the buffered product accepts 0010001, which odd-track rejects,
+# if a machine may pop a stacked entry from under its own buffered one
+@example(first=PALINDROME[0], second=PALINDROME[1], parameter=2, max_len=8)
+def test_product_runs_replay_on_both_components(make, first, second, parameter, max_len):
+    product = make(first, second, parameter)
+    try:
+        words = enumerate_language(product, max_len, BUDGET)
+        runs = [
+            (word, run)
+            for word in words
+            for run in enumerate_runs(product, word, cap=3, limits=BUDGET)
+        ]
+    except LimitExceeded:
+        reject()  # inconclusive within the budget; not a counterexample
+    for word, run in runs:
+        first_run, second_run = component_runs(product, run)
+        if make is BufferedProduct:
+            # two stacked arcs cannot cross: one of them is short
+            m1 = extract_matching(first_run, word, 1)
+            m2 = extract_matching(second_run, word, 2)
+            for crossing in crossing_pairs(m1, m2):
+                arcs = (crossing.pair.first, crossing.pair.second)
+                assert min(a.pop_pos - a.push_pos for a in arcs) <= 2 * parameter
 
 
 class Unpruned:

@@ -12,7 +12,7 @@ from dataclasses import fields, replace
 import pytest
 
 from islab import corpus
-from islab.arcs import Arc, union_well_nested
+from islab.arcs import crossing_pairs, extract_matching
 from islab.pda import (
     FINAL_STATE,
     POP,
@@ -34,7 +34,7 @@ from islab.products import (
     DisplacedState,
     DisplacementProduct,
     buffer_high_water,
-    buffered_arcs,
+    component_runs,
     fragment_to_json,
     max_displacement,
     reachable_composite_states,
@@ -216,9 +216,11 @@ class TestBufferedCompleteness:
                 assert buffer_high_water(run) <= 8
 
     def test_arc_reconstruction_matches_overlay(self):
-        """Push and pop positions per owner are forced; the pairing may
-        legally reorder equal symbols between buffer and stack."""
+        """Push and pop positions per owner are forced, and so is their
+        pairing, since each owner keeps its own stack order; every crossing
+        has a short arc, closed within 2d positions."""
         product = BufferedProduct(*refutation_pair(), d=1)
+        word = "abaddeefgh"
         canonical = {
             (1, 1, 3),
             (1, 9, 10),
@@ -226,30 +228,18 @@ class TestBufferedCompleteness:
             (2, 4, 7),
             (2, 5, 6),
         }
-        pushes = {(o, p) for o, p, _ in canonical}
-        pops = {(o, q) for o, _, q in canonical}
-        runs = enumerate_runs(product, "abaddeefgh", cap=20)
+        runs = enumerate_runs(product, word, cap=20)
         assert runs
-        seen_canonical = False
         for run in runs:
-            arcs = buffered_arcs(run)
-            assert {(a.owner, a.push_pos) for a in arcs} == pushes
-            assert {(a.owner, a.pop_pos) for a in arcs} == pops
-            if {(a.owner, a.push_pos, a.pop_pos) for a in arcs} == canonical:
-                seen_canonical = True
-            for a in arcs:
-                if a.mode == "short":
-                    assert a.pop_pos - a.push_pos <= 2
-            longs_1 = [Arc(a.push_pos, a.pop_pos, 1) for a in arcs if a.mode == "long" and a.owner == 1]
-            longs_2 = [Arc(a.push_pos, a.pop_pos, 2) for a in arcs if a.mode == "long" and a.owner == 2]
-            ok, _ = union_well_nested(longs_1, longs_2)
-            assert ok
-        assert seen_canonical
-
-    def test_arcs_of_a_plain_machine_run_are_empty(self):
-        counter = corpus.get("counter").machine("counter")
-        (run,) = enumerate_runs(counter, "aabb", cap=1)
-        assert buffered_arcs(run) == []
+            m1, m2 = (
+                extract_matching(component, word, owner)
+                for owner, component in enumerate(component_runs(product, run), 1)
+            )
+            assert {(a.owner, a.push_pos, a.pop_pos) for a in m1.arcs + m2.arcs} == canonical
+            crossings = crossing_pairs(m1, m2)
+            assert crossings
+            for c in crossings:
+                assert min(c.pair.j - c.pair.i, c.pair.j_prime - c.pair.i_prime) <= 2
 
     def test_d0_still_covers_crossing_free_words(self):
         product = BufferedProduct(*palindrome_pair(), d=0)
@@ -308,20 +298,25 @@ class TestNormalFormRequired:
 
 class TestSoundness:
     def pairs(self):
-        yield palindrome_pair(), both_projections_palindromic
+        # length 8 reaches words such as 0010001, which odd-track rejects
+        # and which the buffered product at d = 2 accepts if a machine may
+        # pop a stacked entry from under one of its own buffered entries
+        yield palindrome_pair(), both_projections_palindromic, 8
         m1, m2 = refutation_pair()
-        yield (m1, m2), lambda w: accepts(m1, w)[0] and accepts(m2, w)[0]
+        yield (m1, m2), lambda w: accepts(m1, w)[0] and accepts(m2, w)[0], 6
 
     def test_products_never_overshoot_component_intersection(self):
-        for (m1, m2), oracle in self.pairs():
+        for (m1, m2), oracle, max_len in self.pairs():
             for product in (
                 DisplacementProduct(m1, m2, 0),
                 DisplacementProduct(m1, m2, 1),
                 BufferedProduct(m1, m2, 0),
                 BufferedProduct(m1, m2, 1),
+                BufferedProduct(m1, m2, 2),
+                BufferedProduct(m1, m2, 3),
             ):
-                for word in enumerate_language(product, 6):
-                    assert oracle(word), (product.kind, word)
+                for word in enumerate_language(product, max_len):
+                    assert oracle(word), (product.kind, product.parameter, word)
 
 
 class TestLiveDepths:
@@ -594,8 +589,10 @@ class TestFragmentExport:
             back = fewest_reads(loaded, loaded.accept, backward=True)
             assert all(to.get(s, math.inf) + back.get(s, math.inf) <= 4 for s in loaded.states)
             if product is doubled:
-                # its control graph within 4 reads: 15 012 states, 20 037 transitions
-                assert (len(frag["states"]), len(frag["transitions"])) == (722, 938)
+                # its control graph within 4 reads: 1 878 states, 2 001
+                # transitions; an owner with a buffered push buffers the
+                # pushes after it, so no long push follows a short one
+                assert (len(frag["states"]), len(frag["transitions"])) == (304, 344)
             assert enumerate_language(loaded, 4) == enumerate_language(product, 4)
             for length in range(5):
                 for letters in itertools.product(sorted(product.input_alphabet), repeat=length):
