@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .blocks import JointSpec, build_block_pda
 from .grammar import Cfg, Production
-from .pda import FINAL_STATE_BOTTOM_ONLY, Pda, StackAction, Transition
+from .pda import Pda, StackAction, Transition
 
 MACHINE = "machine"
 MACHINE_PAIR = "machine-pair"
@@ -23,7 +23,6 @@ GRAMMAR = "grammar"
 @dataclass(frozen=True)
 class ExampleBundle:
     name: str
-    kind: str
     description: str
     machines: dict = field(default_factory=dict, compare=False)
     joint: JointSpec | None = None
@@ -39,11 +38,35 @@ class ExampleBundle:
             )
         return self.machines[name]
 
+    @property
+    def kind(self) -> str:
+        """What the bundle holds: a grammar, a joint block specification,
+        two machines or one."""
+        if self.grammar is not None:
+            return GRAMMAR
+        if self.joint is not None:
+            return BLOCKS
+        return MACHINE_PAIR if len(self.machines) == 2 else MACHINE
+
     def pair(self):
         if len(self.machines) != 2:
             raise ValueError(f"bundle {self.name!r} is not a machine pair")
         first, second = self.machines.values()
         return first, second
+
+
+def _machine(start: str, accept: set, transitions: list) -> Pda:
+    """A machine accepting on its bottom only, whose states, input and
+    stack symbols are those its transitions name, with bottom marker $."""
+    return Pda(
+        states={start, *accept} | {t.source for t in transitions} | {t.target for t in transitions},
+        input_alphabet={t.read for t in transitions} - {None},
+        stack_alphabet={"$"} | {t.action.symbol for t in transitions} - {None},
+        transitions=transitions,
+        start=start,
+        bottom="$",
+        accept=accept,
+    )
 
 
 def _odd_track_palindrome() -> Pda:
@@ -61,16 +84,7 @@ def _odd_track_palindrome() -> Pda:
         t.append(Transition("po", s, StackAction.none(), "qe"))
         t.append(Transition("qo", s, StackAction.pop(s), "qe"))
         t.append(Transition("qe", s, StackAction.none(), "qo"))
-    return Pda(
-        states={"po", "pe", "qo", "qe"},
-        input_alphabet={"0", "1"},
-        stack_alphabet={"$", "0", "1"},
-        transitions=t,
-        start="po",
-        bottom="$",
-        accept={"po", "qe", "qo"},
-        acceptance_mode=FINAL_STATE_BOTTOM_ONLY,
-    )
+    return _machine("po", {"po", "qe", "qo"}, t)
 
 
 def _even_track_palindrome() -> Pda:
@@ -83,16 +97,7 @@ def _even_track_palindrome() -> Pda:
         t.append(Transition("e1", s, StackAction.none(), "o2"))
         t.append(Transition("e2", s, StackAction.pop(s), "o2"))
         t.append(Transition("o2", s, StackAction.none(), "e2"))
-    return Pda(
-        states={"o1", "e1", "o2", "e2"},
-        input_alphabet={"0", "1"},
-        stack_alphabet={"$", "0", "1"},
-        transitions=t,
-        start="o1",
-        bottom="$",
-        accept={"o1", "e1", "o2", "e2"},
-        acceptance_mode=FINAL_STATE_BOTTOM_ONLY,
-    )
+    return _machine("o1", {"o1", "e1", "o2", "e2"}, t)
 
 
 def _short_arc_machine() -> Pda:
@@ -109,16 +114,7 @@ def _short_arc_machine() -> Pda:
         Transition("r4", "h", StackAction.pop("G"), "r5"),
         Transition("r5", "h", StackAction.pop("G"), "r5"),
     ]
-    return Pda(
-        states={"r0", "r1", "r2", "r3", "r4", "r5"},
-        input_alphabet=set("abdefgh"),
-        stack_alphabet={"$", "A", "G"},
-        transitions=t,
-        start="r0",
-        bottom="$",
-        accept={"r4", "r5"},
-        acceptance_mode=FINAL_STATE_BOTTOM_ONLY,
-    )
+    return _machine("r0", {"r4", "r5"}, t)
 
 
 def _long_arc_machine() -> Pda:
@@ -136,16 +132,7 @@ def _long_arc_machine() -> Pda:
         Transition("s5", "g", StackAction.none(), "s5"),
         Transition("s5", "h", StackAction.none(), "s5"),
     ]
-    return Pda(
-        states={"s0", "s1", "s2", "s3", "s4", "s5"},
-        input_alphabet=set("abdefgh"),
-        stack_alphabet={"$", "B", "D"},
-        transitions=t,
-        start="s0",
-        bottom="$",
-        accept={"s5"},
-        acceptance_mode=FINAL_STATE_BOTTOM_ONLY,
-    )
+    return _machine("s0", {"s5"}, t)
 
 
 def _double_push_machine() -> Pda:
@@ -156,16 +143,7 @@ def _double_push_machine() -> Pda:
         Transition("d0", "b", StackAction.pop("A"), "d1"),
         Transition("d1", "b", StackAction.pop("A"), "d1"),
     ]
-    return Pda(
-        states={"d0", "daux", "d1"},
-        input_alphabet={"a", "b"},
-        stack_alphabet={"$", "A"},
-        transitions=t,
-        start="d0",
-        bottom="$",
-        accept={"d0", "d1"},
-        acceptance_mode=FINAL_STATE_BOTTOM_ONLY,
-    )
+    return _machine("d0", {"d0", "d1"}, t)
 
 
 def _counter_machine() -> Pda:
@@ -175,16 +153,7 @@ def _counter_machine() -> Pda:
         Transition("p", "b", StackAction.pop("A"), "q"),
         Transition("q", "b", StackAction.pop("A"), "q"),
     ]
-    return Pda(
-        states={"p", "q"},
-        input_alphabet={"a", "b"},
-        stack_alphabet={"$", "A"},
-        transitions=t,
-        start="p",
-        bottom="$",
-        accept={"p", "q"},
-        acceptance_mode=FINAL_STATE_BOTTOM_ONLY,
-    )
+    return _machine("p", {"p", "q"}, t)
 
 
 def _refutation_word(n: int) -> str:
@@ -230,7 +199,6 @@ def _build_bundles() -> dict:
     bundles = [
         ExampleBundle(
             name="interleaved-palindrome",
-            kind=MACHINE_PAIR,
             description="one machine checks the odd positions for a "
             "palindrome, the other the even positions; their crossings "
             "always have gap one",
@@ -247,7 +215,6 @@ def _build_bundles() -> dict:
         ),
         ExampleBundle(
             name="gap-refutation",
-            kind=MACHINE_PAIR,
             description="a short bracket over positions 1..3 crosses one "
             "long bracket whose gap grows with the middle, so no gap bound "
             "works while the inner distance stays one",
@@ -266,7 +233,6 @@ def _build_bundles() -> dict:
         ),
         ExampleBundle(
             name="crossing-blocks",
-            kind=BLOCKS,
             description="four blocks, |a|=|c| against |b|=|d|; the "
             "constraint arcs cross, so the intersection a^n b^m c^n d^m "
             "restricted to n=m is not context free",
@@ -280,7 +246,6 @@ def _build_bundles() -> dict:
         ),
         ExampleBundle(
             name="shared-endpoint-blocks",
-            kind=BLOCKS,
             description="three blocks, |a|=|b| against |b|=|c|; the arcs "
             "share the middle block, forcing the non context free a^n b^n c^n",
             machines={
@@ -293,7 +258,6 @@ def _build_bundles() -> dict:
         ),
         ExampleBundle(
             name="nested-blocks",
-            kind=BLOCKS,
             description="four blocks, |a|=|d| around |b|=|c|; nested arcs, "
             "and one joint machine recognizes the intersection",
             machines={
@@ -306,7 +270,6 @@ def _build_bundles() -> dict:
         ),
         ExampleBundle(
             name="chained-equal-blocks",
-            kind=BLOCKS,
             description="four blocks chained |a|=|b|, |b|=|c|, |c|=|d|; "
             "the intersection is the language with all four counts equal, "
             "which also serves as the linkage oracle for the crossing "
@@ -321,20 +284,17 @@ def _build_bundles() -> dict:
         ),
         ExampleBundle(
             name="double-push",
-            kind=MACHINE,
             description="a^n b^2n; each a pushes twice, the second push on "
             "an auxiliary step tied to the same position",
             machines={"doubler": _double_push_machine()},
         ),
         ExampleBundle(
             name="counter",
-            kind=MACHINE,
             description="a^n b^n with one stack symbol",
             machines={"counter": _counter_machine()},
         ),
         ExampleBundle(
             name="even-palindrome-grammar",
-            kind=GRAMMAR,
             description="even-length palindromes over 0 and 1",
             grammar=_grammar(
                 {"S"}, {"0", "1"},
@@ -344,7 +304,6 @@ def _build_bundles() -> dict:
         ),
         ExampleBundle(
             name="matched-pairs-grammar",
-            kind=GRAMMAR,
             description="a^n b^n",
             grammar=_grammar(
                 {"S"}, {"a", "b"}, [("S", ("a", "S", "b")), ("S", ())], "S"
@@ -352,7 +311,6 @@ def _build_bundles() -> dict:
         ),
         ExampleBundle(
             name="balanced-parens-grammar",
-            kind=GRAMMAR,
             description="balanced parentheses",
             grammar=_grammar(
                 {"S"}, {"(", ")"},
@@ -362,7 +320,6 @@ def _build_bundles() -> dict:
         ),
         ExampleBundle(
             name="left-recursive-grammar",
-            kind=GRAMMAR,
             description="b followed by any number of a's, written with "
             "direct left recursion",
             grammar=_grammar(
@@ -371,7 +328,6 @@ def _build_bundles() -> dict:
         ),
         ExampleBundle(
             name="unit-chain-grammar",
-            kind=GRAMMAR,
             description="a* b behind a unit production",
             grammar=_grammar(
                 {"S", "A"}, {"a", "b"},

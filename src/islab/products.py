@@ -52,7 +52,6 @@ from .pda import (
     check_length_bound,
     limit_exceeded,
     pda_to_json,
-    step,
     validate_normal_form,
 )
 
@@ -456,58 +455,43 @@ def reachable_composite_states(
     return {product.projection(state) for state in graph} - {None}
 
 
-def _high_water(run, field: str) -> int:
-    """The longest `field` of any state a step of `run` enters."""
-    return max((len(getattr(s.transition.target, field, ())) for s in run.steps), default=0)
-
-
-def max_displacement(run) -> int:
-    """Largest number of foreign entries held aside by any single pop."""
-    return _high_water(run, "displaced")
-
-
-def buffer_high_water(run) -> int:
-    return _high_water(run, "buffer")
-
-
 def component_runs(product, run: AcceptingRun) -> tuple:
     """The two component runs behind an accepting product run, each
-    replayed through the engine's `step`.  Each reading step of a sync
-    state fixes each owner's move: its state in the step's target and its
-    stack operations as the target's queue orders them.  Raises
-    UnbalancedRun, naming the owner and the position, when a projected
-    step is not one its machine takes there, or the replay ends outside
-    acceptance."""
+    replayed on the engine's one-word search, the one `step` builds.  Each
+    reading step of a sync state fixes each owner's move: its state in the
+    step's target and its stack operations as the target's queue orders
+    them, and each transition of that move must be a successor the search
+    gives.  Raises UnbalancedRun, naming the owner and the position, when
+    a projected step is not one its machine takes there, or the replay
+    ends outside acceptance."""
     reads = [s for s in run.steps if s.transition.read is not None]
     word = "".join(s.transition.read for s in reads)
     out = []
     for owner in (1, 2):
         machine = product.component(owner)
-        config, steps = machine.initial_config(), []
+        search = _Search(machine, len(word), DEFAULT_LIMITS, one_word=True)
+        state, pos, cell = search.intern(machine.initial_config())
+        steps = []
         for read in reads:
-            pos, target = read.input_pos, read.transition.target
+            at, target = read.input_pos, read.transition.target
             ops = tuple(entry for entry in target.queue if entry[1] == owner)
-            state = target.q1 if owner == 1 else target.q2
-            for move in _moves(machine, config.state, read.transition.read):
-                if move[-1].target == state and _tag(move, owner) == ops:
+            goal = target.q1 if owner == 1 else target.q2
+            for move in _moves(machine, state, read.transition.read):
+                if move[-1].target == goal and _tag(move, owner) == ops:
                     break
             else:
-                raise UnbalancedRun(f"machine {owner} has no move at position {pos}")
+                raise UnbalancedRun(f"machine {owner} has no move at position {at}")
             for t in move:
-                kind, stack = t.action.kind, config.stack
-                if kind == PUSH:
-                    stack += (t.action.symbol,)
-                elif kind == POP:
-                    stack = stack[:-1] if stack[-1:] == (t.action.symbol,) else None
-                nxt = Configuration(t.target, pos, stack)
-                if nxt not in step(machine, config, word):
-                    raise UnbalancedRun(f"machine {owner} cannot {t.describe()} at position {pos}")
-                steps.append(RunStep(t, pos, len(stack)))
-                config = nxt
-        _, _, cell = _Search(machine, len(word), DEFAULT_LIMITS).intern(config)
-        if not machine.is_accepting(config.state, cell):
-            raise UnbalancedRun(f"machine {owner} does not accept at position {len(word)}")
-        out.append(AcceptingRun(tuple(steps), config))
+                symbol = word[pos] if pos < len(word) else None
+                taken = [s for s in search.successors(state, pos, cell, symbol) if s[0] == t]
+                if not taken:
+                    raise UnbalancedRun(f"machine {owner} cannot {t.describe()} at position {at}")
+                _, pos, cell = taken[0]
+                state = t.target
+                steps.append(RunStep(t, pos, cell.depth))
+        if not machine.is_accepting(state, cell):
+            raise UnbalancedRun(f"machine {owner} does not accept at position {pos}")
+        out.append(AcceptingRun(tuple(steps), Configuration(state, pos, cell.entries())))
     return tuple(out)
 
 

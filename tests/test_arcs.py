@@ -95,8 +95,29 @@ class TestExtractMatching:
             steps=(RunStep(Transition("p", "a", StackAction.pop("A"), "p"), 1, 1),),
             final=Configuration("p", 1, ("$",)),
         )
-        with pytest.raises(UnbalancedRun):
+        with pytest.raises(UnbalancedRun, match="^pop of 'A' with no pending push$"):
             extract_matching(bad, "a")
+
+    @pytest.mark.parametrize(
+        "actions, message",
+        [
+            ((StackAction.push("A"), StackAction.pop("B")), "pop of 'B' does not match pushed 'A'"),
+            # cut before its last pop: one push unmatched, yet the final
+            # stack holds the bottom alone
+            ((StackAction.push("A"),), "1 unmatched pushes but final stack depth 1"),
+        ],
+        ids=["wrong-symbol", "cut"],
+    )
+    def test_doctored_run_raises(self, actions, message):
+        from islab.arcs import UnbalancedRun
+
+        steps = tuple(
+            RunStep(Transition("p", "a", action, "p"), pos, 1)
+            for pos, action in enumerate(actions, 1)
+        )
+        bad = AcceptingRun(steps, Configuration("p", len(steps), ("$",)))
+        with pytest.raises(UnbalancedRun, match=f"^{message}$"):
+            extract_matching(bad, "a" * len(steps))
 
 
 class TestWellNested:
@@ -219,6 +240,10 @@ class TestUnionWellNested:
     def test_precondition_enforced(self):
         with pytest.raises(PreconditionViolated):
             union_well_nested([Arc(1, 3), Arc(2, 4)], [Arc(5, 6)])
+
+    def test_precondition_enforced_on_second_side(self):
+        with pytest.raises(PreconditionViolated, match="^second arc set is not well nested"):
+            union_well_nested([Arc(5, 6)], [Arc(1, 3), Arc(2, 4)])
 
     def test_random_unions_symmetric_and_consistent(self):
         rng = random.Random(20260823)

@@ -8,13 +8,15 @@ import sys
 import threading
 import weakref
 from dataclasses import fields, replace
+from functools import partial
 
 import pytest
 
 from islab import corpus
-from islab.arcs import crossing_pairs, extract_matching
+from islab.arcs import UnbalancedRun, crossing_pairs, extract_matching
 from islab.pda import (
     FINAL_STATE,
+    FINAL_STATE_BOTTOM_ONLY,
     POP,
     PUSH,
     Pda,
@@ -33,10 +35,8 @@ from islab.products import (
     BufferedState,
     DisplacedState,
     DisplacementProduct,
-    buffer_high_water,
     component_runs,
     fragment_to_json,
-    max_displacement,
     reachable_composite_states,
     state_bound,
 )
@@ -59,6 +59,54 @@ def crossing_counters():
 
 def final_state_copy(machine):
     return replace(machine, acceptance_mode=FINAL_STATE)
+
+
+def abcdef_machine(ops: dict, acceptance_mode: str) -> Pda:
+    """Accepts abcdef alone, doing the stack operation ops[letter] on each
+    letter in ops and none on the others."""
+    return Pda(
+        states=range(7),
+        input_alphabet=set("abcdef"),
+        stack_alphabet={"$"} | {action.symbol for action in ops.values()},
+        transitions=[
+            Transition(pos, letter, ops.get(letter, StackAction.none()), pos + 1)
+            for pos, letter in enumerate("abcdef")
+        ],
+        start=0,
+        bottom="$",
+        accept={6},
+        acceptance_mode=acceptance_mode,
+    )
+
+
+def lifting_pair(acceptance_mode=FINAL_STATE_BOTTOM_ONLY):
+    """Machine 1 pushes A on a and pops it on d; machine 2 pushes B on b and
+    C on c, and pops C on e and B on f.  So machine 1's pop at d must lift
+    C, then B, off the shared stack, and put B back first."""
+    first = abcdef_machine(
+        {"a": StackAction.push("A"), "d": StackAction.pop("A")}, acceptance_mode
+    )
+    second = abcdef_machine(
+        {
+            "b": StackAction.push("B"),
+            "c": StackAction.push("C"),
+            "e": StackAction.pop("C"),
+            "f": StackAction.pop("B"),
+        },
+        acceptance_mode,
+    )
+    return first, second
+
+
+def doctored(run, index: int, read: str, change):
+    """`run` with its index-th reading step made to read `read` and to owe
+    the stack operations `change(queue)` in place of its queue."""
+    steps = list(run.steps)
+    at = [i for i, s in enumerate(steps) if s.transition.read is not None][index]
+    t = steps[at].transition
+    t = replace(t, read=read, target=replace(t.target, queue=change(t.target.queue)))
+    steps[at] = replace(steps[at], transition=t)
+    return replace(run, steps=tuple(steps))
 
 
 def both_projections_palindromic(word: str) -> bool:
@@ -94,7 +142,7 @@ class TestDisplacementCompleteness:
             runs = enumerate_runs(product, word, cap=5)
             assert runs
             for run in runs:
-                assert max_displacement(run) <= 2
+                assert max(len(s.transition.target.displaced) for s in run.steps) <= 2
 
     def test_k0_handles_disjoint_stack_regions(self):
         # first machine matches a^n b^n then skims, second skims then
@@ -143,7 +191,7 @@ class TestDisplacementCompleteness:
         }
         assert enumerate_language(product, 8) == expected
         for run in enumerate_runs(product, "aabbccdd", cap=5):
-            assert max_displacement(run) == 0
+            assert max(len(s.transition.target.displaced) for s in run.steps) == 0
 
 
 class TestDisplacementIncompleteness:
@@ -196,6 +244,72 @@ class TestDisplacementBookkeeping:
         assert saw_lift and saw_restore
 
 
+    def test_lifted_entries_go_back_in_stack_order(self):
+        first, second = lifting_pair()
+        product = DisplacementProduct(first, second, k=1)
+        assert enumerate_language(product, 6) == {"abcdef"}
+        assert enumerate_language(DisplacementProduct(first, second, k=0), 6) == set()
+        (run,) = enumerate_runs(product, "abcdef", cap=2)
+        arcs = [
+            [a.positions() for a in extract_matching(component, "abcdef", owner).arcs]
+            for owner, component in enumerate(component_runs(product, run), 1)
+        ]
+        assert arcs == [[(1, 4)], [(2, 6), (3, 5)]]
+
+
+def unknown_operation(run):
+    return doctored(run, 0, "a", lambda queue: queue + ((PUSH, 2, "Z"),))
+
+
+def wrong_symbol(run):
+    # machine 2 pops 0 at position 4; read 1 there, and pop 1 instead
+    return doctored(
+        run, 3, "1", lambda queue: tuple((op, o, "1" if o == 2 else s) for op, o, s in queue)
+    )
+
+
+def cut_before_last_read(run):
+    last = max(i for i, s in enumerate(run.steps) if s.transition.read is not None)
+    return replace(run, steps=run.steps[:last])
+
+
+class TestComponentRuns:
+    @pytest.mark.parametrize(
+        "pair, word, doctor, message",
+        [
+            (lifting_pair, "abcdef", unknown_operation, "machine 2 has no move at position 1"),
+            (
+                palindrome_pair,
+                "0000",
+                wrong_symbol,
+                "machine 2 cannot e1 --1/pop 1--> o2 at position 4",
+            ),
+            # no run of machine 1 accepts abcde, so its live depths end the
+            # replay at the first push
+            (
+                lifting_pair,
+                "abcdef",
+                cut_before_last_read,
+                "machine 1 cannot 0 --a/push A--> 1 at position 1",
+            ),
+            # without live depths only the final check refuses it
+            (
+                partial(lifting_pair, FINAL_STATE),
+                "abcdef",
+                cut_before_last_read,
+                "machine 1 does not accept at position 5",
+            ),
+        ],
+        ids=["unknown-operation", "wrong-symbol", "cut-live-depths", "cut-final-state"],
+    )
+    def test_doctored_runs_refused(self, pair, word, doctor, message):
+        product = DisplacementProduct(*pair(), k=1)
+        (run,) = enumerate_runs(product, word, cap=1)
+        component_runs(product, run)
+        with pytest.raises(UnbalancedRun, match=f"^{re.escape(message)}$"):
+            component_runs(product, doctor(run))
+
+
 class TestBufferedCompleteness:
     def test_refutation_pair_d1_exact_up_to_10(self):
         product = BufferedProduct(*refutation_pair(), d=1)
@@ -213,7 +327,7 @@ class TestBufferedCompleteness:
             runs = enumerate_runs(product, word, cap=20)
             assert runs
             for run in runs:
-                assert buffer_high_water(run) <= 8
+                assert max(len(s.transition.target.buffer) for s in run.steps) <= 8
 
     def test_arc_reconstruction_matches_overlay(self):
         """Push and pop positions per owner are forced, and so is their
