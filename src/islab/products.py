@@ -463,7 +463,10 @@ def component_runs(product, run: AcceptingRun) -> tuple:
     them, and each transition of that move must be a successor the search
     gives.  Raises UnbalancedRun, naming the owner and the position, when
     a projected step is not one its machine takes there, or the replay
-    ends outside acceptance."""
+    ends outside acceptance.  The search prunes to moves that can still
+    accept this word, so "cannot" means cannot on the way to acceptance,
+    and the position named is where the pruning stopped the replay, which
+    may come before the step at fault."""
     reads = [s for s in run.steps if s.transition.read is not None]
     word = "".join(s.transition.read for s in reads)
     out = []

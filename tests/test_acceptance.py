@@ -199,9 +199,11 @@ def test_criterion_04_buffered_product_on_refutation_pair():
     assert len(language) == 15
 
     high_water = max(
-        max(len(s.transition.target.buffer) for s in run.steps)
+        max(
+            max(len(s.transition.target.buffer) for s in run.steps)
+            for run in enumerate_runs(product, word, cap=20)
+        )
         for word in language
-        for run in enumerate_runs(product, word, cap=20)
     )
     elapsed = time.perf_counter() - started
     assert high_water <= 8
@@ -225,10 +227,12 @@ def test_criterion_05_displacement_product_on_palindrome_pair():
     assert len(language) == 167
 
     worst = max(
-        max(len(s.transition.target.displaced) for s in run.steps)
+        max(
+            max(len(s.transition.target.displaced) for s in run.steps)
+            for run in enumerate_runs(product, word, cap=20)
+        )
         for word in language
         if word
-        for run in enumerate_runs(product, word, cap=20)
     )
     assert worst <= 2
     print(

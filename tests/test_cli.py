@@ -754,25 +754,39 @@ PAIRING_GRAMMAR = {
 }
 
 
-@pytest.mark.parametrize("grammar", GRAMMAR_BUNDLES + ["pairing-grammar-file"])
+@pytest.mark.parametrize(
+    "grammar", GRAMMAR_BUNDLES + ["pairing-grammar-file", "corpus-export", "construct-buffered"]
+)
 def test_construct_grammar_independent_of_hash_seed(tmp_path, grammar):
-    if grammar == "pairing-grammar-file":
-        grammar = str(tmp_path / "pairing.cfg.json")
-        Path(grammar).write_text(json.dumps(PAIRING_GRAMMAR))
+    """Each output, and each file `corpus --export` writes, is the same
+    under two hash seeds."""
+    if grammar == "corpus-export":
+        args = ["corpus", "--export"]
+    elif grammar == "construct-buffered":
+        args = ["construct", "buffered", "--pair", "interleaved-palindrome"]
+        args += ["--d", "1", "--max-len", "4"]
+    else:
+        if grammar == "pairing-grammar-file":
+            grammar = str(tmp_path / "pairing.cfg.json")
+            Path(grammar).write_text(json.dumps(PAIRING_GRAMMAR))
+        args = ["construct", "grammar", "--grammar", grammar]
     src = str(Path(islab.__file__).resolve().parents[1])
     outputs = []
     for seed in ("0", "1"):
         env = dict(os.environ, PYTHONHASHSEED=seed)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        export = tmp_path / f"export{seed}"
         done = subprocess.run(
-            [sys.executable, "-m", "islab.cli", "construct", "grammar", "--grammar", grammar],
+            [sys.executable, "-m", "islab.cli", *args]
+            + ([str(export)] if args[-1] == "--export" else []),
             env=env,
             capture_output=True,
             text=True,
             timeout=60,
         )
         assert done.returncode == 0, done.stderr
-        outputs.append(done.stdout)
+        files = {f.name: f.read_bytes() for f in export.iterdir()} if export.exists() else {}
+        outputs.append((done.stdout, files))
     assert outputs[0] == outputs[1]
 
 

@@ -284,15 +284,9 @@ class TestComponentRuns:
                 wrong_symbol,
                 "machine 2 cannot e1 --1/pop 1--> o2 at position 4",
             ),
-            # no run of machine 1 accepts abcde, so its live depths end the
-            # replay at the first push
-            (
-                lifting_pair,
-                "abcdef",
-                cut_before_last_read,
-                "machine 1 cannot 0 --a/push A--> 1 at position 1",
-            ),
-            # without live depths only the final check refuses it
+            # under acceptance by final state the search keeps no live
+            # depths, so the cut run replays to its end and the final check
+            # refuses it
             (
                 partial(lifting_pair, FINAL_STATE),
                 "abcdef",
@@ -300,7 +294,7 @@ class TestComponentRuns:
                 "machine 1 does not accept at position 5",
             ),
         ],
-        ids=["unknown-operation", "wrong-symbol", "cut-live-depths", "cut-final-state"],
+        ids=["unknown-operation", "wrong-symbol", "cut-final-state"],
     )
     def test_doctored_runs_refused(self, pair, word, doctor, message):
         product = DisplacementProduct(*pair(), k=1)
