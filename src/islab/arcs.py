@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .pda import DEFAULT_LIMITS, POP, PUSH, AcceptingRun, SearchLimits, enumerate_runs
 
 
-class UnbalancedRun(Exception):
+class UnbalancedRun(ValueError):
     """Run steps are not stack-consistent (bad pop, or residuals that the
     final configuration contradicts)."""
 
@@ -72,9 +72,13 @@ def extract_matching(run: AcceptingRun, word: str, owner: int = 1) -> Matching:
     """Pair pushes with pops along the run's steps.
 
     Unmatched pushes (possible under plain final-state acceptance) yield no
-    arc but must agree with the run's final stack; any inconsistency raises
-    UnbalancedRun.
+    arc but must agree with the run's final stack.  UnbalancedRun names the
+    machine and the position of a bad pop, or of the first unmatched push.
     """
+
+    def refuse(pos: int, problem: str) -> UnbalancedRun:
+        return UnbalancedRun(f"machine {owner} at position {pos}: {problem}")
+
     pending: list[tuple[str, int, int]] = []
     per_pos: dict[int, int] = {}
     arcs = []
@@ -86,15 +90,15 @@ def extract_matching(run: AcceptingRun, word: str, owner: int = 1) -> Matching:
             pending.append((action.symbol, s.input_pos, ordinal))
         elif action.kind == POP:
             if not pending:
-                raise UnbalancedRun(f"pop of {action.symbol!r} with no pending push")
+                raise refuse(s.input_pos, f"pop of {action.symbol!r} with no pending push")
             sym, pos, ordinal = pending.pop()
             if sym != action.symbol:
-                raise UnbalancedRun(f"pop of {action.symbol!r} does not match pushed {sym!r}")
+                raise refuse(s.input_pos, f"pop of {action.symbol!r} does not match pushed {sym!r}")
             arcs.append(Arc(pos, s.input_pos, owner, ordinal))
-    if len(pending) != len(run.final.stack) - 1:
-        raise UnbalancedRun(
-            f"{len(pending)} unmatched pushes but final stack depth {len(run.final.stack)}"
-        )
+    depth = len(run.final.stack)
+    if len(pending) != depth - 1:
+        at = pending[0][1] if pending else run.final.input_pos
+        raise refuse(at, f"{len(pending)} unmatched pushes but final stack depth {depth}")
     arcs.sort(key=lambda a: (a.push_pos, a.pop_pos, a.push_ordinal))
     return Matching(word, owner, tuple(arcs))
 

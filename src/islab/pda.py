@@ -195,9 +195,10 @@ _NO_PATH = float("-inf")  # a depth-table entry that no control path reaches
 
 def _last_length(table):
     """Memoize a machine's per-length table method in one slot on the
-    machine, keyed by input length: a call for another length replaces it,
-    so a machine keeps one table of each kind, however many lengths it is
-    asked for."""
+    machine, keyed by input length: a call for another length replaces it.
+    It stays because one machine is often searched twice on one length:
+    `verify` on a product searches each component after the product, and
+    the bench's report job searches its largest word twice per machine."""
     slot = "_last_" + table.__name__
 
     @wraps(table)

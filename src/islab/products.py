@@ -20,19 +20,16 @@ micro-steps that drain the queued stack operations (plus, for the
 buffered product, one closing step that advances the countdowns), so the
 standard engine in pda explores these machines unchanged.
 
-Composite states are canonical: building a state with the fields of one
-that is still alive returns that object.  So equal states are one object,
-and the engine's tables, the product's expansion table and the live-depth
-rows hash and compare them by identity, in C, however long their queues
-and buffers are.  Value equality still holds, because no two live states
-have equal fields; copies and pickles come back as the canonical object.
+Each product interns its composite states (see `_ProductBase._state`), so
+equal states of one product are one object, and the engine's tables, the
+product's expansion table and the live-depth rows hash and compare them by
+identity, in C, however long their queues and buffers are.  States built by
+two products compare unequal, and a copy or pickle of a state is a new one.
 """
 
 from __future__ import annotations
 
-import threading
-import weakref
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 from .arcs import UnbalancedRun
 from .pda import (
@@ -65,54 +62,17 @@ def _describe_entry(entry) -> str:
     return f"{entry[0]}:{entry[1]}"
 
 
-class _Canonical:
-    """Hash-consing (Filliâtre & Conchon, "Type-safe modular hash-consing",
-    2006) for the frozen composite states: each subclass keeps a table from
-    field tuples to the one live state with those fields.  The table holds
-    its states weakly, so a state lives only as long as a product, a search
-    or a run refers to it, and nothing persists across calls.  The lock
-    guards the miss path only, so two threads never build two objects for
-    one value; a hit takes no lock."""
-
-    _lock = threading.Lock()
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        cls._interned = weakref.WeakValueDictionary()
-
-    @classmethod
-    def _intern(cls, values: tuple):
-        state = cls._interned.get(values)
-        if state is None:
-            with cls._lock:
-                state = cls._interned.get(values)
-                if state is None:
-                    state = object.__new__(cls)
-                    for field, value in zip(fields(cls), values):
-                        object.__setattr__(state, field.name, value)
-                    cls._interned[values] = state
-        return state
-
-    def __reduce__(self):
-        # copy, deepcopy and pickle rebuild through __new__, so each gives
-        # back the canonical object
-        return type(self), tuple(getattr(self, field.name) for field in fields(self))
-
-
-@dataclass(frozen=True, eq=False, init=False)
-class DisplacedState(_Canonical):
+@dataclass(frozen=True, eq=False)
+class DisplacedState:
     """Composite control: both machine states, the queue of stack
     operations still owed for the current position, and the foreign
-    entries currently lifted aside mid-pop.  Canonical, so compared and
-    hashed by identity (see `_Canonical`)."""
+    entries currently lifted aside mid-pop.  Compared and hashed by
+    identity: two products, a copy or a pickle give unequal states."""
 
     q1: object
     q2: object
-    queue: tuple
-    displaced: tuple
-
-    def __new__(cls, q1, q2, queue=(), displaced=()):
-        return cls._intern((q1, q2, queue, displaced))
+    queue: tuple = ()
+    displaced: tuple = ()
 
     @property
     def is_sync(self) -> bool:
@@ -124,20 +84,17 @@ class DisplacedState(_Canonical):
         return f"[{self.q1}|{self.q2}|ops {ops}|held {held}]"
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class BufferedState(_Canonical):
+@dataclass(frozen=True, eq=False)
+class BufferedState:
     """Composite control for the buffered product; closing marks the
-    pending end-of-position countdown step.  Canonical, so compared and
-    hashed by identity (see `_Canonical`)."""
+    pending end-of-position countdown step.  Compared and hashed by
+    identity, as `DisplacedState` is."""
 
     q1: object
     q2: object
-    queue: tuple
-    buffer: tuple
-    closing: bool
-
-    def __new__(cls, q1, q2, queue=(), buffer=(), closing=False):
-        return cls._intern((q1, q2, queue, buffer, closing))
+    queue: tuple = ()
+    buffer: tuple = ()
+    closing: bool = False
 
     @property
     def is_sync(self) -> bool:
@@ -215,6 +172,7 @@ class _ProductBase:
         self.parameter = parameter
         self.input_alphabet = first.input_alphabet & second.input_alphabet
         self._table: dict = {}
+        self._states: dict = {}
         self._bottom_only_owners = frozenset(
             owner
             for owner in (1, 2)
@@ -224,8 +182,17 @@ class _ProductBase:
     def component(self, owner: int) -> Pda:
         return self.first if owner == 1 else self.second
 
+    def _state(self, state, **changes):
+        """This product's one state with the fields of `state` but `changes`;
+        setdefault on a miss keeps one object per value across threads."""
+        values = tuple({**vars(state), **changes}.values())
+        found = self._states.get(values)
+        if found is None:
+            found = self._states.setdefault(values, self.state_class(*values))
+        return found
+
     def initial_config(self) -> Configuration:
-        start = self.state_class(self.first.start, self.second.start)
+        start = self._state(self.state_class(self.first.start, self.second.start))
         return Configuration(start, 0, (_BOTTOM,))
 
     def live_depths(self, input_len: int) -> _LiveDepths | None:
@@ -312,7 +279,7 @@ class DisplacementProduct(_ProductBase):
         super().__init__(first, second, k)
 
     def _after_read(self, state, t1, t2, queue) -> DisplacedState:
-        return DisplacedState(t1, t2, queue, ())
+        return self._state(state, q1=t1, q2=t2, queue=queue, displaced=())
 
     def projection(self, state: DisplacedState):
         """Counting view: control pair plus the held foreign symbols."""
@@ -323,17 +290,17 @@ class DisplacementProduct(_ProductBase):
             return self._reads(state)
         (op, owner, sym), rest = state.queue[0], state.queue[1:]
         if op == PUSH:
-            drained = replace(state, queue=rest)
+            drained = self._state(state, queue=rest)
             return (_aux(state, StackAction.push((owner, sym)), drained),)
         restore = tuple((PUSH, o, s) for o, s in reversed(state.displaced))
-        done = replace(state, queue=restore + rest, displaced=())
+        done = self._state(state, queue=restore + rest, displaced=())
         out = [_aux(state, StackAction.pop((owner, sym)), done)]
         if len(state.displaced) < 2 * self.parameter:
             other = 2 if owner == 1 else 1
             machine = self.component(other)
             for foreign in sorted(machine.stack_alphabet - {machine.bottom}):
                 entry = (other, foreign)
-                lifted = replace(state, displaced=state.displaced + (entry,))
+                lifted = self._state(state, displaced=state.displaced + (entry,))
                 out.append(_aux(state, StackAction.pop(entry), lifted))
         return tuple(out)
 
@@ -356,7 +323,7 @@ class BufferedProduct(_ProductBase):
         super().__init__(first, second, d)
 
     def _after_read(self, state, t1, t2, queue) -> BufferedState:
-        return BufferedState(t1, t2, queue, state.buffer, closing=True)
+        return self._state(state, q1=t1, q2=t2, queue=queue, closing=True)
 
     def accepts_control(self, state: BufferedState) -> bool:
         """Also asks that no owner that accepts on its bottom only still has
@@ -379,22 +346,25 @@ class BufferedProduct(_ProductBase):
             if not all(t > 0 for _, _, t in buffer):
                 return ()
             aged = tuple((o, s, t - 1) for o, s, t in buffer)
-            done = replace(state, buffer=aged, closing=False)
+            done = self._state(state, buffer=aged, closing=False)
             return (_aux(state, StackAction.none(), done),)
         (op, owner, sym), rest = state.queue[0], state.queue[1:]
-        drained = replace(state, queue=rest)
         mine = [idx for idx, entry in enumerate(buffer) if entry[0] == owner]
+        drained = None if mine else self._state(state, queue=rest)
         if op == PUSH:
             out = [] if mine else [_aux(state, StackAction.push((owner, sym)), drained)]
             if len(buffer) < 8 * self.parameter:
-                short = replace(drained, buffer=buffer + ((owner, sym, 2 * self.parameter),))
+                entry = (owner, sym, 2 * self.parameter)
+                short = self._state(state, queue=rest, buffer=buffer + (entry,))
                 out.append(_aux(state, StackAction.none(), short))
             return tuple(out)
         if not mine:
             return (_aux(state, StackAction.pop((owner, sym)), drained),)
         idx = mine[-1]  # the owner's newest entry: another symbol ends the path
-        taken = replace(drained, buffer=buffer[:idx] + buffer[idx + 1 :])
-        return (_aux(state, StackAction.none(), taken),) if buffer[idx][1] == sym else ()
+        if buffer[idx][1] != sym:
+            return ()
+        taken = self._state(state, queue=rest, buffer=buffer[:idx] + buffer[idx + 1 :])
+        return (_aux(state, StackAction.none(), taken),)
 
 
 def state_bound(kind: str, q1: int, q2: int, g1: int, g2: int, parameter: int) -> int:

@@ -95,16 +95,22 @@ class TestExtractMatching:
             steps=(RunStep(Transition("p", "a", StackAction.pop("A"), "p"), 1, 1),),
             final=Configuration("p", 1, ("$",)),
         )
-        with pytest.raises(UnbalancedRun, match="^pop of 'A' with no pending push$"):
+        with pytest.raises(UnbalancedRun, match="^machine 1 at position 1: pop of 'A' with no pending push$"):
             extract_matching(bad, "a")
 
     @pytest.mark.parametrize(
         "actions, message",
         [
-            ((StackAction.push("A"), StackAction.pop("B")), "pop of 'B' does not match pushed 'A'"),
+            (
+                (StackAction.push("A"), StackAction.pop("B")),
+                "machine 1 at position 2: pop of 'B' does not match pushed 'A'",
+            ),
             # cut before its last pop: one push unmatched, yet the final
             # stack holds the bottom alone
-            ((StackAction.push("A"),), "1 unmatched pushes but final stack depth 1"),
+            (
+                (StackAction.push("A"),),
+                "machine 1 at position 1: 1 unmatched pushes but final stack depth 1",
+            ),
         ],
         ids=["wrong-symbol", "cut"],
     )

@@ -264,6 +264,29 @@ class TestCrossings:
         assert payload["rejected_by"] == [2]
         assert calls == ["enumerate_runs", "enumerate_runs"]
 
+    def test_run_popping_the_bottom_refused(self, capsys, tmp_path):
+        # simulate accepts "a" by popping the bottom marker, a pop that no
+        # push matches, so the run has no arc matching
+        machine = Pda(
+            states={"p", "q"},
+            input_alphabet={"a"},
+            stack_alphabet={"$"},
+            transitions=[
+                Transition("p", "a", StackAction.pop("$"), "q"),
+                Transition("q", "a", StackAction.push("$"), "p"),
+            ],
+            start="p",
+            bottom="$",
+            accept={"p", "q"},
+            acceptance_mode=FINAL_STATE,
+        )
+        path = write_machine(tmp_path, machine)
+        assert run_cli(capsys, "simulate", "--pda", path, "--word", "a")[0] == 0
+        code, out, err = run_cli(capsys, "crossings", "--pair", f"{path},{path}", "--word", "a")
+        assert code == 2
+        assert out == ""
+        assert err == "error: machine 1 at position 1: pop of '$' with no pending push\n"
+
     def test_zero_runs_cap_refused(self, capsys):
         # it would analyze no run pair, and report none while both machines accept
         code, out, err = run_cli(
@@ -755,18 +778,20 @@ PAIRING_GRAMMAR = {
 
 
 @pytest.mark.parametrize(
-    "grammar", GRAMMAR_BUNDLES + ["pairing-grammar-file", "corpus-export", "construct-buffered"]
+    "case", GRAMMAR_BUNDLES + ["pairing-grammar-file", "corpus-export", "construct-buffered"]
 )
-def test_construct_grammar_independent_of_hash_seed(tmp_path, grammar):
+def test_construct_grammar_independent_of_hash_seed(tmp_path, case):
     """Each output, and each file `corpus --export` writes, is the same
-    under two hash seeds."""
-    if grammar == "corpus-export":
+    under two hash seeds: `construct grammar` on each grammar, `corpus
+    --export` and `construct buffered`."""
+    if case == "corpus-export":
         args = ["corpus", "--export"]
-    elif grammar == "construct-buffered":
+    elif case == "construct-buffered":
         args = ["construct", "buffered", "--pair", "interleaved-palindrome"]
         args += ["--d", "1", "--max-len", "4"]
     else:
-        if grammar == "pairing-grammar-file":
+        grammar = case
+        if case == "pairing-grammar-file":
             grammar = str(tmp_path / "pairing.cfg.json")
             Path(grammar).write_text(json.dumps(PAIRING_GRAMMAR))
         args = ["construct", "grammar", "--grammar", grammar]

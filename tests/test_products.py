@@ -1,8 +1,6 @@
-import copy
 import gc
 import itertools
 import math
-import pickle
 import re
 import sys
 import threading
@@ -463,46 +461,52 @@ class TestCanonicalStates:
             yield product
 
     def test_equal_fields_give_one_object(self):
+        product = DisplacementProduct(*palindrome_pair(), k=1)
         queue = ((PUSH, 1, "A"), (POP, 2, "B"))
-        state = DisplacedState("p", "q", queue, ((2, "B"),))
-        assert DisplacedState(*refreshed(state)) is state
-        assert DisplacedState("p", "q", queue=queue, displaced=((2, "B"),)) is state
-        assert replace(state, queue=queue[:1]) is DisplacedState("p", "q", queue[:1], ((2, "B"),))
-        assert replace(state) is state
-        buffered = BufferedState("p", "q", (), (("1", "A", 2),), True)
-        assert BufferedState(*refreshed(buffered)) is buffered
-        assert replace(buffered, closing=False) is BufferedState("p", "q", buffer=(("1", "A", 2),))
-        assert DisplacedState("p", "q") != DisplacedState("q", "p")
-        assert len({DisplacedState("p", "q"), DisplacedState("p", "q", (), ())}) == 1
+        state = product._state(DisplacedState("p", "q", queue, ((2, "B"),)))
+        assert product._state(DisplacedState(*refreshed(state))) is state
+        assert product._state(state) is state
+        shorter = product._state(DisplacedState("p", "q", queue[:1], ((2, "B"),)))
+        assert product._state(state, queue=queue[:1]) is shorter
+        assert product._state(DisplacedState("p", "q")) is product._state(
+            DisplacedState("p", "q", (), ())
+        )
+        assert product._state(DisplacedState("p", "q")) != product._state(DisplacedState("q", "p"))
+        buffered = BufferedProduct(*palindrome_pair(), d=1)
+        held = buffered._state(BufferedState("p", "q", (), (("1", "A", 2),), True))
+        assert buffered._state(BufferedState(*refreshed(held))) is held
+        opened = buffered._state(BufferedState("p", "q", buffer=(("1", "A", 2),)))
+        assert buffered._state(held, closing=False) is opened
+        # each product holds its own states
+        other = DisplacementProduct(*palindrome_pair(), k=1)
+        assert other._state(state) is other._state(DisplacedState(*refreshed(state)))
+        assert other._state(state) != state
 
     def test_table_targets_are_canonical(self):
         for product in self.explored():
             assert product._table
+            start = product.initial_config().state
+            reached = {start}
             for source, transitions in product._table.items():
+                assert product._state(source) is source
                 for t in transitions:
                     assert t.source is source
-                    assert type(t.target)(*refreshed(t.target)) is t.target
-
-    def test_copies_and_pickles_give_the_canonical_object(self):
-        for product in self.explored():
-            for state in product._table:
-                assert copy.copy(state) is state
-                assert copy.deepcopy(state) is state
-                for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-                    assert pickle.loads(pickle.dumps(state, protocol)) is state
+                    assert product._state(type(t.target)(*refreshed(t.target))) is t.target
+                    reached.add(t.target)
+            # the product holds no state that no transition reaches
+            assert set(product._states.values()) == reached
 
     def test_states_die_with_their_product(self):
         product = DisplacementProduct(*palindrome_pair(), k=1)
         enumerate_language(product, 6)
-        refs = [weakref.ref(state) for state in product._table]
-        keys = [tuple(refreshed(state)) for state in product._table]
-        assert all(key in DisplacedState._interned for key in keys)
+        refs = [weakref.ref(state) for state in product._states.values()]
+        assert len(refs) >= len(product._table)
         del product
         gc.collect()
         assert all(ref() is None for ref in refs)
-        assert not any(key in DisplacedState._interned for key in keys)
 
     def test_equal_states_built_from_threads_are_one_object(self):
+        product = DisplacementProduct(*palindrome_pair(), k=1)
         keys = [("p", n, ((PUSH, 1, "A"),) * (n % 3), ()) for n in range(3000)]
         built = [None] * 4
         barrier = threading.Barrier(len(built))
@@ -512,10 +516,10 @@ class TestCanonicalStates:
 
         def build(slot):
             # called on every line, a trace function lets the threads
-            # switch inside the lookup that misses
+            # switch between the lookup that misses and the store
             sys.settrace(no_op)
             barrier.wait(timeout=60)
-            built[slot] = [DisplacedState(*key) for key in keys]
+            built[slot] = [product._state(DisplacedState(*key)) for key in keys]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
