@@ -10,6 +10,9 @@ are overlaid and arcs from different machines cross.
 The geometry is decided here alone: whether two arcs cross (`crosses`, also
 for block constraints), well-nestedness (`is_well_nested`), and the split
 w = P1 P2 P3 P4 a crossing induces (`SegmentDecomposition`).
+`classify_family` returns every regime as a `RegimeReport`, the
+inconclusive one with a `detail`; inputs the geometry is not defined on,
+such as matchings of two different words, raise `PreconditionViolated`.
 """
 
 from __future__ import annotations
@@ -24,26 +27,15 @@ class UnbalancedRun(ValueError):
     final configuration contradicts)."""
 
 
-class SourceMismatch(Exception):
-    """Two matchings being compared were extracted from different words."""
-
-
 class PreconditionViolated(ValueError):
     """An input outside what the geometry is defined on."""
-
-
-class InconclusiveRegime(Exception):
-    """Measure growth across sizes is neither constant nor strictly growing."""
-
-    def __init__(self, message: str, evidence: tuple):
-        super().__init__(message)
-        self.evidence = evidence
 
 
 REGIME_NO_CROSSINGS = "no-crossings"
 REGIME_BOUNDED_GAP = "bounded-gap"
 REGIME_BOUNDED_INNER = "bounded-inner-unbounded-gap"
 REGIME_GROWING_INNER = "growing-inner"
+REGIME_INCONCLUSIVE = "inconclusive"
 
 
 @dataclass(frozen=True)
@@ -218,7 +210,7 @@ def measures_of(pair: CrossingPair) -> CrossingMeasures:
 def crossing_pairs(m1: Matching, m2: Matching) -> list[CrossingAnalysis]:
     """All cross-machine crossing pairs, sorted by (i, i', j, j')."""
     if m1.word != m2.word:
-        raise SourceMismatch(f"matchings over different words: {m1.word!r} vs {m2.word!r}")
+        raise PreconditionViolated(f"matchings over different words: {m1.word!r} vs {m2.word!r}")
     if m1.owner == m2.owner:
         raise PreconditionViolated("crossing pairs need matchings from two distinct machines")
     n = len(m1.word)
@@ -302,8 +294,12 @@ class EvidenceRow:
 
 @dataclass(frozen=True)
 class RegimeReport:
+    """The regime of a family, the per-size rows it rests on, and, for the
+    inconclusive regime, why."""
+
     regime: str
     evidence: tuple[EvidenceRow, ...]
+    detail: str | None = None
 
 
 def _growth(values: list[int]) -> str:
@@ -322,7 +318,7 @@ def classify_family(samples: list[tuple[str, list[CrossingMeasures]]]) -> Regime
     constant series, which would read as bounded.  Growth detection is
     deliberately blunt: a measure series is bounded when constant across all
     samples and unbounded when strictly increasing; anything in between
-    raises InconclusiveRegime.
+    is the inconclusive regime, with `detail` saying why.
     """
     if len(samples) < 2:
         raise PreconditionViolated("need at least two sample sizes to classify")
@@ -340,7 +336,8 @@ def classify_family(samples: list[tuple[str, list[CrossingMeasures]]]) -> Regime
     if all(row.pair_count == 0 for row in evidence):
         return RegimeReport(REGIME_NO_CROSSINGS, evidence)
     if any(row.pair_count == 0 for row in evidence):
-        raise InconclusiveRegime("crossing pairs appear at some sizes but not others", evidence)
+        why = "crossing pairs appear at some sizes but not others"
+        return RegimeReport(REGIME_INCONCLUSIVE, evidence, why)
     gaps = [row.max_gap for row in evidence]
     inners = [row.max_inner for row in evidence]
     gap_growth = _growth(gaps)
@@ -351,6 +348,5 @@ def classify_family(samples: list[tuple[str, list[CrossingMeasures]]]) -> Regime
         return RegimeReport(REGIME_BOUNDED_INNER, evidence)
     if gap_growth == "growing" and inner_growth == "growing":
         return RegimeReport(REGIME_GROWING_INNER, evidence)
-    raise InconclusiveRegime(
-        f"measure growth is mixed (gap {gap_growth}, inner {inner_growth})", evidence
-    )
+    why = f"measure growth is mixed (gap {gap_growth}, inner {inner_growth})"
+    return RegimeReport(REGIME_INCONCLUSIVE, evidence, why)

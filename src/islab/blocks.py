@@ -6,7 +6,10 @@ equal length.  Two such specifications over the same block structure have
 a context-free intersection exactly when their combined constraint arcs
 are well nested and share no endpoints; the characterization is
 constructive in both directions, producing a single joint machine in the
-positive case and a family of pumping witnesses in the negative one.
+positive case and a family of pumping witnesses in the negative one:
+`segments_and_linkages` gives a crossing's witness word and its
+four-segment split.  Membership on one side and on the intersection both
+go through one block scan, `BlockSpec._meets`.
 """
 
 from __future__ import annotations
@@ -93,14 +96,6 @@ class BlockSpec:
                 for alpha in self.alphabets
             )
         ).match
-
-    def block_counts(self, word: str):
-        """Per-block symbol counts, or None when the word does not scan as
-        consecutive blocks in order."""
-        m = self._scan(word)
-        if m.end() != len(word):
-            return None
-        return list(map(len, m.groups()))
 
     def contains(self, word: str) -> bool:
         return self._meets(word, self.constraints)
@@ -329,12 +324,22 @@ def witness_string(j: JointSpec, violation: Violation, n: int) -> str:
     return _spell(j, _witness_lengths(j, violation, n))
 
 
-def witness_decomposition(j: JointSpec, violation: Violation, n: int):
-    """Witness word plus the four-segment split induced by a crossing.
+@dataclass(frozen=True)
+class LinkagePackage:
+    """A pumping work order: the witness word and its four-segment split."""
+
+    word: str
+    decomposition: SegmentDecomposition
+
+
+def segments_and_linkages(j: JointSpec, violation: Violation, n: int) -> LinkagePackage:
+    """The crossing witness at size n with the four-segment split its
+    crossing induces, ready for `check_crossing_hypotheses`.
 
     For crossing arcs (l1, r1) and (l2, r2) with l1 < l2 < r1 < r2 the
     cuts sit at the ends of blocks l1, l2 and r1, so segment two spans
-    blocks l1+1..l2 and segment three spans l2+1..r1.
+    blocks l1+1..l2 and segment three spans l2+1..r1.  A shared-endpoint
+    violation has no such split and raises NoCrossing.
     """
     if violation.kind != CROSSING:
         raise NoCrossing("segment decomposition is defined for crossings only")
@@ -344,24 +349,8 @@ def witness_decomposition(j: JointSpec, violation: Violation, n: int):
     (l1, r1), (l2, _) = first, second
     lengths = _witness_lengths(j, violation, n)
     ends = list(accumulate(lengths, initial=0))
-    return _spell(j, lengths), SegmentDecomposition(ends[-1], ends[l1], ends[l2], ends[r1])
-
-
-@dataclass(frozen=True)
-class LinkagePackage:
-    """A pumping work order: witness word, its four-segment split, and the
-    segment pairs whose linkage the crossing is claimed to force."""
-
-    word: str
-    decomposition: SegmentDecomposition
-    claims: tuple
-
-
-def segments_and_linkages(j: JointSpec, violation: Violation, n: int) -> LinkagePackage:
-    """Bundle the crossing witness at size n with the two linkage claims
-    ((1, 3) and (2, 4)) ready for verification against a membership oracle."""
-    word, decomposition = witness_decomposition(j, violation, n)
-    return LinkagePackage(word=word, decomposition=decomposition, claims=((1, 3), (2, 4)))
+    decomposition = SegmentDecomposition(ends[-1], ends[l1], ends[l2], ends[r1])
+    return LinkagePackage(word=_spell(j, lengths), decomposition=decomposition)
 
 
 def joint_to_json(j: JointSpec) -> dict:

@@ -20,7 +20,6 @@ import sys
 
 from . import corpus
 from .arcs import (
-    InconclusiveRegime,
     SegmentDecomposition,
     analyze_pair,
     analyze_runs,
@@ -87,7 +86,7 @@ def _read_json(path: str) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise CliError(f"{path} is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise CliError(
@@ -317,20 +316,15 @@ def _family_pair(args) -> tuple:
 
 
 def _regime(first, second, bundle, sizes, limits) -> tuple:
-    """(regime, detail, evidence rows, analyses of the last size) of the
-    bundle's family across the sizes; detail says why when the regime is
-    inconclusive, else is None."""
+    """(regime report, analyses of the last size) of the bundle's family
+    across the sizes."""
     samples = []
     for n in sizes:
         word = bundle.family(n)
         analyses = analyze_pair(first, second, word, limits=limits)
         measures = [c.measures for c in analyses[0].crossings] if analyses else []
         samples.append((word, measures))
-    try:
-        report = classify_family(samples)
-    except InconclusiveRegime as exc:
-        return "inconclusive", str(exc), exc.evidence, analyses
-    return report.regime, None, report.evidence, analyses
+    return classify_family(samples), analyses
 
 
 def _evidence_payload(evidence) -> list:
@@ -358,20 +352,20 @@ def _evidence_lines(evidence) -> list:
 
 def _cmd_classify(args) -> int:
     first, second, bundle, sizes = _family_pair(args)
-    regime, detail, evidence, _ = _regime(first, second, bundle, sizes, _limits(args))
+    report, _ = _regime(first, second, bundle, sizes, _limits(args))
     payload = {
         "command": "classify",
         "bundle": bundle.name,
         "sizes": sizes,
-        "regime": regime,
-        "evidence": _evidence_payload(evidence),
+        "regime": report.regime,
+        "evidence": _evidence_payload(report.evidence),
     }
-    if detail is None:
-        head = f"regime: {regime}"
+    if report.detail is None:
+        head = f"regime: {report.regime}"
     else:
-        payload["detail"] = detail
-        head = f"inconclusive: {detail}"
-    _emit(payload, args, [head] + _evidence_lines(evidence))
+        payload["detail"] = report.detail
+        head = f"inconclusive: {report.detail}"
+    _emit(payload, args, [head] + _evidence_lines(report.evidence))
     return 0
 
 
@@ -725,8 +719,9 @@ def _export_corpus(args) -> None:
 
 def _cmd_report(args) -> int:
     first, second, bundle, sizes = _family_pair(args)
-    regime, detail, evidence, analyses = _regime(first, second, bundle, sizes, _limits(args))
-    rows = [dict(n=n, **row) for n, row in zip(sizes, _evidence_payload(evidence))]
+    report, analyses = _regime(first, second, bundle, sizes, _limits(args))
+    regime, detail = report.regime, report.detail
+    rows = [dict(n=n, **row) for n, row in zip(sizes, _evidence_payload(report.evidence))]
     payload = {
         "command": "report",
         "bundle": bundle.name,

@@ -439,6 +439,9 @@ def _depth_rows(
         if r0 < r:
             period, lift = r - r0, top - top0
             break
+    # Complement here, on the columns before the period, not in floor_depths
+    # on the filled rows: a pass over all count + 1 entries of each row took
+    # floor_depths(600) of odd-track from 43 to 77 us (2-core Xeon VM).
     if complement:
         columns = [[1 - v for v in column] for column in columns]
         lift = -lift

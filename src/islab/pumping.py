@@ -7,7 +7,8 @@ vxy meets exactly one member of the pair and misses the other, with v or
 y nonempty, pumps out of the language: u v v x y y z is not a member.
 The checker enumerates every factorization of the given word, so its
 verdicts are exact for that word while remaining finite evidence about
-the family it was drawn from.
+the family it was drawn from.  Which windows meet exactly one member of
+the pair is decided in `check_linkage` alone.
 """
 
 from __future__ import annotations
@@ -46,9 +47,6 @@ class Factorization:
         u, v, x, y, z = self.parts(word)
         return u + v + v + x + y + y + z
 
-    def window(self) -> tuple:
-        return (self.cuts[0], self.cuts[3])
-
 
 @dataclass(frozen=True)
 class Counterexample:
@@ -66,13 +64,6 @@ class LinkageReport:
     examined: int
     relevant: int
     oracle_calls: int
-
-
-@dataclass(frozen=True)
-class CaseTrace:
-    label: str
-    touched: tuple
-    invoked_pair: tuple | None
 
 
 @dataclass(frozen=True)
@@ -151,37 +142,6 @@ def check_linkage(
                 if b == a:
                     examined += 1
     return LinkageReport(pair, True, False, None, examined, relevant, len(memo))
-
-
-def case_trace(
-    word: str, cuts: SegmentDecomposition, factorization: Factorization
-) -> CaseTrace:
-    """Which segments the pumping window meets, and which linkage that
-    invokes: the outer pair when exactly one of segments one and three is
-    met, else the inner pair when exactly one of two and four is, else
-    none.  A window reaching past the word is refused as `parts` refuses
-    it."""
-    factorization.parts(word)
-    intervals = cuts.intervals(word)
-    window = factorization.window()
-    touched = tuple(
-        idx for idx, iv in enumerate(intervals, start=1) if _meets(window, iv)
-    )
-    if not touched:
-        label = "empty-window"
-    elif len(touched) == 1:
-        label = f"inside-segment-{touched[0]}"
-    elif len(touched) == 2:
-        label = f"straddle-segments-{touched[0]}-{touched[1]}"
-    else:
-        label = "multi-straddle"
-    if (1 in touched) != (3 in touched):
-        invoked = OUTER_PAIR
-    elif (2 in touched) != (4 in touched):
-        invoked = INNER_PAIR
-    else:
-        invoked = None
-    return CaseTrace(label, touched, invoked)
 
 
 def check_crossing_hypotheses(

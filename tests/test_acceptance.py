@@ -8,7 +8,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 import itertools
 import math
 import random
-import re
 import time
 
 from islab import corpus
@@ -48,30 +47,12 @@ from islab.pumping import (
     check_linkage,
 )
 
+from helpers import block_words, refutation_member
+
 CHAINED = corpus.get("chained-equal-blocks").joint
 CROSSING_J = corpus.get("crossing-blocks").joint
 SHARED_J = corpus.get("shared-endpoint-blocks").joint
 NESTED_J = corpus.get("nested-blocks").joint
-
-
-def block_words(alphabets, max_len):
-    """Every block-shaped word up to max_len, built from each block's
-    smallest letter."""
-    k = len(alphabets)
-    for total in range(max_len + 1):
-        for bars in itertools.combinations_with_replacement(range(total + 1), k - 1):
-            pos = (0,) + bars + (total,)
-            counts = [pos[i + 1] - pos[i] for i in range(k)]
-            yield "".join(min(a) * c for a, c in zip(alphabets, counts))
-
-
-def refutation_member(word):
-    m = re.fullmatch(r"aba(d*)(e*)f(g*)(h*)", word)
-    return (
-        bool(m)
-        and len(m.group(1)) == len(m.group(2))
-        and len(m.group(3)) == len(m.group(4))
-    )
 
 
 def both_tracks_palindromic(word):

@@ -9,14 +9,13 @@ from islab.arcs import (
     REGIME_BOUNDED_GAP,
     REGIME_BOUNDED_INNER,
     REGIME_GROWING_INNER,
+    REGIME_INCONCLUSIVE,
     REGIME_NO_CROSSINGS,
     Arc,
     CrossingMeasures,
-    InconclusiveRegime,
     Matching,
     PreconditionViolated,
     SegmentDecomposition,
-    SourceMismatch,
     analyze_pair,
     classify_family,
     crossing_pairs,
@@ -37,8 +36,9 @@ from islab.pda import (
     accepts,
     enumerate_runs,
 )
-from islab.pumping import Factorization, case_trace, check_linkage
-from test_cli import two_path_machine
+from islab.pumping import check_linkage
+
+from helpers import two_path_machine
 
 
 def first_matching(machine, word, owner=1):
@@ -207,10 +207,9 @@ class TestSegmentDecomposition:
         "use",
         [
             lambda word, cuts: check_linkage(lambda w: True, word, cuts),
-            lambda word, cuts: case_trace(word, cuts, Factorization((0, 1, 1, 2))),
             lambda word, cuts: render_arcs(word, [], decomposition=cuts),
         ],
-        ids=["check_linkage", "case_trace", "render_arcs"],
+        ids=["check_linkage", "render_arcs"],
     )
     def test_word_of_another_length_refused(self, use):
         cuts = SegmentDecomposition(word_len=8, i=2, i_prime=4, j=6)
@@ -299,7 +298,8 @@ class TestCrossingPairs:
         assert analysis.measures == CrossingMeasures(gap=1, inner=6)
 
     def test_source_mismatch(self):
-        with pytest.raises(SourceMismatch):
+        message = "^matchings over different words: 'ab' vs 'ba'$"
+        with pytest.raises(PreconditionViolated, match=message):
             crossing_pairs(Matching("ab", 1, ()), Matching("ba", 2, ()))
 
     def test_same_owner_rejected(self):
@@ -443,9 +443,10 @@ class TestClassifyFamily:
         samples = family_samples(
             "interleaved-palindrome", "odd-track", "even-track", (1, 2, 3)
         )
-        with pytest.raises(InconclusiveRegime) as exc:
-            classify_family(samples)
-        assert len(exc.value.evidence) == 3
+        report = classify_family(samples)
+        assert report.regime == REGIME_INCONCLUSIVE
+        assert report.detail == "crossing pairs appear at some sizes but not others"
+        assert len(report.evidence) == 3
 
     def test_mixed_growth_inconclusive(self):
         samples = [
@@ -453,8 +454,10 @@ class TestClassifyFamily:
             ("xxxx", [CrossingMeasures(3, 1)]),
             ("xxxxxx", [CrossingMeasures(2, 1)]),
         ]
-        with pytest.raises(InconclusiveRegime):
-            classify_family(samples)
+        report = classify_family(samples)
+        assert report.regime == REGIME_INCONCLUSIVE
+        assert report.detail == "measure growth is mixed (gap mixed, inner constant)"
+        assert len(report.evidence) == 3
 
     def test_single_sample_rejected(self):
         with pytest.raises(PreconditionViolated):

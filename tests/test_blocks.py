@@ -21,48 +21,16 @@ from islab.blocks import (
     joint_to_json,
     segments_and_linkages,
     witness_blocks,
-    witness_decomposition,
     witness_string,
 )
 from islab.pda import enumerate_language, validate_normal_form
-from test_pda import DELETE, edited
+
+from helpers import DELETE, block_words, edited, joint_specs
 
 CROSSING_J = corpus.get("crossing-blocks").joint
 SHARED_J = corpus.get("shared-endpoint-blocks").joint
 NESTED_J = corpus.get("nested-blocks").joint
 CHAINED_J = corpus.get("chained-equal-blocks").joint
-
-
-def block_words(spec, max_len):
-    """All block-ordered words up to max_len (single-letter block alphabets)."""
-    letters = [min(a) for a in spec.alphabets]
-    k = len(letters)
-    for total in range(max_len + 1):
-        for cuts in itertools.combinations_with_replacement(range(total + 1), k - 1):
-            bounds = (0,) + cuts + (total,)
-            counts = [bounds[i + 1] - bounds[i] for i in range(k)]
-            yield "".join(ch * c for ch, c in zip(letters, counts))
-
-
-@st.composite
-def joint_specs(draw, max_blocks: int = 5) -> JointSpec:
-    """2 to `max_blocks` blocks of 1-2 letters each and 0-2 constraints per
-    side; a drawn constraint that would make its side invalid is dropped."""
-    k = draw(st.integers(2, max_blocks))
-    letters = iter("abcdefghij")
-    alphabets = [{next(letters) for _ in range(draw(st.integers(1, 2)))} for _ in range(k)]
-    pair = st.lists(st.integers(1, k), min_size=2, max_size=2, unique=True).map(sorted)
-
-    def side() -> tuple:
-        kept = ()
-        for constraint in draw(st.lists(pair, max_size=2)):
-            try:
-                kept = BlockSpec(alphabets, kept + (tuple(constraint),)).constraints
-            except ValueError:
-                pass
-        return kept
-
-    return JointSpec(alphabets, side(), side())
 
 
 # regex metacharacters and non-ASCII letters, enough for five blocks of
@@ -132,7 +100,6 @@ def test_block_scan_matches_character_loop(case):
     spec, words = case
     first, second = spec.side(1), spec.side(2)
     for word in words:
-        assert first.block_counts(word) == loop_counts(first, word), word
         assert first.contains(word) == loop_contains(first, word), word
         assert second.contains(word) == loop_contains(second, word), word
         assert spec.in_intersection(word) == (
@@ -199,13 +166,6 @@ class TestMembership:
         spec = BlockSpec(alphabets=({"a"}, {"b"}, {"c"}), constraints=((2, 3),))
         assert spec.contains("abbcc")
         assert not spec.contains("abbc")
-
-    def test_block_counts(self):
-        spec = self.spec13()
-        assert spec.block_counts("aabcc") == [2, 1, 2]
-        assert spec.block_counts("") == [0, 0, 0]
-        assert spec.block_counts("ba") is None
-        assert spec.block_counts("axb") is None
 
     def test_multi_letter_block(self):
         spec = BlockSpec(alphabets=({"a", "b"}, {"c"}), constraints=((1, 2),))
@@ -313,14 +273,14 @@ class TestMachines:
     def test_side_machine_matches_membership(self):
         spec = CROSSING_J.side(1)
         machine = build_block_pda(spec)
-        expected = {w for w in block_words(spec, 8) if spec.contains(w)}
+        expected = {w for w in block_words(spec.alphabets, 8) if spec.contains(w)}
         assert enumerate_language(machine, 8) == expected
 
     def test_joint_machine_nested_blocks(self):
         machine = build_joint_pda(NESTED_J)
         assert validate_normal_form(machine) == []
         expected = {
-            w for w in block_words(NESTED_J.side(1), 12) if NESTED_J.in_intersection(w)
+            w for w in block_words(NESTED_J.alphabets, 12) if NESTED_J.in_intersection(w)
         }
         assert enumerate_language(machine, 12) == expected
         assert "aabbbcccdd" in expected
@@ -427,27 +387,27 @@ class TestWitnesses:
                 assert j.side(2).contains(w), (j, n)
 
     def test_decomposition_crossing(self):
-        word, deco = witness_decomposition(CROSSING_J, self.crossing_violation(), 3)
-        assert word == "aaabbbcccddd"
-        assert deco.cuts() == (3, 6, 9)
-        assert deco.parts(word) == ("aaa", "bbb", "ccc", "ddd")
+        pkg = segments_and_linkages(CROSSING_J, self.crossing_violation(), 3)
+        assert pkg.word == "aaabbbcccddd"
+        assert pkg.decomposition.cuts() == (3, 6, 9)
+        assert pkg.decomposition.parts(pkg.word) == ("aaa", "bbb", "ccc", "ddd")
 
     def test_decomposition_handles_swapped_violation(self):
         swapped = Violation(CROSSING, (2, 4), (1, 3))
-        word, deco = witness_decomposition(CROSSING_J, swapped, 2)
-        assert word == "aabbccdd"
-        assert deco.cuts() == (2, 4, 6)
+        pkg = segments_and_linkages(CROSSING_J, swapped, 2)
+        assert pkg.word == "aabbccdd"
+        assert pkg.decomposition.cuts() == (2, 4, 6)
 
     def test_decomposition_needs_crossing(self):
         ok, violation = is_jointly_well_nested(SHARED_J)
-        with pytest.raises(NoCrossing):
-            witness_decomposition(SHARED_J, violation, 3)
+        assert violation.kind == SHARED_ENDPOINT
+        with pytest.raises(NoCrossing, match="^segment decomposition is defined for crossings only$"):
+            segments_and_linkages(SHARED_J, violation, 3)
 
     def test_segments_and_linkages_package(self):
         pkg = segments_and_linkages(CROSSING_J, self.crossing_violation(), 4)
         assert pkg.word == "aaaabbbbccccdddd"
         assert pkg.decomposition.lengths() == (4, 4, 4, 4)
-        assert pkg.claims == ((1, 3), (2, 4))
 
 
 class TestJson:

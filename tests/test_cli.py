@@ -22,8 +22,8 @@ from islab.pda import (
     pda_from_json,
     pda_to_json,
 )
-from test_oracle_properties import MUTUAL_RECURSION
-from test_products import epsilon_counter
+
+from helpers import MUTUAL_RECURSION, epsilon_counter, two_path_machine
 
 
 def run_cli(capsys, *argv):
@@ -41,23 +41,6 @@ def write_machine(tmp_path, machine, name="machine.json"):
     path = tmp_path / name
     path.write_text(json.dumps(pda_to_json(machine)))
     return str(path)
-
-
-def two_path_machine():
-    return Pda(
-        states={"p", "q1", "q2", "r"},
-        input_alphabet={"a", "b"},
-        stack_alphabet={"$", "A"},
-        transitions=[
-            Transition("p", "a", StackAction.push("A"), "q1"),
-            Transition("p", "a", StackAction.none(), "q2"),
-            Transition("q1", "b", StackAction.pop("A"), "r"),
-            Transition("q2", "b", StackAction.none(), "r"),
-        ],
-        start="p",
-        bottom="$",
-        accept={"r"},
-    )
 
 
 class TestSimulate:
@@ -98,11 +81,17 @@ class TestSimulate:
         assert err.startswith("error:")
 
     def test_bad_file_is_error(self, capsys, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        code, _, err = run_cli(capsys, "simulate", "--pda", str(path), "--word", "a")
-        assert code == 2
-        assert "not valid JSON" in err
+        contents = {
+            "broken": b"{not json",
+            "nested": b"[" * 1000 + b"]" * 1000,
+            "not-utf-8": b"\xff\xfe{}",
+        }
+        for name, content in contents.items():
+            path = tmp_path / f"{name}.json"
+            path.write_bytes(content)
+            code, out, err = run_cli(capsys, "simulate", "--pda", str(path), "--word", "a")
+            assert (code, out) == (2, ""), name
+            assert err.startswith(f"error: {path} is not valid JSON: "), name
 
     def test_missing_file_is_error(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--pda", "/nonexistent.json")

@@ -10,7 +10,6 @@ pop or do nothing in any number but never cycle."""
 
 import re
 from dataclasses import replace
-from itertools import product
 
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
@@ -33,15 +32,10 @@ from islab.pda import (
     enumerate_runs,
     step,
 )
-from test_product_properties import BUDGET, machines
+
+from helpers import BUDGET, machines, words
 
 MAX_LEN = 5
-
-
-def words(alphabet, max_len: int):
-    for length in range(max_len + 1):
-        for letters in product(sorted(alphabet), repeat=length):
-            yield "".join(letters)
 
 
 def reference_accepts(machine, word: str) -> bool:

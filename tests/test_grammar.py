@@ -1,4 +1,3 @@
-import itertools
 import re
 from collections import deque
 
@@ -18,7 +17,8 @@ from islab.grammar import (
     to_gnf,
 )
 from islab.pda import enumerate_language, validate_normal_form
-from test_pda import DELETE, edited
+
+from helpers import DELETE, edited, words
 
 
 def derived_words(g: Cfg, max_len: int, budget: int = 400_000) -> set:
@@ -46,12 +46,6 @@ def derived_words(g: Cfg, max_len: int, budget: int = 400_000) -> set:
                 seen.add(new)
                 queue.append(new)
     return words
-
-
-def words_over(alphabet, max_len):
-    for length in range(max_len + 1):
-        for combo in itertools.product(sorted(alphabet), repeat=length):
-            yield "".join(combo)
 
 
 def inline_matched() -> Cfg:
@@ -105,7 +99,7 @@ class TestCnf:
         g = corpus.get(name).grammar
         cnf = to_cnf(g)
         oracle = derived_words(g, 8)
-        for word in words_over(g.terminals, 8):
+        for word in words(g.terminals, 8):
             assert cyk_membership(cnf, word) == (word in oracle), (name, word)
 
     def test_inline_grammar_round(self):
@@ -228,7 +222,7 @@ class TestGnfToPda:
         cnf = to_cnf(g)
         machine = gnf_to_pda(to_gnf(cnf))
         accepted = enumerate_language(machine, 8)
-        for word in words_over(g.terminals, 8):
+        for word in words(g.terminals, 8):
             assert (word in accepted) == cyk_membership(cnf, word), (name, word)
 
     def test_single_terminal_grammar(self):

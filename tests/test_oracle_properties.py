@@ -9,7 +9,6 @@ linkage scan against a scan that walks every factorization."""
 import random
 import sys
 import threading
-from itertools import product
 
 import pytest
 from hypothesis import example, given, reject, settings
@@ -18,19 +17,14 @@ from hypothesis import strategies as st
 from islab import corpus
 from islab.arcs import SegmentDecomposition
 from islab.grammar import Cfg, Production, cyk_membership, gnf_to_pda, to_cnf, to_gnf
-from islab.pda import LimitExceeded, SearchLimits, enumerate_language
+from islab.pda import LimitExceeded, enumerate_language
 from islab.pumping import INNER_PAIR, OUTER_PAIR, check_linkage
-from test_blocks import joint_specs
+
+from helpers import BUDGET, MUTUAL_RECURSION, joint_specs, words
 
 MAX_LEN = 6
 NONTERMINALS = ("S", "A", "B", "C")
 TERMINALS = ("a", "b")
-
-
-def words(alphabet, max_len: int):
-    for length in range(max_len + 1):
-        for letters in product(sorted(alphabet), repeat=length):
-            yield "".join(letters)
 
 
 def set_cyk(g, w: str) -> bool:
@@ -177,23 +171,6 @@ def test_examples_cover_empty_grammar_and_nullable_start():
     assert to_cnf(grammar(("S", "S"), ("S", "aA"), ("A", "Ab"))).is_empty
     nullable = to_cnf(grammar(("S", ""), ("S", "aSb"), ("S", "SS")))
     assert nullable.derives_epsilon and cyk_membership(nullable, "")
-
-
-BUDGET = SearchLimits(max_configs=20_000)
-
-# left and right recursion through each other: Greibach conversion by
-# repeated substitution needs more than 500 pairing nonterminals for it
-MUTUAL_RECURSION = Cfg(
-    nonterminals={"S", "A", "B"},
-    terminals={"a", "b", "c"},
-    productions=[
-        Production(head, tuple(body))
-        for head, body in [
-            ("S", "ASB"), ("S", "c"), ("A", "aAB"), ("A", "a"), ("B", "bBAb"), ("B", "b"),
-        ]
-    ],
-    start="S",
-)
 
 
 @settings(max_examples=200, deadline=None)

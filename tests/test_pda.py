@@ -1,4 +1,3 @@
-import copy
 import itertools
 import json
 import re
@@ -29,25 +28,7 @@ from islab.pda import (
 )
 from islab.products import BufferedProduct, DisplacementProduct
 
-
-DELETE = object()
-
-
-def edited(document, keys: tuple, value):
-    """A copy of `document` with the value at the path `keys` set to
-    `value`, or removed if `value` is DELETE; the empty path replaces the
-    whole document."""
-    if not keys:
-        return value
-    document = copy.deepcopy(document)
-    target = document
-    for key in keys[:-1]:
-        target = target[key]
-    if value is DELETE:
-        del target[keys[-1]]
-    else:
-        target[keys[-1]] = value
-    return document
+from helpers import DELETE, edited
 
 
 def counter() -> Pda:

@@ -14,17 +14,11 @@ from hypothesis import strategies as st
 from islab import corpus
 from islab.arcs import crossing_pairs, extract_matching
 from islab.pda import (
-    FINAL_STATE,
     FINAL_STATE_BOTTOM_ONLY,
     LimitExceeded,
-    Pda,
-    SearchLimits,
-    StackAction,
-    Transition,
     accepts,
     enumerate_language,
     enumerate_runs,
-    validate_normal_form,
 )
 from islab.products import (
     BufferedProduct,
@@ -34,77 +28,9 @@ from islab.products import (
     reachable_composite_states,
 )
 
+from helpers import BUDGET, machines
+
 PRODUCTS = [DisplacementProduct, BufferedProduct]
-BUDGET = SearchLimits(max_configs=20_000)
-
-
-@st.composite
-def machines(
-    draw, modes=(FINAL_STATE, FINAL_STATE_BOTTOM_ONLY), pushes_both: bool = False
-) -> Pda:
-    """2-3 states, 1-2 stack symbols, reading transitions plus auxiliary
-    second pushes wherever the normal form allows one, accepting in one of
-    `modes`.  With `pushes_both`, both symbols are drawn and some state gets
-    a read that pushes each, so that one machine's stack can hold two
-    different symbols across another's arc."""
-    states = [f"s{i}" for i in range(draw(st.integers(2, 3)))]
-    alphabet = draw(st.sampled_from([("a",), ("a", "b")]))
-    symbols = ["A", "B"][: 2 if pushes_both else draw(st.integers(1, 2))]
-    actions = st.one_of(
-        st.just(StackAction.none()),
-        st.sampled_from(symbols).map(StackAction.push),
-        st.sampled_from(symbols).map(StackAction.pop),
-    )
-    transition = st.builds(
-        Transition,
-        st.sampled_from(states),
-        st.sampled_from(alphabet),
-        actions,
-        st.sampled_from(states),
-    )
-    reads = draw(st.lists(transition, min_size=2, max_size=10))
-    if pushes_both:
-        pusher = draw(st.sampled_from(states))
-        reads += [
-            Transition(
-                pusher,
-                draw(st.sampled_from(alphabet)),
-                StackAction.push(symbol),
-                draw(st.sampled_from(states)),
-            )
-            for symbol in symbols
-        ]
-    reads = list(dict.fromkeys(reads))
-    entered_by_push = {
-        q
-        for q in states[1:]
-        if any(t.target == q for t in reads)
-        and all(t.action.kind == "push" for t in reads if t.target == q)
-    }
-    chained = sorted(q for q in entered_by_push if draw(st.booleans()))
-    landing = [q for q in states if q not in chained]
-    aux = [
-        Transition(
-            q,
-            None,
-            StackAction.push(draw(st.sampled_from(symbols))),
-            draw(st.sampled_from(landing)),
-            auxiliary=True,
-        )
-        for q in chained
-    ]
-    machine = Pda(
-        states=states,
-        input_alphabet=alphabet,
-        stack_alphabet=["$"] + symbols,
-        transitions=reads + aux,
-        start=states[0],
-        bottom="$",
-        accept=draw(st.sets(st.sampled_from(states), min_size=1)),
-        acceptance_mode=draw(st.sampled_from(modes)),
-    )
-    assert validate_normal_form(machine) == []
-    return machine
 
 
 def control_states(product, limit: int = 200) -> list:

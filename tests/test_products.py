@@ -39,6 +39,8 @@ from islab.products import (
     state_bound,
 )
 
+from helpers import epsilon_counter, words
+
 
 def palindrome_pair():
     bundle = corpus.get("interleaved-palindrome")
@@ -112,16 +114,13 @@ def both_projections_palindromic(word: str) -> bool:
     return odd == odd[::-1] and even == even[::-1]
 
 
-def words_over(alphabet, max_len):
-    for length in range(max_len + 1):
-        for combo in itertools.product(sorted(alphabet), repeat=length):
-            yield "".join(combo)
+
 
 
 class TestDisplacementCompleteness:
     def test_palindrome_pair_k1_exact_up_to_8(self):
         product = DisplacementProduct(*palindrome_pair(), k=1)
-        expected = {w for w in words_over("01", 8) if both_projections_palindromic(w)}
+        expected = {w for w in words("01", 8) if both_projections_palindromic(w)}
         assert enumerate_language(product, 8) == expected
 
     def test_refutation_pair_k1_exact_up_to_10(self):
@@ -368,24 +367,6 @@ class TestBufferedIncompleteness:
 
     def test_d0_rejects_gap_one_crossing(self):
         assert not accepts(BufferedProduct(*palindrome_pair(), d=0), "0000")[0]
-
-
-def epsilon_counter():
-    """a^n b^n with a plain (non-auxiliary) epsilon move from the a-loop to
-    the b-loop: a valid machine, but not in normal form."""
-    return Pda(
-        states={"p", "q"},
-        input_alphabet={"a", "b"},
-        stack_alphabet={"$", "A"},
-        transitions=[
-            Transition("p", "a", StackAction.push("A"), "p"),
-            Transition("p", None, StackAction.none(), "q"),
-            Transition("q", "b", StackAction.pop("A"), "q"),
-        ],
-        start="p",
-        bottom="$",
-        accept={"q"},
-    )
 
 
 class TestNormalFormRequired:

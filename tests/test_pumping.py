@@ -12,10 +12,11 @@ from islab.pumping import (
     INNER_PAIR,
     OUTER_PAIR,
     Factorization,
-    case_trace,
     check_crossing_hypotheses,
     check_linkage,
 )
+
+from helpers import refutation_member
 
 CHAINED = corpus.get("chained-equal-blocks").joint
 CROSSING = corpus.get("crossing-blocks").joint
@@ -24,15 +25,6 @@ CROSSING_VIOLATION = is_jointly_well_nested(CROSSING)[1]
 
 def all_equal_member(word: str) -> bool:
     return CHAINED.in_intersection(word)
-
-
-def refutation_member(word: str) -> bool:
-    m = re.fullmatch(r"aba(d*)(e*)f(g*)(h*)", word)
-    return (
-        bool(m)
-        and len(m.group(1)) == len(m.group(2))
-        and len(m.group(3)) == len(m.group(4))
-    )
 
 
 def crossing_witness(n: int):
@@ -45,7 +37,6 @@ class TestFactorization:
         f = Factorization((1, 2, 3, 4))
         assert f.parts("abcde") == ("a", "b", "c", "d", "e")
         assert f.pumped("abcde") == "abbcdde"
-        assert f.window() == (1, 4)
 
     def test_empty_window(self):
         f = Factorization((2, 2, 2, 2))
@@ -139,74 +130,6 @@ class TestCheckLinkage:
         _, cuts = crossing_witness(2)
         with pytest.raises(ValueError, match="different word length"):
             check_linkage(all_equal_member, "abc", cuts)
-
-
-class TestCaseTrace:
-    def setup_method(self):
-        self.word, self.cuts = crossing_witness(3)
-
-    def trace(self, cuts):
-        return case_trace(self.word, self.cuts, Factorization(cuts))
-
-    def test_inside_first_segment_invokes_outer(self):
-        t = self.trace((0, 1, 2, 3))
-        assert t.label == "inside-segment-1"
-        assert t.touched == (1,)
-        assert t.invoked_pair == OUTER_PAIR
-
-    def test_inside_second_segment_invokes_inner(self):
-        t = self.trace((3, 4, 4, 5))
-        assert t.label == "inside-segment-2"
-        assert t.invoked_pair == INNER_PAIR
-
-    def test_straddle_two_three_invokes_outer(self):
-        t = self.trace((4, 5, 6, 8))
-        assert t.label == "straddle-segments-2-3"
-        assert t.touched == (2, 3)
-        assert t.invoked_pair == OUTER_PAIR
-
-    def test_multi_straddle_first_three_invokes_inner(self):
-        t = self.trace((1, 2, 5, 8))
-        assert t.label == "multi-straddle"
-        assert t.touched == (1, 2, 3)
-        assert t.invoked_pair == INNER_PAIR
-
-    def test_full_window_invokes_nothing(self):
-        t = self.trace((0, 3, 6, 12))
-        assert t.label == "multi-straddle"
-        assert t.invoked_pair is None
-
-    def test_empty_window(self):
-        t = self.trace((5, 5, 5, 5))
-        assert t.label == "empty-window"
-        assert t.touched == ()
-        assert t.invoked_pair is None
-
-    def test_all_labels_reachable(self):
-        labels = set()
-        for a in range(13):
-            for d in range(a, 13):
-                labels.add(self.trace((a, a, a, d)).label)
-        assert labels == {
-            "empty-window",
-            "inside-segment-1",
-            "inside-segment-2",
-            "inside-segment-3",
-            "inside-segment-4",
-            "straddle-segments-1-2",
-            "straddle-segments-2-3",
-            "straddle-segments-3-4",
-            "multi-straddle",
-        }
-
-    def test_word_length_validated(self):
-        with pytest.raises(ValueError):
-            case_trace("abc", self.cuts, Factorization((0, 1, 1, 2)))
-
-    def test_window_past_the_word_refused(self):
-        cuts = SegmentDecomposition(8, 2, 4, 6)
-        with pytest.raises(ValueError, match="reach past a word of length 8"):
-            case_trace("aabbccdd", cuts, Factorization((9, 10, 11, 12)))
 
 
 class TestCrossingHypotheses:
