@@ -4,8 +4,7 @@ Subcommands map one to one onto library operations: simulate and runs
 drive the machine engine, crossings and classify the arc geometry,
 characterize and construct the block characterization and the product
 builders, verify runs differential oracle checks, linkage runs the
-pumping checker, corpus browses the built-in examples, and report renders
-a classification table for a family across sizes.
+pumping checker, and corpus browses the built-in examples.
 
 Exit codes: 0 for any computed answer, 1 when simulate rejects or verify
 finds mismatches, 2 for bad flags, bad files, or exceeded limits.
@@ -139,7 +138,7 @@ def _load_document(value: str, kind: str):
     """A block spec (kind "joint") or a grammar (kind "grammar"): read from
     `value` if it names a file, else taken from the corpus bundle `value`."""
     from_json, noun = _DOCUMENTS[kind]
-    if value.endswith(".json") or os.path.exists(value):
+    if value.endswith(".json") or os.path.isfile(value):
         return from_json(_read_json(value))
     bundle = corpus.get(value)
     document = getattr(bundle, kind)
@@ -307,65 +306,52 @@ def _cmd_crossings(args) -> int:
     return 0
 
 
-def _family_pair(args) -> tuple:
-    """The machine pair, its bundle and the family sizes named by the flags."""
+def _cmd_classify(args) -> int:
     first, second, bundle = _load_pair(args)
     if bundle is None or bundle.family is None:
-        raise CliError(f"{args.command} needs a corpus bundle with a word family")
-    return first, second, bundle, _parse_sizes(args.sizes)
-
-
-def _regime(first, second, bundle, sizes, limits) -> tuple:
-    """(regime report, analyses of the last size) of the bundle's family
-    across the sizes."""
+        raise CliError("classify needs a corpus bundle with a word family")
+    sizes = _parse_sizes(args.sizes)
+    limits = _limits(args)
     samples = []
     for n in sizes:
         word = bundle.family(n)
         analyses = analyze_pair(first, second, word, limits=limits)
         measures = [c.measures for c in analyses[0].crossings] if analyses else []
         samples.append((word, measures))
-    return classify_family(samples), analyses
-
-
-def _evidence_payload(evidence) -> list:
-    return [
-        {
-            "word_len": row.word_len,
-            "crossing_pairs": row.pair_count,
-            "max_gap": row.max_gap,
-            "max_inner": row.max_inner,
-        }
-        for row in evidence
-    ]
-
-
-def _evidence_lines(evidence) -> list:
-    lines = ["  |w|  pairs  max-gap  max-inner"]
-    for row in evidence:
-        gap = "-" if row.max_gap is None else row.max_gap
-        inner = "-" if row.max_inner is None else row.max_inner
-        lines.append(
-            f"  {row.word_len:>3}  {row.pair_count:>5}  {gap!s:>7}  {inner!s:>9}"
-        )
-    return lines
-
-
-def _cmd_classify(args) -> int:
-    first, second, bundle, sizes = _family_pair(args)
-    report, _ = _regime(first, second, bundle, sizes, _limits(args))
+    report = classify_family(samples)
     payload = {
         "command": "classify",
         "bundle": bundle.name,
         "sizes": sizes,
         "regime": report.regime,
-        "evidence": _evidence_payload(report.evidence),
+        "evidence": [
+            {
+                "word_len": row.word_len,
+                "crossing_pairs": row.pair_count,
+                "max_gap": row.max_gap,
+                "max_inner": row.max_inner,
+            }
+            for row in report.evidence
+        ],
     }
     if report.detail is None:
-        head = f"regime: {report.regime}"
+        lines = [f"regime: {report.regime}"]
     else:
         payload["detail"] = report.detail
-        head = f"inconclusive: {report.detail}"
-    _emit(payload, args, [head] + _evidence_lines(report.evidence))
+        lines = [f"inconclusive: {report.detail}"]
+    lines.append("  |w|  pairs  max-gap  max-inner")
+    for row in payload["evidence"]:
+        gap = "-" if row["max_gap"] is None else row["max_gap"]
+        inner = "-" if row["max_inner"] is None else row["max_inner"]
+        lines.append(
+            f"  {row['word_len']:>3}  {row['crossing_pairs']:>5}  {gap!s:>7}  {inner!s:>9}"
+        )
+    _emit(payload, args, lines)
+    if args.svg:
+        if not analyses:
+            raise CliError("no analysis to draw at the largest size")
+        title = f"{bundle.name} n={sizes[-1]}"
+        _write_svg(args.svg, render_pair_analysis(analyses[0], title=title))
     return 0
 
 
@@ -717,47 +703,6 @@ def _export_corpus(args) -> None:
     print(f"exported {len(documents)} file(s) to {args.export}", file=sys.stderr)
 
 
-def _cmd_report(args) -> int:
-    first, second, bundle, sizes = _family_pair(args)
-    report, analyses = _regime(first, second, bundle, sizes, _limits(args))
-    regime, detail = report.regime, report.detail
-    rows = [dict(n=n, **row) for n, row in zip(sizes, _evidence_payload(report.evidence))]
-    payload = {
-        "command": "report",
-        "bundle": bundle.name,
-        "description": bundle.description,
-        "sizes": sizes,
-        "rows": rows,
-        "regime": regime,
-        "detail": detail,
-        "expected": {k: str(v) for k, v in sorted(bundle.expected.items())},
-    }
-    lines = [
-        f"family report: {bundle.name}",
-        f"  {bundle.description}",
-        "  n  |w|  crossings  max-gap  max-inner",
-    ]
-    for row in rows:
-        gap = "-" if row["max_gap"] is None else row["max_gap"]
-        inner = "-" if row["max_inner"] is None else row["max_inner"]
-        lines.append(
-            f"  {row['n']:>2} {row['word_len']:>4} {row['crossing_pairs']:>10}"
-            f" {gap!s:>8} {inner!s:>10}"
-        )
-    lines.append(f"  inner-segment regime: {regime}" + (f" ({detail})" if detail else ""))
-    if "regime" in bundle.expected:
-        lines.append(f"  expected regime: {bundle.expected['regime']}")
-    _emit(payload, args, lines)
-    if args.svg:
-        if not analyses:
-            raise CliError("no analysis to draw at the largest size")
-        _write_svg(
-            args.svg,
-            render_pair_analysis(analyses[0], title=f"{bundle.name} n={sizes[-1]}"),
-        )
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="islab",
@@ -827,6 +772,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="growth regime across family sizes")
     p.add_argument("--pair", required=True, help="corpus bundle name")
     p.add_argument("--sizes", default="1,2,3,4,5", help="comma-separated sizes")
+    p.add_argument("--svg", help="arc diagram of the largest size")
     add_search_flags(p)
     p.set_defaults(handler=_cmd_classify)
 
@@ -882,13 +828,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--export", metavar="DIR", help="write artifacts as JSON files")
     add_json(p)
     p.set_defaults(handler=_cmd_corpus)
-
-    p = sub.add_parser("report", help="classification table for a family")
-    p.add_argument("--pair", required=True, help="corpus bundle name")
-    p.add_argument("--sizes", default="1,2,3,4,5")
-    p.add_argument("--svg", help="arc diagram of the largest size")
-    add_search_flags(p)
-    p.set_defaults(handler=_cmd_report)
 
     return parser
 

@@ -394,8 +394,16 @@ def state_bound(kind: str, q1: int, q2: int, g1: int, g2: int, parameter: int) -
 def _control_graph(product, max_len: int, limits: SearchLimits) -> dict:
     """Each composite state reachable within max_len reads, whatever the
     stack, mapped to (the fewest reads reaching it, its transitions).  Each
-    state fetched is one expansion charged to `limits.max_configs`."""
+    state fetched is one expansion charged to `limits.max_configs`.
+
+    Each machine pushes at most twice per read, so a run of max_len reads
+    never holds more than 4 * max_len entries above the bottom, and no state
+    that has lifted more aside is walked to, whatever the gap bound.  The
+    bound is max_len's, not the reads of the state: each state is expanded
+    once, at its fewest reads, and a longer run may reach it over a deeper
+    stack."""
     check_length_bound(max_len)
+    held = 4 * max_len
     graph: dict = {}
     layer = [product.initial_config().state]
     furthest = 0
@@ -410,7 +418,8 @@ def _control_graph(product, max_len: int, limits: SearchLimits) -> dict:
             furthest = reads
             graph[state] = reads, product.transitions_from(state)
             for t in graph[state][1]:
-                (layer if t.read is None else later).append(t.target)
+                if len(getattr(t.target, "displaced", ())) <= held:
+                    (layer if t.read is None else later).append(t.target)
         layer = later
     return graph
 

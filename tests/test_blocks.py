@@ -301,8 +301,14 @@ class TestMachines:
     @given(spec=joint_specs())
     @example(spec=CROSSING_J)  # crossing arcs are rare among the drawn specs
     def test_dichotomy_on_random_specs(self, spec):
-        """Jointly well nested: the joint machine has the intersection as its
-        language.  Otherwise no joint machine is built."""
+        """Each side machine has its side's language.  Jointly well nested:
+        the joint machine has the intersection as its language.  Otherwise
+        no joint machine is built."""
+        for which, constraints in ((1, spec.c1), (2, spec.c2)):
+            side = spec.side(which)
+            language = JointSpec(spec.alphabets, constraints, ()).words(7)
+            assert enumerate_language(build_block_pda(side), 7) == language
+            assert all(side.contains(word) for word in language)
         if characterize(spec).is_cfl:
             assert enumerate_language(build_joint_pda(spec), 7) == spec.words(7)
         else:
@@ -433,6 +439,11 @@ class TestJson:
             (("c1", 0), [1, 2, 4], "c1[0] must be a pair of block indices, got 3 items"),
             (("c2", 0, 1), "3", "c2[0][1] must be an integer, got a string"),
             (("k",), "4", "k must be an integer or null, got a string"),
+            (
+                (),
+                {"format": "blocks-v1", "alphabets": [], "c1": [], "c2": []},
+                "at least one block is required",
+            ),
         ],
     )
     def test_malformed_document_names_field(self, keys, value, message):

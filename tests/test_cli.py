@@ -291,7 +291,6 @@ class TestCrossings:
     [
         ["crossings", "--word", "00000000"],
         ["classify", "--sizes", "2,3,4"],
-        ["report", "--sizes", "2,3,4"],
     ],
 )
 def test_max_expand_limits_run_search(capsys, argv):
@@ -423,7 +422,7 @@ def test_pair_outside_normal_form_refused(capsys, tmp_path, argv):
     assert "non-auxiliary transition reads no input symbol" in err
 
 
-@pytest.mark.parametrize("command", ["classify", "report"])
+@pytest.mark.parametrize("command", ["classify"])
 def test_negative_size_rejected(capsys, command):
     code, out, err = run_cli(
         capsys, command, "--pair", "gap-refutation", "--sizes", "2,-1"
@@ -460,7 +459,63 @@ class TestClassify:
         )
         assert code == 0
         assert payload["regime"] == "inconclusive"
+        assert payload["detail"] == "crossing pairs appear at some sizes but not others"
         assert payload["evidence"]
+
+    def test_json_evidence_rows(self, capsys):
+        code, payload, _ = run_json(
+            capsys, "classify", "--pair", "gap-refutation", "--sizes", "1,2,3", "--json"
+        )
+        assert code == 0
+        assert [row["max_gap"] for row in payload["evidence"]] == [3, 5, 7]
+
+    def test_svg(self, capsys, tmp_path):
+        target = tmp_path / "fam.svg"
+        code, _, err = run_cli(
+            capsys,
+            "classify",
+            "--pair",
+            "interleaved-palindrome",
+            "--sizes",
+            "2,3",
+            "--svg",
+            str(target),
+        )
+        assert code == 0
+        assert err == f"wrote SVG: {target}\n"
+        assert target.read_text().startswith("<svg")
+
+    def test_svg_reuses_the_last_analysis(self, capsys, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return analyze_pair(*args, **kwargs)
+
+        monkeypatch.setattr("islab.cli.analyze_pair", counted)
+        target = tmp_path / "fam.svg"
+        code, _, _ = run_cli(
+            capsys, "classify", "--pair", "gap-refutation", "--sizes", "1,2,3",
+            "--svg", str(target),
+        )
+        assert code == 0
+        assert [len(word) for word in calls] == [6, 8, 10]
+        assert "n=3" in target.read_text()
+
+    def test_svg_needs_an_analysis_at_the_largest_size(self, capsys, tmp_path, monkeypatch):
+        def rejected_at_three(first, second, word, **kwargs):
+            return [] if len(word) == 10 else analyze_pair(first, second, word, **kwargs)
+
+        monkeypatch.setattr("islab.cli.analyze_pair", rejected_at_three)
+        target = tmp_path / "fam.svg"
+        code, out, err = run_cli(
+            capsys, "classify", "--pair", "gap-refutation", "--sizes", "1,2,3",
+            "--svg", str(target),
+        )
+        assert code == 2
+        assert out.startswith("inconclusive: ")
+        assert err == "error: no analysis to draw at the largest size\n"
+        assert not target.exists()
 
     def test_single_size_rejected(self, capsys):
         code, _, err = run_cli(
@@ -469,7 +524,7 @@ class TestClassify:
         assert code == 2
         assert "at least two" in err
 
-    @pytest.mark.parametrize("command", ["classify", "report"])
+    @pytest.mark.parametrize("command", ["classify"])
     @pytest.mark.parametrize("sizes", ["3,3,3", "4,3"])
     def test_sizes_that_do_not_grow_rejected(self, capsys, command, sizes):
         """A repeated size gives constant series, which would read as bounded."""
@@ -523,6 +578,16 @@ class TestCharacterize:
         assert code == 2
         assert out == ""
         assert f"constraint {tuple(constraint)} needs 1 <= l < r <= 2" in err
+
+    def test_directory_is_no_document(self, capsys, tmp_path, monkeypatch):
+        # only an existing file is read as a document: a directory named
+        # after a bundle leaves the name to the corpus
+        (tmp_path / "abcd").mkdir()
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "characterize", "--blocks", "abcd")
+        assert code == 0
+        assert out.startswith("NotCFL (crossing arcs (1, 3)x(2, 4))\n")
+        assert err == ""
 
 
 class TestConstruct:
@@ -744,6 +809,61 @@ def test_flag_the_mode_does_not_read_refused(capsys, tmp_path, argv, flag):
     assert code == 2
     assert out == ""
     assert err.endswith(f" {flag}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["verify", "--construct", "grammar", "--grammar", "counter"],
+            "bundle 'counter' carries no grammar",
+        ),
+        (
+            ["characterize", "--blocks", "counter"],
+            "bundle 'counter' carries no block specification",
+        ),
+        (["crossings", "--pair", "gap-refutation", "--n", "two"], "expected an integer, got 'two'"),
+        (
+            ["classify", "--pair", "gap-refutation", "--sizes", "1,2,x"],
+            "--sizes must be comma-separated integers, got '1,2,x'",
+        ),
+        (
+            ["crossings", "--pair", "{path},{path}", "--n", "2"],
+            "--n needs a corpus bundle with a word family",
+        ),
+        (["classify", "--pair", "{path},{path}"], "classify needs a corpus bundle with a word family"),
+        (
+            ["crossings", "--pair", "interleaved-palindrome", "--word", "0100", "--svg", "{svg}"],
+            "no analysis to draw; both machines must accept the word",
+        ),
+        (
+            ["linkage", "--blocks", "all-equal", "--word", "aabbccdd", "--cuts", "2,4"],
+            "--cuts must be three comma-separated integers, got '2,4'",
+        ),
+    ],
+    ids=[
+        "no-grammar",
+        "no-blocks",
+        "not-an-integer",
+        "sizes-not-integers",
+        "n-without-family",
+        "classify-without-family",
+        "nothing-to-draw",
+        "cuts-not-three-integers",
+    ],
+)
+def test_refusal(capsys, tmp_path, argv, message):
+    path = write_machine(tmp_path, corpus.get("counter").machine("counter"))
+    svg = tmp_path / "arcs.svg"
+    argv = [arg.format(path=path, svg=svg) for arg in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses a flag value its type rejects
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.endswith(f"{message}\n")
+    assert not svg.exists()
 
 
 GRAMMAR_BUNDLES = [name for name in corpus.list_bundles() if corpus.get(name).grammar]
@@ -1132,67 +1252,6 @@ class TestCorpus:
             "crossing-blocks--second-fourth-counter.pda.json",
             "crossing-blocks.blocks.json",
         ]
-
-
-class TestReport:
-    def test_refutation_report(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "report", "--pair", "gap-refutation", "--sizes", "1,2,3"
-        )
-        assert code == 0
-        assert "inner-segment regime: bounded-inner-unbounded-gap" in out
-        assert "expected regime: bounded-inner-unbounded-gap" in out
-
-    def test_report_json_rows(self, capsys):
-        code, payload, _ = run_json(
-            capsys, "report", "--pair", "gap-refutation", "--sizes", "1,2,3", "--json"
-        )
-        assert code == 0
-        assert [row["max_gap"] for row in payload["rows"]] == [3, 5, 7]
-
-    def test_inconclusive_report(self, capsys):
-        code, payload, _ = run_json(
-            capsys,
-            "report",
-            "--pair",
-            "interleaved-palindrome",
-            "--sizes",
-            "1,2,3",
-            "--json",
-        )
-        assert code == 0
-        assert payload["regime"] == "inconclusive"
-        assert payload["detail"]
-
-    def test_svg(self, capsys, tmp_path):
-        target = tmp_path / "fam.svg"
-        code, _, _ = run_cli(
-            capsys,
-            "report",
-            "--pair",
-            "interleaved-palindrome",
-            "--sizes",
-            "2,3",
-            "--svg",
-            str(target),
-        )
-        assert code == 0
-        assert target.read_text().startswith("<svg")
-
-    def test_svg_reuses_the_last_analysis(self, capsys, tmp_path, monkeypatch):
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args[2])
-            return analyze_pair(*args, **kwargs)
-
-        monkeypatch.setattr("islab.cli.analyze_pair", counted)
-        code, _, _ = run_cli(
-            capsys, "report", "--pair", "gap-refutation", "--sizes", "1,2,3",
-            "--svg", str(tmp_path / "fam.svg"),
-        )
-        assert code == 0
-        assert [len(word) for word in calls] == [6, 8, 10]
 
 
 class TestDeterminism:

@@ -258,6 +258,11 @@ class TestJson:
             (("productions", 1, "body"), DELETE, "missing field productions[1].body"),
             (("productions", 1, "body", 0), 7, "productions[1].body[0] must be a string, got an integer"),
             (("start",), ["S"], "start must be a string, got a list"),
+            (("start",), "T", "start symbol 'T' not a nonterminal"),
+            (("terminals", 1), "S", "nonterminals and terminals overlap"),
+            (("terminals", 1), "bb", "terminals must be single characters, got 'bb'"),
+            (("productions", 1, "head"), "T", "production head 'T' not a nonterminal"),
+            (("productions", 1, "body", 0), "c", "undeclared symbol 'c' in production body"),
         ],
     )
     def test_malformed_document_names_field(self, keys, value, message):
@@ -268,3 +273,60 @@ class TestJson:
         g = inline_matched()
         again = cfg_from_json(cfg_to_json(g))
         assert Production("S", ()) in again.productions
+
+
+# S -> AB | epsilon, A -> a, B -> b: a grammar in Chomsky normal form
+CNF_DOCUMENT = {
+    "format": "cfg-v1",
+    "nonterminals": ["A", "B", "S"],
+    "terminals": ["a", "b"],
+    "productions": [
+        {"head": "A", "body": ["a"]},
+        {"head": "B", "body": ["b"]},
+        {"head": "S", "body": ["A", "B"]},
+        {"head": "S", "body": []},
+    ],
+    "start": "S",
+}
+
+
+@pytest.mark.parametrize(
+    "form, keys, value, message",
+    [
+        (CnfGrammar, ("productions", 0, "body"), [], "epsilon production on non-start 'A'"),
+        (
+            CnfGrammar,
+            ("productions", 1, "body"),
+            ["S", "S"],
+            "nullable start symbol appears on a right side",
+        ),
+        (CnfGrammar, ("productions", 0, "body"), ["B"], "unit production 'A' -> 'B' not allowed"),
+        (
+            CnfGrammar,
+            ("productions", 0, "body"),
+            ["a", "B"],
+            "binary body ('a', 'B') must be two nonterminals",
+        ),
+        (
+            CnfGrammar,
+            ("productions", 0, "body"),
+            ["A", "B", "B"],
+            "body ('A', 'B', 'B') too long for this normal form",
+        ),
+        (GnfGrammar, ("productions", 0, "body"), ["B"], "body ('B',) must begin with a terminal"),
+        (
+            GnfGrammar,
+            ("productions", 0, "body"),
+            ["a", "B", "B", "B"],
+            "tail of ('a', 'B', 'B', 'B') longer than two symbols",
+        ),
+        (GnfGrammar, ("productions", 0, "body"), ["a", "b"], "tail of ('a', 'b') must be nonterminals"),
+    ],
+)
+def test_normal_form_refused(form, keys, value, message):
+    """Each normal form refuses the loaded grammar.  Productions are checked
+    in sorted order, A's first, so a GNF case fails on A before it reaches
+    S -> AB."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        g = cfg_from_json(edited(CNF_DOCUMENT, keys, value))
+        form(g.nonterminals, g.terminals, g.productions, g.start)

@@ -202,6 +202,52 @@ class TestNormalForm:
         )
         assert any("must not read" in d for d in validate_normal_form(machine))
 
+    def test_push_without_symbol_flagged(self):
+        # pda-v1 stack symbols are strings, so only a machine built in code
+        # can declare None as one and push it
+        machine = Pda(
+            states={"p", "q"},
+            input_alphabet={"a"},
+            stack_alphabet={"$", None},
+            transitions=[Transition("p", "a", StackAction.push(None), "q")],
+            start="p",
+            bottom="$",
+            accept={"q"},
+        )
+        assert validate_normal_form(machine) == [
+            "transition (p --a/push None--> q): push without a stack symbol"
+        ]
+
+    # The doubler's transitions, as pda_to_json lists them: 0 d0 --a/push A-->
+    # daux, 1 d0 --b/pop A--> d1, 2 d1 --b/pop A--> d1, 3 daux --eps/push A--> d0 aux
+    @pytest.mark.parametrize(
+        "keys, value, diagnostic",
+        [
+            (
+                ("transitions", 2, "action"),
+                {"kind": "none", "symbol": "A"},
+                "transition (d1 --b/none--> d1): no-op action carries a stack symbol",
+            ),
+            (
+                ("start",),
+                "daux",
+                "transition (daux --eps/push A--> d0 aux):"
+                " auxiliary transition leaves the start state unchained",
+            ),
+            (
+                ("transitions", 0, "to"),
+                "d0",
+                "transition (daux --eps/push A--> d0 aux):"
+                " auxiliary transition has no triggering push into 'daux'",
+            ),
+        ],
+    )
+    def test_document_refused_by_products(self, keys, value, diagnostic):
+        machine = pda_from_json(edited(pda_to_json(doubler()), keys, value))
+        message = f"machine 1 is not in normal form: {diagnostic}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DisplacementProduct(machine, machine, 0)
+
 
 class TestStep:
     def test_stuck_accepting_config_has_no_successors(self):
@@ -612,6 +658,15 @@ class TestJson:
             (("accept", 0), ["q"], "accept[0] must be a string, got a list"),
             (("start",), DELETE, "missing field start"),
             (("transitions", 0, "action", "kind"), "jump", "unknown action kind: p --a/jump A--> p"),
+            (("acceptance_mode",), "Empty", "unknown acceptance mode 'Empty'"),
+            (("start",), "ghost", "start state 'ghost' not declared"),
+            (("accept", 1), "ghost", "accept states not all declared"),
+            (("transitions", 1, "read"), "c", "transition reads undeclared symbol: p --c/pop A--> q"),
+            (
+                ("transitions", 1, "action", "symbol"),
+                "B",
+                "transition uses undeclared stack symbol: p --b/pop B--> q",
+            ),
         ],
     )
     def test_malformed_document_names_field(self, keys, value, message):

@@ -692,6 +692,16 @@ class TestFragmentExport:
                     word = "".join(letters)
                     assert accepts(loaded, word)[0] == accepts(product, word)[0], word
 
+    def test_lifts_bounded_by_the_entries_max_len_reads_push(self):
+        # two reads push at most 8 entries, so no gap bound past 4 lifts more
+        products = [DisplacementProduct(*palindrome_pair(), k=k) for k in (4, 100_000)]
+        fragments = [fragment_to_json(product, 2) for product in products]
+        for frag in fragments:
+            del frag["product"]["parameter"]
+        assert fragments[0] == fragments[1]
+        reached = [reachable_composite_states(product, 2) for product in products]
+        assert reached[0] == reached[1]
+
     def test_product_that_accepts_nothing_exports_its_start(self):
         # both machines count a's mod 2 in step, but accept on opposite
         # parities, so no composite state accepts
