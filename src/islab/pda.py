@@ -62,9 +62,10 @@ that products follow without being normal-form themselves:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, wraps
+from functools import cached_property
 from itertools import islice
 from math import isfinite
+from threading import Lock
 from typing import Hashable
 
 EPSILON = None  # the `read` field of a transition that consumes no input
@@ -193,25 +194,6 @@ def check_length_bound(max_len: int) -> None:
 _NO_PATH = float("-inf")  # a depth-table entry that no control path reaches
 
 
-def _last_length(table):
-    """Memoize a machine's per-length table method in one slot on the
-    machine, keyed by input length: a call for another length replaces it.
-    It stays because one machine is often searched twice on one length:
-    `verify` on a product searches each component after the product, and
-    the bench's report job searches its largest word twice per machine."""
-    slot = "_last_" + table.__name__
-
-    @wraps(table)
-    def memoized(self, input_len: int):
-        last = self.__dict__.get(slot)
-        if last is None or last[0] != input_len:
-            # the class is frozen; cached_property stores the same way
-            last = self.__dict__[slot] = (input_len, table(self, input_len))
-        return last[1]
-
-    return memoized
-
-
 @dataclass(frozen=True)
 class Pda:
     """An explicit pushdown machine over single-character input symbols.
@@ -262,6 +244,9 @@ class Pda:
                 raise ValueError(f"transition has unknown action kind: {t.describe()}")
             if t.action.kind in (PUSH, POP) and t.action.symbol not in self.stack_alphabet:
                 raise ValueError(f"transition uses undeclared stack symbol: {t.describe()}")
+            if t.action.kind in (PUSH, POP) and t.action.symbol is None:
+                # only a machine built in code can declare None as a symbol
+                raise ValueError(f"transition pushes or pops no stack symbol: {t.describe()}")
 
     @cached_property
     def _by_source(self) -> dict:
@@ -294,7 +279,6 @@ class Pda:
             t.read is None and t.action.kind == POP for t in self.transitions
         )
 
-    @_last_length
     def live_depths(self, input_len: int) -> dict | None:
         """For each state q, a list over input positions 0..n (n =
         `input_len`) whose entry at `pos` is 1 + P(q, n - pos): P(q, r) is
@@ -305,14 +289,16 @@ class Pda:
         Only sound, and so only given, when the machine accepts on its
         bottom only and no epsilon-transition pops; None otherwise.  P
         never decreases as r grows, so the table also serves inputs
-        shorter than n.  Costs O(|transitions|) per column r, times the
-        epsilon-chain length (one in normal form), until a column repeats
-        an earlier one up to a constant shift (see `_depth_rows`).  The
-        table is shared with every later call for the same n: read it,
-        never change it.
+        shorter than n.  The rows of P are built once per machine, indexed
+        by r and grown to the longest input asked (see `_DepthRows`); each
+        call returns fresh lists, reversed slices of those rows.
         """
         if not self._depth_bounded:
             return None
+        return self._live_rows.table(input_len)
+
+    @cached_property
+    def _live_rows(self) -> _DepthRows:
         states = list(self.states)
         index = {q: i for i, q in enumerate(states)}
         reads = [
@@ -323,9 +309,8 @@ class Pda:
         moves = [(index[t.source], index[t.target]) for t in self.transitions if t.read is None]
         # Column r holds 1 + P(q, r): at least 1, and epsilon moves never
         # pop, so P(source, r) >= P(target, r).
-        return dict(zip(states, _depth_rows([1] * len(states), reads, moves, 1, input_len)))
+        return _DepthRows(states, [1] * len(states), reads, moves, 1)
 
-    @_last_length
     def floor_depths(self, input_len: int) -> dict | None:
         """For each state q, a list over input positions 0..n (n =
         `input_len`) of the shallowest stack from which an input of length
@@ -344,13 +329,21 @@ class Pda:
 
         Has the preconditions of `live_depths`, and is None otherwise.
         Unlike P, M may fall as r grows, so the table serves inputs of
-        length n only.  Costs O(|transitions|) per column over the pop-only
-        states until a column repeats (see `_depth_rows`).  The table, its
-        shared row included, is shared with every later call for the same
-        n: read it, never change it.
+        length n only.  The rows of M are built once per machine, as those
+        of P are; each call returns fresh lists, the shared row one list.
         """
         if not self._depth_bounded:
             return None
+        shared, rows = self._floor_rows
+        table = dict.fromkeys(self.states, [shared] * (input_len + 1))
+        if rows is not None:
+            table.update(rows.table(input_len))
+        return table
+
+    @cached_property
+    def _floor_rows(self) -> tuple:
+        """The entry of the shared row, and the rows of the pop-only states
+        (None if there are none)."""
         states = list(self.states)
         index = {q: i for i, q in enumerate(states)}
         reaches_push = [0] * len(states)
@@ -360,10 +353,9 @@ class Pda:
         _close(reaches_push, [(index[t.source], index[t.target]) for t in self.transitions])
         pop_only = [q for q, reaches in zip(states, reaches_push) if not reaches]
         refilled = any(t.action == StackAction.push(self.bottom) for t in self.transitions)
-        shared = [int(not refilled)] * (input_len + 1)
-        table = dict.fromkeys(states, shared)
+        shared = int(not refilled)
         if not pop_only:
-            return table
+            return shared, None
         # Max-plus over -M: weight -1 per pop, _NO_PATH for no path.  Every
         # transition out of a pop-only state enters one and pushes nothing.
         index = {q: i for i, q in enumerate(pop_only)}
@@ -378,9 +370,7 @@ class Pda:
             if t.read is None and t.source in index
         ]
         seed = [0 if q in self.accept else _NO_PATH for q in pop_only]
-        rows = _depth_rows(seed, reads, moves, _NO_PATH, input_len, complement=True)
-        table.update(zip(pop_only, rows))
-        return table
+        return shared, _DepthRows(pop_only, seed, reads, moves, _NO_PATH, complement=True)
 
 
 def _close(column: list, moves: list) -> list:
@@ -396,59 +386,85 @@ def _close(column: list, moves: list) -> list:
     return column
 
 
-def _depth_rows(
-    seed: list, reads: list, moves: list, base, count: int, complement: bool = False
-) -> list:
-    """One row per state index, over input positions 0..count, of the
-    table whose column r (r = count - position, the reads left) is: for r
-    = 0, `seed` closed under `moves` (see `_close`); after that, at each
-    state the largest of `base` and weight + column r - 1 at the target
-    over its `reads` (source, weight, target), closed under `moves`.  With
-    `complement`, each entry v is given as 1 - v.
+class _DepthRows:
+    """One depth table of a machine: a row per state of `states`, indexed
+    by r, the reads left, whose column r is: for r = 0, `seed` closed under
+    `moves` (see `_close`); after that, at each state the largest of `base`
+    and weight + column r - 1 at the target over its `reads` (source,
+    weight, target), closed under `moves`.  With `complement`, each entry v
+    is given as 1 - v.
 
-    The column loop of both depth tables.  It stops at the first column
-    that repeats an earlier one up to a constant shift, and fills every
-    later entry of each row from the one a period before.
+    The rows grow on demand to the longest input asked, and are never
+    rebuilt: each growth resumes the column loop from its last column,
+    until a column repeats an earlier one up to a constant shift, and
+    after that fills every later entry of each row from the one a period
+    before.  A column costs O(|reads|), times the epsilon-chain length (one
+    in normal form).  Growth and reads hold a lock, so searches on several
+    threads may share one machine.
     """
-    # One step is F(x) = max(base, H(x)): H is the reads, then the
-    # closure, and it commutes with adding a constant.  If column r is
-    # column r0 shifted by c, every later column j is column j - (r - r0)
-    # plus c when F commutes with that shift too.  With c = 0 that holds
-    # because F is a function; with base = _NO_PATH because F = H.  With a
-    # finite base all weights are >= 0 and columns start at base (live
-    # depths): a state that reaches no read through moves stays at base in
-    # every column, so c > 0 leaves none such, H(x) >= base at every state,
-    # and F = H on the columns that follow.
-    column = _close(list(seed), moves)
-    columns = []
-    shapes: dict = {}  # column minus its top -> (r, top)
-    period = lift = 0  # until a column repeats
-    for r in range(count + 1):
-        if r:
-            prev, column = column, [base] * len(seed)
-            for source, weight, target in reads:
-                value = weight + prev[target]
-                if value > column[source]:
-                    column[source] = value
-            _close(column, moves)
-        columns.append(column)
-        top = max(column)
-        if top == _NO_PATH:
-            top = 0
-        r0, top0 = shapes.setdefault(tuple([v - top for v in column]), (r, top))
-        if r0 < r:
-            period, lift = r - r0, top - top0
-            break
-    # Complement here, on the columns before the period, not in floor_depths
-    # on the filled rows: a pass over all count + 1 entries of each row took
-    # floor_depths(600) of odd-track from 43 to 77 us (2-core Xeon VM).
-    if complement:
-        columns = [[1 - v for v in column] for column in columns]
-        lift = -lift
-    rows = [list(row) for row in zip(*columns)]  # indexed by r
-    left = count + 1 - len(columns)
-    for row in rows:
-        if left:
+
+    def __init__(self, states: list, seed: list, reads: list, moves: list, base, complement=False):
+        self.states = states
+        self.reads, self.moves, self.base = reads, moves, base
+        self.complement = complement
+        self.rows = [[] for _ in states]
+        # column r - 1 when the rows hold r > 0 entries, else column 0
+        self.column = _close(list(seed), moves)
+        self.shapes: dict = {}  # column minus its top -> (r, top)
+        self.period = self.lift = 0  # until a column repeats
+        self.lock = Lock()
+
+    def table(self, count: int) -> dict:
+        """For each state, its row over input positions 0..count: entry
+        `pos` is the row's entry at r = count - pos.  The lists are fresh."""
+        with self.lock:
+            if len(self.rows[0]) <= count:
+                self._grow(count + 1)
+            return {q: row[count::-1] for q, row in zip(self.states, self.rows)}
+
+    def _grow(self, size: int) -> None:
+        """Grow every row to `size` entries."""
+        # One step is F(x) = max(base, H(x)): H is the reads, then the
+        # closure, and it commutes with adding a constant.  If column r is
+        # column r0 shifted by c, every later column j is column j - (r - r0)
+        # plus c when F commutes with that shift too.  With c = 0 that holds
+        # because F is a function; with base = _NO_PATH because F = H.  With
+        # a finite base all weights are >= 0 and columns start at base (live
+        # depths): a state that reaches no read through moves stays at base
+        # in every column, so c > 0 leaves none such, H(x) >= base at every
+        # state, and F = H on the columns that follow.
+        rows, column, columns = self.rows, self.column, []
+        r = len(rows[0])
+        while r < size and not self.period:
+            if r:
+                prev, column = column, [self.base] * len(column)
+                for source, weight, target in self.reads:
+                    value = weight + prev[target]
+                    if value > column[source]:
+                        column[source] = value
+                _close(column, self.moves)
+            columns.append(column)
+            top = max(column)
+            if top == _NO_PATH:
+                top = 0
+            r0, top0 = self.shapes.setdefault(tuple([v - top for v in column]), (r, top))
+            if r0 < r:
+                lift = top - top0
+                self.period, self.lift = r - r0, -lift if self.complement else lift
+            r += 1
+        self.column = column
+        # Complement here, on the columns before the period, not on the
+        # filled rows: a pass over all entries of each row took
+        # floor_depths(600) of odd-track from 43 to 77 us (2-core Xeon VM).
+        if self.complement:
+            columns = [[1 - v for v in column] for column in columns]
+        for row, new in zip(rows, zip(*columns)):
+            row += new
+        left = size - r
+        if left <= 0:
+            return
+        period, lift = self.period, self.lift
+        for row in rows:
             # entry r is entry r - period plus lift: each phase of the last
             # period goes on as an arithmetic sequence, or stays put
             later = [None] * left
@@ -459,8 +475,6 @@ def _depth_rows(
                 else:
                     later[phase::period] = [value] * times
             row += later
-        row.reverse()  # now indexed by input position
-    return rows
 
 
 def validate_normal_form(pda: Pda) -> list[str]:
@@ -479,8 +493,6 @@ def validate_normal_form(pda: Pda) -> list[str]:
     for t in pda.transitions:
         where = f"transition ({t.describe()})"
         kind = t.action.kind
-        if kind in (PUSH, POP) and t.action.symbol is None:
-            diags.append(f"{where}: {kind} without a stack symbol")
         if kind == NONE and t.action.symbol is not None:
             diags.append(f"{where}: no-op action carries a stack symbol")
         if not t.auxiliary:
@@ -539,7 +551,8 @@ class _Search:
     """What one search call shares: the machine, its live depths for inputs
     of length `input_len` (None if it has none), its floor depths (None
     unless the search reads one word of exactly that length, `one_word`),
-    the table interning the search's stack cells by (cell below, top
+    both fresh lists sliced from the rows the machine builds once, the
+    table interning the search's stack cells by (cell below, top
     symbol), and the search's budget: how many configurations it has
     expanded, out of `limits.max_configs`, and the furthest input position
     among them."""
@@ -630,9 +643,9 @@ def step(machine, config: Configuration, w: str) -> tuple:
     """The one-step successors of `config` on input `w` that `accepts` and
     `enumerate_runs` keep: those from which the rest of `w` can still be
     accepted, as far as the machine's live and floor depths tell.  A
-    configuration past either end of `w` has none.  The machine keeps its
-    depth tables for the last length asked, so replaying a run step by
-    step builds them once."""
+    configuration past either end of `w` has none.  The machine builds its
+    depth rows once, so each step of a replayed run only slices them for
+    the length of `w`."""
     if not 0 <= config.input_pos <= len(w):
         return ()
     search = _Search(machine, len(w), DEFAULT_LIMITS, one_word=True)

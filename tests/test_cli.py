@@ -889,7 +889,7 @@ PAIRING_GRAMMAR = {
 @pytest.mark.parametrize(
     "case", GRAMMAR_BUNDLES + ["pairing-grammar-file", "corpus-export", "construct-buffered"]
 )
-def test_construct_grammar_independent_of_hash_seed(tmp_path, case):
+def test_outputs_independent_of_hash_seed(tmp_path, case):
     """Each output, and each file `corpus --export` writes, is the same
     under two hash seeds: `construct grammar` on each grammar, `corpus
     --export` and `construct buffered`."""

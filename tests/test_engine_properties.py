@@ -2,15 +2,19 @@
 with each other and with a reference search that shares no engine code on
 every word up to length 5, every witness run replays step by step to its
 final configuration, what a search returns under a cap is exact, the
-live- and floor-depth tables equal ones computed column by column, every
-accepting run keeps within them, and pruning by floor depth changes no
-answer.  The machines are in
-normal form, except those of `forward_machines`, whose epsilon moves push,
-pop or do nothing in any number but never cycle."""
+live- and floor-depth tables equal ones computed column by column, in any
+order of lengths and from several threads, every accepting run keeps
+within them, and pruning by floor depth changes no answer.  The machines
+are in normal form, except those of `forward_machines`, whose epsilon
+moves push, pop or do nothing in any number but never cycle."""
 
+import random
 import re
+import sys
+import threading
 from dataclasses import replace
 
+import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
@@ -314,20 +318,26 @@ PERIOD_TWO = bottom_only(
 )
 
 
+# a machine grows its tables to the longest length asked, so a length asked
+# after a longer one is read from rows already grown
+DESCENDING = list(range(40, -1, -1))
+
+
 @settings(max_examples=100, deadline=None)
-@given(machine=st.one_of(machines(), forward_machines()))
-@example(machine=STUCK_BESIDE_GROWING)
-@example(machine=TWO_RATES)
-@example(machine=PERIOD_TWO)
-@example(machine=corpus.get("interleaved-palindrome").machine("even-track"))
-def test_live_depths_match_the_column_by_column_reference(machine):
-    """However early the columns repeat, the table is the one computed
-    column by column, in both acceptance modes and at every length 0-40:
-    at length n, the last n + 1 positions of the reference at 40."""
+@given(machine=st.one_of(machines(), forward_machines()), order=st.permutations(range(41)))
+@example(machine=STUCK_BESIDE_GROWING, order=DESCENDING)
+@example(machine=TWO_RATES, order=DESCENDING)
+@example(machine=PERIOD_TWO, order=DESCENDING)
+@example(machine=corpus.get("interleaved-palindrome").machine("even-track"), order=DESCENDING)
+def test_live_depths_match_the_column_by_column_reference(machine, order):
+    """However early the columns repeat, and in whatever order one machine
+    is asked its lengths, the table is the one computed column by column,
+    in both acceptance modes and at every length 0-40: at length n, the
+    last n + 1 positions of the reference at 40."""
     for mode in ACCEPTANCE_MODES:
         moded = replace(machine, acceptance_mode=mode)
         reference = reference_live_depths(moded, 40)
-        for input_len in range(41):
+        for input_len in order:
             expected = None
             if reference is not None:
                 expected = {q: row[40 - input_len :] for q, row in reference.items()}
@@ -390,17 +400,62 @@ DOUBLER = corpus.get("double-push").machine("doubler")
 
 
 @settings(max_examples=100, deadline=None)
-@given(machine=st.one_of(machines(), forward_machines()))
-@example(machine=ODD_TRACK)
-@example(machine=DOUBLER)
-def test_floor_depths_match_the_column_by_column_reference(machine):
-    """However early the columns repeat, the floor table is the one computed
-    column by column, in both acceptance modes and at every length 0-40."""
+@given(machine=st.one_of(machines(), forward_machines()), order=st.permutations(range(41)))
+@example(machine=ODD_TRACK, order=DESCENDING)
+@example(machine=DOUBLER, order=DESCENDING)
+def test_floor_depths_match_the_column_by_column_reference(machine, order):
+    """However early the columns repeat, and in whatever order one machine
+    is asked its lengths, the floor table is the one computed column by
+    column, in both acceptance modes and at every length 0-40."""
     for mode in ACCEPTANCE_MODES:
         moded = replace(machine, acceptance_mode=mode)
-        for input_len in range(41):
+        for input_len in order:
             expected = reference_floor_depths(moded, input_len)
             assert moded.floor_depths(input_len) == expected, (mode, input_len)
+
+
+@pytest.mark.parametrize("machine", [ODD_TRACK, TWO_RATES], ids=["odd-track", "two-rates"])
+def test_tables_grown_from_threads_match_the_reference(machine):
+    """Threads that ask one fresh machine for different lengths at once,
+    switching between lines, each get the live and floor tables computed
+    column by column: at length n, the last n + 1 positions of the
+    reference at the longest length."""
+    machine = replace(machine)  # no rows grown yet
+    longest = 119
+    lengths = list(range(longest + 1))
+    random.Random(0).shuffle(lengths)
+    got = [None] * 4
+    barrier = threading.Barrier(len(got))
+
+    def no_op(frame, event, arg):
+        return no_op
+
+    def ask(slot):
+        # called on every line, a trace function lets the threads switch
+        # in the middle of a growth
+        sys.settrace(no_op)
+        barrier.wait(timeout=60)
+        got[slot] = [
+            (n, machine.live_depths(n), machine.floor_depths(n)) for n in lengths[slot :: len(got)]
+        ]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask, args=(slot,)) for slot in range(len(got))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    live = reference_live_depths(machine, longest)
+    floor = reference_floor_depths(machine, longest)
+    for asked in got:
+        for n, live_table, floor_table in asked:
+            assert live_table == {q: row[longest - n :] for q, row in live.items()}, n
+            assert floor_table == {q: row[longest - n :] for q, row in floor.items()}, n
 
 
 def run_configurations(machine, run):

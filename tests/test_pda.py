@@ -119,6 +119,21 @@ class TestConstruction:
                 accept={"p"},
             )
 
+    def test_push_without_symbol_refused(self):
+        # pda-v1 stack symbols are strings, so only a machine built in code
+        # can declare None as one and push it
+        message = "transition pushes or pops no stack symbol: p --a/push None--> q"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Pda(
+                states={"p", "q"},
+                input_alphabet={"a"},
+                stack_alphabet={"$", None},
+                transitions=[Transition("p", "a", StackAction.push(None), "q")],
+                start="p",
+                bottom="$",
+                accept={"q"},
+            )
+
     def test_transitions_canonically_sorted(self):
         """push ranks before pop before none from the same source/read."""
         machine = Pda(
@@ -201,22 +216,6 @@ class TestNormalForm:
             accept={"r"},
         )
         assert any("must not read" in d for d in validate_normal_form(machine))
-
-    def test_push_without_symbol_flagged(self):
-        # pda-v1 stack symbols are strings, so only a machine built in code
-        # can declare None as one and push it
-        machine = Pda(
-            states={"p", "q"},
-            input_alphabet={"a"},
-            stack_alphabet={"$", None},
-            transitions=[Transition("p", "a", StackAction.push(None), "q")],
-            start="p",
-            bottom="$",
-            accept={"q"},
-        )
-        assert validate_normal_form(machine) == [
-            "transition (p --a/push None--> q): push without a stack symbol"
-        ]
 
     # The doubler's transitions, as pda_to_json lists them: 0 d0 --a/push A-->
     # daux, 1 d0 --b/pop A--> d1, 2 d1 --b/pop A--> d1, 3 daux --eps/push A--> d0 aux
@@ -472,14 +471,6 @@ class TestFloorDepths:
         # q only pops and does not accept: no stack there can accept
         machine = replace(counter(), accept={"p"})
         assert machine.floor_depths(2)["q"] == [float("inf")] * 3
-
-    def test_tables_kept_for_the_last_length(self):
-        machine = odd_track()
-        for table in (machine.live_depths, machine.floor_depths):
-            first = table(6)
-            assert table(6) is first
-            assert table(7) is not first
-            assert table(6) is not first and table(6) == first
 
     def test_rejected_doubler_word_dies_at_its_first_pop(self):
         # a^266 b^533: the first b leaves fewer entries than b's to pop, so
