@@ -18,6 +18,7 @@ such as matchings of two different words, raise `PreconditionViolated`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .pda import DEFAULT_LIMITS, POP, PUSH, AcceptingRun, SearchLimits, enumerate_runs
 
@@ -38,6 +39,12 @@ REGIME_GROWING_INNER = "growing-inner"
 REGIME_INCONCLUSIVE = "inconclusive"
 
 
+# Result records are named tuples, several times cheaper to define at
+# import than frozen dataclasses, which exec generated methods.  Arc stays
+# a dataclass because `crossing_pairs` reads its attributes in its inner
+# loop, where a named tuple's read is slower (3.11 does not specialise
+# tuple subclasses); SegmentDecomposition refuses bad cuts in its
+# constructor.
 @dataclass(frozen=True)
 class Arc:
     """One matched push/pop pair.  push_pos <= pop_pos, both 1-based.
@@ -53,8 +60,7 @@ class Arc:
         return (self.push_pos, self.pop_pos)
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(NamedTuple):
     word: str
     owner: int
     arcs: tuple[Arc, ...]
@@ -127,8 +133,7 @@ def union_well_nested(first, second) -> tuple[bool, tuple[Arc, Arc] | None]:
     return is_well_nested(tuple(first) + tuple(second))
 
 
-@dataclass(frozen=True)
-class CrossingPair:
+class CrossingPair(NamedTuple):
     """Arcs (i, j) and (i', j') from different machines with i < i' < j < j'."""
 
     first: Arc
@@ -188,14 +193,12 @@ class SegmentDecomposition:
         return tuple(word[start:end] for start, end in self.intervals(word))
 
 
-@dataclass(frozen=True)
-class CrossingMeasures:
+class CrossingMeasures(NamedTuple):
     gap: int
     inner: int
 
 
-@dataclass(frozen=True)
-class CrossingAnalysis:
+class CrossingAnalysis(NamedTuple):
     pair: CrossingPair
     decomposition: SegmentDecomposition
     measures: CrossingMeasures
@@ -233,8 +236,7 @@ def crossing_pairs(m1: Matching, m2: Matching) -> list[CrossingAnalysis]:
     return out
 
 
-@dataclass(frozen=True)
-class PairAnalysis:
+class PairAnalysis(NamedTuple):
     """Crossing analyses for one (run of machine 1, run of machine 2) pair."""
 
     run_index_1: int
@@ -284,16 +286,14 @@ def analyze_runs(word: str, runs_1: list, runs_2: list) -> list[PairAnalysis]:
     ]
 
 
-@dataclass(frozen=True)
-class EvidenceRow:
+class EvidenceRow(NamedTuple):
     word_len: int
     pair_count: int
     max_gap: int | None
     max_inner: int | None
 
 
-@dataclass(frozen=True)
-class RegimeReport:
+class RegimeReport(NamedTuple):
     """The regime of a family, the per-size rows it rests on, and, for the
     inconclusive regime, why."""
 

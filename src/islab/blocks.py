@@ -18,6 +18,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, product
+from typing import NamedTuple
 
 from .arcs import Arc, SegmentDecomposition, crosses, is_well_nested
 from .pda import FINAL_STATE_BOTTOM_ONLY, JsonFields, Pda, StackAction, Transition, check_length_bound
@@ -33,6 +34,10 @@ class NoCrossing(ValueError):
     a shared-endpoint one (or none at all)."""
 
 
+# Result records are named tuples, several times cheaper to define at
+# import than frozen dataclasses, which exec generated methods; BlockSpec
+# and JointSpec stay dataclasses because they normalise their fields in
+# __post_init__ and keep cached tables.
 @dataclass(frozen=True)
 class BlockSpec:
     """One machine's view: block alphabets plus equal-length constraints.
@@ -113,8 +118,7 @@ class BlockSpec:
         return True
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str
     first: tuple
     second: tuple
@@ -123,8 +127,7 @@ class Violation:
         return frozenset(self.first) | frozenset(self.second)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     is_cfl: bool
     reason: str
     violation: Violation | None = None
@@ -324,8 +327,7 @@ def witness_string(j: JointSpec, violation: Violation, n: int) -> str:
     return _spell(j, _witness_lengths(j, violation, n))
 
 
-@dataclass(frozen=True)
-class LinkagePackage:
+class LinkagePackage(NamedTuple):
     """A pumping work order: the witness word and its four-segment split."""
 
     word: str

@@ -20,8 +20,15 @@ BLOCKS = "blocks"
 GRAMMAR = "grammar"
 
 
+# ExampleBundle stays a dataclass, not a named tuple, for its dict fields
+# that take no part in comparison.
 @dataclass(frozen=True)
 class ExampleBundle:
+    """A named set of examples: one machine, a machine pair, a joint block
+    specification or a grammar, with a description, an optional word
+    family `family(n)` and the analysis results expected of them.  Two
+    bundles compare by name, description, joint spec and grammar only."""
+
     name: str
     description: str
     machines: dict = field(default_factory=dict, compare=False)

@@ -17,6 +17,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product
+from typing import NamedTuple
 
 from .pda import (
     FINAL_STATE_BOTTOM_ONLY,
@@ -30,8 +31,7 @@ from .pda import (
 CFG_FORMAT = "cfg-v1"
 
 
-@dataclass(frozen=True)
-class Production:
+class Production(NamedTuple):
     head: str
     body: tuple[str, ...]
 
@@ -39,8 +39,18 @@ class Production:
         return (self.head, len(self.body), self.body)
 
 
+# Production is a named tuple, several times cheaper to define at import
+# than a frozen dataclass, which execs generated methods; the grammars
+# stay dataclasses because they normalise their fields in __post_init__
+# and keep cached tables.
 @dataclass(frozen=True)
 class Cfg:
+    """A context-free grammar over single-character terminals.  The
+    symbol sets become frozensets, and the productions are deduplicated
+    and sorted at construction; a start symbol that is not a nonterminal,
+    overlapping symbol sets or an undeclared body symbol raise
+    ValueError."""
+
     nonterminals: frozenset
     terminals: frozenset
     productions: tuple

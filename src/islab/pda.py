@@ -66,7 +66,7 @@ from functools import cached_property
 from itertools import islice
 from math import isfinite
 from threading import Lock
-from typing import Hashable
+from typing import Hashable, NamedTuple
 
 EPSILON = None  # the `read` field of a transition that consumes no input
 
@@ -93,6 +93,12 @@ class LimitExceeded(Exception):
     """
 
 
+# Value records are named tuples: a frozen dataclass generates and execs its
+# methods at every import.  StackAction and Transition stay dataclasses
+# because the engine reads their attributes in its inner loop, where a named
+# tuple's attribute read costs about 2.5 times as much (3.11 does not
+# specialise tuple subclasses); Pda normalises its fields in __post_init__
+# and keeps cached tables.
 @dataclass(frozen=True)
 class StackAction:
     """A single stack operation: push one symbol, pop one symbol, or nothing."""
@@ -120,6 +126,11 @@ class StackAction:
 
 @dataclass(frozen=True)
 class Transition:
+    """One move of a machine: from `source`, read one input symbol (`read`)
+    or none (EPSILON), apply `action` to the stack and enter `target`.
+    `auxiliary` marks the epsilon second push that normal form chains
+    directly after a pushing read."""
+
     source: Hashable
     read: str | None
     action: StackAction
@@ -142,8 +153,7 @@ class Transition:
         )
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(NamedTuple):
     """A point in the run graph: control state, input consumed, full stack."""
 
     state: Hashable
@@ -151,21 +161,18 @@ class Configuration:
     stack: tuple
 
 
-@dataclass(frozen=True)
-class RunStep:
+class RunStep(NamedTuple):
     transition: Transition
     input_pos: int  # 1-based input position this step is associated with
     stack_depth_after: int
 
 
-@dataclass(frozen=True)
-class AcceptingRun:
+class AcceptingRun(NamedTuple):
     steps: tuple[RunStep, ...]
     final: Configuration
 
 
-@dataclass(frozen=True)
-class SearchLimits:
+class SearchLimits(NamedTuple):
     """Work cap for one search: `max_configs` bounds the calls of the
     successor step one search makes (the states a product's control-graph
     walk fetches, in `products`), and the call past it raises
@@ -289,27 +296,63 @@ class Pda:
         Only sound, and so only given, when the machine accepts on its
         bottom only and no epsilon-transition pops; None otherwise.  P
         never decreases as r grows, so the table also serves inputs
-        shorter than n.  The rows of P are built once per machine, indexed
-        by r and grown to the longest input asked (see `_DepthRows`); each
-        call returns fresh lists, reversed slices of those rows.
+        shorter than n.  P is 0 at a state from which no pop can be
+        reached.  The rows of the other states are built once per machine,
+        indexed by r and grown to the longest input asked (see
+        `_DepthRows`); each call returns fresh lists, reversed slices of
+        those rows.
         """
         if not self._depth_bounded:
             return None
-        return self._live_rows.table(input_len)
+        no_pop, rows = self._live_rows
+        table = {q: [1] * (input_len + 1) for q in no_pop}
+        if rows is not None:
+            table.update(rows.table(input_len))
+        return table
 
-    @cached_property
-    def _live_rows(self) -> _DepthRows:
+    def _split_by_reach(self, kind: str) -> tuple:
+        """The states from which a transition whose action is of `kind` can
+        be reached, reading or not, and the others."""
         states = list(self.states)
         index = {q: i for i, q in enumerate(states)}
-        reads = [
-            (index[t.source], int(t.action.kind == POP), index[t.target])
-            for t in self.transitions
-            if t.read is not None
-        ]
-        moves = [(index[t.source], index[t.target]) for t in self.transitions if t.read is None]
+        reaches = [0] * len(states)
+        for t in self.transitions:
+            if t.action.kind == kind:
+                reaches[index[t.source]] = 1
+        _close(reaches, [(index[t.source], index[t.target]) for t in self.transitions])
+        return (
+            [q for q, reached in zip(states, reaches) if reached],
+            [q for q, reached in zip(states, reaches) if not reached],
+        )
+
+    @cached_property
+    def _live_rows(self) -> tuple:
+        """The states from which no pop can be reached, whose rows are all
+        1, and the rows of the others (None if there are none)."""
+        popping, no_pop = self._split_by_reach(POP)
+        if not popping:
+            return no_pop, None
         # Column r holds 1 + P(q, r): at least 1, and epsilon moves never
-        # pop, so P(source, r) >= P(target, r).
-        return _DepthRows(states, [1] * len(states), reads, moves, 1)
+        # pop, so P(source, r) >= P(target, r).  A read into a state of
+        # no_pop gives its source a constant, 1 plus 1 if it pops, kept in
+        # `base`; a move into one gives 1, which every entry has anyway.
+        index = {q: i for i, q in enumerate(popping)}
+        base = [1] * len(popping)
+        reads = []
+        for t in self.transitions:
+            if t.read is None or t.source not in index:
+                continue
+            weight = int(t.action.kind == POP)
+            if t.target in index:
+                reads.append((index[t.source], weight, index[t.target]))
+            else:
+                base[index[t.source]] = max(base[index[t.source]], 1 + weight)
+        moves = [
+            (index[t.source], index[t.target])
+            for t in self.transitions
+            if t.read is None and t.source in index and t.target in index
+        ]
+        return no_pop, _DepthRows(popping, [1] * len(popping), reads, moves, base)
 
     def floor_depths(self, input_len: int) -> dict | None:
         """For each state q, a list over input positions 0..n (n =
@@ -344,14 +387,7 @@ class Pda:
     def _floor_rows(self) -> tuple:
         """The entry of the shared row, and the rows of the pop-only states
         (None if there are none)."""
-        states = list(self.states)
-        index = {q: i for i, q in enumerate(states)}
-        reaches_push = [0] * len(states)
-        for t in self.transitions:
-            if t.action.kind == PUSH:
-                reaches_push[index[t.source]] = 1
-        _close(reaches_push, [(index[t.source], index[t.target]) for t in self.transitions])
-        pop_only = [q for q, reaches in zip(states, reaches_push) if not reaches]
+        _, pop_only = self._split_by_reach(PUSH)
         refilled = any(t.action == StackAction.push(self.bottom) for t in self.transitions)
         shared = int(not refilled)
         if not pop_only:
@@ -370,7 +406,8 @@ class Pda:
             if t.read is None and t.source in index
         ]
         seed = [0 if q in self.accept else _NO_PATH for q in pop_only]
-        return shared, _DepthRows(pop_only, seed, reads, moves, _NO_PATH, complement=True)
+        base = [_NO_PATH] * len(pop_only)
+        return shared, _DepthRows(pop_only, seed, reads, moves, base, complement=True)
 
 
 def _close(column: list, moves: list) -> list:
@@ -389,10 +426,10 @@ def _close(column: list, moves: list) -> list:
 class _DepthRows:
     """One depth table of a machine: a row per state of `states`, indexed
     by r, the reads left, whose column r is: for r = 0, `seed` closed under
-    `moves` (see `_close`); after that, at each state the largest of `base`
-    and weight + column r - 1 at the target over its `reads` (source,
-    weight, target), closed under `moves`.  With `complement`, each entry v
-    is given as 1 - v.
+    `moves` (see `_close`); after that, at each state the largest of its
+    entry of `base` and weight + column r - 1 at the target over its
+    `reads` (source, weight, target), closed under `moves`.  With
+    `complement`, each entry v is given as 1 - v.
 
     The rows grow on demand to the longest input asked, and are never
     rebuilt: each growth resumes the column loop from its last column,
@@ -403,15 +440,19 @@ class _DepthRows:
     threads may share one machine.
     """
 
-    def __init__(self, states: list, seed: list, reads: list, moves: list, base, complement=False):
+    def __init__(
+        self, states: list, seed: list, reads: list, moves: list, base: list, complement=False
+    ):
         self.states = states
         self.reads, self.moves, self.base = reads, moves, base
+        self.lowest = _close(list(base), moves)  # see _grow
         self.complement = complement
         self.rows = [[] for _ in states]
         # column r - 1 when the rows hold r > 0 entries, else column 0
         self.column = _close(list(seed), moves)
         self.shapes: dict = {}  # column minus its top -> (r, top)
         self.period = self.lift = 0  # until a column repeats
+        self.computed = 0  # columns the loop has computed
         self.lock = Lock()
 
     def table(self, count: int) -> dict:
@@ -424,34 +465,45 @@ class _DepthRows:
 
     def _grow(self, size: int) -> None:
         """Grow every row to `size` entries."""
-        # One step is F(x) = max(base, H(x)): H is the reads, then the
-        # closure, and it commutes with adding a constant.  If column r is
-        # column r0 shifted by c, every later column j is column j - (r - r0)
-        # plus c when F commutes with that shift too.  With c = 0 that holds
-        # because F is a function; with base = _NO_PATH because F = H.  With
-        # a finite base all weights are >= 0 and columns start at base (live
-        # depths): a state that reaches no read through moves stays at base
-        # in every column, so c > 0 leaves none such, H(x) >= base at every
-        # state, and F = H on the columns that follow.
+        # One step is F(x) = max(lowest, H(x)): `lowest` is `base` closed
+        # under the moves, H(x) is the reads from x, then the closure, and
+        # H commutes with adding a constant.  Say column r is column r0
+        # plus c, r0 < r, and every column after r0 is H of the one before.
+        # Then column r + 1 is H(column r0 + c) = column r0 + 1 plus c, and
+        # so on: the rows repeat with period r - r0 and lift c.  A column
+        # is H of the one before at each state where `lowest` is _NO_PATH
+        # or the column is above it, since only H can put it there.  So
+        # shapes are recorded only from columns above `lowest` wherever it
+        # is finite, and every later column is above it too: it is finite
+        # for live depths only, whose weights are >= 0 and whose column 0
+        # is all 1 <= base, so their columns never fall.  An exact repeat
+        # (c = 0) needs no such condition, F being a function; as live
+        # columns never fall, it repeats the column just before (floor
+        # depths record every column).
         rows, column, columns = self.rows, self.column, []
         r = len(rows[0])
         while r < size and not self.period:
+            prev = column
             if r:
-                prev, column = column, [self.base] * len(column)
+                column = list(self.base)
                 for source, weight, target in self.reads:
                     value = weight + prev[target]
                     if value > column[source]:
                         column[source] = value
                 _close(column, self.moves)
             columns.append(column)
-            top = max(column)
-            if top == _NO_PATH:
-                top = 0
-            r0, top0 = self.shapes.setdefault(tuple([v - top for v in column]), (r, top))
-            if r0 < r:
-                lift = top - top0
-                self.period, self.lift = r - r0, -lift if self.complement else lift
+            if r and column == prev:
+                self.period = 1
+            elif all(v > low for v, low in zip(column, self.lowest) if low != _NO_PATH):
+                top = max(column)
+                if top == _NO_PATH:
+                    top = 0
+                r0, top0 = self.shapes.setdefault(tuple([v - top for v in column]), (r, top))
+                if r0 < r:
+                    lift = top - top0
+                    self.period, self.lift = r - r0, -lift if self.complement else lift
             r += 1
+        self.computed += len(columns)
         self.column = column
         # Complement here, on the columns before the period, not on the
         # filled rows: a pass over all entries of each row took

@@ -62,6 +62,8 @@ def _describe_entry(entry) -> str:
     return f"{entry[0]}:{entry[1]}"
 
 
+# The composite states stay dataclasses, not named tuples, because they
+# compare by identity: a tuple subclass compares and hashes by value.
 @dataclass(frozen=True, eq=False)
 class DisplacedState:
     """Composite control: both machine states, the queue of stack

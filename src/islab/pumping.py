@@ -14,6 +14,7 @@ the pair is decided in `check_linkage` alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arcs import SegmentDecomposition
 
@@ -24,6 +25,9 @@ OUTER_PAIR = (1, 3)
 INNER_PAIR = (2, 4)
 
 
+# Result records are named tuples, several times cheaper to define at
+# import than frozen dataclasses, which exec generated methods;
+# Factorization stays a dataclass because its constructor refuses bad cuts.
 @dataclass(frozen=True)
 class Factorization:
     """u v x y z = w[:a], w[a:b], w[b:c], w[c:d], w[d:] for cuts (a, b, c, d).
@@ -48,15 +52,13 @@ class Factorization:
         return u + v + v + x + y + y + z
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     factorization: Factorization
     parts: tuple
     pumped: str
 
 
-@dataclass(frozen=True)
-class LinkageReport:
+class LinkageReport(NamedTuple):
     pair: tuple
     holds: bool
     vacuous: bool
@@ -66,8 +68,7 @@ class LinkageReport:
     oracle_calls: int
 
 
-@dataclass(frozen=True)
-class HypothesesReport:
+class HypothesesReport(NamedTuple):
     mode: str
     n: int
     segment_lengths: tuple

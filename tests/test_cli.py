@@ -1,11 +1,16 @@
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import islab
 from islab import corpus
@@ -1264,3 +1269,79 @@ class TestDeterminism:
             _, first, _ = run_cli(capsys, *argv)
             _, second, _ = run_cli(capsys, *argv)
             assert first == second
+
+
+# Two subcommands that read each document format, given a document's path
+# and a word over its input alphabet; --max-expand bounds each search.
+READERS = {
+    "pda-v1": lambda path, word: [
+        ["simulate", "--pda", path, "--word", word, "--max-expand", "5000"],
+        ["crossings", "--pair", f"{path},{path}", "--word", word, "--max-expand", "5000"],
+    ],
+    "cfg-v1": lambda path, word: [
+        ["construct", "grammar", "--grammar", path],
+        ["verify", "--construct", "grammar", "--grammar", path, "--max-len", "4",
+         "--max-expand", "5000"],
+    ],
+    "blocks-v1": lambda path, word: [
+        ["characterize", "--blocks", path, "--json"],
+        ["verify", "--construct", "joint", "--blocks", path, "--max-len", "6",
+         "--max-expand", "5000"],
+    ],
+}
+
+WRONG_VALUES = [None, True, -1, 0, 2.5, "", "x", [], {}]
+
+
+@pytest.fixture(scope="module")
+def exported(tmp_path_factory):
+    """Every corpus document, by file name: (format, document, word)."""
+    root = tmp_path_factory.mktemp("corpus")
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert main(["corpus", "--export", str(root)]) == 0
+    documents = {}
+    for path in sorted(root.iterdir()):
+        document = json.loads(path.read_text(encoding="utf-8"))
+        word = "".join(sorted(document.get("input_alphabet", [])))[:3] * 2
+        documents[path.name] = (document["format"], document, word)
+    return root, documents
+
+
+def mutated(data, document):
+    """A copy of `document` with one field dropped, duplicated (a list
+    item repeated, an object member's value given twice in a list) or
+    given a value of another type."""
+    document = copy.deepcopy(document)
+    parent, key, node = None, None, document
+    while isinstance(node, (dict, list)) and node and (parent is None or data.draw(st.booleans())):
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        parent, key = node, data.draw(st.sampled_from(keys))
+        node = node[key]
+    change = data.draw(st.sampled_from(["drop", "duplicate", "retype"]))
+    if change == "drop":
+        del parent[key]
+    elif change == "duplicate" and isinstance(parent, list):
+        parent.insert(key, copy.deepcopy(node))
+    elif change == "duplicate":
+        parent[key] = [node, copy.deepcopy(node)]
+    else:
+        wrong = [value for value in WRONG_VALUES if type(value) is not type(node)]
+        parent[key] = data.draw(st.sampled_from(wrong))
+    return document
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_documents_never_raise(exported, data):
+    """A corpus document with one field dropped, duplicated or retyped is
+    read by two subcommands in process: each ends in exit 0, 1 or 2, and
+    no exception escapes `main`."""
+    root, documents = exported
+    name = data.draw(st.sampled_from(sorted(documents)))
+    kind, document, word = documents[name]
+    path = root / f"mutated-{name}"
+    path.write_text(json.dumps(mutated(data, document)), encoding="utf-8")
+    for argv in READERS[kind](str(path), word):
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+            code = main(argv)
+        assert code in (0, 1, 2), (argv, err.getvalue())

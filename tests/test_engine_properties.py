@@ -316,6 +316,13 @@ TWO_RATES = bottom_only(
 PERIOD_TWO = bottom_only(
     [reading("s0", POP_A, "s1"), reading("s1", NO_OP, "s0")], ["s0", "s1"]
 )
+# s5 (long arc) and b4 (first-third counter) read on but reach no pop, so
+# they stay at 1 while every other state grows by one per read
+LONG_ARC = corpus.get("gap-refutation").machine("long-arc")
+FIRST_THIRD = corpus.get("crossing-blocks").machine("first-third-counter")
+# s0 pops once, into s1, which reaches no pop: its row goes 1, 2, 2, ...,
+# so column 1 is column 0 shifted by one, yet no later column grows
+ONE_POP = bottom_only([reading("s0", POP_A, "s1"), reading("s0", NO_OP, "s0")], ["s0", "s1"])
 
 
 # a machine grows its tables to the longest length asked, so a length asked
@@ -329,6 +336,9 @@ DESCENDING = list(range(40, -1, -1))
 @example(machine=TWO_RATES, order=DESCENDING)
 @example(machine=PERIOD_TWO, order=DESCENDING)
 @example(machine=corpus.get("interleaved-palindrome").machine("even-track"), order=DESCENDING)
+@example(machine=LONG_ARC, order=DESCENDING)
+@example(machine=FIRST_THIRD, order=DESCENDING)
+@example(machine=ONE_POP, order=DESCENDING)
 def test_live_depths_match_the_column_by_column_reference(machine, order):
     """However early the columns repeat, and in whatever order one machine
     is asked its lengths, the table is the one computed column by column,
@@ -342,6 +352,21 @@ def test_live_depths_match_the_column_by_column_reference(machine, order):
             if reference is not None:
                 expected = {q: row[40 - input_len :] for q, row in reference.items()}
             assert moded.live_depths(input_len) == expected, (mode, input_len)
+
+
+@pytest.mark.parametrize(
+    "machine", [LONG_ARC, FIRST_THIRD, ONE_POP], ids=["long-arc", "first-third-counter", "one-pop"]
+)
+def test_live_rows_repeat_beside_states_that_reach_no_pop(machine):
+    """The states that reach no pop are left out of the search for a
+    repeat, so the rows of the others, 581 entries long, are filled from a
+    period found within the first 10 columns: one that grows, or, when the
+    others stop growing, a column equal to the one before."""
+    machine = replace(machine)  # no rows grown yet
+    machine.live_depths(580)
+    no_pop, rows = machine._live_rows
+    assert no_pop
+    assert rows.period and rows.computed <= 10
 
 
 def reference_floor_depths(machine, input_len: int):

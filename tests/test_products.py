@@ -105,8 +105,8 @@ def doctored(run, index: int, read: str, change):
     at = [i for i, s in enumerate(steps) if s.transition.read is not None][index]
     t = steps[at].transition
     t = replace(t, read=read, target=replace(t.target, queue=change(t.target.queue)))
-    steps[at] = replace(steps[at], transition=t)
-    return replace(run, steps=tuple(steps))
+    steps[at] = steps[at]._replace(transition=t)
+    return run._replace(steps=tuple(steps))
 
 
 def both_projections_palindromic(word: str) -> bool:
@@ -267,7 +267,7 @@ def wrong_symbol(run):
 
 def cut_before_last_read(run):
     last = max(i for i, s in enumerate(run.steps) if s.transition.read is not None)
-    return replace(run, steps=run.steps[:last])
+    return run._replace(steps=run.steps[:last])
 
 
 class TestComponentRuns:
