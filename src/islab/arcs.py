@@ -120,19 +120,6 @@ def is_well_nested(arcs) -> tuple[bool, tuple[Arc, Arc] | None]:
     return True, None
 
 
-def union_well_nested(first, second) -> tuple[bool, tuple[Arc, Arc] | None]:
-    """Whether two individually well-nested arc sets stay well nested when
-    overlaid.  Since each side is well nested on its own, the union is well
-    nested exactly when no arc of one side crosses an arc of the other."""
-    ok1, bad1 = is_well_nested(first)
-    if not ok1:
-        raise PreconditionViolated(f"first arc set is not well nested: {bad1}")
-    ok2, bad2 = is_well_nested(second)
-    if not ok2:
-        raise PreconditionViolated(f"second arc set is not well nested: {bad2}")
-    return is_well_nested(tuple(first) + tuple(second))
-
-
 class CrossingPair(NamedTuple):
     """Arcs (i, j) and (i', j') from different machines with i < i' < j < j'."""
 

@@ -94,10 +94,21 @@ def _read_json(path: str) -> dict:
     return data
 
 
+def _names_file(value: str) -> bool:
+    """The naming rule of --pda, --blocks, --grammar and --witness: a value
+    ending in .json or naming an existing file is a file, anything else a
+    corpus bundle."""
+    return value.endswith(".json") or os.path.isfile(value)
+
+
 def _load_machine(args):
-    if args.pda is not None:
+    if args.pda is None:
+        raise CliError(f"{args.command} needs --pda")
+    if _names_file(args.pda):
+        if args.machine is not None:
+            raise CliError(f"--pda {args.pda} is a machine file, which does not take --machine")
         return pda_from_json(_read_json(args.pda))
-    bundle = corpus.get(args.corpus)
+    bundle = corpus.get(args.pda)
     if args.machine:
         return bundle.machine(args.machine)
     if len(bundle.machines) == 1:
@@ -138,7 +149,7 @@ def _load_document(value: str, kind: str):
     """A block spec (kind "joint") or a grammar (kind "grammar"): read from
     `value` if it names a file, else taken from the corpus bundle `value`."""
     from_json, noun = _DOCUMENTS[kind]
-    if value.endswith(".json") or os.path.isfile(value):
+    if _names_file(value):
         return from_json(_read_json(value))
     bundle = corpus.get(value)
     document = getattr(bundle, kind)
@@ -406,16 +417,12 @@ _MODES = {
     ("verify", "--construct displacement"): (("pair", "k"), ()),
     ("verify", "--construct buffered"): (("pair", "d"), ()),
     ("verify", "--construct grammar"): (("grammar",), ()),
-    ("simulate", "--pda"): (("pda",), ()),
-    ("simulate", "--corpus"): (("corpus",), ("machine",)),
-    ("runs", "--pda"): (("pda",), ()),
-    ("runs", "--corpus"): (("corpus",), ("machine",)),
     ("crossings", "--word"): (("word",), ()),
     ("crossings", "--n"): (("n",), ()),
     ("linkage", "--word --hypotheses"): (("word", "cuts", "hypotheses"), ("n",)),
-    ("linkage", "--word"): (("word", "cuts"), ("segments",)),
+    ("linkage", "--word"): (("word", "cuts"), ()),
     ("linkage", "--n --hypotheses"): (("n", "hypotheses"), ("witness",)),
-    ("linkage", "--n"): (("n",), ("witness", "segments")),
+    ("linkage", "--n"): (("n",), ("witness",)),
 }
 
 
@@ -629,11 +636,8 @@ def _cmd_linkage(args) -> int:
         else:
             lines.append("hypotheses NOT satisfied")
     else:
-        pairs = {"1,3": [OUTER_PAIR], "2,4": [INNER_PAIR]}.get(
-            args.segments, [OUTER_PAIR, INNER_PAIR]
-        )
         payload["linkages"] = []
-        for pair in pairs:
+        for pair in (OUTER_PAIR, INNER_PAIR):
             report = check_linkage(oracle, word, decomposition, pair)
             payload["linkages"].append(_linkage_payload(report))
             lines.extend(_linkage_lines(report))
@@ -712,9 +716,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_machine_flags(p):
-        p.add_argument("--pda", help="machine file (pda-v1 JSON)")
-        p.add_argument("--corpus", help="corpus bundle name")
-        p.add_argument("--machine", help="machine name within the bundle")
+        p.add_argument("--pda", help="pda-v1 file or corpus name")
+        p.add_argument("--machine", help="machine name within the bundle (not with a file)")
 
     def add_json(p):
         p.add_argument("--json", action="store_true", help="machine-readable output")
@@ -810,11 +813,6 @@ def build_parser() -> argparse.ArgumentParser:
         " threshold, which must be positive (default 1)",
     )
     p.add_argument("--witness", help="spec whose crossing supplies word and cuts (default --blocks)")
-    p.add_argument(
-        "--segments",
-        choices=["1,3", "2,4", "both"],
-        help="which segment pair(s) to check (default both; not with --hypotheses)",
-    )
     p.add_argument(
         "--hypotheses",
         choices=[FOUR_LARGE, INNER_GROWING],

@@ -364,16 +364,3 @@ def get(name: str) -> ExampleBundle:
     if name not in _BUNDLES:
         raise KeyError(f"no bundle named {name!r}; available: {list_bundles()}")
     return _BUNDLES[name]
-
-
-def grammar_bundles() -> list:
-    return [b for _, b in sorted(_BUNDLES.items()) if b.kind == GRAMMAR]
-
-
-def machine_items() -> list:
-    """Every (bundle name, machine name, machine) triple in the corpus."""
-    out = []
-    for _, bundle in sorted(_BUNDLES.items()):
-        for mname, machine in bundle.machines.items():
-            out.append((bundle.name, mname, machine))
-    return out

@@ -80,9 +80,6 @@ class Cfg:
     def _shape_check(self) -> None:
         pass
 
-    def bodies(self, head: str) -> list[tuple[str, ...]]:
-        return [p.body for p in self.productions if p.head == head]
-
 
 @dataclass(frozen=True)
 class CnfGrammar(Cfg):
@@ -107,10 +104,6 @@ class CnfGrammar(Cfg):
                     raise ValueError(f"binary body {b!r} must be two nonterminals")
             else:
                 raise ValueError(f"body {b!r} too long for this normal form")
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.productions
 
     @property
     def derives_epsilon(self) -> bool:

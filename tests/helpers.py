@@ -1,8 +1,9 @@
 """Helpers that more than one test module uses: word generators, reference
-languages, document editing, example machines and grammars, and the
-hypothesis strategies for random machines and block specifications.  Test
-modules import from here and never from each other, so that a module that
-fails to import stops no other module from collecting."""
+languages, random arc matchings, document editing, corpus listings,
+example machines and grammars, and the hypothesis strategies for random
+machines and block specifications.  Test modules import from here and
+never from each other, so that a module that fails to import stops no
+other module from collecting."""
 
 import copy
 import itertools
@@ -10,6 +11,8 @@ import re
 
 from hypothesis import strategies as st
 
+from islab import corpus
+from islab.arcs import Arc
 from islab.blocks import BlockSpec, JointSpec
 from islab.grammar import Cfg, Production
 from islab.pda import (
@@ -55,6 +58,20 @@ def refutation_member(word):
     )
 
 
+def random_stack_matching(rng, length, owner):
+    """Random LIFO push/pop pairing over positions 1..length; always nested."""
+    arcs = []
+    stack = []
+    for pos in range(1, length + 1):
+        if stack and rng.random() < 0.5:
+            arcs.append(Arc(stack.pop(), pos, owner))
+        if rng.random() < 0.5:
+            stack.append(pos)
+    while stack:
+        arcs.append(Arc(stack.pop(), length, owner))
+    return tuple(arcs)
+
+
 DELETE = object()
 
 
@@ -73,6 +90,21 @@ def edited(document, keys: tuple, value):
     else:
         target[keys[-1]] = value
     return document
+
+
+def machine_items() -> list:
+    """Every (bundle name, machine name, machine) triple in the corpus."""
+    return [
+        (name, machine_name, machine)
+        for name in corpus.list_bundles()
+        for machine_name, machine in corpus.get(name).machines.items()
+    ]
+
+
+def grammar_bundles() -> list:
+    """Every corpus bundle that carries a grammar, in name order."""
+    bundles = [corpus.get(name) for name in corpus.list_bundles()]
+    return [bundle for bundle in bundles if bundle.grammar is not None]
 
 
 def two_path_machine():

@@ -12,13 +12,13 @@ import time
 
 from islab import corpus
 from islab.arcs import (
-    Arc,
+    Matching,
     SegmentDecomposition,
     analyze_pair,
     classify_family,
+    crossing_pairs,
     extract_matching,
     is_well_nested,
-    union_well_nested,
 )
 from islab.blocks import (
     CROSSING,
@@ -47,7 +47,13 @@ from islab.pumping import (
     check_linkage,
 )
 
-from helpers import block_words, refutation_member
+from helpers import (
+    block_words,
+    grammar_bundles,
+    machine_items,
+    random_stack_matching,
+    refutation_member,
+)
 
 CHAINED = corpus.get("chained-equal-blocks").joint
 CROSSING_J = corpus.get("crossing-blocks").joint
@@ -344,7 +350,7 @@ def test_criterion_08_crossing_hypotheses():
 
 def test_criterion_09_matchings_and_union_overlay():
     runs_checked = 0
-    for bundle_name, machine_name, machine in corpus.machine_items():
+    for bundle_name, machine_name, machine in machine_items():
         for word in sorted(enumerate_language(machine, 10)):
             for run in enumerate_runs(machine, word, cap=20):
                 matching = extract_matching(run, word, owner=1)
@@ -353,27 +359,17 @@ def test_criterion_09_matchings_and_union_overlay():
                 runs_checked += 1
     assert runs_checked >= 2000
 
-    def random_stack_matching(rng, length, owner):
-        arcs = []
-        stack = []
-        for pos in range(1, length + 1):
-            if stack and rng.random() < 0.5:
-                arcs.append(Arc(stack.pop(), pos, owner))
-            if rng.random() < 0.5:
-                stack.append(pos)
-        while stack:
-            arcs.append(Arc(stack.pop(), length, owner))
-        return tuple(arcs)
-
+    # two well-nested matchings overlay into a well-nested union exactly
+    # when no arc of one crosses an arc of the other
     rng = random.Random(11)
     for trial in range(200):
         length = rng.randrange(2, 12)
         first = random_stack_matching(rng, length, 1)
         second = random_stack_matching(rng, length, 2)
-        ok_ab, _ = union_well_nested(first, second)
-        ok_ba, _ = union_well_nested(second, first)
+        word = "x" * length
+        crossing = crossing_pairs(Matching(word, 1, first), Matching(word, 2, second))
         ok_flat, _ = is_well_nested(first + second)
-        assert ok_ab == ok_ba == ok_flat, (trial, first, second)
+        assert (not crossing) == ok_flat, (trial, first, second)
     print(
         f"[AC-09] PASS {runs_checked} corpus runs give well-nested matchings; "
         f"200 random union overlays agree with the flat check"
@@ -381,7 +377,7 @@ def test_criterion_09_matchings_and_union_overlay():
 
 
 def test_criterion_10_grammar_pipeline_against_cyk():
-    for bundle in corpus.grammar_bundles():
+    for bundle in grammar_bundles():
         grammar = bundle.grammar
         cnf = to_cnf(grammar)
         machine = gnf_to_pda(to_gnf(cnf))

@@ -22,7 +22,6 @@ from islab.arcs import (
     extract_matching,
     is_well_nested,
     measures_of,
-    union_well_nested,
 )
 from islab.diagrams import render_arcs, render_pair_analysis
 from islab.pda import (
@@ -38,7 +37,7 @@ from islab.pda import (
 )
 from islab.pumping import check_linkage
 
-from helpers import two_path_machine
+from helpers import random_stack_matching, two_path_machine
 
 
 def first_matching(machine, word, owner=1):
@@ -218,37 +217,21 @@ class TestSegmentDecomposition:
             use("abbccdd", cuts)
 
 
-def random_stack_matching(rng, length, owner):
-    """Random LIFO push/pop pairing over positions 1..length; always nested."""
-    arcs = []
-    stack = []
-    for pos in range(1, length + 1):
-        if stack and rng.random() < 0.5:
-            arcs.append(Arc(stack.pop(), pos, owner))
-        if rng.random() < 0.5:
-            stack.append(pos)
-    while stack:
-        arcs.append(Arc(stack.pop(), length, owner))
-    return tuple(arcs)
-
-
 class TestUnionWellNested:
+    """Two well-nested matchings of one word overlay into a well-nested
+    union exactly when `crossing_pairs` finds no pair between them."""
+
     def test_cross_machine_crossing_detected(self):
-        ok, bad = union_well_nested([Arc(1, 3, 1)], [Arc(2, 4, 2)])
-        assert not ok
-        assert (bad[0].positions(), bad[1].positions()) == ((1, 3), (2, 4))
+        first = Matching("abcd", 1, (Arc(1, 3, 1),))
+        second = Matching("abcd", 2, (Arc(2, 4, 2),))
+        (analysis,) = crossing_pairs(first, second)
+        pair = analysis.pair
+        assert (pair.first.positions(), pair.second.positions()) == ((1, 3), (2, 4))
 
     def test_disjoint_spans_stay_nested(self):
-        ok, _ = union_well_nested([Arc(1, 2, 1)], [Arc(3, 4, 2)])
-        assert ok
-
-    def test_precondition_enforced(self):
-        with pytest.raises(PreconditionViolated):
-            union_well_nested([Arc(1, 3), Arc(2, 4)], [Arc(5, 6)])
-
-    def test_precondition_enforced_on_second_side(self):
-        with pytest.raises(PreconditionViolated, match="^second arc set is not well nested"):
-            union_well_nested([Arc(5, 6)], [Arc(1, 3), Arc(2, 4)])
+        first = Matching("abcd", 1, (Arc(1, 2, 1),))
+        second = Matching("abcd", 2, (Arc(3, 4, 2),))
+        assert crossing_pairs(first, second) == []
 
     def test_random_unions_symmetric_and_consistent(self):
         rng = random.Random(20260823)
@@ -256,10 +239,11 @@ class TestUnionWellNested:
             length = rng.randrange(2, 12)
             first = random_stack_matching(rng, length, 1)
             second = random_stack_matching(rng, length, 2)
-            ok_ab, _ = union_well_nested(first, second)
-            ok_ba, _ = union_well_nested(second, first)
+            word = "x" * length
+            ab = crossing_pairs(Matching(word, 1, first), Matching(word, 2, second))
+            ba = crossing_pairs(Matching(word, 2, second), Matching(word, 1, first))
             ok_flat, _ = is_well_nested(first + second)
-            assert ok_ab == ok_ba == ok_flat, (trial, first, second)
+            assert ab == ba and (not ab) == ok_flat, (trial, first, second)
 
 
 class TestCrossingPairs:

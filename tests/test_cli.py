@@ -51,25 +51,25 @@ def write_machine(tmp_path, machine, name="machine.json"):
 class TestSimulate:
     def test_accepted_word(self, capsys):
         code, out, _ = run_cli(
-            capsys, "simulate", "--corpus", "counter", "--word", "aabb"
+            capsys, "simulate", "--pda", "counter", "--word", "aabb"
         )
         assert code == 0
         assert "accepted" in out
 
     def test_rejected_word_exit_one(self, capsys):
         code, out, _ = run_cli(
-            capsys, "simulate", "--corpus", "counter", "--word", "aab"
+            capsys, "simulate", "--pda", "counter", "--word", "aab"
         )
         assert code == 1
         assert "rejected" in out
 
     def test_empty_word_default(self, capsys):
-        code, out, _ = run_cli(capsys, "simulate", "--corpus", "counter")
+        code, out, _ = run_cli(capsys, "simulate", "--pda", "counter")
         assert code == 0
 
     def test_json_payload(self, capsys):
         code, payload, _ = run_json(
-            capsys, "simulate", "--corpus", "counter", "--word", "ab", "--json"
+            capsys, "simulate", "--pda", "counter", "--word", "ab", "--json"
         )
         assert code == 0
         assert payload["accepted"] is True
@@ -99,20 +99,52 @@ class TestSimulate:
             assert err.startswith(f"error: {path} is not valid JSON: "), name
 
     def test_missing_file_is_error(self, capsys):
-        code, _, err = run_cli(capsys, "simulate", "--pda", "/nonexistent.json")
-        assert code == 2
-        assert "cannot read" in err
+        # a name ending in .json is a file, even when no such file exists
+        for path in ("/nonexistent.json", "missing.json"):
+            code, _, err = run_cli(capsys, "simulate", "--pda", path)
+            assert code == 2
+            assert err.startswith(f"error: cannot read {path}: ")
 
     def test_ambiguous_bundle_requires_machine_flag(self, capsys):
-        code, _, err = run_cli(
-            capsys, "simulate", "--corpus", "interleaved-palindrome", "--word", "00"
+        code, out, err = run_cli(
+            capsys, "simulate", "--pda", "interleaved-palindrome", "--word", "00"
         )
-        assert code == 2
-        assert "--machine" in err
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: bundle 'interleaved-palindrome' has machines "
+            "['even-track', 'odd-track']; pick one with --machine\n"
+        )
+
+    def test_machine_picks_from_a_bundle(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "simulate", "--pda", "interleaved-palindrome",
+            "--machine", "odd-track", "--word", "000",
+        )
+        assert code == 0
+        assert out.startswith("word '000': accepted\n")
+
+    def test_existing_file_without_suffix_is_read_as_a_file(self, capsys, tmp_path):
+        path = write_machine(tmp_path, corpus.get("counter").machine("counter"), "counter")
+        code, out, _ = run_cli(capsys, "simulate", "--pda", path, "--word", "aabb")
+        assert code == 0
+        assert out.startswith("word 'aabb': accepted\n")
+
+    def test_unknown_name_is_looked_up_in_the_corpus(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--pda", "missing", "--word", "a")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: no bundle named 'missing'; available: ")
+
+    def test_machine_with_a_file_refused(self, capsys, tmp_path):
+        path = write_machine(tmp_path, two_path_machine())
+        code, out, err = run_cli(
+            capsys, "simulate", "--pda", path, "--machine", "counter", "--word", "ab"
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: --pda {path} is a machine file, which does not take --machine\n"
 
     def test_unknown_machine_message_unquoted(self, capsys):
         code, out, err = run_cli(
-            capsys, "simulate", "--corpus", "interleaved-palindrome",
+            capsys, "simulate", "--pda", "interleaved-palindrome",
             "--machine", "nope", "--word", "00",
         )
         assert (code, out) == (2, "")
@@ -123,7 +155,7 @@ class TestSimulate:
 
     def test_bundle_without_machines(self, capsys):
         code, out, err = run_cli(
-            capsys, "simulate", "--corpus", "even-palindrome-grammar", "--word", "00"
+            capsys, "simulate", "--pda", "even-palindrome-grammar", "--word", "00"
         )
         assert (code, out) == (2, "")
         assert err == "error: bundle 'even-palindrome-grammar' has no machine\n"
@@ -147,7 +179,7 @@ class TestRuns:
 
     def test_rejected_word_zero_runs(self, capsys):
         code, out, _ = run_cli(
-            capsys, "runs", "--corpus", "counter", "--word", "ba"
+            capsys, "runs", "--pda", "counter", "--word", "ba"
         )
         assert code == 0
         assert "0 accepting run(s)" in out
@@ -308,7 +340,7 @@ def test_max_expand_limits_run_search(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "command", [["simulate", "--corpus", "counter"], ["runs", "--corpus", "counter"]]
+    "command", [["simulate", "--pda", "counter"], ["runs", "--pda", "counter"]]
 )
 def test_negative_max_expand_rejected(capsys, command):
     with pytest.raises(SystemExit) as exc:
@@ -355,7 +387,7 @@ def test_top_level_non_object_rejected(capsys, tmp_path, argv):
 
 def test_zero_runs_cap_gives_no_run(capsys):
     code, out, _ = run_cli(
-        capsys, "runs", "--corpus", "counter", "--word", "ab", "--runs-cap", "0"
+        capsys, "runs", "--pda", "counter", "--word", "ab", "--runs-cap", "0"
     )
     assert code == 0
     assert out == "0 accepting run(s) for 'ab' (cap 0)\n"
@@ -364,7 +396,7 @@ def test_zero_runs_cap_gives_no_run(capsys):
 @pytest.mark.parametrize(
     "argv, flag",
     [
-        (["runs", "--corpus", "counter", "--word", "ab", "--runs-cap", "-2"], "--runs-cap"),
+        (["runs", "--pda", "counter", "--word", "ab", "--runs-cap", "-2"], "--runs-cap"),
         (["crossings", "--pair", "gap-refutation", "--n", "1", "--runs-cap", "-1"], "--runs-cap"),
         (["crossings", "--pair", "gap-refutation", "--n", "-1"], "--n"),
         (["linkage", "--blocks", "abcd", "--n", "-1"], "--n"),
@@ -770,11 +802,6 @@ def test_missing_construction_flag_refused(capsys, command, kind, flag):
 @pytest.mark.parametrize(
     "argv, flag",
     [
-        (
-            ["linkage", "--blocks", "all-equal", "--witness", "abcd", "--n", "2"]
-            + ["--hypotheses", "four-large", "--segments", "1,3"],
-            "--segments",
-        ),
         (["crossings", "--pair", "gap-refutation", "--word", "abaddeef", "--n", "7"], "--n"),
         (["linkage", "--blocks", "all-equal", "--word", "aabbccdd", "--cuts", "2,4,6", "--n", "5"], "--n"),
         (
@@ -784,21 +811,16 @@ def test_missing_construction_flag_refused(capsys, command, kind, flag):
         ),
         (["linkage", "--blocks", "all-equal", "--n", "2", "--witness", "abcd", "--cuts", "1,2,3"], "--cuts"),
         (["simulate", "--pda", "{path}", "--word", "ab", "--machine", "nope"], "--machine"),
-        (["simulate", "--pda", "{path}", "--word", "ab", "--corpus", "counter"], "--corpus"),
         (["runs", "--pda", "{path}", "--word", "ab", "--machine", "nope"], "--machine"),
-        (["runs", "--pda", "{path}", "--word", "ab", "--corpus", "counter"], "--corpus"),
         (["construct", "joint", "--blocks", "nested-blocks", "--json"], "--json"),
     ],
     ids=[
-        "linkage-hypotheses-segments",
         "crossings-word-n",
         "linkage-word-n",
         "linkage-word-witness",
         "linkage-n-cuts",
         "simulate-pda-machine",
-        "simulate-pda-corpus",
         "runs-pda-machine",
-        "runs-pda-corpus",
         "construct-json",
     ],
 )
@@ -814,6 +836,38 @@ def test_flag_the_mode_does_not_read_refused(capsys, tmp_path, argv, flag):
     assert code == 2
     assert out == ""
     assert err.endswith(f" {flag}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, unrecognized",
+    [
+        (["simulate", "--pda", "counter", "--word", "ab", "--corpus", "counter"], "--corpus counter"),
+        (["runs", "--pda", "counter", "--word", "ab", "--corpus", "counter"], "--corpus counter"),
+        (
+            ["linkage", "--blocks", "all-equal", "--witness", "abcd", "--n", "2"]
+            + ["--segments", "1,3"],
+            "--segments 1,3",
+        ),
+        (
+            ["linkage", "--blocks", "all-equal", "--witness", "abcd", "--n", "2"]
+            + ["--hypotheses", "four-large", "--segments", "1,3"],
+            "--segments 1,3",
+        ),
+    ],
+    ids=[
+        "simulate-pda-corpus",
+        "runs-pda-corpus",
+        "linkage-segments",
+        "linkage-hypotheses-segments",
+    ],
+)
+def test_removed_flag_unrecognized(capsys, argv, unrecognized):
+    """--pda takes a corpus bundle itself, and linkage always checks both
+    segment pairs, so --corpus and --segments are no flags of islab."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {unrecognized}\n")
 
 
 @pytest.mark.parametrize(
@@ -1129,8 +1183,6 @@ class TestLinkage:
             "abcd",
             "--side",
             "1",
-            "--segments",
-            "1,3",
             "--n",
             "3",
         )

@@ -10,6 +10,8 @@ from islab.blocks import characterize, joint_to_json
 from islab.grammar import cfg_to_json
 from islab.pda import accepts, enumerate_language, pda_to_json
 
+from helpers import grammar_bundles, machine_items
+
 EXPECTED_BUNDLES = [
     "balanced-parens-grammar",
     "chained-equal-blocks",
@@ -45,10 +47,10 @@ class TestInventory:
             corpus.get("counter").machine("other")
 
     def test_machine_items_count(self):
-        assert len(corpus.machine_items()) == 14
+        assert len(machine_items()) == 14
 
     def test_grammar_bundles(self):
-        bundles = corpus.grammar_bundles()
+        bundles = grammar_bundles()
         assert len(bundles) == 5
         assert all(b.grammar is not None for b in bundles)
 

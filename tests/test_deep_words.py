@@ -46,7 +46,7 @@ def test_enumerate_runs_finds_the_one_run(shallow_recursion, bundle, word):
 
 def test_cli_runs_on_long_counter_word(shallow_recursion, capsys):
     word = "a" * 600 + "b" * 600
-    code = main(["runs", "--corpus", "counter", "--word", word, "--json"])
+    code = main(["runs", "--pda", "counter", "--word", word, "--json"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
     assert payload["count"] == 1

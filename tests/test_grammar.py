@@ -39,7 +39,7 @@ def derived_words(g: Cfg, max_len: int, budget: int = 400_000) -> set:
             if len(word) <= max_len:
                 words.add(word)
             continue
-        for body in g.bodies(form[idx]):
+        for body in (p.body for p in g.productions if p.head == form[idx]):
             new = form[:idx] + body + form[idx + 1 :]
             terminal_count = sum(1 for s in new if s in g.terminals)
             if terminal_count <= max_len and len(new) <= 4 * max_len + 8 and new not in seen:
@@ -120,7 +120,7 @@ class TestCnf:
             start="S",
         )
         cnf = to_cnf(g)
-        assert cnf.is_empty
+        assert not cnf.productions
         assert not cnf.derives_epsilon
         assert not cyk_membership(cnf, "a")
         assert not cyk_membership(cnf, "")

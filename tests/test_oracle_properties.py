@@ -20,7 +20,7 @@ from islab.grammar import Cfg, Production, cyk_membership, gnf_to_pda, to_cnf, t
 from islab.pda import LimitExceeded, enumerate_language
 from islab.pumping import INNER_PAIR, OUTER_PAIR, check_linkage
 
-from helpers import BUDGET, MUTUAL_RECURSION, joint_specs, words
+from helpers import BUDGET, MUTUAL_RECURSION, grammar_bundles, joint_specs, words
 
 MAX_LEN = 6
 NONTERMINALS = ("S", "A", "B", "C")
@@ -154,7 +154,7 @@ def stack_order(alphabet, max_len: int) -> list:
     return order
 
 
-@pytest.mark.parametrize("bundle", corpus.grammar_bundles(), ids=lambda b: b.name)
+@pytest.mark.parametrize("bundle", grammar_bundles(), ids=lambda b: b.name)
 def test_cyk_matches_generated_words_on_long_words(bundle):
     cnf = to_cnf(bundle.grammar)
     # charts up to 12 columns, where the random grammars above stop at 6
@@ -168,7 +168,7 @@ def test_cyk_matches_generated_words_on_long_words(bundle):
 
 
 def test_examples_cover_empty_grammar_and_nullable_start():
-    assert to_cnf(grammar(("S", "S"), ("S", "aA"), ("A", "Ab"))).is_empty
+    assert not to_cnf(grammar(("S", "S"), ("S", "aA"), ("A", "Ab"))).productions
     nullable = to_cnf(grammar(("S", ""), ("S", "aSb"), ("S", "SS")))
     assert nullable.derives_epsilon and cyk_membership(nullable, "")
 

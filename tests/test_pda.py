@@ -28,7 +28,7 @@ from islab.pda import (
 )
 from islab.products import BufferedProduct, DisplacementProduct
 
-from helpers import DELETE, edited
+from helpers import DELETE, edited, machine_items
 
 
 def counter() -> Pda:
@@ -155,7 +155,7 @@ class TestConstruction:
 
 class TestNormalForm:
     def test_corpus_machines_are_normal_form(self):
-        for bundle_name, machine_name, machine in corpus.machine_items():
+        for bundle_name, machine_name, machine in machine_items():
             assert validate_normal_form(machine) == [], (bundle_name, machine_name)
 
     def test_non_auxiliary_epsilon_flagged(self):
@@ -597,7 +597,7 @@ class TestEnumerateLanguage:
 
 class TestRunInvariants:
     def sample_runs(self):
-        for _, _, machine in corpus.machine_items():
+        for _, _, machine in machine_items():
             for word in sorted(enumerate_language(machine, 6)):
                 for run in enumerate_runs(machine, word, cap=10):
                     yield machine, word, run
@@ -626,7 +626,7 @@ class TestRunInvariants:
 
 class TestJson:
     def test_round_trip_all_corpus_machines(self):
-        for _, _, machine in corpus.machine_items():
+        for _, _, machine in machine_items():
             assert pda_from_json(pda_to_json(machine)) == machine
 
     def test_format_field_required(self):
