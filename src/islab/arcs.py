@@ -17,10 +17,18 @@ such as matchings of two different words, raise `PreconditionViolated`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .pda import DEFAULT_LIMITS, POP, PUSH, AcceptingRun, SearchLimits, enumerate_runs
+from .pda import (
+    DEFAULT_LIMITS,
+    POP,
+    PUSH,
+    AcceptingRun,
+    SearchLimits,
+    _set,
+    _Value,
+    enumerate_runs,
+)
 
 
 class UnbalancedRun(ValueError):
@@ -39,22 +47,18 @@ REGIME_GROWING_INNER = "growing-inner"
 REGIME_INCONCLUSIVE = "inconclusive"
 
 
-# Result records are named tuples, several times cheaper to define at
-# import than frozen dataclasses, which exec generated methods.  Arc stays
-# a dataclass because `crossing_pairs` reads its attributes in its inner
-# loop, where a named tuple's read is slower (3.11 does not specialise
-# tuple subclasses); SegmentDecomposition refuses bad cuts in its
-# constructor.
-@dataclass(frozen=True)
-class Arc:
+class Arc(_Value):
     """One matched push/pop pair.  push_pos <= pop_pos, both 1-based.
     push_ordinal is 1 for the first push at that position, 2 for an
     auxiliary second push."""
 
-    push_pos: int
-    pop_pos: int
-    owner: int = 1
-    push_ordinal: int = 1
+    _fields = ("push_pos", "pop_pos", "owner", "push_ordinal")
+
+    def __init__(self, push_pos: int, pop_pos: int, owner: int = 1, push_ordinal: int = 1):
+        _set(self, "push_pos", push_pos)
+        _set(self, "pop_pos", pop_pos)
+        _set(self, "owner", owner)
+        _set(self, "push_ordinal", push_ordinal)
 
     def positions(self) -> tuple[int, int]:
         return (self.push_pos, self.pop_pos)
@@ -143,20 +147,20 @@ class CrossingPair(NamedTuple):
         return self.second.pop_pos
 
 
-@dataclass(frozen=True)
-class SegmentDecomposition:
+class SegmentDecomposition(_Value):
     """The four-way split a crossing pair induces on its word:
     P1 = w[1..i], P2 = w[i+1..i'], P3 = w[i'+1..j], P4 = w[j+1..|w|].
 
     Cuts outside 0 <= i <= i' <= j <= word_len raise ValueError."""
 
-    word_len: int
-    i: int
-    i_prime: int
-    j: int
+    _fields = ("word_len", "i", "i_prime", "j")
 
-    def __post_init__(self):
-        if not 0 <= self.i <= self.i_prime <= self.j <= self.word_len:
+    def __init__(self, word_len: int, i: int, i_prime: int, j: int):
+        _set(self, "word_len", word_len)
+        _set(self, "i", i)
+        _set(self, "i_prime", i_prime)
+        _set(self, "j", j)
+        if not 0 <= i <= i_prime <= j <= word_len:
             raise ValueError(f"cuts {self.cuts()} out of order for word length {self.word_len}")
 
     def intervals(self, word: str | None = None) -> tuple:

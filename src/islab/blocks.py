@@ -15,13 +15,21 @@ go through one block scan, `BlockSpec._meets`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, product
 from typing import NamedTuple
 
 from .arcs import Arc, SegmentDecomposition, crosses, is_well_nested
-from .pda import FINAL_STATE_BOTTOM_ONLY, JsonFields, Pda, StackAction, Transition, check_length_bound
+from .pda import (
+    FINAL_STATE_BOTTOM_ONLY,
+    JsonFields,
+    Pda,
+    StackAction,
+    Transition,
+    _set,
+    _Value,
+    check_length_bound,
+)
 
 BLOCKS_FORMAT = "blocks-v1"
 
@@ -34,12 +42,7 @@ class NoCrossing(ValueError):
     a shared-endpoint one (or none at all)."""
 
 
-# Result records are named tuples, several times cheaper to define at
-# import than frozen dataclasses, which exec generated methods; BlockSpec
-# and JointSpec stay dataclasses because they normalise their fields in
-# __post_init__ and keep cached tables.
-@dataclass(frozen=True)
-class BlockSpec:
+class BlockSpec(_Value):
     """One machine's view: block alphabets plus equal-length constraints.
 
     Constraints are pairs (l, r) of 1-based block indices with l < r; they
@@ -53,16 +56,11 @@ class BlockSpec:
     block-shaped.
     """
 
-    alphabets: tuple
-    constraints: tuple
+    _fields = ("alphabets", "constraints")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "alphabets", tuple(frozenset(a) for a in self.alphabets)
-        )
-        object.__setattr__(
-            self, "constraints", tuple(sorted(set(tuple(c) for c in self.constraints)))
-        )
+    def __init__(self, alphabets: tuple, constraints: tuple):
+        _set(self, "alphabets", tuple(frozenset(a) for a in alphabets))
+        _set(self, "constraints", tuple(sorted(set(tuple(c) for c in constraints))))
         if not self.alphabets:
             raise ValueError("at least one block is required")
         seen: set = set()
@@ -137,8 +135,7 @@ class Verdict(NamedTuple):
         return "CFL" if self.is_cfl else "NotCFL"
 
 
-@dataclass(frozen=True)
-class JointSpec:
+class JointSpec(_Value):
     """Two constraint sets over one shared block structure.
 
     Both sides, the classes of the blocks that c1 and c2 together force to
@@ -148,25 +145,23 @@ class JointSpec:
     call.
     """
 
-    alphabets: tuple
-    c1: tuple
-    c2: tuple
+    _fields = ("alphabets", "c1", "c2")
 
-    def __post_init__(self):
-        first = BlockSpec(self.alphabets, self.c1)
-        second = BlockSpec(self.alphabets, self.c2)
-        object.__setattr__(self, "alphabets", first.alphabets)
-        object.__setattr__(self, "c1", first.constraints)
-        object.__setattr__(self, "c2", second.constraints)
+    def __init__(self, alphabets: tuple, c1: tuple, c2: tuple):
+        first = BlockSpec(alphabets, c1)
+        second = BlockSpec(alphabets, c2)
+        _set(self, "alphabets", first.alphabets)
+        _set(self, "c1", first.constraints)
+        _set(self, "c2", second.constraints)
         pairs = self.c1 + self.c2
         classes = list(range(self.k))  # union-find by relabelling: each block's class
         for l, r in pairs:
             old, new = classes[l - 1], classes[r - 1]
             classes = [new if c == old else c for c in classes]
         # not fields: per instance, and left out of equality and repr
-        object.__setattr__(self, "_sides", (first, second))
-        object.__setattr__(self, "_classes", tuple(classes))
-        object.__setattr__(self, "_pairs", pairs)
+        _set(self, "_sides", (first, second))
+        _set(self, "_classes", tuple(classes))
+        _set(self, "_pairs", pairs)
 
     @property
     def k(self) -> int:

@@ -134,6 +134,8 @@ def _load_pair(args):
                     f"{path} is not in normal form: " + "; ".join(diagnostics)
                 )
         return machines[0], machines[1], None
+    if _names_file(args.pair):
+        raise CliError(f"--pair takes FILE1,FILE2 or a bundle name, not one file {args.pair}")
     bundle = corpus.get(args.pair)
     first, second = bundle.pair()
     return first, second, bundle
@@ -318,9 +320,12 @@ def _cmd_crossings(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    refusal = CliError("classify needs a corpus bundle with a word family")
+    if "," in args.pair:
+        raise refusal
     first, second, bundle = _load_pair(args)
-    if bundle is None or bundle.family is None:
-        raise CliError("classify needs a corpus bundle with a word family")
+    if bundle.family is None:
+        raise refusal
     sizes = _parse_sizes(args.sizes)
     limits = _limits(args)
     samples = []

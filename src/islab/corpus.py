@@ -8,11 +8,9 @@ exposed as callables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .blocks import JointSpec, build_block_pda
 from .grammar import Cfg, Production
-from .pda import Pda, StackAction, Transition
+from .pda import Pda, StackAction, Transition, _set, _Value
 
 MACHINE = "machine"
 MACHINE_PAIR = "machine-pair"
@@ -20,22 +18,35 @@ BLOCKS = "blocks"
 GRAMMAR = "grammar"
 
 
-# ExampleBundle stays a dataclass, not a named tuple, for its dict fields
-# that take no part in comparison.
-@dataclass(frozen=True)
-class ExampleBundle:
+class ExampleBundle(_Value):
     """A named set of examples: one machine, a machine pair, a joint block
     specification or a grammar, with a description, an optional word
     family `family(n)` and the analysis results expected of them.  Two
-    bundles compare by name, description, joint spec and grammar only."""
+    bundles compare by name, description, joint spec and grammar only;
+    `machines` and `expected` default to fresh empty dicts."""
 
-    name: str
-    description: str
-    machines: dict = field(default_factory=dict, compare=False)
-    joint: JointSpec | None = None
-    grammar: Cfg | None = None
-    family: object = field(default=None, compare=False)
-    expected: dict = field(default_factory=dict, compare=False)
+    _fields = ("name", "description", "machines", "joint", "grammar", "family", "expected")
+
+    def __init__(
+        self,
+        name: str,
+        description: str,
+        machines: dict | None = None,
+        joint: JointSpec | None = None,
+        grammar: Cfg | None = None,
+        family: object = None,
+        expected: dict | None = None,
+    ):
+        _set(self, "name", name)
+        _set(self, "description", description)
+        _set(self, "machines", {} if machines is None else machines)
+        _set(self, "joint", joint)
+        _set(self, "grammar", grammar)
+        _set(self, "family", family)
+        _set(self, "expected", {} if expected is None else expected)
+
+    def _key(self) -> tuple:
+        return (self.name, self.description, self.joint, self.grammar)
 
     def machine(self, name: str) -> Pda:
         if name not in self.machines:

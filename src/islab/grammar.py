@@ -14,7 +14,6 @@ the rest of the pipeline is checked against.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product
 from typing import NamedTuple
@@ -25,6 +24,8 @@ from .pda import (
     Pda,
     StackAction,
     Transition,
+    _set,
+    _Value,
     check_length_bound,
 )
 
@@ -39,29 +40,22 @@ class Production(NamedTuple):
         return (self.head, len(self.body), self.body)
 
 
-# Production is a named tuple, several times cheaper to define at import
-# than a frozen dataclass, which execs generated methods; the grammars
-# stay dataclasses because they normalise their fields in __post_init__
-# and keep cached tables.
-@dataclass(frozen=True)
-class Cfg:
+class Cfg(_Value):
     """A context-free grammar over single-character terminals.  The
     symbol sets become frozensets, and the productions are deduplicated
     and sorted at construction; a start symbol that is not a nonterminal,
     overlapping symbol sets or an undeclared body symbol raise
     ValueError."""
 
-    nonterminals: frozenset
-    terminals: frozenset
-    productions: tuple
-    start: str
+    _fields = ("nonterminals", "terminals", "productions", "start")
 
-    def __post_init__(self):
-        object.__setattr__(self, "nonterminals", frozenset(self.nonterminals))
-        object.__setattr__(self, "terminals", frozenset(self.terminals))
-        object.__setattr__(
-            self, "productions", tuple(sorted(set(self.productions), key=Production.sort_key))
-        )
+    def __init__(
+        self, nonterminals: frozenset, terminals: frozenset, productions: tuple, start: str
+    ):
+        _set(self, "nonterminals", frozenset(nonterminals))
+        _set(self, "terminals", frozenset(terminals))
+        _set(self, "productions", tuple(sorted(set(productions), key=Production.sort_key)))
+        _set(self, "start", start)
         if self.start not in self.nonterminals:
             raise ValueError(f"start symbol {self.start!r} not a nonterminal")
         if self.nonterminals & self.terminals:
@@ -81,7 +75,6 @@ class Cfg:
         pass
 
 
-@dataclass(frozen=True)
 class CnfGrammar(Cfg):
     """Bodies are a single terminal or two nonterminals; an empty body is
     allowed only for the start symbol, which never appears on a right side.
@@ -185,12 +178,22 @@ class _CykIndex(dict):
         return heads
 
 
-@dataclass(frozen=True)
 class GnfGrammar(Cfg):
     """Every body is a terminal followed by at most two nonterminals.  The
     empty word is carried by the derives_epsilon flag instead of a body."""
 
-    derives_epsilon: bool = False
+    _fields = Cfg._fields + ("derives_epsilon",)
+
+    def __init__(
+        self,
+        nonterminals: frozenset,
+        terminals: frozenset,
+        productions: tuple,
+        start: str,
+        derives_epsilon: bool = False,
+    ):
+        _set(self, "derives_epsilon", derives_epsilon)
+        super().__init__(nonterminals, terminals, productions, start)
 
     def _shape_check(self) -> None:
         for p in self.productions:

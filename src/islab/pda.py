@@ -61,10 +61,10 @@ that products follow without being normal-form themselves:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from math import isfinite
+from operator import attrgetter
 from threading import Lock
 from typing import Hashable, NamedTuple
 
@@ -93,18 +93,70 @@ class LimitExceeded(Exception):
     """
 
 
-# Value records are named tuples: a frozen dataclass generates and execs its
-# methods at every import.  StackAction and Transition stay dataclasses
-# because the engine reads their attributes in its inner loop, where a named
-# tuple's attribute read costs about 2.5 times as much (3.11 does not
-# specialise tuple subclasses); Pda normalises its fields in __post_init__
-# and keeps cached tables.
-@dataclass(frozen=True)
-class StackAction:
+_set = object.__setattr__  # how a `_Value` sets its fields in `__init__`
+
+
+class _Value:
+    """An immutable public class that is not a named tuple: it names its
+    fields in `_fields` and sets each in `__init__` through `_set`.
+
+    It compares and hashes by value over `_key()`, every field unless the
+    class says otherwise, prints as `Name(field=value, ...)` and raises
+    AttributeError on assignment and deletion.  `_replace(**changes)`
+    builds a changed copy through `__init__`, which normalises and checks
+    it again.  Instances keep a `__dict__`: `cached_property` writes its
+    tables there, and copy and pickle restore it directly.
+
+    Not a dataclass: `dataclasses` imports `inspect`, and a dataclass
+    generates and execs its methods at every import.  Not a named tuple
+    where the engine or `crossing_pairs` reads the fields in an inner
+    loop: 3.11 does not specialise attribute reads on tuple subclasses,
+    which cost about 2.5 times as much.
+    """
+
+    _fields: tuple = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the field values in one call, and the repr's format: what a
+        # dataclass would generate, built without exec
+        names = cls._fields
+        get = attrgetter(*names)
+        cls._values = staticmethod(get if len(names) > 1 else lambda value: (get(value),))
+        cls._format = f"{cls.__qualname__}({', '.join(name + '=%r' for name in names)})"
+
+    def _key(self) -> tuple:
+        return self._values(self)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return self._format % self._values(self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _replace(self, **changes):
+        return type(self)(**dict(zip(self._fields, self._values(self)), **changes))
+
+
+class StackAction(_Value):
     """A single stack operation: push one symbol, pop one symbol, or nothing."""
 
-    kind: str
-    symbol: str | None = None
+    _fields = ("kind", "symbol")
+
+    def __init__(self, kind: str, symbol: str | None = None):
+        _set(self, "kind", kind)
+        _set(self, "symbol", symbol)
 
     @classmethod
     def push(cls, symbol: str) -> "StackAction":
@@ -124,18 +176,27 @@ class StackAction:
         return f"{self.kind} {self.symbol}"
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(_Value):
     """One move of a machine: from `source`, read one input symbol (`read`)
     or none (EPSILON), apply `action` to the stack and enter `target`.
     `auxiliary` marks the epsilon second push that normal form chains
     directly after a pushing read."""
 
-    source: Hashable
-    read: str | None
-    action: StackAction
-    target: Hashable
-    auxiliary: bool = False
+    _fields = ("source", "read", "action", "target", "auxiliary")
+
+    def __init__(
+        self,
+        source: Hashable,
+        read: str | None,
+        action: StackAction,
+        target: Hashable,
+        auxiliary: bool = False,
+    ):
+        _set(self, "source", source)
+        _set(self, "read", read)
+        _set(self, "action", action)
+        _set(self, "target", target)
+        _set(self, "auxiliary", auxiliary)
 
     def describe(self) -> str:
         read = self.read if self.read is not None else "eps"
@@ -201,8 +262,7 @@ def check_length_bound(max_len: int) -> None:
 _NO_PATH = float("-inf")  # a depth-table entry that no control path reaches
 
 
-@dataclass(frozen=True)
-class Pda:
+class Pda(_Value):
     """An explicit pushdown machine over single-character input symbols.
 
     Transitions are canonically sorted at construction (by source, read,
@@ -211,23 +271,30 @@ class Pda:
     transition listed twice is kept once, as a production is in `Cfg`.
     """
 
-    states: frozenset
-    input_alphabet: frozenset
-    stack_alphabet: frozenset
-    transitions: tuple
-    start: str
-    bottom: str
-    accept: frozenset
-    acceptance_mode: str = FINAL_STATE_BOTTOM_ONLY
+    _fields = (
+        "states", "input_alphabet", "stack_alphabet", "transitions",
+        "start", "bottom", "accept", "acceptance_mode",
+    )
 
-    def __post_init__(self):
-        object.__setattr__(self, "states", frozenset(self.states))
-        object.__setattr__(self, "input_alphabet", frozenset(self.input_alphabet))
-        object.__setattr__(self, "stack_alphabet", frozenset(self.stack_alphabet))
-        object.__setattr__(self, "accept", frozenset(self.accept))
-        object.__setattr__(
-            self, "transitions", tuple(sorted(set(self.transitions), key=Transition.sort_key))
-        )
+    def __init__(
+        self,
+        states: frozenset,
+        input_alphabet: frozenset,
+        stack_alphabet: frozenset,
+        transitions: tuple,
+        start: str,
+        bottom: str,
+        accept: frozenset,
+        acceptance_mode: str = FINAL_STATE_BOTTOM_ONLY,
+    ):
+        _set(self, "states", frozenset(states))
+        _set(self, "input_alphabet", frozenset(input_alphabet))
+        _set(self, "stack_alphabet", frozenset(stack_alphabet))
+        _set(self, "transitions", tuple(sorted(set(transitions), key=Transition.sort_key)))
+        _set(self, "start", start)
+        _set(self, "bottom", bottom)
+        _set(self, "accept", frozenset(accept))
+        _set(self, "acceptance_mode", acceptance_mode)
         self._check()
 
     def _check(self) -> None:

@@ -29,8 +29,6 @@ two products compare unequal, and a copy or pickle of a state is a new one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .arcs import UnbalancedRun
 from .pda import (
     AcceptingRun,
@@ -46,6 +44,8 @@ from .pda import (
     StackAction,
     Transition,
     _Search,
+    _set,
+    _Value,
     check_length_bound,
     limit_exceeded,
     pda_to_json,
@@ -62,19 +62,21 @@ def _describe_entry(entry) -> str:
     return f"{entry[0]}:{entry[1]}"
 
 
-# The composite states stay dataclasses, not named tuples, because they
-# compare by identity: a tuple subclass compares and hashes by value.
-@dataclass(frozen=True, eq=False)
-class DisplacedState:
+class DisplacedState(_Value):
     """Composite control: both machine states, the queue of stack
     operations still owed for the current position, and the foreign
     entries currently lifted aside mid-pop.  Compared and hashed by
     identity: two products, a copy or a pickle give unequal states."""
 
-    q1: object
-    q2: object
-    queue: tuple = ()
-    displaced: tuple = ()
+    _fields = ("q1", "q2", "queue", "displaced")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, q1, q2, queue: tuple = (), displaced: tuple = ()):
+        _set(self, "q1", q1)
+        _set(self, "q2", q2)
+        _set(self, "queue", queue)
+        _set(self, "displaced", displaced)
 
     @property
     def is_sync(self) -> bool:
@@ -86,17 +88,21 @@ class DisplacedState:
         return f"[{self.q1}|{self.q2}|ops {ops}|held {held}]"
 
 
-@dataclass(frozen=True, eq=False)
-class BufferedState:
+class BufferedState(_Value):
     """Composite control for the buffered product; closing marks the
     pending end-of-position countdown step.  Compared and hashed by
     identity, as `DisplacedState` is."""
 
-    q1: object
-    q2: object
-    queue: tuple = ()
-    buffer: tuple = ()
-    closing: bool = False
+    _fields = ("q1", "q2", "queue", "buffer", "closing")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, q1, q2, queue: tuple = (), buffer: tuple = (), closing: bool = False):
+        _set(self, "q1", q1)
+        _set(self, "q2", q2)
+        _set(self, "queue", queue)
+        _set(self, "buffer", buffer)
+        _set(self, "closing", closing)
 
     @property
     def is_sync(self) -> bool:

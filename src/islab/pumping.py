@@ -13,10 +13,10 @@ the pair is decided in `check_linkage` alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .arcs import SegmentDecomposition
+from .pda import _set, _Value
 
 FOUR_LARGE = "four-large"
 INNER_GROWING = "inner-growing"
@@ -25,21 +25,18 @@ OUTER_PAIR = (1, 3)
 INNER_PAIR = (2, 4)
 
 
-# Result records are named tuples, several times cheaper to define at
-# import than frozen dataclasses, which exec generated methods;
-# Factorization stays a dataclass because its constructor refuses bad cuts.
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(_Value):
     """u v x y z = w[:a], w[a:b], w[b:c], w[c:d], w[d:] for cuts (a, b, c, d).
     Cuts outside 0 <= a <= b <= c <= d raise ValueError, and so does a word
     shorter than d given to `parts` or `pumped`."""
 
-    cuts: tuple
+    _fields = ("cuts",)
 
-    def __post_init__(self):
-        a, b, c, d = self.cuts
+    def __init__(self, cuts: tuple):
+        _set(self, "cuts", cuts)
+        a, b, c, d = cuts
         if not 0 <= a <= b <= c <= d:
-            raise ValueError(f"cuts {self.cuts} out of order")
+            raise ValueError(f"cuts {cuts} out of order")
 
     def parts(self, word: str) -> tuple:
         a, b, c, d = self.cuts

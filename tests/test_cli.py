@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -186,6 +185,15 @@ class TestRuns:
 
 
 class TestCrossings:
+    @pytest.mark.parametrize("name", ["counter.pda.json", "counter"])
+    def test_one_machine_file_refused(self, capsys, tmp_path, name):
+        """A --pair value without a comma that names a file is refused as
+        one file, not looked up as a bundle."""
+        path = write_machine(tmp_path, corpus.get("counter").machine("counter"), name)
+        code, out, err = run_cli(capsys, "crossings", "--pair", path, "--word", "ab")
+        assert (code, out) == (2, "")
+        assert err == f"error: --pair takes FILE1,FILE2 or a bundle name, not one file {path}\n"
+
     def test_refutation_family_n3(self, capsys):
         code, out, _ = run_cli(
             capsys, "crossings", "--pair", "gap-refutation", "--n", "3"
@@ -470,6 +478,15 @@ def test_negative_size_rejected(capsys, command):
 
 
 class TestClassify:
+    def test_file_pair_refused_before_either_file_is_read(self, capsys, tmp_path):
+        path = write_machine(tmp_path, corpus.get("counter").machine("counter"))
+        missing = tmp_path / "missing.json"
+        code, out, err = run_cli(
+            capsys, "classify", "--pair", f"{path},{missing}", "--sizes", "1,2"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: classify needs a corpus bundle with a word family\n"
+
     def test_bounded_gap(self, capsys):
         code, out, _ = run_cli(
             capsys, "classify", "--pair", "interleaved-palindrome", "--sizes", "2,3,4"
@@ -706,7 +723,7 @@ class TestConstruct:
         counter = corpus.get("counter").machine("counter")
         first = write_machine(tmp_path, counter, "first.json")
         second = write_machine(
-            tmp_path, replace(counter, acceptance_mode=FINAL_STATE), "second.json"
+            tmp_path, counter._replace(acceptance_mode=FINAL_STATE), "second.json"
         )
         code, out, err = run_cli(
             capsys,

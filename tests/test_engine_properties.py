@@ -12,7 +12,6 @@ import random
 import re
 import sys
 import threading
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, reject, settings
@@ -134,7 +133,7 @@ def test_accepts_matches_reference_and_lists_first_run(machine):
     and its witness is the first run `enumerate_runs` lists."""
     try:
         for mode in ACCEPTANCE_MODES:
-            moded = replace(machine, acceptance_mode=mode)
+            moded = machine._replace(acceptance_mode=mode)
             for word in words(moded.input_alphabet, MAX_LEN):
                 ok, witness = accepts(moded, word, BUDGET)
                 assert ok == reference_accepts(moded, word), (mode, word)
@@ -345,7 +344,7 @@ def test_live_depths_match_the_column_by_column_reference(machine, order):
     in both acceptance modes and at every length 0-40: at length n, the
     last n + 1 positions of the reference at 40."""
     for mode in ACCEPTANCE_MODES:
-        moded = replace(machine, acceptance_mode=mode)
+        moded = machine._replace(acceptance_mode=mode)
         reference = reference_live_depths(moded, 40)
         for input_len in order:
             expected = None
@@ -362,7 +361,7 @@ def test_live_rows_repeat_beside_states_that_reach_no_pop(machine):
     repeat, so the rows of the others, 581 entries long, are filled from a
     period found within the first 10 columns: one that grows, or, when the
     others stop growing, a column equal to the one before."""
-    machine = replace(machine)  # no rows grown yet
+    machine = machine._replace()  # no rows grown yet
     machine.live_depths(580)
     no_pop, rows = machine._live_rows
     assert no_pop
@@ -433,7 +432,7 @@ def test_floor_depths_match_the_column_by_column_reference(machine, order):
     is asked its lengths, the floor table is the one computed column by
     column, in both acceptance modes and at every length 0-40."""
     for mode in ACCEPTANCE_MODES:
-        moded = replace(machine, acceptance_mode=mode)
+        moded = machine._replace(acceptance_mode=mode)
         for input_len in order:
             expected = reference_floor_depths(moded, input_len)
             assert moded.floor_depths(input_len) == expected, (mode, input_len)
@@ -445,7 +444,7 @@ def test_tables_grown_from_threads_match_the_reference(machine):
     switching between lines, each get the live and floor tables computed
     column by column: at length n, the last n + 1 positions of the
     reference at the longest length."""
-    machine = replace(machine)  # no rows grown yet
+    machine = machine._replace()  # no rows grown yet
     longest = 119
     lengths = list(range(longest + 1))
     random.Random(0).shuffle(lengths)
@@ -502,7 +501,7 @@ def test_accepting_runs_keep_within_floor_and_live_depths(machine):
     floor depth and no deeper than its live depth."""
     try:
         for mode in ACCEPTANCE_MODES:
-            moded = replace(machine, acceptance_mode=mode)
+            moded = machine._replace(acceptance_mode=mode)
             for word in words(moded.input_alphabet, MAX_LEN):
                 live = moded.live_depths(len(word))
                 floor = moded.floor_depths(len(word))
@@ -541,7 +540,7 @@ def test_floor_depths_change_no_answer(machine):
     word up to length 5 in both acceptance modes."""
     try:
         for mode in ACCEPTANCE_MODES:
-            moded = replace(machine, acceptance_mode=mode)
+            moded = machine._replace(acceptance_mode=mode)
             for word in words(moded.input_alphabet, MAX_LEN):
                 for search in (
                     lambda m: accepts(m, word, BUDGET),

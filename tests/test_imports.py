@@ -1,9 +1,12 @@
-"""Every name a library module imports is used there or re-exported, and
-only the classes that need it are dataclasses: the value records are
-immutable named tuples, which cost less to define at start-up."""
+"""Every name a library module imports is used there or re-exported, the
+start-up imports no `dataclasses`, and the value records are immutable
+named tuples, which cost less to define at start-up."""
 
 import ast
 import importlib
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,22 +42,42 @@ def test_no_unused_import(path):
     assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
-# A frozen dataclass generates its methods as source and execs them at
-# every import, which byte-code caching cannot keep: a four-field class
-# took 0.58 ms to define against 0.08 ms as a named tuple (Python 3.11,
-# best of seven timeit runs), and 32 dataclasses took 31 of the 44 ms of
-# `import islab, islab.corpus, islab.cli` (median of seven fresh
-# interpreters, timed inside `dataclasses._process_class`); the 14 kept
-# take 14 of 32 ms.  Each class kept says why in a comment in its module.
-KEPT_DATACLASSES = {
-    "islab.arcs": {"Arc", "SegmentDecomposition"},
-    "islab.blocks": {"BlockSpec", "JointSpec"},
-    "islab.corpus": {"ExampleBundle"},
-    "islab.grammar": {"Cfg", "CnfGrammar", "GnfGrammar"},
-    "islab.pda": {"Pda", "StackAction", "Transition"},
-    "islab.products": {"BufferedState", "DisplacedState"},
-    "islab.pumping": {"Factorization"},
-}
+# `import islab, islab.corpus, islab.cli` is the start-up of every command.
+# Importing `dataclasses` pulls in `inspect`, `ast`, `dis` and `tokenize`,
+# and each dataclass generates and execs its methods at every import,
+# which byte-code caching cannot keep.  With 14 frozen dataclasses the
+# import took 49-50 ms, of which 12 ms imported `dataclasses` and 17 ms
+# generated methods; as `pda._Value` classes it takes 19-22 ms (Python
+# 3.11, 2-core VM, medians of twelve fresh `python -I` interpreters).
+STARTUP = """
+import json, sys
+before = set(sys.modules)
+import islab, islab.corpus, islab.cli
+print(json.dumps({
+    "added": sorted({"dataclasses", "inspect"} & (set(sys.modules) - before)),
+    "dataclasses": sorted(
+        f"{name}.{value.__name__}"
+        for name, module in sys.modules.items()
+        if name.split(".")[0] == "islab"
+        for value in vars(module).values()
+        if isinstance(value, type) and "__dataclass_fields__" in vars(value)
+    ),
+}))
+"""
+
+
+def test_startup_imports_no_dataclasses():
+    src = str(Path(islab.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", f"import sys; sys.path.insert(0, {src!r})\n{STARTUP}"],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert json.loads(done.stdout) == {"added": [], "dataclasses": []}, (
+        "`dataclasses` imports `inspect`, and a dataclass execs its generated "
+        "methods at each import: together they took most of the start-up of "
+        "every command; derive an immutable class from `pda._Value` instead"
+    )
+
 
 RECORDS = {
     "islab.arcs": [
@@ -66,26 +89,6 @@ RECORDS = {
     "islab.pda": ["AcceptingRun", "Configuration", "RunStep", "SearchLimits"],
     "islab.pumping": ["Counterexample", "HypothesesReport", "LinkageReport"],
 }
-
-
-def test_only_the_kept_classes_are_dataclasses():
-    found = {}
-    for path in SOURCES:
-        module = importlib.import_module(f"islab.{path.stem}")
-        names = {
-            name
-            for name, value in vars(module).items()
-            if isinstance(value, type)
-            and value.__module__ == module.__name__
-            and "__dataclass_fields__" in vars(value)
-        }
-        if names:
-            found[module.__name__] = names
-    assert found == KEPT_DATACLASSES, (
-        "every frozen dataclass execs its generated methods at each import, "
-        "adding about half a millisecond to the start-up of every command; make "
-        "a value record a NamedTuple, or say in its module why it stays a dataclass"
-    )
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,6 @@
 import itertools
 import json
 import re
-from dataclasses import replace
 
 import pytest
 
@@ -422,7 +421,7 @@ class TestFloorDepths:
         assert counter().floor_depths(2) == {"p": [1, 1, 1], "q": [3, 2, 1]}
 
     def test_final_state_machine_has_none(self):
-        machine = replace(counter(), acceptance_mode=FINAL_STATE)
+        machine = counter()._replace(acceptance_mode=FINAL_STATE)
         assert machine.floor_depths(3) is None
         assert accepts(machine, "aab")[0]
 
@@ -469,7 +468,7 @@ class TestFloorDepths:
 
     def test_unreachable_acceptance_floors_at_infinity(self):
         # q only pops and does not accept: no stack there can accept
-        machine = replace(counter(), accept={"p"})
+        machine = counter()._replace(accept={"p"})
         assert machine.floor_depths(2)["q"] == [float("inf")] * 3
 
     def test_rejected_doubler_word_dies_at_its_first_pop(self):
@@ -544,7 +543,7 @@ class TestEnumerateLanguage:
 
     @pytest.mark.parametrize("mode", [FINAL_STATE_BOTTOM_ONLY, FINAL_STATE])
     def test_negative_bound_refused(self, mode):
-        machine = replace(counter(), acceptance_mode=mode)
+        machine = counter()._replace(acceptance_mode=mode)
         message = "length bound must be nonnegative, got -1"
         with pytest.raises(ValueError, match=re.escape(message)):
             enumerate_language(machine, -1)

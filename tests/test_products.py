@@ -5,7 +5,6 @@ import re
 import sys
 import threading
 import weakref
-from dataclasses import fields, replace
 from functools import partial
 
 import pytest
@@ -58,7 +57,7 @@ def crossing_counters():
 
 
 def final_state_copy(machine):
-    return replace(machine, acceptance_mode=FINAL_STATE)
+    return machine._replace(acceptance_mode=FINAL_STATE)
 
 
 def abcdef_machine(ops: dict, acceptance_mode: str) -> Pda:
@@ -104,7 +103,7 @@ def doctored(run, index: int, read: str, change):
     steps = list(run.steps)
     at = [i for i, s in enumerate(steps) if s.transition.read is not None][index]
     t = steps[at].transition
-    t = replace(t, read=read, target=replace(t.target, queue=change(t.target.queue)))
+    t = t._replace(read=read, target=t.target._replace(queue=change(t.target.queue)))
     steps[at] = steps[at]._replace(transition=t)
     return run._replace(steps=tuple(steps))
 
@@ -430,7 +429,7 @@ def refreshed(state):
     """The fields of `state`, each tuple rebuilt as an equal new object."""
     return [
         tuple(list(value)) if isinstance(value, tuple) else value
-        for value in (getattr(state, field.name) for field in fields(state))
+        for value in (getattr(state, name) for name in state._fields)
     ]
 
 
@@ -717,7 +716,7 @@ class TestFragmentExport:
             bottom="$",
             accept={"p1"},
         )
-        even = replace(odd, accept={"p0"})
+        even = odd._replace(accept={"p0"})
         for product in (DisplacementProduct(odd, even, 1), BufferedProduct(odd, even, 1)):
             frag = fragment_to_json(product, 4)
             assert (frag["states"], frag["transitions"], frag["accept"]) == (["c0"], [], [])
