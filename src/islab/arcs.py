@@ -20,11 +20,10 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .pda import (
-    DEFAULT_LIMITS,
+    MAX_CONFIGS,
     POP,
     PUSH,
     AcceptingRun,
-    SearchLimits,
     _set,
     _Value,
     enumerate_runs,
@@ -248,7 +247,7 @@ def analyze_pair(
     machine_2,
     word: str,
     runs_cap: int = 1,
-    limits: SearchLimits = DEFAULT_LIMITS,
+    max_configs: int = MAX_CONFIGS,
 ) -> list[PairAnalysis]:
     """Overlay matchings of two machines on one word.
 
@@ -260,8 +259,8 @@ def analyze_pair(
     check_runs_cap(runs_cap)
     return analyze_runs(
         word,
-        enumerate_runs(machine_1, word, cap=runs_cap, limits=limits),
-        enumerate_runs(machine_2, word, cap=runs_cap, limits=limits),
+        enumerate_runs(machine_1, word, cap=runs_cap, max_configs=max_configs),
+        enumerate_runs(machine_2, word, cap=runs_cap, max_configs=max_configs),
     )
 
 

@@ -37,8 +37,8 @@ from .blocks import (
 from .diagrams import render_pair_analysis
 from .grammar import cfg_from_json, cfg_to_json, gnf_to_pda, to_cnf, to_gnf
 from .pda import (
+    MAX_CONFIGS,
     LimitExceeded,
-    SearchLimits,
     accepts,
     enumerate_language,
     enumerate_runs,
@@ -160,10 +160,9 @@ def _load_document(value: str, kind: str):
     return document
 
 
-def _limits(args) -> SearchLimits:
-    """The budget of --max-expand, which only the searching subcommands take."""
-    cap = args.max_expand
-    return SearchLimits() if cap is None else SearchLimits(max_configs=cap)
+def _budget(args) -> int:
+    """--max-expand, which only the searching subcommands take, or the default."""
+    return MAX_CONFIGS if args.max_expand is None else args.max_expand
 
 
 def _nonnegative_int(raw: str) -> int:
@@ -218,7 +217,7 @@ def _run_payload(run) -> list:
 def _cmd_simulate(args) -> int:
     machine = _load_machine(args)
     word = args.word if args.word is not None else ""
-    ok, run = accepts(machine, word, _limits(args))
+    ok, run = accepts(machine, word, _budget(args))
     payload = {
         "command": "simulate",
         "word": word,
@@ -236,7 +235,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_runs(args) -> int:
     machine = _load_machine(args)
     word = args.word if args.word is not None else ""
-    runs = enumerate_runs(machine, word, cap=args.runs_cap, limits=_limits(args))
+    runs = enumerate_runs(machine, word, cap=args.runs_cap, max_configs=_budget(args))
     payload = {
         "command": "runs",
         "word": word,
@@ -278,9 +277,9 @@ def _cmd_crossings(args) -> int:
             raise CliError("--n needs a corpus bundle with a word family")
         word = bundle.family(args.n)
     check_runs_cap(args.runs_cap)  # analyze_pair's refusal, made before any search
-    limits = _limits(args)
+    budget = _budget(args)
     runs = [
-        enumerate_runs(machine, word, cap=args.runs_cap, limits=limits)
+        enumerate_runs(machine, word, cap=args.runs_cap, max_configs=budget)
         for machine in (first, second)
     ]
     rejected = [tag for tag, found in enumerate(runs, start=1) if not found]
@@ -327,11 +326,11 @@ def _cmd_classify(args) -> int:
     if bundle.family is None:
         raise refusal
     sizes = _parse_sizes(args.sizes)
-    limits = _limits(args)
+    budget = _budget(args)
     samples = []
     for n in sizes:
         word = bundle.family(n)
-        analyses = analyze_pair(first, second, word, limits=limits)
+        analyses = analyze_pair(first, second, word, max_configs=budget)
         measures = [c.measures for c in analyses[0].crossings] if analyses else []
         samples.append((word, measures))
     report = classify_family(samples)
@@ -478,10 +477,10 @@ def _construction(args) -> tuple:
         product = DisplacementProduct(first, second, args.k)
     else:
         product = BufferedProduct(first, second, args.d)
-    limits = _limits(args)
+    budget = _budget(args)
 
     def oracle(n):
-        return enumerate_language(first, n, limits) & enumerate_language(second, n, limits)
+        return enumerate_language(first, n, budget) & enumerate_language(second, n, budget)
 
     return product, oracle, f"{kind} product vs component intersection"
 
@@ -489,7 +488,7 @@ def _construction(args) -> tuple:
 def _cmd_construct(args) -> int:
     machine, _, _ = _construction(args)
     if args.construct in _PRODUCTS:
-        document = fragment_to_json(machine, _max_len(args), _limits(args))
+        document = fragment_to_json(machine, _max_len(args), _budget(args))
     else:
         document = pda_to_json(machine)
     if args.out:
@@ -503,7 +502,7 @@ def _cmd_construct(args) -> int:
 def _cmd_verify(args) -> int:
     machine, oracle, check = _construction(args)
     max_len = _max_len(args)
-    lhs = enumerate_language(machine, max_len, _limits(args))
+    lhs = enumerate_language(machine, max_len, _budget(args))
     rhs = oracle(max_len)
     label = f"{check} <= {max_len}"
     only_machine = sorted(lhs - rhs)
@@ -734,7 +733,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--max-expand",
             type=_nonnegative_int,
             help="cap on the successor-step calls of each search, one per"
-            f" configuration expanded (default {SearchLimits().max_configs});"
+            f" configuration expanded (default {MAX_CONFIGS});"
             " a search that passes it ends with exit 2 and 'expanded N"
             " configurations, furthest input position p of n'",
         )

@@ -35,8 +35,8 @@ stacks that are too shallow to last the input left: from a pop-only state
 the input left, so a guess of where the pops begin that comes too early
 dies where it is made, not where the stack runs out.  Everything else,
 such as a machine whose epsilon moves push without end, is bounded by the
-search's one budget, `SearchLimits.max_configs`: such a search ends in
-LimitExceeded, never in a wrong answer.
+search's one budget, `max_configs`: such a search ends in LimitExceeded,
+never in a wrong answer.
 
 Machines, plain or product, meet the engine through a duck-typed protocol
 that products follow without being normal-form themselves:
@@ -84,9 +84,12 @@ _KIND_RANK = {PUSH: 0, POP: 1, NONE: 2}
 
 
 class LimitExceeded(Exception):
-    """A search hit its configuration cap before exhausting the graph.
+    """A search hit its budget, `max_configs`, before exhausting the graph.
 
-    The cap counts the expansions of one search, and the message always
+    The budget counts the successor-step calls of one search (the states a
+    product's control-graph walk fetches, in `products`).  It is a count,
+    not a memory bound: the memory a configuration takes depends on the
+    machine.  The call past it raises this error, and the message always
     reads "expanded N configurations, furthest input position p of n".
     Signals an inconclusive search, never a wrong answer: whenever a result
     is returned it is exact.
@@ -104,8 +107,10 @@ class _Value:
     class says otherwise, prints as `Name(field=value, ...)` and raises
     AttributeError on assignment and deletion.  `_replace(**changes)`
     builds a changed copy through `__init__`, which normalises and checks
-    it again.  Instances keep a `__dict__`: `cached_property` writes its
-    tables there, and copy and pickle restore it directly.
+    it again.  Instances keep a `__dict__`, where `cached_property` writes
+    its tables.  Copy and pickle go through the constructor: they rebuild
+    the value by `__init__` from its fields, so cached tables never travel
+    and a restored value is checked again.
 
     Not a dataclass: `dataclasses` imports `inspect`, and a dataclass
     generates and execs its methods at every import.  Not a named tuple
@@ -147,6 +152,9 @@ class _Value:
 
     def _replace(self, **changes):
         return type(self)(**dict(zip(self._fields, self._values(self)), **changes))
+
+    def __reduce__(self):
+        return type(self), self._values(self)
 
 
 class StackAction(_Value):
@@ -233,18 +241,7 @@ class AcceptingRun(NamedTuple):
     final: Configuration
 
 
-class SearchLimits(NamedTuple):
-    """Work cap for one search: `max_configs` bounds the calls of the
-    successor step one search makes (the states a product's control-graph
-    walk fetches, in `products`), and the call past it raises
-    LimitExceeded("expanded N configurations, furthest input position p of
-    n").  It is a count, not a memory bound: the memory a configuration
-    takes depends on the machine."""
-
-    max_configs: int = 500_000
-
-
-DEFAULT_LIMITS = SearchLimits()
+MAX_CONFIGS = 500_000  # the default budget of every search
 
 
 def limit_exceeded(expanded: int, furthest: int, input_len: int) -> LimitExceeded:
@@ -673,17 +670,17 @@ class _Search:
     both fresh lists sliced from the rows the machine builds once, the
     table interning the search's stack cells by (cell below, top
     symbol), and the search's budget: how many configurations it has
-    expanded, out of `limits.max_configs`, and the furthest input position
-    among them."""
+    expanded, out of `max_configs`, and the furthest input position among
+    them."""
 
-    def __init__(self, machine, input_len: int, limits: SearchLimits, one_word: bool = False):
+    def __init__(self, machine, input_len: int, max_configs: int, one_word: bool = False):
         check_length_bound(input_len)
         self.machine = machine
         self.input_len = input_len
         self.live = machine.live_depths(input_len)
         self.floor = machine.floor_depths(input_len) if one_word else None
         self.cells: dict = {}
-        self.max_configs = limits.max_configs
+        self.max_configs = max_configs
         self.expanded = self.furthest = 0
 
     def intern(self, config: Configuration) -> tuple:
@@ -767,7 +764,7 @@ def step(machine, config: Configuration, w: str) -> tuple:
     the length of `w`."""
     if not 0 <= config.input_pos <= len(w):
         return ()
-    search = _Search(machine, len(w), DEFAULT_LIMITS, one_word=True)
+    search = _Search(machine, len(w), MAX_CONFIGS, one_word=True)
     state, pos, cell = search.intern(config)
     symbol = w[pos] if pos < len(w) else None
     return tuple(
@@ -776,7 +773,7 @@ def step(machine, config: Configuration, w: str) -> tuple:
     )
 
 
-def _accepting_nodes(machine, w: str, limits: SearchLimits, seen: set | None):
+def _accepting_nodes(machine, w: str, max_configs: int, seen: set | None):
     """Depth-first over the runs on `w` in transition order, yielding the
     search node (see `_run`) of each accepting configuration reached.
 
@@ -787,7 +784,7 @@ def _accepting_nodes(machine, w: str, limits: SearchLimits, seen: set | None):
     to its path, so run length never becomes Python recursion depth.
     """
     n = len(w)
-    search = _Search(machine, n, limits, one_word=True)
+    search = _Search(machine, n, max_configs, one_word=True)
     work = [(search.intern(machine.initial_config()), None, None)]
     while work:
         node = work.pop()
@@ -805,7 +802,7 @@ def _accepting_nodes(machine, w: str, limits: SearchLimits, seen: set | None):
 
 
 def accepts(
-    machine, w: str, limits: SearchLimits = DEFAULT_LIMITS
+    machine, w: str, max_configs: int = MAX_CONFIGS
 ) -> tuple[bool, AcceptingRun | None]:
     """Decide acceptance of `w`; on success also return one witness run.
 
@@ -813,17 +810,17 @@ def accepts(
     (state, input position, stack cell) expanded once, stopping at the
     first accepting configuration.  The witness is the first accepting run
     in transition order, the one `enumerate_runs(machine, w, cap=1)`
-    lists.  Raises LimitExceeded if the cap is hit before the graph is
+    lists.  Raises LimitExceeded if `max_configs` is hit before the graph is
     exhausted and no accepting configuration was found.
     """
-    node = next(_accepting_nodes(machine, w, limits, set()), None)
+    node = next(_accepting_nodes(machine, w, max_configs, set()), None)
     if node is None:
         return False, None
     return True, _run(node)
 
 
 def enumerate_runs(
-    machine, w: str, cap: int = 20, limits: SearchLimits = DEFAULT_LIMITS
+    machine, w: str, cap: int = 20, max_configs: int = MAX_CONFIGS
 ) -> list[AcceptingRun]:
     """Up to `cap` accepting runs on `w`, lexicographic by transition order.
 
@@ -833,13 +830,11 @@ def enumerate_runs(
     """
     if cap <= 0:
         return []
-    nodes = _accepting_nodes(machine, w, limits, None)
+    nodes = _accepting_nodes(machine, w, max_configs, None)
     return [_run(node) for node in islice(nodes, cap)]
 
 
-def enumerate_language(
-    machine, max_len: int, limits: SearchLimits = DEFAULT_LIMITS
-) -> set[str]:
+def enumerate_language(machine, max_len: int, max_configs: int = MAX_CONFIGS) -> set[str]:
     """All accepted words of length <= max_len.
 
     Breadth-first over prefixes in sorted-symbol order.  One worklist
@@ -850,7 +845,7 @@ def enumerate_language(
     prefix tree rather than |alphabet|^max_len.  Agrees with per-word
     `accepts` on every word it reports or omits.
     """
-    search = _Search(machine, max_len, limits)
+    search = _Search(machine, max_len, max_configs)
     accepted: set[str] = set()
     frontier = [("", {search.intern(machine.initial_config()): None})]
     while frontier:

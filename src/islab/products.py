@@ -33,14 +33,13 @@ from .arcs import UnbalancedRun
 from .pda import (
     AcceptingRun,
     Configuration,
-    DEFAULT_LIMITS,
     FINAL_STATE_BOTTOM_ONLY,
+    MAX_CONFIGS,
     NONE,
     POP,
     PUSH,
     Pda,
     RunStep,
-    SearchLimits,
     StackAction,
     Transition,
     _Search,
@@ -399,10 +398,10 @@ def state_bound(kind: str, q1: int, q2: int, g1: int, g2: int, parameter: int) -
     return q1 * q2 * base**exponent
 
 
-def _control_graph(product, max_len: int, limits: SearchLimits) -> dict:
+def _control_graph(product, max_len: int, max_configs: int) -> dict:
     """Each composite state reachable within max_len reads, whatever the
     stack, mapped to (the fewest reads reaching it, its transitions).  Each
-    state fetched is one expansion charged to `limits.max_configs`.
+    state fetched is one expansion charged to `max_configs`.
 
     Each machine pushes at most twice per read, so a run of max_len reads
     never holds more than 4 * max_len entries above the bottom, and no state
@@ -421,7 +420,7 @@ def _control_graph(product, max_len: int, limits: SearchLimits) -> dict:
             state = layer.pop()
             if state in graph:
                 continue
-            if len(graph) >= limits.max_configs:
+            if len(graph) >= max_configs:
                 raise limit_exceeded(len(graph), furthest, max_len)
             furthest = reads
             graph[state] = reads, product.transitions_from(state)
@@ -432,13 +431,11 @@ def _control_graph(product, max_len: int, limits: SearchLimits) -> dict:
     return graph
 
 
-def reachable_composite_states(
-    product, max_len: int, limits: SearchLimits = DEFAULT_LIMITS
-) -> set:
+def reachable_composite_states(product, max_len: int, max_configs: int = MAX_CONFIGS) -> set:
     """Distinct counting-view projections of the control states reachable
     within max_len reads.  The stack is not consulted, so this
     over-approximates the views of reachable configurations."""
-    graph = _control_graph(product, max_len, limits)
+    graph = _control_graph(product, max_len, max_configs)
     return {product.projection(state) for state in graph} - {None}
 
 
@@ -459,7 +456,7 @@ def component_runs(product, run: AcceptingRun) -> tuple:
     out = []
     for owner in (1, 2):
         machine = product.component(owner)
-        search = _Search(machine, len(word), DEFAULT_LIMITS, one_word=True)
+        search = _Search(machine, len(word), MAX_CONFIGS, one_word=True)
         state, pos, cell = search.intern(machine.initial_config())
         steps = []
         for read in reads:
@@ -485,9 +482,7 @@ def component_runs(product, run: AcceptingRun) -> tuple:
     return tuple(out)
 
 
-def fragment_to_json(
-    product, max_len: int, limits: SearchLimits = DEFAULT_LIMITS
-) -> dict:
+def fragment_to_json(product, max_len: int, max_configs: int = MAX_CONFIGS) -> dict:
     """The product's control graph trimmed to max_len, as an interchange
     machine with opaque state labels plus a side table describing each
     composite state.
@@ -507,7 +502,7 @@ def fragment_to_json(
             f"cannot export a fragment of machines with acceptance modes {modes[0]}"
             f" and {modes[1]}: pda-v1 has one acceptance mode per machine"
         )
-    graph = _control_graph(product, max_len, limits)
+    graph = _control_graph(product, max_len, max_configs)
     far = max_len + 1
     left = {state: 0 for state in graph if product.accepts_control(state)}
     changed = True

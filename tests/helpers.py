@@ -19,13 +19,12 @@ from islab.pda import (
     FINAL_STATE,
     FINAL_STATE_BOTTOM_ONLY,
     Pda,
-    SearchLimits,
     StackAction,
     Transition,
     validate_normal_form,
 )
 
-BUDGET = SearchLimits(max_configs=20_000)
+BUDGET = 20_000
 
 
 def words(alphabet, max_len: int):

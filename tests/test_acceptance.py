@@ -29,7 +29,7 @@ from islab.blocks import (
     is_jointly_well_nested,
 )
 from islab.grammar import cyk_membership, gnf_to_pda, to_cnf, to_gnf
-from islab.pda import SearchLimits, enumerate_language, enumerate_runs
+from islab.pda import enumerate_language, enumerate_runs
 from islab.products import (
     BUFFERED,
     DISPLACEMENT,
@@ -264,9 +264,7 @@ def test_criterion_06_state_bounds():
     bound = state_bound(
         DISPLACEMENT, len(m1.states), len(m2.states), stack_letters(m1), stack_letters(m2), 1
     )
-    reached = reachable_composite_states(
-        displacement, 6, SearchLimits(max_configs=200_000)
-    )
+    reached = reachable_composite_states(displacement, 6, 200_000)
     assert len(reached) == 32 <= bound
 
     r1, r2 = corpus.get("gap-refutation").pair()
@@ -274,9 +272,7 @@ def test_criterion_06_state_bounds():
     buffered_bound = state_bound(
         BUFFERED, len(r1.states), len(r2.states), stack_letters(r1), stack_letters(r2), 1
     )
-    buffered_reached = reachable_composite_states(
-        buffered, 6, SearchLimits(max_configs=200_000)
-    )
+    buffered_reached = reachable_composite_states(buffered, 6, 200_000)
     assert len(buffered_reached) <= buffered_bound
     print(
         f"[AC-06] PASS state bounds agree with repeated multiplication on 10 tuples; "

@@ -1239,6 +1239,32 @@ class TestLinkage:
         assert "size condition (four-large, n=2): ok" in out
         assert "hypotheses of the non-CFL theorem verified at n=2" in out
 
+    def test_empty_segment_holds_vacuously(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "linkage", "--blocks", "all-equal", "--word", "aabbccdd", "--cuts", "0,4,6"
+        )
+        assert code == 0
+        assert "linkage (1,3): holds vacuously (an empty segment)\n" in out
+
+    def test_short_segment_fails_the_size_condition(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "linkage",
+            "--blocks",
+            "all-equal",
+            "--word",
+            "aabbccdd",
+            "--cuts",
+            "1,4,6",
+            "--hypotheses",
+            "four-large",
+            "--n",
+            "2",
+        )
+        assert code == 0
+        assert "size condition (four-large, n=2): FAILS segment lengths (1, 3, 2, 2)\n" in out
+        assert out.endswith("hypotheses NOT satisfied\n")
+
     def test_word_outside_oracle_rejected(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -1286,6 +1312,13 @@ class TestCorpus:
         code, out, _ = run_cli(capsys, "corpus", "--name", "gap-refutation")
         assert code == 0
         assert "gap-refutation (machine-pair)" in out
+
+    def test_grammar_bundle_json_carries_its_grammar(self, capsys):
+        code, payload, _ = run_json(capsys, "corpus", "--name", "even-palindrome-grammar", "--json")
+        assert code == 0
+        grammar = corpus.get("even-palindrome-grammar").grammar
+        assert payload["grammar"] == cfg_to_json(grammar)
+        assert payload["grammar"]["format"] == "cfg-v1"
 
     def test_unknown_bundle(self, capsys):
         code, _, err = run_cli(capsys, "corpus", "--name", "missing")

@@ -27,7 +27,6 @@ from islab.pda import (
     Configuration,
     LimitExceeded,
     Pda,
-    SearchLimits,
     StackAction,
     Transition,
     accepts,
@@ -112,7 +111,7 @@ def test_searches_agree_and_witnesses_replay(machine):
         language = enumerate_language(machine, MAX_LEN, BUDGET)
         for word in words(machine.input_alphabet, MAX_LEN):
             ok, witness = accepts(machine, word, BUDGET)
-            runs = enumerate_runs(machine, word, limits=BUDGET)
+            runs = enumerate_runs(machine, word, max_configs=BUDGET)
             assert ok == (word in language), word
             assert bool(runs) == ok, word
             if ok:
@@ -137,7 +136,7 @@ def test_accepts_matches_reference_and_lists_first_run(machine):
             for word in words(moded.input_alphabet, MAX_LEN):
                 ok, witness = accepts(moded, word, BUDGET)
                 assert ok == reference_accepts(moded, word), (mode, word)
-                first = enumerate_runs(moded, word, cap=1, limits=BUDGET)
+                first = enumerate_runs(moded, word, cap=1, max_configs=BUDGET)
                 assert first == ([witness] if ok else []), (mode, word)
     except LimitExceeded:
         reject()  # inconclusive within the budget; not a counterexample
@@ -150,9 +149,9 @@ def test_results_under_any_cap_are_exact(machine, cap, data):
     or returns what it returns with the cap out of reach."""
     word = data.draw(st.sampled_from(list(words(machine.input_alphabet, MAX_LEN))))
     searches = [
-        (lambda limits: accepts(machine, word, limits), len(word)),
-        (lambda limits: enumerate_runs(machine, word, limits=limits), len(word)),
-        (lambda limits: enumerate_language(machine, MAX_LEN, limits), MAX_LEN),
+        (lambda budget: accepts(machine, word, budget), len(word)),
+        (lambda budget: enumerate_runs(machine, word, max_configs=budget), len(word)),
+        (lambda budget: enumerate_language(machine, MAX_LEN, budget), MAX_LEN),
     ]
     pattern = rf"expanded {cap} configurations, furthest input position (\d+) of (\d+)"
     for search, input_len in searches:
@@ -161,7 +160,7 @@ def test_results_under_any_cap_are_exact(machine, cap, data):
         except LimitExceeded:
             reject()
         try:
-            answer = search(SearchLimits(max_configs=cap))
+            answer = search(cap)
         except LimitExceeded as exc:
             match = re.fullmatch(pattern, str(exc))
             assert match, str(exc)
@@ -508,7 +507,7 @@ def test_accepting_runs_keep_within_floor_and_live_depths(machine):
                 if live is None:
                     assert floor is None
                     continue
-                for run in enumerate_runs(moded, word, cap=20, limits=BUDGET):
+                for run in enumerate_runs(moded, word, cap=20, max_configs=BUDGET):
                     for state, pos, depth in run_configurations(moded, run):
                         assert floor[state][pos] <= depth <= live[state][pos], (mode, word)
     except LimitExceeded:
@@ -544,7 +543,7 @@ def test_floor_depths_change_no_answer(machine):
             for word in words(moded.input_alphabet, MAX_LEN):
                 for search in (
                     lambda m: accepts(m, word, BUDGET),
-                    lambda m: enumerate_runs(m, word, cap=3, limits=BUDGET),
+                    lambda m: enumerate_runs(m, word, cap=3, max_configs=BUDGET),
                 ):
                     assert search(moded) == search(Unfloored(moded)), (mode, word)
     except LimitExceeded:

@@ -235,6 +235,23 @@ class TestGnfToPda:
         machine = gnf_to_pda(to_gnf(to_cnf(g)))
         assert enumerate_language(machine, 3) == {"a"}
 
+    def test_bottom_renamed_past_a_nonterminal(self):
+        # "$" is the start symbol and is pushed, so the bottom marker grows
+        g = GnfGrammar(
+            nonterminals={"$", "A"},
+            terminals={"a", "b"},
+            productions=[
+                Production("$", ("a", "A", "$")),
+                Production("$", ("b",)),
+                Production("A", ("a",)),
+            ],
+            start="$",
+        )
+        machine = gnf_to_pda(g)
+        assert machine.bottom == "$$"
+        assert validate_normal_form(machine) == []
+        assert enumerate_language(machine, 7) == {"b", "aab", "aaaab", "aaaaaab"}
+
 
 class TestJson:
     @pytest.mark.parametrize("name", ALL_GRAMMAR_BUNDLES)

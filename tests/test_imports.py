@@ -86,7 +86,7 @@ RECORDS = {
     ],
     "islab.blocks": ["LinkagePackage", "Verdict", "Violation"],
     "islab.grammar": ["Production"],
-    "islab.pda": ["AcceptingRun", "Configuration", "RunStep", "SearchLimits"],
+    "islab.pda": ["AcceptingRun", "Configuration", "RunStep"],
     "islab.pumping": ["Counterexample", "HypothesesReport", "LinkageReport"],
 }
 

@@ -14,7 +14,6 @@ from islab.pda import (
     Configuration,
     LimitExceeded,
     Pda,
-    SearchLimits,
     StackAction,
     Transition,
     accepts,
@@ -303,8 +302,11 @@ class TestAccepts:
 
     def test_limit_exceeded_raised(self):
         machine = odd_track()
-        with pytest.raises(LimitExceeded):
-            accepts(machine, "0" * 8, SearchLimits(max_configs=5))
+        message = "expanded 5 configurations, furthest input position 4 of 8"
+        with pytest.raises(LimitExceeded, match=f"^{message}$"):
+            accepts(machine, "0" * 8, 5)
+        with pytest.raises(LimitExceeded, match=f"^{message}$"):
+            accepts(machine, "0" * 8, max_configs=5)
 
     @pytest.mark.parametrize(
         "machine, word, expansions",
@@ -316,10 +318,10 @@ class TestAccepts:
     )
     def test_rejected_palindrome_takes_exact_budget(self, machine, word, expansions):
         # the search expands these configurations, no more and no fewer
-        assert accepts(machine, word, SearchLimits(max_configs=expansions)) == (False, None)
+        assert accepts(machine, word, expansions) == (False, None)
         pattern = rf"expanded {expansions - 1} configurations, furthest input position"
         with pytest.raises(LimitExceeded, match=pattern):
-            accepts(machine, word, SearchLimits(max_configs=expansions - 1))
+            accepts(machine, word, expansions - 1)
 
     def test_pushing_epsilon_loop_is_inconclusive(self):
         # no stack depth bounds this machine: only the budget ends the search
@@ -334,7 +336,7 @@ class TestAccepts:
             acceptance_mode=FINAL_STATE,
         )
         with pytest.raises(LimitExceeded):
-            accepts(machine, "a", SearchLimits(max_configs=1_000))
+            accepts(machine, "a", 1_000)
 
     def test_boolean_result_stable(self):
         machine = even_track()
@@ -409,7 +411,7 @@ class TestLiveDepths:
         ids=["odd-track", "two-symbol-pusher"],
     )
     def test_blow_up_words_accepted_cheaply(self, machine, word):
-        ok, run = accepts(machine, word, SearchLimits(max_configs=10_000))
+        ok, run = accepts(machine, word, 10_000)
         assert ok
         assert run.final == Configuration(run.final.state, len(word), ("$",))
 
@@ -477,9 +479,9 @@ class TestFloorDepths:
         # expands two configurations per a and one for the first b
         word = "a" * 266 + "b" * 533
         machine = doubler()
-        assert accepts(machine, word, SearchLimits(max_configs=533)) == (False, None)
+        assert accepts(machine, word, 533) == (False, None)
         with pytest.raises(LimitExceeded, match="expanded 532 configurations"):
-            accepts(machine, word, SearchLimits(max_configs=532))
+            accepts(machine, word, 532)
 
 
 class TestEnumerateRuns:

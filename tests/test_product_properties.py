@@ -108,7 +108,7 @@ def test_product_runs_replay_on_both_components(make, first, second, parameter, 
         runs = [
             (word, run)
             for word in words
-            for run in enumerate_runs(product, word, cap=3, limits=BUDGET)
+            for run in enumerate_runs(product, word, cap=3, max_configs=BUDGET)
         ]
     except LimitExceeded:
         reject()  # inconclusive within the budget; not a counterexample
@@ -146,7 +146,7 @@ def answers(product, max_len: int) -> list:
     for length in range(max_len + 1):
         for word in map("".join, itertools.product(alphabet, repeat=length)):
             out.append((word, accepts(product, word, BUDGET)))
-            out.append((word, enumerate_runs(product, word, cap=3, limits=BUDGET)))
+            out.append((word, enumerate_runs(product, word, cap=3, max_configs=BUDGET)))
     out.append(reachable_composite_states(product, max_len, BUDGET))
     try:
         out.append(fragment_to_json(product, max_len, BUDGET))

@@ -17,7 +17,6 @@ from islab.pda import (
     POP,
     PUSH,
     Pda,
-    SearchLimits,
     StackAction,
     Transition,
     accepts,
@@ -599,12 +598,12 @@ class TestReachableStates:
         searches = (
             reachable_composite_states,
             fragment_to_json,
-            lambda product, n, limits: accepts(product, "0" * n, limits),
+            lambda product, n, budget: accepts(product, "0" * n, budget),
             enumerate_language,
         )
         for explore in searches:
             with pytest.raises(LimitExceeded) as info:
-                explore(product, 8, SearchLimits(max_configs=10))
+                explore(product, 8, 10)
             message = str(info.value)
             assert "expanded 10 configurations" in message
             assert re.search(r"furthest input position [1-8] of 8", message)

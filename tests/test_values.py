@@ -1,8 +1,8 @@
 """The immutable classes that are not named tuples (`pda._Value`) keep the
 contract they had as frozen dataclasses: equality and hashing by value
 over their fields (by identity for the two product states), no assignment
-or deletion, the dataclass repr, and copy and pickle; `_replace` builds a
-changed copy through the constructor, which validates it again."""
+or deletion, the dataclass repr, and copy and pickle; `_replace`, copy and
+pickle build a value through the constructor, which validates it again."""
 
 import copy
 import dataclasses
@@ -15,8 +15,16 @@ from islab import corpus
 from islab.arcs import Arc, SegmentDecomposition, analyze_pair
 from islab.blocks import BlockSpec, JointSpec
 from islab.corpus import ExampleBundle
-from islab.grammar import Cfg, CnfGrammar, GnfGrammar, gnf_to_pda, to_cnf, to_gnf
-from islab.pda import POP, PUSH, Pda, StackAction, Transition, _Value
+from islab.grammar import (
+    Cfg,
+    CnfGrammar,
+    GnfGrammar,
+    cyk_membership,
+    gnf_to_pda,
+    to_cnf,
+    to_gnf,
+)
+from islab.pda import POP, PUSH, Pda, StackAction, Transition, _Value, accepts
 from islab.products import (
     BufferedProduct,
     BufferedState,
@@ -30,11 +38,17 @@ COMPARED = {ExampleBundle: ("name", "description", "joint", "grammar")}
 
 STATES = [DisplacedState, BufferedState]
 
+# Searches that fill a value's cached tables, which a copy leaves behind.
+SEARCHES = {
+    Pda: lambda machine: accepts(machine, "aabb"),
+    CnfGrammar: lambda cnf: cyk_membership(cnf, "abab"),
+    BlockSpec: lambda spec: spec.contains("ab"),
+}
+
 
 def cases() -> dict:
-    """A fresh value of each class, and field changes that give an unequal
-    one.  The machine is rebuilt, so it holds no cached tables."""
-    counter = corpus.get("counter").machine("counter")._replace()
+    """A value of each class, and field changes that give an unequal one."""
+    counter = corpus.get("counter").machine("counter")
     joint = corpus.get("nested-blocks").joint
     grammar = corpus.get("matched-pairs-grammar").grammar
     cnf = to_cnf(grammar)
@@ -229,14 +243,17 @@ def test_replace_validates_and_normalises_again():
 @pytest.mark.parametrize("cls", VALUES, ids=ids(VALUES))
 def test_copy_and_pickle_give_an_equal_value(cls):
     value, _ = cases()[cls]
-    for again in (copy.copy(value), pickle.loads(pickle.dumps(value))):
+    if cls in SEARCHES:
+        SEARCHES[cls](value)
+    for again in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert again is not value
         assert again == value and hash(again) == hash(value)
+        assert vars(again).keys() == vars(cls(*fields(value))).keys()  # no cache travels
 
 
 @pytest.mark.parametrize("cls", STATES, ids=ids(STATES))
 def test_copy_and_pickle_give_a_new_unequal_state(cls):
     state, _ = cases()[cls]
-    for again in (copy.copy(state), pickle.loads(pickle.dumps(state))):
+    for again in (copy.copy(state), copy.deepcopy(state), pickle.loads(pickle.dumps(state))):
         assert again != state
         assert fields(again) == fields(state)
