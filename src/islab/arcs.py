@@ -236,31 +236,17 @@ class PairAnalysis(NamedTuple):
     crossings: tuple[CrossingAnalysis, ...]
 
 
-def check_runs_cap(runs_cap: int) -> None:
-    """Refuse a runs_cap below 1: it would analyze no run pair on any word."""
-    if runs_cap < 1:
-        raise ValueError(f"runs_cap must be at least 1, got {runs_cap}")
-
-
 def analyze_pair(
-    machine_1,
-    machine_2,
-    word: str,
-    runs_cap: int = 1,
-    max_configs: int = MAX_CONFIGS,
+    machine_1, machine_2, word: str, max_configs: int = MAX_CONFIGS
 ) -> list[PairAnalysis]:
-    """Overlay matchings of two machines on one word.
-
-    Every combination of the first runs_cap runs of each machine, in
-    deterministic order, is analyzed; by default the first run of each.
-    Words rejected by either machine give an empty list.  A runs_cap below
-    1 raises ValueError (see `check_runs_cap`).
-    """
-    check_runs_cap(runs_cap)
+    """Overlay the matchings of each machine's first accepting run on one
+    word, the run `accepts` gives as its witness: one analysis, or none
+    when either machine rejects the word.  To pair more runs, give lists
+    from `enumerate_runs` to `analyze_runs`."""
     return analyze_runs(
         word,
-        enumerate_runs(machine_1, word, cap=runs_cap, max_configs=max_configs),
-        enumerate_runs(machine_2, word, cap=runs_cap, max_configs=max_configs),
+        enumerate_runs(machine_1, word, cap=1, max_configs=max_configs),
+        enumerate_runs(machine_2, word, cap=1, max_configs=max_configs),
     )
 
 

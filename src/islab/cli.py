@@ -22,7 +22,6 @@ from .arcs import (
     SegmentDecomposition,
     analyze_pair,
     analyze_runs,
-    check_runs_cap,
     classify_family,
 )
 from .blocks import (
@@ -61,6 +60,7 @@ from .pumping import (
 )
 
 DEFAULT_MAX_LEN = 8
+MAX_SIZE = 1_000_000  # the ceiling of every size and length flag
 
 
 class CliError(Exception):
@@ -175,6 +175,14 @@ def _nonnegative_int(raw: str) -> int:
     return value
 
 
+def _size(raw: str) -> int:
+    """A size or length flag: a nonnegative integer up to MAX_SIZE."""
+    value = _nonnegative_int(raw)
+    if value > MAX_SIZE:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_SIZE}, got {value}")
+    return value
+
+
 def _parse_sizes(raw: str) -> list:
     try:
         sizes = [int(part) for part in raw.split(",") if part.strip() != ""]
@@ -182,6 +190,8 @@ def _parse_sizes(raw: str) -> list:
         raise CliError(f"--sizes must be comma-separated integers, got {raw!r}")
     if any(n < 0 for n in sizes):
         raise CliError(f"--sizes must be nonnegative, got {raw!r}")
+    if any(n > MAX_SIZE for n in sizes):
+        raise CliError(f"--sizes must be at most {MAX_SIZE} each, got {raw!r}")
     return sizes
 
 
@@ -276,7 +286,8 @@ def _cmd_crossings(args) -> int:
         if bundle is None or bundle.family is None:
             raise CliError("--n needs a corpus bundle with a word family")
         word = bundle.family(args.n)
-    check_runs_cap(args.runs_cap)  # analyze_pair's refusal, made before any search
+    if args.runs_cap < 1:  # no run pair would be analyzed, whatever the word
+        raise CliError(f"runs_cap must be at least 1, got {args.runs_cap}")
     budget = _budget(args)
     runs = [
         enumerate_runs(machine, word, cap=args.runs_cap, max_configs=budget)
@@ -746,9 +757,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--d", type=_nonnegative_int, help="inner bound (buffered)")
         p.add_argument(
             "--max-len",
-            type=_nonnegative_int,
+            type=_size,
             help="word length bound of a product fragment or of a check"
-            f" (default {DEFAULT_MAX_LEN})",
+            f" (default {DEFAULT_MAX_LEN}, at most {MAX_SIZE})",
         )
         add_search_flags(p, with_json=False)
 
@@ -761,16 +772,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("runs", help="enumerate accepting runs")
     add_machine_flags(p)
     p.add_argument("--word", help="input word")
-    p.add_argument("--runs-cap", type=_nonnegative_int, default=20)
+    p.add_argument(
+        "--runs-cap", type=_size, default=20, help=f"runs listed (default 20, at most {MAX_SIZE})"
+    )
     add_search_flags(p)
     p.set_defaults(handler=_cmd_runs)
 
     p = sub.add_parser("crossings", help="cross-machine crossing analysis")
     p.add_argument("--pair", required=True, help="corpus bundle name, or FILE1,FILE2")
     p.add_argument("--word")
-    p.add_argument("--n", type=_nonnegative_int, help="family size (uses the bundle's words)")
     p.add_argument(
-        "--runs-cap", type=_nonnegative_int, default=1, help="runs per machine (default 1)"
+        "--n", type=_size, help=f"family size (uses the bundle's words; at most {MAX_SIZE})"
+    )
+    p.add_argument(
+        "--runs-cap",
+        type=_size,
+        default=1,
+        help=f"runs per machine (default 1, at most {MAX_SIZE})",
     )
     p.add_argument("--svg", help="write an arc diagram here")
     add_search_flags(p)
@@ -778,7 +796,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="growth regime across family sizes")
     p.add_argument("--pair", required=True, help="corpus bundle name")
-    p.add_argument("--sizes", default="1,2,3,4,5", help="comma-separated sizes")
+    p.add_argument(
+        "--sizes",
+        default="2,3,4,5,6",
+        help=f"comma-separated sizes (default 2,3,4,5,6; each at most {MAX_SIZE})",
+    )
     p.add_argument("--svg", help="arc diagram of the largest size")
     add_search_flags(p)
     p.set_defaults(handler=_cmd_classify)
@@ -812,9 +834,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cuts", help="segment cuts i,i',j (0-based offsets)")
     p.add_argument(
         "--n",
-        type=_nonnegative_int,
+        type=_size,
         help="witness size (derives word and cuts); with --hypotheses the size"
-        " threshold, which must be positive (default 1)",
+        f" threshold, which must be positive (default 1); at most {MAX_SIZE}",
     )
     p.add_argument("--witness", help="spec whose crossing supplies word and cuts (default --blocks)")
     p.add_argument(

@@ -8,22 +8,22 @@ read.  Each input position therefore contributes at most two pushes or one
 pop per machine, and stack depth never exceeds 2*|w|+1.  The engine itself
 runs any `Pda`, in normal form or not.
 
-The engine.  Every search (`accepts`, `enumerate_runs`, `enumerate_language`
-and `step`) keys its configurations as plain (state, input position, stack
-cell) tuples.  A stack cell holds a top symbol, the cell below it and the
-depth; each search call interns its cells in a table of its own, so equal
-stacks are one object, and push, pop, depth, hashing and equality each cost
-O(1) however deep the stack.  All searches step through the one successor
-function `_Search.successors`, which also charges each search's budget,
-one expansion per configuration (per configuration of each prefix in
-`enumerate_language`, whatever the alphabet size), and drops every
-successor whose stack is too deep to be emptied in the input left (see
-`live_depths`) or, in the searches over one word (`accepts`,
-`enumerate_runs`, `step`), too shallow to last it (see `floor_depths`).
-No search recurses: run length never becomes Python recursion depth.
-What a caller gets back still holds tuples: `Configuration.stack` is the
-whole stack, bottom first, in `AcceptingRun.final` and in the results of
-`step`.
+The engine.  Every search (`accepts`, `enumerate_runs` and
+`enumerate_language`) starts from the machine's `start` state over its
+`bottom` entry, and keys its configurations as plain (state, input
+position, stack cell) tuples.  A stack cell holds a top symbol, the cell
+below it and the depth; each search call interns its cells in a table of
+its own, so equal stacks are one object, and push, pop, depth, hashing and
+equality each cost O(1) however deep the stack.  All searches step through
+the one successor function `_Search.successors`, which also charges each
+search's budget, one expansion per configuration (per configuration of each
+prefix in `enumerate_language`, whatever the alphabet size), and drops
+every successor whose stack is too deep to be emptied in the input left
+(see `live_depths`) or, in the searches over one word (`accepts` and
+`enumerate_runs`), too shallow to last it (see `floor_depths`).  No search
+recurses: run length never becomes Python recursion depth.  What a caller
+gets back still holds tuples: `Configuration.stack` is the whole stack,
+bottom first, in `AcceptingRun.final`.
 
 What bounds a search.  The engine caps no stack depth: a machine in normal
 form stays within 2*|w|+1 by construction, products within 4*|w|+1
@@ -45,7 +45,8 @@ that products follow without being normal-form themselves:
   order the searches try them.  Every search keys its tables by state, so
   states should hash and compare cheaply: a product's states are canonical
   objects, hashed by identity;
-* `initial_config()`: the start `Configuration`, its stack a tuple;
+* `start` and `bottom`: the control state every search starts in, and the
+  one stack entry it starts over;
 * `is_accepting(state, stack)`: whether a run that has read the whole input
   and ends in `state` over the stack cell `stack` accepts;
 * `live_depths(input_len)`: None, or a mapping from each state to the
@@ -67,8 +68,6 @@ from math import isfinite
 from operator import attrgetter
 from threading import Lock
 from typing import Hashable, NamedTuple
-
-EPSILON = None  # the `read` field of a transition that consumes no input
 
 PDA_FORMAT = "pda-v1"
 
@@ -186,7 +185,7 @@ class StackAction(_Value):
 
 class Transition(_Value):
     """One move of a machine: from `source`, read one input symbol (`read`)
-    or none (EPSILON), apply `action` to the stack and enter `target`.
+    or none (`read` is None), apply `action` to the stack and enter `target`.
     `auxiliary` marks the epsilon second push that normal form chains
     directly after a pushing read."""
 
@@ -328,9 +327,6 @@ class Pda(_Value):
 
     def transitions_from(self, state) -> tuple:
         return self._by_source.get(state, ())
-
-    def initial_config(self) -> Configuration:
-        return Configuration(self.start, 0, (self.bottom,))
 
     def is_accepting(self, state, stack) -> bool:
         """Whether the whole input read, ending in `state` over the stack
@@ -683,16 +679,13 @@ class _Search:
         self.max_configs = max_configs
         self.expanded = self.furthest = 0
 
-    def intern(self, config: Configuration) -> tuple:
-        """A configuration as a search key (state, input position, cell)."""
-        cells = self.cells
-        cell = _EMPTY
-        for symbol in config.stack:
-            key = (cell, symbol)
-            below, cell = cell, cells.get(key)
-            if cell is None:
-                cell = cells[key] = _Cell(symbol, below, below.depth + 1)
-        return config.state, config.input_pos, cell
+    def start(self) -> tuple:
+        """The search key (state, input position, cell) the search starts
+        from, made once before any step: the machine's `start` state over
+        its `bottom` entry alone."""
+        machine = self.machine
+        cell = self.cells[_EMPTY, machine.bottom] = _Cell(machine.bottom, _EMPTY, 1)
+        return machine.start, 0, cell
 
     def successors(self, state, pos: int, cell: _Cell, symbol) -> list:
         """Return a list of (transition, input position, cell), one after
@@ -755,24 +748,6 @@ def _run(node: tuple) -> AcceptingRun:
     return AcceptingRun(tuple(steps), final)
 
 
-def step(machine, config: Configuration, w: str) -> tuple:
-    """The one-step successors of `config` on input `w` that `accepts` and
-    `enumerate_runs` keep: those from which the rest of `w` can still be
-    accepted, as far as the machine's live and floor depths tell.  A
-    configuration past either end of `w` has none.  The machine builds its
-    depth rows once, so each step of a replayed run only slices them for
-    the length of `w`."""
-    if not 0 <= config.input_pos <= len(w):
-        return ()
-    search = _Search(machine, len(w), MAX_CONFIGS, one_word=True)
-    state, pos, cell = search.intern(config)
-    symbol = w[pos] if pos < len(w) else None
-    return tuple(
-        Configuration(t.target, new_pos, nxt.entries())
-        for t, new_pos, nxt in search.successors(state, pos, cell, symbol)
-    )
-
-
 def _accepting_nodes(machine, w: str, max_configs: int, seen: set | None):
     """Depth-first over the runs on `w` in transition order, yielding the
     search node (see `_run`) of each accepting configuration reached.
@@ -785,7 +760,7 @@ def _accepting_nodes(machine, w: str, max_configs: int, seen: set | None):
     """
     n = len(w)
     search = _Search(machine, n, max_configs, one_word=True)
-    work = [(search.intern(machine.initial_config()), None, None)]
+    work = [(search.start(), None, None)]
     while work:
         node = work.pop()
         config = node[0]
@@ -847,7 +822,7 @@ def enumerate_language(machine, max_len: int, max_configs: int = MAX_CONFIGS) ->
     """
     search = _Search(machine, max_len, max_configs)
     accepted: set[str] = set()
-    frontier = [("", {search.intern(machine.initial_config()): None})]
+    frontier = [("", {search.start(): None})]
     while frontier:
         next_frontier = []
         for word, configs in frontier:

@@ -166,6 +166,7 @@ class _ProductBase:
     since the per-position simulation below assumes it."""
 
     kind = "abstract"
+    bottom = _BOTTOM
 
     def __init__(self, first: Pda, second: Pda, parameter: int):
         for owner, machine in ((1, first), (2, second)):
@@ -180,6 +181,7 @@ class _ProductBase:
         self.input_alphabet = first.input_alphabet & second.input_alphabet
         self._table: dict = {}
         self._states: dict = {}
+        self.start = self._state(self.state_class(first.start, second.start))
         self._bottom_only_owners = frozenset(
             owner
             for owner in (1, 2)
@@ -197,10 +199,6 @@ class _ProductBase:
         if found is None:
             found = self._states.setdefault(values, self.state_class(*values))
         return found
-
-    def initial_config(self) -> Configuration:
-        start = self._state(self.state_class(self.first.start, self.second.start))
-        return Configuration(start, 0, (_BOTTOM,))
 
     def live_depths(self, input_len: int) -> _LiveDepths | None:
         """The components' live depths composed, one row per composite
@@ -412,9 +410,11 @@ def _control_graph(product, max_len: int, max_configs: int) -> dict:
     check_length_bound(max_len)
     held = 4 * max_len
     graph: dict = {}
-    layer = [product.initial_config().state]
+    layer = [product.start]
     furthest = 0
     for reads in range(max_len + 1):
+        if not layer:
+            break
         later = []
         while layer:
             state = layer.pop()
@@ -441,7 +441,7 @@ def reachable_composite_states(product, max_len: int, max_configs: int = MAX_CON
 
 def component_runs(product, run: AcceptingRun) -> tuple:
     """The two component runs behind an accepting product run, each
-    replayed on the engine's one-word search, the one `step` builds.  Each
+    replayed on the engine's one-word search, the one `accepts` runs.  Each
     reading step of a sync state fixes each owner's move: its state in the
     step's target and its stack operations as the target's queue orders
     them, and each transition of that move must be a successor the search
@@ -457,7 +457,7 @@ def component_runs(product, run: AcceptingRun) -> tuple:
     for owner in (1, 2):
         machine = product.component(owner)
         search = _Search(machine, len(word), MAX_CONFIGS, one_word=True)
-        state, pos, cell = search.intern(machine.initial_config())
+        state, pos, cell = search.start()
         steps = []
         for read in reads:
             at, target = read.input_pos, read.transition.target
@@ -520,7 +520,7 @@ def fragment_to_json(product, max_len: int, max_configs: int = MAX_CONFIGS) -> d
         for t in applied
         if reads + (t.read is not None) + left.get(t.target, far) <= max_len
     ]
-    start = product.initial_config().state
+    start = product.start
     labels = {start: "c0"}
     for t in sorted(edges, key=lambda t: (str(t.source), str(t.read), str(t.target))):
         for state in (t.source, t.target):

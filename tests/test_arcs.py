@@ -17,6 +17,7 @@ from islab.arcs import (
     PreconditionViolated,
     SegmentDecomposition,
     analyze_pair,
+    analyze_runs,
     classify_family,
     crossing_pairs,
     extract_matching,
@@ -335,11 +336,11 @@ class TestAnalyzePair:
 
     def test_all_runs_cross_product(self):
         machine = two_path_machine()
-        assert len(analyze_pair(machine, machine, "ab", runs_cap=20)) == 4
+        runs = enumerate_runs(machine, "ab", cap=20)
+        assert len(analyze_runs("ab", runs, runs)) == 4
         assert len(analyze_pair(machine, machine, "ab")) == 1
-        assert len(analyze_pair(machine, machine, "ab", runs_cap=1)) == 1
-        with pytest.raises(ValueError, match="runs_cap must be at least 1"):
-            analyze_pair(machine, machine, "ab", runs_cap=0)
+        first = enumerate_runs(machine, "ab", cap=1)
+        assert analyze_runs("ab", first, first) == analyze_pair(machine, machine, "ab")
 
     def test_each_run_matched_once(self, monkeypatch):
         machine = two_path_machine()
@@ -350,7 +351,8 @@ class TestAnalyzePair:
             return extract_matching(run, word, owner=owner)
 
         monkeypatch.setattr("islab.arcs.extract_matching", counted)
-        analyses = analyze_pair(machine, machine, "ab", runs_cap=2)
+        runs = enumerate_runs(machine, "ab", cap=2)
+        analyses = analyze_runs("ab", runs, runs)
         assert owners == [1, 1, 2, 2]
         assert [(a.run_index_1, a.run_index_2) for a in analyses] == [
             (0, 0), (0, 1), (1, 0), (1, 1)

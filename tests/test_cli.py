@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import islab
 from islab import corpus
 from islab.arcs import analyze_pair
-from islab.cli import main
+from islab.cli import MAX_SIZE, main
 from islab.grammar import cfg_to_json
 from islab.pda import (
     FINAL_STATE,
@@ -467,6 +467,80 @@ def test_pair_outside_normal_form_refused(capsys, tmp_path, argv):
     assert "non-auxiliary transition reads no input symbol" in err
 
 
+BIG = "99999999999999999999"  # more than an index-sized integer holds
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["crossings", "--pair", "gap-refutation", "--n", BIG], "--n"),
+        (["classify", "--pair", "gap-refutation", "--sizes", f"1,{BIG}"], "--sizes"),
+        (["classify", "--pair", "gap-refutation", "--sizes", f"{BIG},{BIG}9"], "--sizes"),
+        (
+            ["verify", "--construct", "grammar", "--grammar", "matched-pairs-grammar"]
+            + ["--max-len", BIG],
+            "--max-len",
+        ),
+        (
+            ["verify", "--construct", "joint", "--blocks", "nested-blocks", "--max-len", BIG],
+            "--max-len",
+        ),
+        (
+            ["verify", "--construct", "buffered", "--pair", "gap-refutation", "--d", "1"]
+            + ["--max-len", BIG],
+            "--max-len",
+        ),
+        (
+            ["verify", "--construct", "displacement", "--pair", "gap-refutation", "--k", "1"]
+            + ["--max-len", BIG],
+            "--max-len",
+        ),
+        (["linkage", "--blocks", "all-equal", "--witness", "abcd", "--n", BIG], "--n"),
+        (["runs", "--pda", "counter", "--word", "ab", "--runs-cap", BIG], "--runs-cap"),
+        (
+            ["runs", "--pda", "counter", "--word", "ab", "--runs-cap", str(MAX_SIZE + 1)],
+            "--runs-cap",
+        ),
+        (
+            ["crossings", "--pair", "gap-refutation", "--n", "2", "--runs-cap", BIG],
+            "--runs-cap",
+        ),
+    ],
+    ids=[
+        "crossings-n",
+        "classify-sizes",
+        "classify-sizes-both",
+        "verify-grammar-max-len",
+        "verify-joint-max-len",
+        "verify-buffered-max-len",
+        "verify-displacement-max-len",
+        "linkage-n",
+        "runs-runs-cap",
+        "runs-runs-cap-one-past",
+        "crossings-runs-cap",
+    ],
+)
+def test_size_flag_above_the_ceiling_refused(capsys, argv, flag):
+    # refused before any input is built, so a failure here never allocates
+    # a word or a depth table of that size
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's refusal
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert flag in err
+    assert f"at most {MAX_SIZE}" in err
+
+
+def test_size_flag_at_the_ceiling_accepted(capsys):
+    code, out, _ = run_cli(
+        capsys, "runs", "--pda", "counter", "--word", "ab", "--runs-cap", str(MAX_SIZE)
+    )
+    assert code == 0
+    assert out.startswith(f"1 accepting run(s) for 'ab' (cap {MAX_SIZE})\n")
+
+
 @pytest.mark.parametrize("command", ["classify"])
 def test_negative_size_rejected(capsys, command):
     code, out, err = run_cli(
@@ -500,6 +574,25 @@ class TestClassify:
         )
         assert code == 0
         assert payload["regime"] == "bounded-inner-unbounded-gap"
+
+    @pytest.mark.parametrize(
+        "bundle, regime",
+        [
+            ("interleaved-palindrome", "bounded-gap"),
+            ("crossing-blocks", "growing-inner"),
+            ("shared-endpoint-blocks", "growing-inner"),
+            ("nested-blocks", "no-crossings"),
+            ("chained-equal-blocks", "growing-inner"),
+        ],
+    )
+    def test_default_sizes_read_the_expected_regime(self, capsys, bundle, regime):
+        # size 1 of some families has no crossing pair, so the default
+        # starts at 2; the block bundles' regime follows their is_cfl, and
+        # test_bounded_inner reads gap-refutation's
+        code, payload, _ = run_json(capsys, "classify", "--pair", bundle, "--json")
+        assert code == 0
+        assert payload["sizes"] == [2, 3, 4, 5, 6]
+        assert payload["regime"] == regime
 
     def test_inconclusive_still_exit_zero(self, capsys):
         code, payload, _ = run_json(

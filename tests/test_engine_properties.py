@@ -32,7 +32,6 @@ from islab.pda import (
     accepts,
     enumerate_language,
     enumerate_runs,
-    step,
 )
 
 from helpers import BUDGET, machines, words
@@ -43,8 +42,8 @@ MAX_LEN = 5
 def reference_accepts(machine, word: str) -> bool:
     """Breadth-first over (state, position, stack) with the stack a plain
     tuple and no bound on its depth, so it ends on every machine whose
-    epsilon moves cannot cycle, normal form included; uses neither the
-    engine's search nor `step`."""
+    epsilon moves cannot cycle, normal form included; does not use the
+    engine's search."""
     n = len(word)
     start = (machine.start, 0, (machine.bottom,))
     seen = {start}
@@ -80,9 +79,9 @@ def reference_accepts(machine, word: str) -> bool:
 
 
 def replay(machine, run, word: str) -> None:
-    """Follow the run's transitions through `step`, applying each stack
+    """Follow the run's transitions from the start, applying each stack
     operation to a plain tuple, and land on the run's final configuration."""
-    config = machine.initial_config()
+    config = Configuration(machine.start, 0, (machine.bottom,))
     for s in run.steps:
         t = s.transition
         stack = config.stack
@@ -93,7 +92,6 @@ def replay(machine, run, word: str) -> None:
             stack = stack[:-1]
         pos = config.input_pos + (t.read is not None)
         nxt = Configuration(t.target, pos, stack)
-        assert nxt in step(machine, config, word)
         assert (s.input_pos, s.stack_depth_after) == (pos, len(stack))
         config = nxt
     assert config == run.final
@@ -484,7 +482,7 @@ def test_tables_grown_from_threads_match_the_reference(machine):
 def run_configurations(machine, run):
     """(state, input position, stack depth) of every configuration on the
     run, the initial one included."""
-    config = machine.initial_config()
+    config = Configuration(machine.start, 0, (machine.bottom,))
     out = [(config.state, config.input_pos, len(config.stack))]
     out.extend((s.transition.target, s.input_pos, s.stack_depth_after) for s in run.steps)
     return out

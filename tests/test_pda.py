@@ -21,7 +21,6 @@ from islab.pda import (
     enumerate_runs,
     pda_from_json,
     pda_to_json,
-    step,
     validate_normal_form,
 )
 from islab.products import BufferedProduct, DisplacementProduct
@@ -244,28 +243,6 @@ class TestNormalForm:
         message = f"machine 1 is not in normal form: {diagnostic}"
         with pytest.raises(ValueError, match=re.escape(message)):
             DisplacementProduct(machine, machine, 0)
-
-
-class TestStep:
-    def test_stuck_accepting_config_has_no_successors(self):
-        machine = counter()
-        config = Configuration("q", 4, ("$",))
-        assert step(machine, config, "aabb") == ()
-
-    def test_start_successors_on_counter(self):
-        machine = counter()
-        succ = step(machine, machine.initial_config(), "ab")
-        assert succ == (Configuration("p", 1, ("$", "A")),)
-
-    def test_config_past_the_input_has_no_successors(self):
-        config = Configuration("daux", 3, ("$", "A"))
-        assert step(doubler(), config, "ab") == ()
-
-    def test_pop_with_mismatched_top_excluded(self):
-        machine = counter()
-        config = Configuration("p", 0, ("$",))
-        succ = step(machine, config, "b")
-        assert succ == ()
 
 
 class TestAccepts:

@@ -45,7 +45,7 @@ def as_fields(value) -> tuple:
 
 def control_states(product, limit: int = 200) -> list:
     """Composite states reachable in the control graph, breadth first."""
-    start = product.initial_config().state
+    start = product.start
     seen = {start: None}
     queue = [start]
     for state in queue:

@@ -2,13 +2,16 @@ import gc
 import itertools
 import math
 import re
+import subprocess
 import sys
 import threading
 import weakref
 from functools import partial
+from pathlib import Path
 
 import pytest
 
+import islab
 from islab import corpus
 from islab.arcs import UnbalancedRun, crossing_pairs, extract_matching
 from islab.pda import (
@@ -464,7 +467,7 @@ class TestCanonicalStates:
     def test_table_targets_are_canonical(self):
         for product in self.explored():
             assert product._table
-            start = product.initial_config().state
+            start = product.start
             reached = {start}
             for source, transitions in product._table.items():
                 assert product._state(source) is source
@@ -590,6 +593,24 @@ class TestReachableStates:
         )
         product = DisplacementProduct(trivial, trivial, 3)
         assert reachable_composite_states(product, 5) == {("z", "z", ())}
+
+    def test_walk_stops_once_no_state_is_left(self):
+        # the control graph of this product is 5 reads deep, so a walk that
+        # kept going through every length up to the bound would never end:
+        # run it in a child process, where a timeout fails instead of hanging
+        script = (
+            "from islab import corpus\n"
+            "from islab.products import DisplacementProduct, reachable_composite_states\n"
+            "product = DisplacementProduct(*corpus.get('gap-refutation').pair(), 1)\n"
+            "assert reachable_composite_states(product, 10**12)"
+            " == reachable_composite_states(product, 6)\n"
+        )
+        src = str(Path(islab.__file__).resolve().parents[1])
+        subprocess.run(
+            [sys.executable, "-I", "-c", f"import sys; sys.path.insert(0, {src!r})\n{script}"],
+            timeout=20,
+            check=True,
+        )
 
     def test_budget_enforced(self):
         from islab.pda import LimitExceeded

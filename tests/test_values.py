@@ -196,7 +196,7 @@ def corpus_values() -> list:
             roots += analyze_pair(*bundle.pair(), bundle.family(2))
             for make in (DisplacementProduct, BufferedProduct):
                 product = make(*bundle.pair(), 1)
-                states = [product.initial_config().state]
+                states = [product.start]
                 for state in states[:20]:
                     states += [t.target for t in product.transitions_from(state)]
                 roots += states
