@@ -13,10 +13,19 @@ w = P1 P2 P3 P4 a crossing induces (`SegmentDecomposition`).
 `classify_family` returns every regime as a `RegimeReport`, the
 inconclusive one with a `detail`; inputs the geometry is not defined on,
 such as matchings of two different words, raise `PreconditionViolated`.
+
+`crossing_pairs` finds the crossings of two matchings in one left-to-right
+sweep per direction, in O(n log n + K) time for n arcs and K crossings.
+It opens one machine's arcs in push order on a stack: they nest, so the
+arcs open at a position i' lie on the stack innermost on top, and the ones
+that cross an arc (i', j') of the other machine, those popped before j',
+are a run at the top.  Each matching is first checked to be well nested in
+one stack pass, and refused if not.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import NamedTuple
 
 from .pda import (
@@ -194,36 +203,114 @@ class CrossingAnalysis(NamedTuple):
     measures: CrossingMeasures
 
 
+def _measures(i: int, i_prime: int, j: int, j_prime: int) -> CrossingMeasures:
+    return CrossingMeasures(gap=max(i_prime - i, j_prime - j), inner=max(i_prime - i, j - i_prime))
+
+
 def measures_of(pair: CrossingPair) -> CrossingMeasures:
-    gap = max(pair.i_prime - pair.i, pair.j_prime - pair.j)
-    inner = max(pair.i_prime - pair.i, pair.j - pair.i_prime)
-    return CrossingMeasures(gap=gap, inner=inner)
+    return _measures(pair.i, pair.i_prime, pair.j, pair.j_prime)
+
+
+_PUSH = attrgetter("push_pos")
+_POP = attrgetter("pop_pos")
+# an arc that stays open over every position: the bottom of each open-arc stack
+_OUTERMOST = Arc(0, float("inf"))
+
+
+def _push_order(matching: Matching):
+    """The arcs of `matching` in push order, the outer arc first where two
+    share a push position: the order in which a left-to-right sweep opens
+    them.  Raise PreconditionViolated, naming the owner and two arcs, if
+    any two of them cross."""
+    arcs = matching.arcs
+    if not _nested_in_push_order(arcs, matching.owner):
+        # two stable sorts on C-level keys: by pop descending, then by push
+        arcs = sorted(arcs, key=_POP, reverse=True)
+        arcs.sort(key=_PUSH)
+        _nested_in_push_order(arcs, matching.owner)
+    return arcs
+
+
+def _nested_in_push_order(arcs, owner: int) -> bool:
+    """False if `arcs` are not in push order, outer first at a shared push.
+    Otherwise check each arc against the innermost arc still open at its
+    push, the only one it can cross since the open arcs nest: raise
+    PreconditionViolated on a crossing, and return True if there is none."""
+    open_arcs = [_OUTERMOST]
+    top = _OUTERMOST
+    last_push = last_pop = float("-inf")
+    for b in arcs:
+        push = b.push_pos
+        if push <= last_push and (push < last_push or b.pop_pos > last_pop):
+            return False
+        last_push, last_pop = push, b.pop_pos
+        while top.pop_pos <= push:
+            open_arcs.pop()
+            top = open_arcs[-1]
+        if top.pop_pos < b.pop_pos:
+            raise PreconditionViolated(
+                f"arcs of machine {owner} cross: {top.positions()} and {b.positions()}"
+            )
+        open_arcs.append(b)
+        top = b
+    return True
+
+
+def _crossings_from_left(firsts, seconds, first_is_1: bool, rows: list):
+    """Append a row (i, i', j, j', rank 1, rank 2, first, second) for every
+    arc of `firsts` that crosses an arc of `seconds` from the left; both
+    lists come in push order, and a rank is an arc's index in its list.
+
+    The arcs of `firsts` open at i' (i < i' < j) nest, so they form a stack
+    with the innermost, the one that pops first, on top.  Those that cross
+    (i', j') are the ones popped before j': a run at the top of the stack."""
+    open_ranks = []
+    k, count = 0, len(firsts)
+    for r, b in enumerate(seconds):
+        i_prime = b.push_pos
+        while k < count and firsts[k].push_pos < i_prime:
+            push = firsts[k].push_pos
+            while open_ranks and firsts[open_ranks[-1]].pop_pos <= push:
+                open_ranks.pop()
+            open_ranks.append(k)
+            k += 1
+        while open_ranks and firsts[open_ranks[-1]].pop_pos <= i_prime:
+            open_ranks.pop()
+        if k == count and not open_ranks:
+            break
+        j_prime = b.pop_pos
+        for t in reversed(open_ranks):
+            a = firsts[t]
+            if a.pop_pos >= j_prime:
+                break
+            ranks = (t, r) if first_is_1 else (r, t)
+            rows.append((a.push_pos, i_prime, a.pop_pos, j_prime, *ranks, a, b))
 
 
 def crossing_pairs(m1: Matching, m2: Matching) -> list[CrossingAnalysis]:
-    """All cross-machine crossing pairs, sorted by (i, i', j, j')."""
+    """All cross-machine crossing pairs, sorted by (i, i', j, j'); pairs
+    with equal positions come in the order of their arcs in `m1.arcs`, then
+    in `m2.arcs`.  PreconditionViolated if the matchings are of different
+    words or of one owner, or if two arcs of one matching cross."""
     if m1.word != m2.word:
         raise PreconditionViolated(f"matchings over different words: {m1.word!r} vs {m2.word!r}")
     if m1.owner == m2.owner:
         raise PreconditionViolated("crossing pairs need matchings from two distinct machines")
+    arcs_1, arcs_2 = _push_order(m1), _push_order(m2)
+    rows = []
+    _crossings_from_left(arcs_1, arcs_2, True, rows)
+    _crossings_from_left(arcs_2, arcs_1, False, rows)
+    # ranks differ between any two rows, so the sort never compares arcs
+    rows.sort()
     n = len(m1.word)
-    out = []
-    for a in m1.arcs:
-        i, j = a.push_pos, a.pop_pos
-        for b in m2.arcs:
-            i_prime, j_prime = b.push_pos, b.pop_pos
-            if crosses(i, j, i_prime, j_prime):
-                pair = CrossingPair(a, b)
-            elif crosses(i_prime, j_prime, i, j):
-                pair = CrossingPair(b, a)
-            else:
-                continue
-            deco = SegmentDecomposition(n, pair.i, pair.i_prime, pair.j)
-            out.append(CrossingAnalysis(pair, deco, measures_of(pair)))
-    out.sort(
-        key=lambda c: (c.pair.i, c.pair.i_prime, c.pair.j, c.pair.j_prime)
-    )
-    return out
+    return [
+        CrossingAnalysis(
+            CrossingPair(a, b),
+            SegmentDecomposition(n, i, i_prime, j),
+            _measures(i, i_prime, j, j_prime),
+        )
+        for i, i_prime, j, j_prime, _, _, a, b in rows
+    ]
 
 
 class PairAnalysis(NamedTuple):

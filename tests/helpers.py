@@ -12,7 +12,15 @@ import re
 from hypothesis import strategies as st
 
 from islab import corpus
-from islab.arcs import Arc
+from islab.arcs import (
+    Arc,
+    CrossingAnalysis,
+    CrossingPair,
+    PreconditionViolated,
+    SegmentDecomposition,
+    crosses,
+    measures_of,
+)
 from islab.blocks import BlockSpec, JointSpec
 from islab.grammar import Cfg, Production
 from islab.pda import (
@@ -57,18 +65,58 @@ def refutation_member(word):
     )
 
 
-def random_stack_matching(rng, length, owner):
-    """Random LIFO push/pop pairing over positions 1..length; always nested."""
+def random_stack_matching(rng, length, owner, crowded: bool = False):
+    """Random LIFO push/pop pairing over positions 1..length; always nested,
+    arcs in pop order.  With `crowded`, a position pops up to three arcs and
+    pushes up to two, with push ordinals 1 and 2, and the arcs come
+    shuffled."""
     arcs = []
     stack = []
     for pos in range(1, length + 1):
+        if crowded:
+            for _ in range(min(rng.randrange(4), len(stack))):
+                push, ordinal = stack.pop()
+                arcs.append(Arc(push, pos, owner, ordinal))
+            stack.extend([(pos, 1), (pos, 2)][: rng.randrange(3)])
+            continue
         if stack and rng.random() < 0.5:
-            arcs.append(Arc(stack.pop(), pos, owner))
+            push, ordinal = stack.pop()
+            arcs.append(Arc(push, pos, owner, ordinal))
         if rng.random() < 0.5:
-            stack.append(pos)
+            stack.append((pos, 1))
     while stack:
-        arcs.append(Arc(stack.pop(), length, owner))
+        push, ordinal = stack.pop()
+        arcs.append(Arc(push, length, owner, ordinal))
+    if crowded:
+        rng.shuffle(arcs)
     return tuple(arcs)
+
+
+def reference_crossing_pairs(m1, m2):
+    """`crossing_pairs` as every arc against every arc: the reference the
+    sweep is tested against."""
+    if m1.word != m2.word:
+        raise PreconditionViolated(f"matchings over different words: {m1.word!r} vs {m2.word!r}")
+    if m1.owner == m2.owner:
+        raise PreconditionViolated("crossing pairs need matchings from two distinct machines")
+    n = len(m1.word)
+    out = []
+    for a in m1.arcs:
+        i, j = a.push_pos, a.pop_pos
+        for b in m2.arcs:
+            i_prime, j_prime = b.push_pos, b.pop_pos
+            if crosses(i, j, i_prime, j_prime):
+                pair = CrossingPair(a, b)
+            elif crosses(i_prime, j_prime, i, j):
+                pair = CrossingPair(b, a)
+            else:
+                continue
+            deco = SegmentDecomposition(n, pair.i, pair.i_prime, pair.j)
+            out.append(CrossingAnalysis(pair, deco, measures_of(pair)))
+    out.sort(
+        key=lambda c: (c.pair.i, c.pair.i_prime, c.pair.j, c.pair.j_prime)
+    )
+    return out
 
 
 DELETE = object()

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from islab import corpus
@@ -38,7 +38,7 @@ from islab.pda import (
 )
 from islab.pumping import check_linkage
 
-from helpers import random_stack_matching, two_path_machine
+from helpers import random_stack_matching, reference_crossing_pairs, two_path_machine
 
 
 def first_matching(machine, word, owner=1):
@@ -291,6 +291,17 @@ class TestCrossingPairs:
         with pytest.raises(PreconditionViolated):
             crossing_pairs(Matching("ab", 1, ()), Matching("ab", 1, ()))
 
+    def test_crossing_arcs_of_one_machine_refused(self):
+        # machine 2 pushes nothing after position 1, so only a check of
+        # every arc of machine 1 finds the crossing
+        word = "x" * 7
+        first = Matching(word, 1, (Arc(1, 5, 1), Arc(2, 7, 1)))
+        second = Matching(word, 2, (Arc(1, 1, 2),))
+        message = r"^arcs of machine 1 cross: \(1, 5\) and \(2, 7\)$"
+        for m1, m2 in ((first, second), (second, first)):
+            with pytest.raises(PreconditionViolated, match=message):
+                crossing_pairs(m1, m2)
+
     def test_results_sorted(self):
         word = "x" * 12
         m1 = Matching(word, 1, (Arc(1, 6, 1), Arc(7, 10, 1)))
@@ -323,6 +334,41 @@ class TestCrossingPairs:
 
         pair = CrossingPair(Arc(2, 7, 1), Arc(4, 9, 2))
         assert measures_of(pair) == CrossingMeasures(gap=2, inner=3)
+
+
+@st.composite
+def matching_pairs(draw):
+    """Two crowded random matchings of one word, owners 1 and 2, with arcs
+    shuffled or in `extract_matching`'s order."""
+    length = draw(st.integers(1, 12))
+    rng = draw(st.randoms(use_true_random=False))
+    in_push_order = draw(st.booleans())
+    pair = []
+    for owner in (1, 2):
+        arcs = random_stack_matching(rng, length, owner, crowded=True)
+        if in_push_order:
+            arcs = tuple(sorted(arcs, key=lambda a: (a.push_pos, a.pop_pos, a.push_ordinal)))
+        pair.append(Matching("x" * length, owner, arcs))
+    return tuple(pair)
+
+
+TIED = "x" * 6
+
+
+@settings(max_examples=300, deadline=None)
+@given(matching_pairs())
+# both pairs have key (1, 2, 3, 5); the one with machine 1's first arc, of
+# push ordinal 1, comes first
+@example(
+    (
+        Matching(TIED, 1, (Arc(2, 5, 1, 1), Arc(2, 5, 1, 2))),
+        Matching(TIED, 2, (Arc(1, 3, 2),)),
+    )
+)
+def test_sweep_matches_pairwise_scan(pair):
+    m1, m2 = pair
+    assert crossing_pairs(m1, m2) == reference_crossing_pairs(m1, m2)
+    assert crossing_pairs(m2, m1) == reference_crossing_pairs(m2, m1)
 
 
 class TestAnalyzePair:
