@@ -8,8 +8,10 @@ are well nested and share no endpoints; the characterization is
 constructive in both directions, producing a single joint machine in the
 positive case and a family of pumping witnesses in the negative one:
 `segments_and_linkages` gives a crossing's witness word and its
-four-segment split.  Membership on one side and on the intersection both
-go through one block scan, `BlockSpec._meets`.
+four-segment split.  One side is a specification whose second constraint
+set is empty, so membership on one side and on the intersection both go
+through one block scan, `JointSpec.in_intersection`, and both machines
+through `build_joint_pda`.
 """
 
 from __future__ import annotations
@@ -42,80 +44,6 @@ class NoCrossing(ValueError):
     a shared-endpoint one (or none at all)."""
 
 
-class BlockSpec(_Value):
-    """One machine's view: block alphabets plus equal-length constraints.
-
-    Constraints are pairs (l, r) of 1-based block indices with l < r; they
-    must be well nested and no block may appear in two constraints, which
-    is what makes the language recognizable by a single counting machine.
-    Membership scans with one pattern, ([A1]*)([A2]*)...([Ak]*), compiled
-    on the first scan and kept on the instance.  It is called with `match`,
-    not `fullmatch`: the alphabets are disjoint, so the first greedy
-    attempt is the only parse and `match` never backtracks, while
-    `fullmatch` backtracks through every star on a word that is not
-    block-shaped.
-    """
-
-    _fields = ("alphabets", "constraints")
-
-    def __init__(self, alphabets: tuple, constraints: tuple):
-        _set(self, "alphabets", tuple(frozenset(a) for a in alphabets))
-        _set(self, "constraints", tuple(sorted(set(tuple(c) for c in constraints))))
-        if not self.alphabets:
-            raise ValueError("at least one block is required")
-        seen: set = set()
-        for idx, alpha in enumerate(self.alphabets, start=1):
-            if not alpha:
-                raise ValueError(f"block {idx} has an empty alphabet")
-            for ch in alpha:
-                if not (isinstance(ch, str) and len(ch) == 1):
-                    raise ValueError(f"block symbols must be single characters, got {ch!r}")
-                if ch in seen:
-                    raise ValueError(f"symbol {ch!r} appears in two block alphabets")
-                seen.add(ch)
-        endpoints: set = set()
-        for l, r in self.constraints:
-            if not (1 <= l <= self.k and 1 <= r <= self.k):
-                raise ValueError(f"constraint {(l, r)} out of range for k={self.k}")
-            if l >= r:
-                raise ValueError(f"constraint {(l, r)} needs 1 <= l < r <= {self.k}")
-            for e in (l, r):
-                if e in endpoints:
-                    raise ValueError(f"block {e} appears in two constraints")
-                endpoints.add(e)
-        ok, bad = is_well_nested(Arc(l, r) for l, r in self.constraints)
-        if not ok:
-            raise ValueError(f"constraints {bad[0].positions()} and {bad[1].positions()} cross")
-
-    @property
-    def k(self) -> int:
-        return len(self.alphabets)
-
-    @cached_property
-    def _scan(self):
-        return re.compile(
-            "".join(
-                "([" + "".join(map(re.escape, sorted(alpha))) + "]*)"
-                for alpha in self.alphabets
-            )
-        ).match
-
-    def contains(self, word: str) -> bool:
-        return self._meets(word, self.constraints)
-
-    def _meets(self, word: str, pairs: tuple) -> bool:
-        """Whether the word scans as blocks with equal lengths on each
-        (l, r) in pairs.  Group l of the scan is block l, so the pairs are
-        constraints as they stand; the first mismatch ends the check."""
-        m = self._scan(word)
-        if m.end() != len(word):
-            return False
-        for l, r in pairs:
-            if len(m[l]) != len(m[r]):
-                return False
-        return True
-
-
 class Violation(NamedTuple):
     kind: str
     first: tuple
@@ -136,30 +64,62 @@ class Verdict(NamedTuple):
 
 
 class JointSpec(_Value):
-    """Two constraint sets over one shared block structure.
+    """Block alphabets and two sets of equal-length constraints over them.
 
-    Both sides, the classes of the blocks that c1 and c2 together force to
-    equal length, and the constraint pairs of c1 and c2 in one tuple, are
-    built once, at construction, and kept on the instance: `side`,
-    `in_intersection`, `words` and `witness_blocks` reuse them on every
-    call.
+    Constraints are pairs (l, r) of 1-based block indices with l < r.  Each
+    of c1 and c2 must be well nested and use no block twice, which is what
+    makes its side recognizable by a single counting machine; one side
+    alone is `JointSpec(alphabets, c, ())`, as `side` builds it.  The
+    classes of the blocks that c1 and c2 together force to equal length,
+    and the constraint pairs of c1 and c2 in one tuple, are built once, at
+    construction, and kept on the instance.
+
+    Membership scans with one pattern, ([A1]*)([A2]*)...([Ak]*), compiled
+    on the first scan and kept on the instance.  It is called with `match`,
+    not `fullmatch`: the alphabets are disjoint, so the first greedy
+    attempt is the only parse and `match` never backtracks, while
+    `fullmatch` backtracks through every star on a word that is not
+    block-shaped.
     """
 
     _fields = ("alphabets", "c1", "c2")
 
     def __init__(self, alphabets: tuple, c1: tuple, c2: tuple):
-        first = BlockSpec(alphabets, c1)
-        second = BlockSpec(alphabets, c2)
-        _set(self, "alphabets", first.alphabets)
-        _set(self, "c1", first.constraints)
-        _set(self, "c2", second.constraints)
+        _set(self, "alphabets", tuple(frozenset(a) for a in alphabets))
+        if not self.alphabets:
+            raise ValueError("at least one block is required")
+        seen: set = set()
+        for idx, alpha in enumerate(self.alphabets, start=1):
+            if not alpha:
+                raise ValueError(f"block {idx} has an empty alphabet")
+            for ch in alpha:
+                if not (isinstance(ch, str) and len(ch) == 1):
+                    raise ValueError(f"block symbols must be single characters, got {ch!r}")
+                if ch in seen:
+                    raise ValueError(f"symbol {ch!r} appears in two block alphabets")
+                seen.add(ch)
+        for name, side in (("c1", c1), ("c2", c2)):
+            side = tuple(sorted(set(tuple(c) for c in side)))
+            endpoints: set = set()
+            for l, r in side:
+                if not (1 <= l <= self.k and 1 <= r <= self.k):
+                    raise ValueError(f"constraint {(l, r)} out of range for k={self.k}")
+                if l >= r:
+                    raise ValueError(f"constraint {(l, r)} needs 1 <= l < r <= {self.k}")
+                for e in (l, r):
+                    if e in endpoints:
+                        raise ValueError(f"block {e} appears in two constraints")
+                    endpoints.add(e)
+            ok, bad = is_well_nested(Arc(l, r) for l, r in side)
+            if not ok:
+                raise ValueError(f"constraints {bad[0].positions()} and {bad[1].positions()} cross")
+            _set(self, name, side)
         pairs = self.c1 + self.c2
         classes = list(range(self.k))  # union-find by relabelling: each block's class
         for l, r in pairs:
             old, new = classes[l - 1], classes[r - 1]
             classes = [new if c == old else c for c in classes]
         # not fields: per instance, and left out of equality and repr
-        _set(self, "_sides", (first, second))
         _set(self, "_classes", tuple(classes))
         _set(self, "_pairs", pairs)
 
@@ -167,15 +127,34 @@ class JointSpec(_Value):
     def k(self) -> int:
         return len(self.alphabets)
 
-    def side(self, which: int) -> BlockSpec:
+    def side(self, which: int) -> JointSpec:
+        """Side 1 or 2 as a spec of its own: its constraints, and none
+        beside them."""
         if which not in (1, 2):
             raise ValueError("side must be 1 or 2")
-        return self._sides[which - 1]
+        return JointSpec(self.alphabets, (self.c1, self.c2)[which - 1], ())
+
+    @cached_property
+    def _scan(self):
+        return re.compile(
+            "".join(
+                "([" + "".join(map(re.escape, sorted(alpha))) + "]*)"
+                for alpha in self.alphabets
+            )
+        ).match
 
     def in_intersection(self, word: str) -> bool:
-        """Block membership on both sides; the word is scanned once, since
-        the sides share their blocks, and checked on c1 and c2 together."""
-        return self._sides[0]._meets(word, self._pairs)
+        """Whether the word scans as blocks with equal lengths on every
+        constraint of c1 and c2.  Group l of the scan is block l, so the
+        constraints are read as they stand; the first mismatch ends the
+        check."""
+        m = self._scan(word)
+        if m.end() != len(word):
+            return False
+        for l, r in self._pairs:
+            if len(m[l]) != len(m[r]):
+                return False
+        return True
 
     def words(self, max_len: int) -> set:
         """The words of the intersection up to max_len, generated, not
@@ -205,91 +184,69 @@ class JointSpec(_Value):
         return out
 
 
-def is_jointly_well_nested(j: JointSpec):
-    """Returns (True, None) or (False, first violation in constraint order).
-
-    Identical arcs present on both sides impose the same condition twice
-    and are not a violation.
-    """
+def characterize(j: JointSpec) -> Verdict:
+    """CFL exactly when the arcs of c1 and c2 together are well nested with
+    distinct endpoints; otherwise NotCFL with the first violation in
+    constraint order.  An arc present on both sides imposes the same
+    condition twice and is not a violation."""
     for e1 in j.c1:
         for e2 in j.c2:
             if e1 == e2:
                 continue
             if set(e1) & set(e2):
-                return False, Violation(SHARED_ENDPOINT, e1, e2)
-            if crosses(*e1, *e2) or crosses(*e2, *e1):
-                return False, Violation(CROSSING, e1, e2)
-    return True, None
-
-
-def characterize(j: JointSpec) -> Verdict:
-    ok, violation = is_jointly_well_nested(j)
-    if ok:
-        return Verdict(
-            is_cfl=True,
-            reason="combined constraint arcs are well nested with distinct "
-            "endpoints; a single joint machine recognizes the intersection",
-        )
-    detail = (
-        f"constraints {violation.first} and {violation.second} "
-        + ("share a block" if violation.kind == SHARED_ENDPOINT else "cross")
-    )
+                violation = Violation(SHARED_ENDPOINT, e1, e2)
+                detail = "share a block"
+            elif crosses(*e1, *e2) or crosses(*e2, *e1):
+                violation = Violation(CROSSING, e1, e2)
+                detail = "cross"
+            else:
+                continue
+            return Verdict(
+                is_cfl=False,
+                reason=f"constraints {e1} and {e2} {detail}; the intersection "
+                "admits no context-free recognizer",
+                violation=violation,
+            )
     return Verdict(
-        is_cfl=False,
-        reason=f"{detail}; the intersection admits no context-free recognizer",
-        violation=violation,
+        is_cfl=True,
+        reason="combined constraint arcs are well nested with distinct "
+        "endpoints; a single joint machine recognizes the intersection",
     )
 
 
-def _counting_machine(alphabets: tuple, arcs) -> Pda:
-    marker = {arc: f"X{arc[0]}_{arc[1]}" for arc in arcs}
-    pushes = {l: marker[(l, r)] for l, r in arcs}
-    pops = {r: marker[(l, r)] for l, r in arcs}
-    k = len(alphabets)
-
-    def action_for(block: int) -> StackAction:
-        if block in pushes:
-            return StackAction.push(pushes[block])
-        if block in pops:
-            return StackAction.pop(pops[block])
-        return StackAction.none()
-
-    states = [f"b{i}" for i in range(k + 1)]
-    transitions = []
-    for i in range(k + 1):
-        for m in range(max(i, 1), k + 1):
-            for ch in sorted(alphabets[m - 1]):
-                transitions.append(Transition(states[i], ch, action_for(m), states[m]))
+def build_joint_pda(j: JointSpec) -> Pda:
+    """One normal-form machine for the intersection of both sides, and for
+    one side as `build_joint_pda(j.side(which))`.  Control tracks the
+    current block; each constrained left block pushes a marker private to
+    its arc and the matching right block pops it, so empty-stack acceptance
+    enforces every equality at once.  The spec must be CFL, so that the
+    markers of both sides together obey stack discipline."""
+    violation = characterize(j).violation
+    if violation is not None:
+        raise ValueError(
+            f"not jointly well nested: {violation.kind} between "
+            f"{violation.first} and {violation.second}"
+        )
+    actions = {}
+    for l, r in sorted(set(j._pairs)):
+        actions[l], actions[r] = StackAction.push(f"X{l}_{r}"), StackAction.pop(f"X{l}_{r}")
+    states = [f"b{i}" for i in range(j.k + 1)]
+    transitions = [
+        Transition(states[i], ch, actions.get(m, StackAction.none()), states[m])
+        for i in range(j.k + 1)
+        for m in range(max(i, 1), j.k + 1)
+        for ch in sorted(j.alphabets[m - 1])
+    ]
     return Pda(
         states=states,
-        input_alphabet=set().union(*alphabets),
-        stack_alphabet={"$"} | set(marker.values()),
+        input_alphabet=set().union(*j.alphabets),
+        stack_alphabet={"$"} | {action.symbol for action in actions.values()},
         transitions=transitions,
         start=states[0],
         bottom="$",
         accept=states,
         acceptance_mode=FINAL_STATE_BOTTOM_ONLY,
     )
-
-
-def build_block_pda(spec: BlockSpec) -> Pda:
-    """Normal-form machine for one side: control tracks the current block,
-    each constrained left block pushes a marker private to its arc and the
-    matching right block pops it, so empty-stack acceptance enforces every
-    equality at once."""
-    return _counting_machine(spec.alphabets, sorted(spec.constraints))
-
-
-def build_joint_pda(j: JointSpec) -> Pda:
-    """One normal-form machine for the intersection of both sides; requires
-    joint well-nestedness so the combined markers obey stack discipline."""
-    ok, violation = is_jointly_well_nested(j)
-    if not ok:
-        raise ValueError(
-            f"not jointly well nested: {violation.kind} between "
-            f"{violation.first} and {violation.second}"
-        )
-    return _counting_machine(j.alphabets, sorted(set(j.c1) | set(j.c2)))
 
 
 def witness_blocks(j: JointSpec, violation: Violation) -> frozenset:

@@ -165,6 +165,22 @@ def _budget(args) -> int:
     return MAX_CONFIGS if args.max_expand is None else args.max_expand
 
 
+def _family_word(bundle, n: int, budget: int) -> str:
+    """The bundle's family word at size n, refused before any search when
+    it is longer than the budget: it lies in both languages, and accepting
+    a word takes at least one expansion per symbol, so its search could
+    only pass the budget.  A --word gets no such check, since a rejected
+    word can be decided in fewer expansions than its length."""
+    word = bundle.family(n)
+    if len(word) > budget:
+        raise CliError(
+            f"search limit exceeded: size {n} gives a word of {len(word)} symbols, longer"
+            f" than the --max-expand budget of {budget} expansions, and accepting a word"
+            " takes at least one expansion per symbol"
+        )
+    return word
+
+
 def _nonnegative_int(raw: str) -> int:
     try:
         value = int(raw)
@@ -281,14 +297,14 @@ def _crossing_rows(analysis) -> list:
 
 def _cmd_crossings(args) -> int:
     first, second, bundle = _load_pair(args)
+    budget = _budget(args)
     word = args.word
     if word is None:
         if bundle is None or bundle.family is None:
             raise CliError("--n needs a corpus bundle with a word family")
-        word = bundle.family(args.n)
+        word = _family_word(bundle, args.n, budget)
     if args.runs_cap < 1:  # no run pair would be analyzed, whatever the word
         raise CliError(f"runs_cap must be at least 1, got {args.runs_cap}")
-    budget = _budget(args)
     runs = [
         enumerate_runs(machine, word, cap=args.runs_cap, max_configs=budget)
         for machine in (first, second)
@@ -338,9 +354,9 @@ def _cmd_classify(args) -> int:
         raise refusal
     sizes = _parse_sizes(args.sizes)
     budget = _budget(args)
+    words = [_family_word(bundle, n, budget) for n in sizes]  # every size checked first
     samples = []
-    for n in sizes:
-        word = bundle.family(n)
+    for word in words:
         analyses = analyze_pair(first, second, word, max_configs=budget)
         measures = [c.measures for c in analyses[0].crossings] if analyses else []
         samples.append((word, measures))
@@ -595,7 +611,7 @@ def _cmd_linkage(args) -> int:
         oracle = oracle_spec.in_intersection
         oracle_name = "intersection"
     else:
-        oracle = oracle_spec.side(int(args.side)).contains
+        oracle = oracle_spec.side(int(args.side)).in_intersection
         oracle_name = f"side {args.side}"
     if args.word is not None:
         word = args.word

@@ -8,7 +8,9 @@ exposed as callables.
 
 from __future__ import annotations
 
-from .blocks import JointSpec, build_block_pda
+from functools import partial
+
+from .blocks import JointSpec, _spell, build_joint_pda
 from .grammar import Cfg, Production
 from .pda import Pda, StackAction, Transition, _set, _Value
 
@@ -182,26 +184,25 @@ def _palindrome_word(n: int) -> str:
     return "0" * (2 * n)
 
 
-def _four_block_word(n: int) -> str:
-    return "a" * n + "b" * n + "c" * n + "d" * n
+def _every_block_at(spec: JointSpec, n: int) -> str:
+    """The word of the spec with every block at count n, which is in both
+    sides whatever their constraints."""
+    return _spell(spec, [n] * spec.k)
 
 
-def _three_block_word(n: int) -> str:
-    return "a" * n + "b" * n + "c" * n
-
-
-_CROSSING_BLOCKS = JointSpec(
-    alphabets=({"a"}, {"b"}, {"c"}, {"d"}), c1=((1, 3),), c2=((2, 4),)
-)
-_SHARED_BLOCKS = JointSpec(
-    alphabets=({"a"}, {"b"}, {"c"}), c1=((1, 2),), c2=((2, 3),)
-)
-_NESTED_BLOCKS = JointSpec(
-    alphabets=({"a"}, {"b"}, {"c"}, {"d"}), c1=((1, 4),), c2=((2, 3),)
-)
-_CHAINED_BLOCKS = JointSpec(
-    alphabets=({"a"}, {"b"}, {"c"}, {"d"}), c1=((1, 2), (3, 4)), c2=((2, 3),)
-)
+def _block_bundle(
+    name: str, description: str, spec: JointSpec, sides: tuple, expected: dict
+) -> ExampleBundle:
+    """A block bundle: the spec, the machine of each side under the names
+    in `sides`, and the family with every block at count n."""
+    return ExampleBundle(
+        name=name,
+        description=description,
+        machines={side: build_joint_pda(spec.side(which)) for which, side in enumerate(sides, 1)},
+        joint=spec,
+        family=partial(_every_block_at, spec),
+        expected=expected,
+    )
 
 
 def _grammar(nts, ts, prods, start):
@@ -249,56 +250,39 @@ def _build_bundles() -> dict:
                 "intersection": "a b a d^n e^n f g^m h^m",
             },
         ),
-        ExampleBundle(
-            name="crossing-blocks",
-            description="four blocks, |a|=|c| against |b|=|d|; the "
-            "constraint arcs cross, so the intersection a^n b^m c^n d^m "
-            "restricted to n=m is not context free",
-            machines={
-                "first-third-counter": build_block_pda(_CROSSING_BLOCKS.side(1)),
-                "second-fourth-counter": build_block_pda(_CROSSING_BLOCKS.side(2)),
-            },
-            joint=_CROSSING_BLOCKS,
-            family=_four_block_word,
-            expected={"is_cfl": False, "violation": "crossing"},
+        _block_bundle(
+            "crossing-blocks",
+            "four blocks, |a|=|c| against |b|=|d|; the constraint arcs cross, "
+            "so the intersection a^n b^m c^n d^m restricted to n=m is not "
+            "context free",
+            JointSpec(alphabets=({"a"}, {"b"}, {"c"}, {"d"}), c1=((1, 3),), c2=((2, 4),)),
+            ("first-third-counter", "second-fourth-counter"),
+            {"is_cfl": False, "violation": "crossing"},
         ),
-        ExampleBundle(
-            name="shared-endpoint-blocks",
-            description="three blocks, |a|=|b| against |b|=|c|; the arcs "
-            "share the middle block, forcing the non context free a^n b^n c^n",
-            machines={
-                "first-second-counter": build_block_pda(_SHARED_BLOCKS.side(1)),
-                "second-third-counter": build_block_pda(_SHARED_BLOCKS.side(2)),
-            },
-            joint=_SHARED_BLOCKS,
-            family=_three_block_word,
-            expected={"is_cfl": False, "violation": "shared-endpoint"},
+        _block_bundle(
+            "shared-endpoint-blocks",
+            "three blocks, |a|=|b| against |b|=|c|; the arcs share the middle "
+            "block, forcing the non context free a^n b^n c^n",
+            JointSpec(alphabets=({"a"}, {"b"}, {"c"}), c1=((1, 2),), c2=((2, 3),)),
+            ("first-second-counter", "second-third-counter"),
+            {"is_cfl": False, "violation": "shared-endpoint"},
         ),
-        ExampleBundle(
-            name="nested-blocks",
-            description="four blocks, |a|=|d| around |b|=|c|; nested arcs, "
-            "and one joint machine recognizes the intersection",
-            machines={
-                "outer-counter": build_block_pda(_NESTED_BLOCKS.side(1)),
-                "inner-counter": build_block_pda(_NESTED_BLOCKS.side(2)),
-            },
-            joint=_NESTED_BLOCKS,
-            family=_four_block_word,
-            expected={"is_cfl": True},
+        _block_bundle(
+            "nested-blocks",
+            "four blocks, |a|=|d| around |b|=|c|; nested arcs, and one joint "
+            "machine recognizes the intersection",
+            JointSpec(alphabets=({"a"}, {"b"}, {"c"}, {"d"}), c1=((1, 4),), c2=((2, 3),)),
+            ("outer-counter", "inner-counter"),
+            {"is_cfl": True},
         ),
-        ExampleBundle(
-            name="chained-equal-blocks",
-            description="four blocks chained |a|=|b|, |b|=|c|, |c|=|d|; "
-            "the intersection is the language with all four counts equal, "
-            "which also serves as the linkage oracle for the crossing "
-            "example's witness family",
-            machines={
-                "outer-pairs-counter": build_block_pda(_CHAINED_BLOCKS.side(1)),
-                "middle-counter": build_block_pda(_CHAINED_BLOCKS.side(2)),
-            },
-            joint=_CHAINED_BLOCKS,
-            family=_four_block_word,
-            expected={"is_cfl": False, "violation": "shared-endpoint"},
+        _block_bundle(
+            "chained-equal-blocks",
+            "four blocks chained |a|=|b|, |b|=|c|, |c|=|d|; the intersection "
+            "is the language with all four counts equal, which also serves as "
+            "the linkage oracle for the crossing example's witness family",
+            JointSpec(alphabets=({"a"}, {"b"}, {"c"}, {"d"}), c1=((1, 2), (3, 4)), c2=((2, 3),)),
+            ("outer-pairs-counter", "middle-counter"),
+            {"is_cfl": False, "violation": "shared-endpoint"},
         ),
         ExampleBundle(
             name="double-push",

@@ -21,7 +21,7 @@ from islab.arcs import (
     crosses,
     measures_of,
 )
-from islab.blocks import BlockSpec, JointSpec
+from islab.blocks import JointSpec
 from islab.grammar import Cfg, Production
 from islab.pda import (
     FINAL_STATE,
@@ -274,21 +274,28 @@ def machines(
 
 
 @st.composite
-def joint_specs(draw, max_blocks: int = 5) -> JointSpec:
+def joint_specs(draw, max_blocks: int = 5, crossing: bool = False) -> JointSpec:
     """2 to `max_blocks` blocks of 1-2 letters each and 0-2 constraints per
-    side; a drawn constraint that would make its side invalid is dropped."""
-    k = draw(st.integers(2, max_blocks))
+    side; a drawn constraint that would make its side invalid is dropped.
+    With `crossing`, 4 to `max_blocks` blocks, and c1 and c2 start with two
+    crossing constraints, (a, c) and (b, d) for drawn blocks a < b < c < d:
+    plain draws give a crossing in fewer than 2 of 100 specs."""
+    k = draw(st.integers(4 if crossing else 2, max_blocks))
     letters = iter("abcdefghij")
     alphabets = [{next(letters) for _ in range(draw(st.integers(1, 2)))} for _ in range(k)]
     pair = st.lists(st.integers(1, k), min_size=2, max_size=2, unique=True).map(sorted)
 
-    def side() -> tuple:
-        kept = ()
+    def side(kept: tuple) -> tuple:
         for constraint in draw(st.lists(pair, max_size=2)):
             try:
-                kept = BlockSpec(alphabets, kept + (tuple(constraint),)).constraints
+                kept = JointSpec(alphabets, kept + (tuple(constraint),), ()).c1
             except ValueError:
                 pass
         return kept
 
-    return JointSpec(alphabets, side(), side())
+    first = second = ()
+    if crossing:
+        blocks = draw(st.lists(st.integers(1, k), min_size=4, max_size=4, unique=True))
+        a, b, c, d = sorted(blocks)
+        first, second = ((a, c),), ((b, d),)
+    return JointSpec(alphabets, side(first), side(second))

@@ -26,7 +26,6 @@ from islab.blocks import (
     JointSpec,
     build_joint_pda,
     characterize,
-    is_jointly_well_nested,
 )
 from islab.grammar import cyk_membership, gnf_to_pda, to_cnf, to_gnf
 from islab.pda import enumerate_language, enumerate_runs
@@ -131,7 +130,7 @@ def test_criterion_02_joint_machine_matches_block_membership():
                 random_side(rng, k),
                 random_side(rng, k),
             )
-            if is_jointly_well_nested(joint)[0]:
+            if characterize(joint).is_cfl:
                 break
         if joint.c1 or joint.c2:
             constrained += 1
@@ -294,13 +293,13 @@ def test_criterion_07_linkages_on_the_four_block_witness():
         assert report.relevant == 2014
         assert report.oracle_calls == 560
 
-    alone = check_linkage(CROSSING_J.side(1).contains, word, cuts, OUTER_PAIR)
+    alone = check_linkage(CROSSING_J.side(1).in_intersection, word, cuts, OUTER_PAIR)
     assert not alone.holds
     ce = alone.counterexample
     assert ce.factorization.cuts == (3, 3, 4, 5)
     assert ce.parts == ("aaa", "", "a", "b", "bbbccccdddd")
     assert ce.pumped == "aaaabbbbbccccdddd"
-    assert CROSSING_J.side(1).contains(ce.pumped)
+    assert CROSSING_J.side(1).in_intersection(ce.pumped)
     assert not CHAINED.in_intersection(ce.pumped)
 
     elapsed = time.perf_counter() - started

@@ -9,21 +9,20 @@ from islab import corpus
 from islab.blocks import (
     CROSSING,
     SHARED_ENDPOINT,
-    BlockSpec,
     JointSpec,
     NoCrossing,
     Violation,
-    build_block_pda,
     build_joint_pda,
     characterize,
-    is_jointly_well_nested,
     joint_from_json,
     joint_to_json,
     segments_and_linkages,
     witness_blocks,
     witness_string,
 )
+from islab.arcs import analyze_pair, classify_family
 from islab.pda import enumerate_language, validate_normal_form
+from islab.products import BufferedProduct
 
 from helpers import DELETE, block_words, edited, joint_specs
 
@@ -55,7 +54,7 @@ def scan_cases(draw):
         kept = ()
         for constraint in draw(st.lists(pair, max_size=2)) if k > 1 else ():
             try:
-                kept = BlockSpec(alphabets, kept + (tuple(constraint),)).constraints
+                kept = JointSpec(alphabets, kept + (tuple(constraint),), ()).c1
             except ValueError:
                 pass
         return kept
@@ -69,7 +68,7 @@ def scan_cases(draw):
     return spec, [""] + draw(st.lists(st.one_of(shaped, anything), max_size=12))
 
 
-def loop_counts(spec: BlockSpec, word: str):
+def loop_counts(spec: JointSpec, word: str):
     """The per-character block scan that the compiled pattern replaced."""
     block_index = {ch: idx for idx, alpha in enumerate(spec.alphabets, 1) for ch in alpha}
     counts = [0] * spec.k
@@ -83,9 +82,10 @@ def loop_counts(spec: BlockSpec, word: str):
     return counts
 
 
-def loop_contains(spec: BlockSpec, word: str) -> bool:
+def loop_contains(spec: JointSpec, word: str) -> bool:
     counts = loop_counts(spec, word)
-    return counts is not None and all(counts[l - 1] == counts[r - 1] for l, r in spec.constraints)
+    pairs = spec.c1 + spec.c2
+    return counts is not None and all(counts[l - 1] == counts[r - 1] for l, r in pairs)
 
 
 @settings(max_examples=100, deadline=None)
@@ -100,25 +100,27 @@ def test_block_scan_matches_character_loop(case):
     spec, words = case
     first, second = spec.side(1), spec.side(2)
     for word in words:
-        assert first.contains(word) == loop_contains(first, word), word
-        assert second.contains(word) == loop_contains(second, word), word
+        assert first.in_intersection(word) == loop_contains(first, word), word
+        assert second.in_intersection(word) == loop_contains(second, word), word
         assert spec.in_intersection(word) == (
             loop_contains(first, word) and loop_contains(second, word)
         ), word
 
 
 class TestBlockSpecValidation:
+    """The rules each of c1 and c2 is checked by, with its messages."""
+
     def test_overlapping_alphabets_rejected(self):
         with pytest.raises(ValueError, match="two block alphabets"):
-            BlockSpec(alphabets=({"a"}, {"a"}), constraints=())
+            JointSpec(alphabets=({"a"}, {"a"}), c1=(), c2=())
 
     def test_empty_alphabet_rejected(self):
         with pytest.raises(ValueError, match="empty alphabet"):
-            BlockSpec(alphabets=({"a"}, set()), constraints=())
+            JointSpec(alphabets=({"a"}, set()), c1=(), c2=())
 
     def test_constraint_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            BlockSpec(alphabets=({"a"}, {"b"}), constraints=((1, 3),))
+            JointSpec(alphabets=({"a"}, {"b"}), c1=(), c2=((1, 3),))
 
     @pytest.mark.parametrize("constraint", [(2, 1), (1, 1)])
     def test_reversed_or_degenerate_constraint_names_the_rule(self, constraint):
@@ -136,53 +138,52 @@ class TestBlockSpecValidation:
 
     def test_reused_endpoint_rejected(self):
         with pytest.raises(ValueError, match="two constraints"):
-            BlockSpec(
-                alphabets=({"a"}, {"b"}, {"c"}), constraints=((1, 2), (2, 3))
-            )
+            JointSpec(alphabets=({"a"}, {"b"}, {"c"}), c1=((1, 2), (2, 3)), c2=())
 
     def test_crossing_constraints_rejected(self):
-        with pytest.raises(ValueError, match="cross"):
-            BlockSpec(
-                alphabets=({"a"}, {"b"}, {"c"}, {"d"}),
-                constraints=((1, 3), (2, 4)),
-            )
+        alphabets = ({"a"}, {"b"}, {"c"}, {"d"})
+        message = "constraints (1, 3) and (2, 4) cross"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            JointSpec(alphabets, c1=((1, 3), (2, 4)), c2=())
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            JointSpec(alphabets, c1=((1, 4),), c2=((1, 3), (2, 4)))
 
     def test_multichar_symbol_rejected(self):
         with pytest.raises(ValueError, match="single characters"):
-            BlockSpec(alphabets=({"ab"},), constraints=())
+            JointSpec(alphabets=({"ab"},), c1=(), c2=())
 
 
 class TestMembership:
     def spec13(self):
-        return BlockSpec(alphabets=({"a"}, {"b"}, {"c"}), constraints=((1, 3),))
+        return JointSpec(alphabets=({"a"}, {"b"}, {"c"}), c1=((1, 3),), c2=())
 
     def test_first_third_examples(self):
         spec = self.spec13()
-        assert spec.contains("aabcc")
-        assert not spec.contains("aabc")
-        assert spec.contains("")
+        assert spec.in_intersection("aabcc")
+        assert not spec.in_intersection("aabc")
+        assert spec.in_intersection("")
 
     def test_second_third_example(self):
-        spec = BlockSpec(alphabets=({"a"}, {"b"}, {"c"}), constraints=((2, 3),))
-        assert spec.contains("abbcc")
-        assert not spec.contains("abbc")
+        spec = JointSpec(alphabets=({"a"}, {"b"}, {"c"}), c1=(), c2=((2, 3),))
+        assert spec.in_intersection("abbcc")
+        assert not spec.in_intersection("abbc")
 
     def test_multi_letter_block(self):
-        spec = BlockSpec(alphabets=({"a", "b"}, {"c"}), constraints=((1, 2),))
-        assert spec.contains("abcc")
-        assert spec.contains("bacc")
-        assert not spec.contains("abc")
+        spec = JointSpec(alphabets=({"a", "b"}, {"c"}), c1=((1, 2),), c2=())
+        assert spec.in_intersection("abcc")
+        assert spec.in_intersection("bacc")
+        assert not spec.in_intersection("abc")
 
     def test_unconstrained_spec_accepts_any_block_order(self):
-        spec = BlockSpec(alphabets=({"a"}, {"b"}), constraints=())
-        assert spec.contains("aaab")
-        assert not spec.contains("aba")
+        spec = JointSpec(alphabets=({"a"}, {"b"}), c1=(), c2=())
+        assert spec.in_intersection("aaab")
+        assert not spec.in_intersection("aba")
 
 
 class TestJointSpec:
     def test_sides(self):
-        assert CROSSING_J.side(1).constraints == ((1, 3),)
-        assert CROSSING_J.side(2).constraints == ((2, 4),)
+        assert CROSSING_J.side(1) == JointSpec(CROSSING_J.alphabets, ((1, 3),), ())
+        assert CROSSING_J.side(2) == JointSpec(CROSSING_J.alphabets, ((2, 4),), ())
         with pytest.raises(ValueError):
             CROSSING_J.side(3)
 
@@ -230,21 +231,23 @@ class TestJointSpec:
 
 class TestJointWellNested:
     def test_crossing_detected(self):
-        ok, violation = is_jointly_well_nested(CROSSING_J)
-        assert not ok
-        assert violation == Violation(CROSSING, (1, 3), (2, 4))
+        verdict = characterize(CROSSING_J)
+        assert not verdict.is_cfl
+        assert verdict.violation == Violation(CROSSING, (1, 3), (2, 4))
 
     def test_shared_endpoint_detected(self):
-        ok, violation = is_jointly_well_nested(SHARED_J)
-        assert not ok
-        assert violation == Violation(SHARED_ENDPOINT, (1, 2), (2, 3))
+        verdict = characterize(SHARED_J)
+        assert not verdict.is_cfl
+        assert verdict.violation == Violation(SHARED_ENDPOINT, (1, 2), (2, 3))
 
     def test_nested_passes(self):
-        assert is_jointly_well_nested(NESTED_J) == (True, None)
+        verdict = characterize(NESTED_J)
+        assert (verdict.is_cfl, verdict.violation) == (True, None)
 
     def test_identical_arcs_allowed(self):
         j = JointSpec(alphabets=({"a"}, {"b"}), c1=((1, 2),), c2=((1, 2),))
-        assert is_jointly_well_nested(j) == (True, None)
+        verdict = characterize(j)
+        assert (verdict.is_cfl, verdict.violation) == (True, None)
 
 
 class TestCharacterize:
@@ -268,12 +271,12 @@ class TestMachines:
     def test_side_machines_normal_form(self):
         for j in (CROSSING_J, SHARED_J, NESTED_J, CHAINED_J):
             for which in (1, 2):
-                assert validate_normal_form(build_block_pda(j.side(which))) == []
+                assert validate_normal_form(build_joint_pda(j.side(which))) == []
 
     def test_side_machine_matches_membership(self):
         spec = CROSSING_J.side(1)
-        machine = build_block_pda(spec)
-        expected = {w for w in block_words(spec.alphabets, 8) if spec.contains(w)}
+        machine = build_joint_pda(spec)
+        expected = {w for w in block_words(spec.alphabets, 8) if spec.in_intersection(w)}
         assert enumerate_language(machine, 8) == expected
 
     def test_joint_machine_nested_blocks(self):
@@ -304,16 +307,46 @@ class TestMachines:
         """Each side machine has its side's language.  Jointly well nested:
         the joint machine has the intersection as its language.  Otherwise
         no joint machine is built."""
-        for which, constraints in ((1, spec.c1), (2, spec.c2)):
+        for which in (1, 2):
             side = spec.side(which)
-            language = JointSpec(spec.alphabets, constraints, ()).words(7)
-            assert enumerate_language(build_block_pda(side), 7) == language
-            assert all(side.contains(word) for word in language)
+            language = side.words(7)
+            assert enumerate_language(build_joint_pda(side), 7) == language
+            assert all(side.in_intersection(word) for word in language)
         if characterize(spec).is_cfl:
             assert enumerate_language(build_joint_pda(spec), 7) == spec.words(7)
         else:
             with pytest.raises(ValueError, match="not jointly well nested"):
                 build_joint_pda(spec)
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=st.one_of(joint_specs(), joint_specs(crossing=True)))
+    @example(spec=CROSSING_J)
+    @example(spec=SHARED_J)
+    @example(spec=NESTED_J)
+    @example(spec=CHAINED_J)
+    def test_one_dichotomy_three_views(self, spec):
+        """`characterize` says CFL exactly when the buffered product of the
+        two side machines at d = 0 has the intersection as its language, and
+        exactly when the family with every block at count n, n = 2..5, reads
+        `no-crossings` (otherwise `growing-inner`).  A violating spec must
+        leave a word the product misses: if none is found at length 6, the
+        bound is raised until one is."""
+        is_cfl = characterize(spec).is_cfl
+        sides = [build_joint_pda(spec.side(which)) for which in (1, 2)]
+        product = BufferedProduct(*sides, 0)
+        for max_len in range(6, 13):
+            language, expected = enumerate_language(product, max_len), spec.words(max_len)
+            assert language <= expected, (max_len, language - expected)
+            if is_cfl or language != expected:
+                break
+        assert (language == expected) == is_cfl, max_len
+        samples = []
+        for n in range(2, 6):
+            word = "".join(min(alphabet) * n for alphabet in spec.alphabets)
+            (analysis,) = analyze_pair(*sides, word)
+            samples.append((word, [crossing.measures for crossing in analysis.crossings]))
+        regime = classify_family(samples).regime
+        assert regime == ("no-crossings" if is_cfl else "growing-inner"), regime
 
     def test_joint_machine_refused_on_violation(self):
         with pytest.raises(ValueError, match="not jointly well nested: crossing"):
@@ -324,7 +357,7 @@ class TestMachines:
 
 class TestWitnesses:
     def crossing_violation(self):
-        return is_jointly_well_nested(CROSSING_J)[1]
+        return characterize(CROSSING_J).violation
 
     def test_witness_blocks_crossing(self):
         assert witness_blocks(CROSSING_J, self.crossing_violation()) == frozenset(
@@ -337,8 +370,8 @@ class TestWitnesses:
             c1=((1, 3), (4, 5)),
             c2=((2, 4),),
         )
-        ok, violation = is_jointly_well_nested(j)
-        assert not ok
+        violation = characterize(j).violation
+        assert violation is not None
         assert witness_blocks(j, violation) == frozenset({1, 2, 3, 4, 5})
         assert witness_string(j, violation, 2) == "aabbccddee"
 
@@ -372,12 +405,12 @@ class TestWitnesses:
             c1=((1, 3),),
             c2=((2, 4),),
         )
-        ok, violation = is_jointly_well_nested(j)
-        assert not ok
+        violation = characterize(j).violation
+        assert violation is not None
         assert witness_string(j, violation, 3) == "aaabbbcccddd"
 
     def test_witness_string_examples(self):
-        ok, violation = is_jointly_well_nested(SHARED_J)
+        violation = characterize(SHARED_J).violation
         assert witness_string(SHARED_J, violation, 3) == "aaabbbccc"
         assert witness_string(SHARED_J, violation, 0) == ""
         with pytest.raises(ValueError):
@@ -385,12 +418,12 @@ class TestWitnesses:
 
     def test_witnesses_in_both_sides(self):
         for j in (CROSSING_J, SHARED_J, CHAINED_J):
-            ok, violation = is_jointly_well_nested(j)
-            assert not ok
+            violation = characterize(j).violation
+            assert violation is not None
             for n in range(5):
                 w = witness_string(j, violation, n)
-                assert j.side(1).contains(w), (j, n)
-                assert j.side(2).contains(w), (j, n)
+                assert j.side(1).in_intersection(w), (j, n)
+                assert j.side(2).in_intersection(w), (j, n)
 
     def test_decomposition_crossing(self):
         pkg = segments_and_linkages(CROSSING_J, self.crossing_violation(), 3)
@@ -405,7 +438,7 @@ class TestWitnesses:
         assert pkg.decomposition.cuts() == (2, 4, 6)
 
     def test_decomposition_needs_crossing(self):
-        ok, violation = is_jointly_well_nested(SHARED_J)
+        violation = characterize(SHARED_J).violation
         assert violation.kind == SHARED_ENDPOINT
         with pytest.raises(NoCrossing, match="^segment decomposition is defined for crossings only$"):
             segments_and_linkages(SHARED_J, violation, 3)

@@ -22,6 +22,7 @@ from islab.pda import (
     StackAction,
     Transition,
     accepts,
+    _Search,
     enumerate_runs,
     pda_from_json,
     pda_to_json,
@@ -345,6 +346,43 @@ def test_max_expand_limits_run_search(capsys, argv):
         )
         assert code == 2, cap
         assert "search limit exceeded" in err
+
+
+@pytest.mark.parametrize(
+    "argv, size, length",
+    [
+        (["crossings", "--pair", "gap-refutation", "--n", "50"], 50, 104),
+        (["classify", "--pair", "interleaved-palindrome", "--sizes", "2,50"], 50, 100),
+    ],
+    ids=["crossings-n", "classify-sizes"],
+)
+def test_family_word_longer_than_the_budget_refused_unsearched(
+    capsys, monkeypatch, argv, size, length
+):
+    """A family word is in both languages and accepting it takes one
+    expansion per symbol, so a word longer than --max-expand is refused
+    before any configuration is expanded; `classify` checks every size
+    first, so its size 2 is not searched either."""
+    expanded = []
+    real = _Search.successors
+    monkeypatch.setattr(_Search, "successors", lambda *a: expanded.append(1) or real(*a))
+    code, out, err = run_cli(capsys, *argv, "--max-expand", "10")
+    assert (code, out, expanded) == (2, "", [])
+    assert err == (
+        f"error: search limit exceeded: size {size} gives a word of {length} symbols,"
+        " longer than the --max-expand budget of 10 expansions, and accepting a word"
+        " takes at least one expansion per symbol\n"
+    )
+
+
+def test_family_word_as_long_as_the_budget_searched(capsys):
+    """Accepting the family word at n = 2 takes exactly its 8 expansions per
+    machine, so a budget of 8 answers and 7 is refused unsearched."""
+    argv = ["crossings", "--pair", "gap-refutation", "--n", "2", "--max-expand"]
+    code, out, _ = run_cli(capsys, *argv, "8")
+    assert (code, out.splitlines()[0]) == (0, "word 'abaddeef'")
+    code, _, err = run_cli(capsys, *argv, "7")
+    assert code == 2 and "size 2 gives a word of 8 symbols" in err
 
 
 @pytest.mark.parametrize(

@@ -148,7 +148,7 @@ class TestMachineLanguages:
                 for length in range(6):
                     for combo in itertools.product(letters, repeat=length):
                         word = "".join(combo)
-                        assert (word in lang) == spec.contains(word), (name, word)
+                        assert (word in lang) == spec.in_intersection(word), (name, word)
 
 
 class TestFamilies:

@@ -5,7 +5,7 @@ import pytest
 
 from islab import corpus
 from islab.arcs import SegmentDecomposition
-from islab.blocks import is_jointly_well_nested, segments_and_linkages
+from islab.blocks import characterize, segments_and_linkages
 from islab.pumping import (
     FOUR_LARGE,
     INNER_GROWING,
@@ -20,7 +20,7 @@ from helpers import refutation_member
 
 CHAINED = corpus.get("chained-equal-blocks").joint
 CROSSING = corpus.get("crossing-blocks").joint
-CROSSING_VIOLATION = is_jointly_well_nested(CROSSING)[1]
+CROSSING_VIOLATION = characterize(CROSSING).violation
 
 
 def all_equal_member(word: str) -> bool:
@@ -75,17 +75,17 @@ class TestCheckLinkage:
         letter of the first block together with one second-block letter
         stays inside the language, and the checker finds exactly that."""
         word, cuts = crossing_witness(3)
-        report = check_linkage(CROSSING.side(1).contains, word, cuts, OUTER_PAIR)
+        report = check_linkage(CROSSING.side(1).in_intersection, word, cuts, OUTER_PAIR)
         assert not report.holds and not report.vacuous
         ce = report.counterexample
         assert ce.factorization.cuts == (2, 2, 3, 4)
         assert ce.parts == ("aa", "", "a", "b", "bbcccddd")
         assert ce.pumped == "aaabbbbcccddd"
-        assert CROSSING.side(1).contains(ce.pumped)
+        assert CROSSING.side(1).in_intersection(ce.pumped)
 
     def test_counterexample_is_first_in_window_order(self):
         word, cuts = crossing_witness(3)
-        report = check_linkage(CROSSING.side(1).contains, word, cuts, OUTER_PAIR)
+        report = check_linkage(CROSSING.side(1).in_intersection, word, cuts, OUTER_PAIR)
         a, b, c, d = report.counterexample.factorization.cuts
         width = d - a
         for cand_a, cand_b, cand_c, cand_d in (

@@ -13,7 +13,7 @@ import pytest
 
 from islab import corpus
 from islab.arcs import Arc, SegmentDecomposition, analyze_pair
-from islab.blocks import BlockSpec, JointSpec
+from islab.blocks import JointSpec
 from islab.corpus import ExampleBundle
 from islab.grammar import (
     Cfg,
@@ -42,7 +42,7 @@ STATES = [DisplacedState, BufferedState]
 SEARCHES = {
     Pda: lambda machine: accepts(machine, "aabb"),
     CnfGrammar: lambda cnf: cyk_membership(cnf, "abab"),
-    BlockSpec: lambda spec: spec.contains("ab"),
+    JointSpec: lambda spec: spec.in_intersection("ab"),
 }
 
 
@@ -59,7 +59,6 @@ def cases() -> dict:
         Pda: (counter, {"accept": {"p"}}),
         Arc: (Arc(1, 4, 2), {"owner": 1}),
         SegmentDecomposition: (SegmentDecomposition(8, 2, 4, 6), {"j": 7}),
-        BlockSpec: (joint.side(1), {"constraints": ()}),
         JointSpec: (joint, {"c2": ()}),
         Cfg: (grammar, {"productions": grammar.productions[1:]}),
         CnfGrammar: (cnf, {"productions": cnf.productions[1:]}),
@@ -102,7 +101,7 @@ def test_every_value_class_is_covered():
         subclasses = todo.pop().__subclasses__()
         found.update(subclasses)
         todo += subclasses
-    assert found == set(CLASSES) and len(CLASSES) == 14
+    assert found == set(CLASSES) and len(CLASSES) == 13
 
 
 @pytest.mark.parametrize("cls", VALUES, ids=ids(VALUES))
@@ -237,7 +236,7 @@ def test_replace_validates_and_normalises_again():
     doubled = counter._replace(transitions=counter.transitions * 2)
     assert doubled.transitions == counter.transitions
     joint, _ = cases()[JointSpec]
-    assert joint._replace(c1=[[1, 4]]).side(1).constraints == ((1, 4),)
+    assert joint._replace(c1=[[1, 4]]).side(1).c1 == ((1, 4),)
 
 
 @pytest.mark.parametrize("cls", VALUES, ids=ids(VALUES))
