@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from islab import corpus
+from islab.arcs import analyze_pair, classify_family
 from islab.blocks import (
     CROSSING,
     SHARED_ENDPOINT,
@@ -20,7 +21,6 @@ from islab.blocks import (
     witness_blocks,
     witness_string,
 )
-from islab.arcs import analyze_pair, classify_family
 from islab.pda import enumerate_language, validate_normal_form
 from islab.products import BufferedProduct
 
