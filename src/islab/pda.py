@@ -16,14 +16,16 @@ below it and the depth; each search call interns its cells in a table of
 its own, so equal stacks are one object, and push, pop, depth, hashing and
 equality each cost O(1) however deep the stack.  All searches step through
 the one successor function `_Search.successors`, which also charges each
-search's budget, one expansion per configuration (per configuration of each
-prefix in `enumerate_language`, whatever the alphabet size), and drops
-every successor whose stack is too deep to be emptied in the input left
-(see `live_depths`) or, in the searches over one word (`accepts` and
-`enumerate_runs`), too shallow to last it (see `floor_depths`).  No search
-recurses: run length never becomes Python recursion depth.  What a caller
-gets back still holds tuples: `Configuration.stack` is the whole stack,
-bottom first, in `AcceptingRun.final`.
+search's budget, one expansion per configuration (in `enumerate_language`,
+per configuration of each distinct configuration set its prefixes reach at
+each length, however many prefixes reach it and whatever the alphabet
+size), and drops every successor whose stack is too deep to be emptied in
+the input left (see `live_depths`) or, in the searches over one word
+(`accepts` and `enumerate_runs`), too shallow to last it (see
+`floor_depths`).  No search recurses: run length never becomes Python
+recursion depth.  What a caller gets back still holds tuples:
+`Configuration.stack` is the whole stack, bottom first, in
+`AcceptingRun.final`.
 
 What bounds a search.  The engine caps no stack depth: a machine in normal
 form stays within 2*|w|+1 by construction, products within 4*|w|+1
@@ -812,37 +814,66 @@ def enumerate_runs(
 def enumerate_language(machine, max_len: int, max_configs: int = MAX_CONFIGS) -> set[str]:
     """All accepted words of length <= max_len.
 
-    Breadth-first over prefixes in sorted-symbol order.  One worklist
-    closes each prefix's configuration set: every configuration is
-    expanded once, its epsilon successors joining the set and its reads
-    seeding the set of the prefix one symbol longer.  Prefixes with no live
-    configurations are pruned, so cost tracks the size of the reachable
-    prefix tree rather than |alphabet|^max_len.  Agrees with per-word
-    `accepts` on every word it reports or omits.
+    Breadth-first by length, over the distinct configuration sets the
+    prefixes of each length reach: the subset construction, made on the
+    fly.  Prefixes that reach the same set have the same futures, so each
+    set is closed once, with the list of prefixes behind it.  One worklist
+    closes it: every configuration is expanded once, its epsilon
+    successors joining the set and its reads seeding the set one symbol
+    longer, and the set accepts if any configuration in it does.  Equal
+    seed sets of one length merge their prefix lists; prefixes with no
+    live configurations are pruned.  So the budget is charged one
+    expansion per configuration of each distinct set per length, not per
+    prefix, and cost tracks the number of such sets rather than
+    |alphabet|^max_len.  Agrees with per-word `accepts` on every word it
+    reports or omits.
     """
     search = _Search(machine, max_len, max_configs)
     accepted: set[str] = set()
-    frontier = [("", {search.start(): None})]
+    # (configurations of a set, in the order they were reached, and the
+    # prefixes that reach it): the worklist goes by that order, never by a
+    # hash order, so expansions and refusals repeat from run to run
+    frontier = [({search.start(): None}, [""])]
+    length = 0
     while frontier:
-        next_frontier = []
-        for word, configs in frontier:
-            reads = _ANY if len(word) < max_len else None
+        reads = _ANY if length < max_len else None
+        seeds: dict = {}  # frozen seed set -> entry of the next frontier
+        # popped in the order the sets were reached, so that each set is
+        # freed once it is closed and its reads have seeded the next
+        frontier.reverse()
+        while frontier:
+            configs, prefixes = frontier.pop()
             work = list(configs)
             advanced: dict = {}  # symbol -> configurations after reading it
+            accepting = False
             while work:
                 state, pos, cell = work.pop()
+                # every configuration of the set has read the whole prefix
+                accepting = accepting or machine.is_accepting(state, cell)
                 for t, new_pos, nxt_cell in search.successors(state, pos, cell, reads):
                     nxt = (t.target, new_pos, nxt_cell)
-                    if t.read is not None:
-                        advanced.setdefault(t.read, {})[nxt] = None
+                    read = t.read
+                    if read is not None:
+                        after = advanced.get(read)
+                        if after is None:
+                            after = advanced[read] = {}
+                        after[nxt] = None
                     elif nxt not in configs:
                         configs[nxt] = None
                         work.append(nxt)
-            # every configuration of a prefix has read the whole prefix
-            if any(machine.is_accepting(state, cell) for state, _, cell in configs):
-                accepted.add(word)
-            next_frontier.extend((word + sym, advanced[sym]) for sym in sorted(advanced))
-        frontier = next_frontier
+            if accepting:
+                accepted.update(prefixes)
+            for sym in sorted(advanced):
+                after = advanced[sym]
+                longer = [prefix + sym for prefix in prefixes]
+                key = frozenset(after)
+                entry = seeds.get(key)
+                if entry is None:
+                    seeds[key] = (after, longer)
+                else:
+                    entry[1].extend(longer)
+        frontier = list(seeds.values())
+        length += 1
     return accepted
 
 

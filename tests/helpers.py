@@ -1,7 +1,7 @@
 """Helpers that more than one test module uses: word generators, reference
-languages, random arc matchings, document editing, corpus listings,
-example machines and grammars, and the hypothesis strategies for random
-machines and block specifications.  Test modules import from here and
+languages and searches, random arc matchings, document editing, corpus
+listings, example machines and grammars, and the hypothesis strategies for
+random machines and block specifications.  Test modules import from here and
 never from each other, so that a module that fails to import stops no
 other module from collecting."""
 
@@ -24,11 +24,13 @@ from islab.arcs import (
 from islab.blocks import JointSpec
 from islab.grammar import Cfg, Production
 from islab.pda import (
+    _ANY,
     FINAL_STATE,
     FINAL_STATE_BOTTOM_ONLY,
     Pda,
     StackAction,
     Transition,
+    _Search,
     validate_normal_form,
 )
 
@@ -117,6 +119,37 @@ def reference_crossing_pairs(m1, m2):
         key=lambda c: (c.pair.i, c.pair.i_prime, c.pair.j, c.pair.j_prime)
     )
     return out
+
+
+def reference_enumerate_language(machine, max_len: int, max_configs: int = BUDGET) -> set:
+    """`enumerate_language` as one configuration set per prefix: each
+    prefix's set is closed on its own, even where another prefix of the
+    same length reaches the same configurations.  The reference the shared
+    search is tested against."""
+    search = _Search(machine, max_len, max_configs)
+    accepted: set[str] = set()
+    frontier = [("", {search.start(): None})]
+    while frontier:
+        next_frontier = []
+        for word, configs in frontier:
+            reads = _ANY if len(word) < max_len else None
+            work = list(configs)
+            advanced: dict = {}  # symbol -> configurations after reading it
+            while work:
+                state, pos, cell = work.pop()
+                for t, new_pos, nxt_cell in search.successors(state, pos, cell, reads):
+                    nxt = (t.target, new_pos, nxt_cell)
+                    if t.read is not None:
+                        advanced.setdefault(t.read, {})[nxt] = None
+                    elif nxt not in configs:
+                        configs[nxt] = None
+                        work.append(nxt)
+            # every configuration of a prefix has read the whole prefix
+            if any(machine.is_accepting(state, cell) for state, _, cell in configs):
+                accepted.add(word)
+            next_frontier.extend((word + sym, advanced[sym]) for sym in sorted(advanced))
+        frontier = next_frontier
+    return accepted
 
 
 DELETE = object()

@@ -1265,8 +1265,9 @@ class TestVerify:
         assert "language equality confirmed, 0 mismatches (295 words)" in out
 
     def test_displacement_length_14_expands_each_configuration_once(self, capsys):
-        """Each configuration of each prefix is expanded once, so the
-        product's search fits in 44 581 expansions."""
+        """Each configuration of each distinct configuration set per length
+        is expanded once, however many prefixes reach the set, so the
+        product's search fits in 34 325 expansions."""
         code, out, err = run_cli(
             capsys,
             "verify",
@@ -1279,7 +1280,7 @@ class TestVerify:
             "--max-len",
             "14",
             "--max-expand",
-            "50000",
+            "34325",
         )
         assert code == 0, err
         assert "language equality confirmed, 0 mismatches (679 words)" in out

@@ -6,7 +6,9 @@ live- and floor-depth tables equal ones computed column by column, in any
 order of lengths and from several threads, every accepting run keeps
 within them, and pruning by floor depth changes no answer.  The machines
 are in normal form, except those of `forward_machines`, whose epsilon
-moves push, pop or do nothing in any number but never cycle."""
+moves push, pop or do nothing in any number but never cycle.  Closing one
+configuration set per length gives the language that closing one set per
+prefix gives, on machines and on products."""
 
 import random
 import re
@@ -33,8 +35,9 @@ from islab.pda import (
     enumerate_language,
     enumerate_runs,
 )
+from islab.products import BufferedProduct, DisplacementProduct
 
-from helpers import BUDGET, machines, words
+from helpers import BUDGET, machines, reference_enumerate_language, words
 
 MAX_LEN = 5
 
@@ -546,3 +549,33 @@ def test_floor_depths_change_no_answer(machine):
                     assert search(moded) == search(Unfloored(moded)), (mode, word)
     except LimitExceeded:
         reject()  # inconclusive within the budget; not a counterexample
+
+
+@st.composite
+def products(draw):
+    """The displacement or buffered product, at parameter 0 or 1, of two
+    random machines."""
+    make = draw(st.sampled_from([DisplacementProduct, BufferedProduct]))
+    return make(draw(machines()), draw(machines()), draw(st.integers(0, 1)))
+
+
+PALINDROME_PRODUCT = DisplacementProduct(*corpus.get("interleaved-palindrome").pair(), 1)
+DOUBLER_PRODUCT = BufferedProduct(DOUBLER, DOUBLER, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    machine=st.one_of(machines(), machines(pushes_both=True), forward_machines(), products()),
+    max_len=st.integers(0, MAX_LEN),
+)
+@example(machine=PALINDROME_PRODUCT, max_len=10)
+@example(machine=DOUBLER_PRODUCT, max_len=10)
+def test_one_closure_per_configuration_set_gives_the_reference_language(machine, max_len):
+    """Prefixes of one length that reach the same configurations share
+    one closure, and the words accepted are those of the reference that
+    closes the set of every prefix on its own."""
+    try:
+        expected = reference_enumerate_language(machine, max_len, BUDGET)
+    except LimitExceeded:
+        reject()  # inconclusive within the budget; not a counterexample
+    assert enumerate_language(machine, max_len, BUDGET) == expected

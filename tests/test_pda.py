@@ -545,9 +545,10 @@ class TestEnumerateLanguage:
             m = pattern.fullmatch(word)
             assert m and len(m.group(1)) == len(m.group(2)), word
 
-    def test_each_configuration_expanded_once_per_prefix(self):
-        """One state looping on a and b, no stack moves: each word up to
-        length 3 has one configuration, expanded once (1 + 2 + 4 + 8)."""
+    def test_one_configuration_set_expanded_once_per_length(self):
+        """One state looping on a and b, no stack moves: every word of one
+        length reaches the same one configuration, so it is expanded once
+        per length, 0 to 3, for all 15 words."""
         loop = Pda(
             states={"p"},
             input_alphabet={"a", "b"},
@@ -563,7 +564,7 @@ class TestEnumerateLanguage:
         )
         machine = CountingMachine(loop)
         assert len(enumerate_language(machine, 3)) == 15
-        assert machine.calls == 15
+        assert machine.calls == 4
 
     def test_epsilon_successors_expanded_once_per_prefix(self):
         """The doubler at length 3: "" has its start, "a" the auxiliary
@@ -571,6 +572,14 @@ class TestEnumerateLanguage:
         machine = CountingMachine(doubler())
         assert enumerate_language(machine, 3) == {"", "abb"}
         assert machine.calls == 5
+
+    @pytest.mark.parametrize("name, count", [("odd-track", 4387), ("even-track", 4679)])
+    def test_palindrome_track_prefixes_share_configuration_sets(self, name, count):
+        """Each track ignores every other position, so the prefixes that
+        differ only there reach one configuration set, closed once."""
+        machine = CountingMachine(corpus.get("interleaved-palindrome").machine(name))
+        assert len(enumerate_language(machine, 14)) == count
+        assert machine.calls == 207
 
 
 class TestRunInvariants:
