@@ -19,11 +19,12 @@ the one successor function `_Search.successors`, which also charges each
 search's budget, one expansion per configuration (in `enumerate_language`,
 per configuration of each distinct configuration set its prefixes reach at
 each length, however many prefixes reach it and whatever the alphabet
-size), and drops every successor whose stack is too deep to be emptied in
-the input left (see `live_depths`) or, in the searches over one word
-(`accepts` and `enumerate_runs`), too shallow to last it (see
-`floor_depths`).  No search recurses: run length never becomes Python
-recursion depth.  What a caller gets back still holds tuples:
+size, and the prefixes it makes are held to the same bound), and drops
+every successor whose stack is too deep to be emptied in the input left
+(see `live_depths`) or, in the searches over one word (`accepts` and
+`enumerate_runs`), too shallow to last it (see `floor_depths`).  No
+search recurses: run length never becomes Python recursion depth.  What a
+caller gets back still holds tuples:
 `Configuration.stack` is the whole stack, bottom first, in
 `AcceptingRun.final`.
 
@@ -88,10 +89,12 @@ class LimitExceeded(Exception):
     """A search hit its budget, `max_configs`, before exhausting the graph.
 
     The budget counts the successor-step calls of one search (the states a
-    product's control-graph walk fetches, in `products`).  It is a count,
-    not a memory bound: the memory a configuration takes depends on the
-    machine.  The call past it raises this error, and the message always
-    reads "expanded N configurations, furthest input position p of n".
+    product's control-graph walk fetches, in `products`), and
+    `enumerate_language` holds the prefixes it makes to the same bound.
+    It is a count, not a memory bound: the memory a configuration takes
+    depends on the machine.  The step past it raises this error, and the
+    message always reads "expanded N configurations, furthest input
+    position p of n".
     Signals an inconclusive search, never a wrong answer: whenever a result
     is returned it is exact.
     """
@@ -824,9 +827,14 @@ def enumerate_language(machine, max_len: int, max_configs: int = MAX_CONFIGS) ->
     seed sets of one length merge their prefix lists; prefixes with no
     live configurations are pruned.  So the budget is charged one
     expansion per configuration of each distinct set per length, not per
-    prefix, and cost tracks the number of such sets rather than
-    |alphabet|^max_len.  Agrees with per-word `accepts` on every word it
-    reports or omits.
+    prefix, and the steps taken track the number of such sets rather than
+    |alphabet|^max_len.  The prefixes are still made, each a word held in
+    memory, so the budget bounds them too: the search raises
+    LimitExceeded, in the one message, once it has made more than
+    `max_configs` prefixes of all lengths together.  A search that closed
+    each prefix on its own would expand at least one configuration per
+    prefix, so it would be refused there anyway.  Agrees with per-word
+    `accepts` on every word it reports or omits.
     """
     search = _Search(machine, max_len, max_configs)
     accepted: set[str] = set()
@@ -834,6 +842,7 @@ def enumerate_language(machine, max_len: int, max_configs: int = MAX_CONFIGS) ->
     # prefixes that reach it): the worklist goes by that order, never by a
     # hash order, so expansions and refusals repeat from run to run
     frontier = [({search.start(): None}, [""])]
+    held = 1  # prefixes made so far, of every length
     length = 0
     while frontier:
         reads = _ANY if length < max_len else None
@@ -852,12 +861,8 @@ def enumerate_language(machine, max_len: int, max_configs: int = MAX_CONFIGS) ->
                 accepting = accepting or machine.is_accepting(state, cell)
                 for t, new_pos, nxt_cell in search.successors(state, pos, cell, reads):
                     nxt = (t.target, new_pos, nxt_cell)
-                    read = t.read
-                    if read is not None:
-                        after = advanced.get(read)
-                        if after is None:
-                            after = advanced[read] = {}
-                        after[nxt] = None
+                    if t.read is not None:
+                        advanced.setdefault(t.read, {})[nxt] = None
                     elif nxt not in configs:
                         configs[nxt] = None
                         work.append(nxt)
@@ -865,6 +870,9 @@ def enumerate_language(machine, max_len: int, max_configs: int = MAX_CONFIGS) ->
                 accepted.update(prefixes)
             for sym in sorted(advanced):
                 after = advanced[sym]
+                held += len(prefixes)
+                if held > search.max_configs:
+                    raise limit_exceeded(search.expanded, search.furthest, max_len)
                 longer = [prefix + sym for prefix in prefixes]
                 key = frozenset(after)
                 entry = seeds.get(key)

@@ -147,15 +147,22 @@ def test_accepts_matches_reference_and_lists_first_run(machine):
 @given(machine=machines(), cap=st.integers(0, 40), data=st.data())
 def test_results_under_any_cap_are_exact(machine, cap, data):
     """Under a cap a search either stops with the one LimitExceeded message
-    or returns what it returns with the cap out of reach."""
+    or returns what it returns with the cap out of reach.  The message
+    counts the cap's expansions, save where `enumerate_language` passes the
+    cap in prefixes made first: then it counts fewer, and closing each
+    prefix on its own passes the cap too."""
     word = data.draw(st.sampled_from(list(words(machine.input_alphabet, MAX_LEN))))
     searches = [
-        (lambda budget: accepts(machine, word, budget), len(word)),
-        (lambda budget: enumerate_runs(machine, word, max_configs=budget), len(word)),
-        (lambda budget: enumerate_language(machine, MAX_LEN, budget), MAX_LEN),
+        (lambda budget: accepts(machine, word, budget), len(word), None),
+        (lambda budget: enumerate_runs(machine, word, max_configs=budget), len(word), None),
+        (
+            lambda budget: enumerate_language(machine, MAX_LEN, budget),
+            MAX_LEN,
+            lambda budget: reference_enumerate_language(machine, MAX_LEN, budget),
+        ),
     ]
-    pattern = rf"expanded {cap} configurations, furthest input position (\d+) of (\d+)"
-    for search, input_len in searches:
+    pattern = r"expanded (\d+) configurations, furthest input position (\d+) of (\d+)"
+    for search, input_len, per_prefix in searches:
         try:
             exact = search(BUDGET)
         except LimitExceeded:
@@ -165,7 +172,11 @@ def test_results_under_any_cap_are_exact(machine, cap, data):
         except LimitExceeded as exc:
             match = re.fullmatch(pattern, str(exc))
             assert match, str(exc)
-            assert int(match[1]) <= int(match[2]) == input_len
+            assert int(match[2]) <= int(match[3]) == input_len
+            if int(match[1]) != cap:
+                assert per_prefix is not None and int(match[1]) < cap, str(exc)
+                with pytest.raises(LimitExceeded):
+                    per_prefix(cap)
         else:
             assert answer == exact
 

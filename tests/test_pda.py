@@ -44,6 +44,23 @@ def even_track() -> Pda:
     return corpus.get("interleaved-palindrome").machine("even-track")
 
 
+def ab_loop() -> Pda:
+    """One accepting state looping on a and on b, with no stack moves."""
+    return Pda(
+        states={"p"},
+        input_alphabet={"a", "b"},
+        stack_alphabet={"$"},
+        transitions=[
+            Transition("p", "a", StackAction.none(), "p"),
+            Transition("p", "b", StackAction.none(), "p"),
+        ],
+        start="p",
+        bottom="$",
+        accept={"p"},
+        acceptance_mode=FINAL_STATE_BOTTOM_ONLY,
+    )
+
+
 def ambiguous_two_path() -> Pda:
     """Accepts "ab" along two distinct runs (stack path and no-op path)."""
     return Pda(
@@ -549,22 +566,38 @@ class TestEnumerateLanguage:
         """One state looping on a and b, no stack moves: every word of one
         length reaches the same one configuration, so it is expanded once
         per length, 0 to 3, for all 15 words."""
-        loop = Pda(
-            states={"p"},
-            input_alphabet={"a", "b"},
-            stack_alphabet={"$"},
+        machine = CountingMachine(ab_loop())
+        assert len(enumerate_language(machine, 3)) == 15
+        assert machine.calls == 4
+
+    def test_prefixes_held_to_the_budget(self):
+        """The loop expands one configuration per length but makes every
+        word over {a, b}: past 100 prefixes (1 + 2 + ... + 64 = 127, after
+        the sets of lengths 0 to 5) the search is refused, long before
+        the 2^21 - 1 words up to length 20."""
+        message = "expanded 6 configurations, furthest input position 5 of 20"
+        with pytest.raises(LimitExceeded, match=re.escape(message)):
+            enumerate_language(ab_loop(), 20, max_configs=100)
+
+    def test_equal_states_with_different_stacks_stay_apart(self):
+        """"a" and "b" both reach q, over A and over B: their seed sets
+        differ only in the stack, and each keeps its own continuation."""
+        marks = Pda(
+            states={"p", "q", "f"},
+            input_alphabet={"a", "b", "c", "d"},
+            stack_alphabet={"$", "A", "B"},
             transitions=[
-                Transition("p", "a", StackAction.none(), "p"),
-                Transition("p", "b", StackAction.none(), "p"),
+                Transition("p", "a", StackAction.push("A"), "q"),
+                Transition("p", "b", StackAction.push("B"), "q"),
+                Transition("q", "c", StackAction.pop("A"), "f"),
+                Transition("q", "d", StackAction.pop("B"), "f"),
             ],
             start="p",
             bottom="$",
-            accept={"p"},
+            accept={"f"},
             acceptance_mode=FINAL_STATE_BOTTOM_ONLY,
         )
-        machine = CountingMachine(loop)
-        assert len(enumerate_language(machine, 3)) == 15
-        assert machine.calls == 4
+        assert enumerate_language(marks, 3) == {"ac", "bd"}
 
     def test_epsilon_successors_expanded_once_per_prefix(self):
         """The doubler at length 3: "" has its start, "a" the auxiliary
