@@ -132,7 +132,7 @@ class CnfGrammar(Cfg):
 
 class _CykIndex(dict):
     """The bit-vector view of one CNF grammar that cyk_membership parses
-    with, and the memo of its joins.
+    with, and the memos of its joins.
 
     Each nonterminal owns one bit (in sorted name order), so a set of
     nonterminals is an int mask.  `leaves` maps a terminal to the mask of
@@ -141,11 +141,14 @@ class _CykIndex(dict):
     maps a (left mask, right mask) pair of adjacent spans, keyed as
     `left << width | right`, to the heads A of every rule A -> B C with B
     in the left mask and C in the right one; a pair is joined on first
-    lookup.  `charts` holds the charts of the last words parsed as (word,
-    ends), with `ends[j - 1][i]` the mask of the nonterminals deriving
-    word[i:j], one list per end position; it holds one chart unless calls
-    ran at the same time.  One index belongs to one grammar instance and
-    dies with it.
+    lookup.  `partners` is the partner memo: it maps a right mask to the
+    left nonterminals B of every rule A -> B C with C in it, also filled
+    on first lookup, so a pair whose left mask shares no bit with it is
+    never looked up.  `charts` holds the charts of the last words parsed
+    as (word, ends), with `ends[j - 1]` the sparse column of the spans
+    ending at j: one (i, mask) pair for each nonzero mask of word[i:j],
+    in descending i.  It holds one chart unless calls ran at the same
+    time.  One index belongs to one grammar instance and dies with it.
     """
 
     def __init__(self, g: CnfGrammar):
@@ -155,14 +158,16 @@ class _CykIndex(dict):
         self.start = bit[g.start]
         self.leaves: dict[str, int] = {}
         self.by_left: dict[int, list[tuple[int, int]]] = {}
+        by_right: dict[int, int] = {}
         for p in g.productions:
             if len(p.body) == 1:
                 self.leaves[p.body[0]] = self.leaves.get(p.body[0], 0) | bit[p.head]
             elif len(p.body) == 2:
-                self.by_left.setdefault(bit[p.body[0]], []).append(
-                    (bit[p.body[1]], bit[p.head])
-                )
-        self.charts: list[tuple[str, list[list[int]]]] = []
+                left, right = bit[p.body[0]], bit[p.body[1]]
+                self.by_left.setdefault(left, []).append((right, bit[p.head]))
+                by_right[right] = by_right.get(right, 0) | left
+        self.partners = _Partners(by_right)
+        self.charts: list[tuple[str, list[list[tuple[int, int]]]]] = []
 
     def __missing__(self, key: int) -> int:
         width = self.width
@@ -176,6 +181,24 @@ class _CykIndex(dict):
             left ^= low
         self[key] = heads
         return heads
+
+
+class _Partners(dict):
+    """Maps a right mask to the mask of the left bits that some binary
+    rule pairs with one of its bits; `by_right` holds that mask per right
+    bit, and a mask is filled on first lookup."""
+
+    def __init__(self, by_right: dict[int, int]):
+        super().__init__()
+        self.by_right = by_right
+
+    def __missing__(self, right: int) -> int:
+        lefts = 0
+        for right_bit, left_mask in self.by_right.items():
+            if right & right_bit:
+                lefts |= left_mask
+        self[right] = lefts
+        return lefts
 
 
 class GnfGrammar(Cfg):
@@ -327,19 +350,25 @@ def _prune(start: str, prods: set, terminals) -> tuple[set, set]:
 def cyk_membership(g: CnfGrammar, w: str) -> bool:
     """Bottom-up span parsing on the CNF stage.
 
-    The chart is kept by end position: `ends[j - 1][i]` is the nonterminal
-    bit mask of the span w[i:j], and column j is filled from i = j - 2 down
-    to 0.  While it fills, the column keeps its nonzero cells w[k:j], each
-    with the column of spans ending at k, and cell i joins only those,
-    through `ends[k - 1][i]`: a split with an empty right side is never
-    visited.  Everything behind the chart is kept per grammar instance in
-    one _CykIndex, built on the first call: the rule masks, the memo of the
-    heads that join each pair of adjacent spans, and the chart of the last
-    word parsed.  A column depends only on the prefix it ends, so a call
-    truncates that chart to the prefix it shares with the previous word and
-    computes only the columns past it.  A call takes the chart off the
-    index and puts it back when done, so calls on one grammar from several
-    threads never share a chart.
+    The chart is kept by end position, in sparse columns: `ends[j - 1]`
+    lists (i, mask) for each span w[i:j] whose nonterminal bit mask is
+    nonzero, from i = j - 1 down to 0.  Column j is filled in push order,
+    through the split points k from j - 1 down to 1: the cell of w[k:j],
+    if nonzero, joins each cell w[i:k] of `ends[k - 1]` and adds the heads
+    to the cell of w[i:j].  Only a split at some k' with k < k' < j adds
+    to the cell of w[k:j], and those came first, so each cell is final
+    when it is reached and goes into the sparse column then.  The left
+    mask of a pair is cut to the right mask's partners first: bits
+    outside them join to nothing, and a pair left with none is skipped
+    before the join memo.  Everything behind the chart is kept per grammar
+    instance in one _CykIndex, built on the first call: the rule masks,
+    the memos of partners and of the heads that join each pair of
+    adjacent spans, and the chart of the last word parsed.  A column
+    depends only on the prefix it ends, so a call truncates that chart to
+    the prefix it shares with the previous word and computes only the
+    columns past it.  A call takes the chart off the index and puts it
+    back when done, so calls on one grammar from several threads never
+    share a chart.
     """
     if w == "":
         return g.derives_epsilon
@@ -348,32 +377,40 @@ def cyk_membership(g: CnfGrammar, w: str) -> bool:
         word, ends = index.charts.pop()
     except IndexError:
         word, ends = "", []
-    shared = 0
-    for old, new in zip(word, w):
-        if old != new:
-            break
-        shared += 1
+    # a word after the previous one in a depth-first walk extends it, or
+    # differs from it in the last letter it keeps
+    shared = min(len(word), len(w))
+    if word[:shared] != w[:shared]:
+        shared -= 1
+        if word[:shared] != w[:shared]:
+            shared = 0
+            while word[shared] == w[shared]:
+                shared += 1
     del ends[shared:]
     leaves = index.leaves
+    partners = index.partners
     shift = index.width
     for j in range(shared + 1, len(w) + 1):
-        column = [0] * j
-        column[-1] = mask = leaves.get(w[j - 1], 0)
-        # (ends[k - 1], mask of w[k:j]) for each nonzero w[k:j] with k > i
-        nonzero = []
-        for i in range(j - 2, -1, -1):
-            if mask:
-                nonzero.append((ends[i], mask))
-            mask = 0
-            for lefts, right in nonzero:
-                left = lefts[i]
-                if left:
-                    mask |= index[(left << shift) | right]
-            column[i] = mask
+        cells = [0] * j
+        cells[-1] = leaves.get(w[j - 1], 0)
+        column = []
+        for k in range(j - 1, 0, -1):
+            right = cells[k]
+            if right:
+                column.append((k, right))
+                partner = partners[right]
+                if partner:
+                    for i, left in ends[k - 1]:
+                        left &= partner
+                        if left:
+                            cells[i] |= index[(left << shift) | right]
+        if cells[0]:
+            column.append((0, cells[0]))
         ends.append(column)
     # read the answer before the chart goes back: once it is on the index,
     # another thread may take it and cut its columns
-    member = bool(ends[-1][0] & index.start)
+    i, mask = (ends[-1] or [(0, 0)])[-1]
+    member = i == 0 and bool(mask & index.start)
     index.charts.append((w, ends))
     return member
 

@@ -159,7 +159,8 @@ class _LiveDepths(dict):
 class _ProductBase:
     """Shared product machinery.  Each instance keeps a table from composite
     state to its outgoing transitions, filled on first request: the control
-    graph is finite, so every state is expanded once per product.
+    graph is finite, so every state is expanded once per product.  The
+    answers of `accepts_control` are kept the same way.
     `parameter` is the bound the construction is built for: the gap bound k
     or the inner bound d.  Both components must be in normal form (see
     `validate_normal_form`); the constructors raise ValueError otherwise,
@@ -180,6 +181,7 @@ class _ProductBase:
         self.parameter = parameter
         self.input_alphabet = first.input_alphabet & second.input_alphabet
         self._table: dict = {}
+        self._accepts: dict = {}
         self._states: dict = {}
         self.start = self._state(self.state_class(first.start, second.start))
         self._bottom_only_owners = frozenset(
@@ -245,8 +247,13 @@ class _ProductBase:
 
     def is_accepting(self, state, stack) -> bool:
         """Control acceptance, and no entry of an owner that accepts on its
-        bottom only left above the bottom of the stack cell `stack`."""
-        if not self.accepts_control(state):
+        bottom only left above the bottom of the stack cell `stack`.  The
+        control half is kept per state next to its transitions; a second
+        thread that computes it writes the same answer."""
+        accepts = self._accepts.get(state)
+        if accepts is None:
+            accepts = self._accepts[state] = self.accepts_control(state)
+        if not accepts:
             return False
         owners = self._bottom_only_owners
         while stack.depth > 1:

@@ -68,12 +68,32 @@ def grammar(*rules) -> Cfg:
     return Cfg(nonterminals={"S", "A"}, terminals=TERMINALS, productions=prods, start="S")
 
 
+def test_cyk_reuses_charts_in_a_fixed_call_order():
+    cnf = to_cnf(corpus.get("even-palindrome-grammar").grammar)
+    order = [
+        "01100110",  # a fresh chart
+        "01100110",  # the same word: every column is kept
+        "01",  # a strict prefix: no column computed, read from the kept chart
+        "0110",  # an extension of it
+        "0111",  # a sibling, differing in its last letter
+        "1111",  # differs at position 0: every column computed again
+    ]
+    answers = [cyk_membership(cnf, w) for w in order]
+    assert answers == [set_cyk(cnf, w) for w in order] == [True, True, False, True, False, True]
+
+
+# to_cnf gives A -> b | T A, S0 -> T A and T -> a: the leaf A is never a left
+# child, and T is never a right child, so a nonzero cell of `a` has no partner
+LEAF_NEVER_LEFT = grammar(("S", "aA"), ("A", "b"), ("A", "aA"))
+
+
 @settings(max_examples=80, deadline=None)
 @given(g=grammars())
 # generates nothing: to_cnf returns the designated empty grammar
 @example(g=grammar(("S", "S"), ("S", "aA"), ("A", "Ab")))
 # nullable start: the empty word is in, and S also recurs on the right
 @example(g=grammar(("S", ""), ("S", "aSb"), ("S", "SS")))
+@example(g=LEAF_NEVER_LEFT)
 def test_cyk_matches_set_based_cyk(g):
     cnf = to_cnf(g)
     expected = {w: set_cyk(cnf, w) for w in words(TERMINALS, MAX_LEN)}
@@ -171,6 +191,14 @@ def test_examples_cover_empty_grammar_and_nullable_start():
     assert not to_cnf(grammar(("S", "S"), ("S", "aA"), ("A", "Ab"))).productions
     nullable = to_cnf(grammar(("S", ""), ("S", "aSb"), ("S", "SS")))
     assert nullable.derives_epsilon and cyk_membership(nullable, "")
+
+
+def test_example_covers_cells_without_partners():
+    cnf = to_cnf(LEAF_NEVER_LEFT)
+    leaves = {p.head for p in cnf.productions if len(p.body) == 1}
+    binaries = [p.body for p in cnf.productions if len(p.body) == 2]
+    assert leaves - {left for left, _ in binaries}
+    assert leaves - {right for _, right in binaries}
 
 
 @settings(max_examples=200, deadline=None)
