@@ -1,13 +1,17 @@
 """Helpers that more than one test module uses: word generators, reference
 languages and searches, random arc matchings, document editing, corpus
-listings, example machines and grammars, and the hypothesis strategies for
-random machines and block specifications.  Test modules import from here and
+listings, example machines and grammars, the hypothesis strategies for
+random machines and block specifications, and the in-process CLI run that
+the golden transcript records and replays.  Test modules import from here and
 never from each other, so that a module that fails to import stops no
 other module from collecting."""
 
+import contextlib
 import copy
+import io
 import itertools
 import re
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -22,6 +26,7 @@ from islab.arcs import (
     measures_of,
 )
 from islab.blocks import JointSpec
+from islab.cli import main
 from islab.grammar import Cfg, Production
 from islab.pda import (
     _ANY,
@@ -35,6 +40,10 @@ from islab.pda import (
 )
 
 BUDGET = 20_000
+
+# the golden CLI transcript; its commands run from this file's directory,
+# where the input files they name are checked in
+TRANSCRIPT = Path(__file__).resolve().parent / "transcript" / "cli.json"
 
 
 def words(alphabet, max_len: int):
@@ -170,6 +179,25 @@ def edited(document, keys: tuple, value):
     else:
         target[keys[-1]] = value
     return document
+
+
+def cli_entry(argv: list) -> dict:
+    """Run the CLI in process on argv: its exit code, and stdout and stderr
+    each as a list of lines that "\\n".join gives back byte for byte.  An
+    argparse refusal exits through SystemExit; its code is recorded the
+    same way.  argparse wraps usage lines to $COLUMNS, so callers fix it."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return {
+        "argv": list(argv),
+        "exit": code,
+        "stdout": out.getvalue().split("\n"),
+        "stderr": err.getvalue().split("\n"),
+    }
 
 
 def machine_items() -> list:
