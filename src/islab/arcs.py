@@ -7,9 +7,10 @@ read that triggered them.  Matchings from a single run are well nested; the
 interesting structure appears when two machines' matchings on the same word
 are overlaid and arcs from different machines cross.
 
-The geometry is decided here alone: whether two arcs cross (`crosses`, also
-for block constraints), well-nestedness (`is_well_nested`), and the split
-w = P1 P2 P3 P4 a crossing induces (`SegmentDecomposition`).
+The geometry is decided here alone: whether two arcs cross (`crosses`,
+which `blocks` also uses on block constraints), the split w = P1 P2 P3 P4
+a crossing induces (`SegmentDecomposition`), and its gap and inner
+distance (`CrossingMeasures`).
 `classify_family` returns every regime as a `RegimeReport`, the
 inconclusive one with a `detail`; inputs the geometry is not defined on,
 such as matchings of two different words, raise `PreconditionViolated`.
@@ -119,19 +120,6 @@ def crosses(i: int, j: int, i_prime: int, j_prime: int) -> bool:
     return i < i_prime < j < j_prime
 
 
-def is_well_nested(arcs) -> tuple[bool, tuple[Arc, Arc] | None]:
-    """Pairwise crossing check; on failure also return the crossing pair with
-    the smallest key (i, j, i', j'), which is the first one met in push
-    order."""
-    items = sorted(arcs, key=lambda a: (a.push_pos, a.pop_pos, a.owner, a.push_ordinal))
-    for idx, a in enumerate(items):
-        for b in items[idx + 1 :]:
-            # b pushes no earlier than a, so only a can cross b from the left
-            if crosses(a.push_pos, a.pop_pos, b.push_pos, b.pop_pos):
-                return False, (a, b)
-    return True, None
-
-
 class CrossingPair(NamedTuple):
     """Arcs (i, j) and (i', j') from different machines with i < i' < j < j'."""
 
@@ -205,10 +193,6 @@ class CrossingAnalysis(NamedTuple):
 
 def _measures(i: int, i_prime: int, j: int, j_prime: int) -> CrossingMeasures:
     return CrossingMeasures(gap=max(i_prime - i, j_prime - j), inner=max(i_prime - i, j - i_prime))
-
-
-def measures_of(pair: CrossingPair) -> CrossingMeasures:
-    return _measures(pair.i, pair.i_prime, pair.j, pair.j_prime)
 
 
 _PUSH = attrgetter("push_pos")

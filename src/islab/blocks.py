@@ -11,7 +11,9 @@ positive case and a family of pumping witnesses in the negative one:
 four-segment split.  One side is a specification whose second constraint
 set is empty, so membership on one side and on the intersection both go
 through one block scan, `JointSpec.in_intersection`, and both machines
-through `build_joint_pda`.
+through `build_joint_pda`.  Constraint arcs are checked by one loop,
+`_first_violation`: `JointSpec` runs it on each side against itself, and
+`characterize` on c1 against c2.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from functools import cached_property
 from itertools import accumulate, product
 from typing import NamedTuple
 
-from .arcs import Arc, SegmentDecomposition, crosses, is_well_nested
+from .arcs import SegmentDecomposition, crosses
 from .pda import (
     FINAL_STATE_BOTTOM_ONLY,
     JsonFields,
@@ -61,6 +63,22 @@ class Verdict(NamedTuple):
     @property
     def outcome(self) -> str:
         return "CFL" if self.is_cfl else "NotCFL"
+
+
+def _first_violation(first: tuple, second: tuple) -> Violation | None:
+    """The first violation between a constraint of `first` and one of
+    `second`, in constraint order, or None: the one check on constraint
+    arcs.  An arc present in both imposes the same condition twice and is
+    not a violation."""
+    for e1 in first:
+        for e2 in second:
+            if e1 == e2:
+                continue
+            if set(e1) & set(e2):
+                return Violation(SHARED_ENDPOINT, e1, e2)
+            if crosses(*e1, *e2) or crosses(*e2, *e1):
+                return Violation(CROSSING, e1, e2)
+    return None
 
 
 class JointSpec(_Value):
@@ -110,9 +128,10 @@ class JointSpec(_Value):
                     if e in endpoints:
                         raise ValueError(f"block {e} appears in two constraints")
                     endpoints.add(e)
-            ok, bad = is_well_nested(Arc(l, r) for l, r in side)
-            if not ok:
-                raise ValueError(f"constraints {bad[0].positions()} and {bad[1].positions()} cross")
+            # no two constraints share a block, so only a crossing is left
+            bad = _first_violation(side, side)
+            if bad is not None:
+                raise ValueError(f"constraints {bad.first} and {bad.second} cross")
             _set(self, name, side)
         pairs = self.c1 + self.c2
         classes = list(range(self.k))  # union-find by relabelling: each block's class
@@ -187,30 +206,20 @@ class JointSpec(_Value):
 def characterize(j: JointSpec) -> Verdict:
     """CFL exactly when the arcs of c1 and c2 together are well nested with
     distinct endpoints; otherwise NotCFL with the first violation in
-    constraint order.  An arc present on both sides imposes the same
-    condition twice and is not a violation."""
-    for e1 in j.c1:
-        for e2 in j.c2:
-            if e1 == e2:
-                continue
-            if set(e1) & set(e2):
-                violation = Violation(SHARED_ENDPOINT, e1, e2)
-                detail = "share a block"
-            elif crosses(*e1, *e2) or crosses(*e2, *e1):
-                violation = Violation(CROSSING, e1, e2)
-                detail = "cross"
-            else:
-                continue
-            return Verdict(
-                is_cfl=False,
-                reason=f"constraints {e1} and {e2} {detail}; the intersection "
-                "admits no context-free recognizer",
-                violation=violation,
-            )
+    constraint order."""
+    violation = _first_violation(j.c1, j.c2)
+    if violation is None:
+        return Verdict(
+            is_cfl=True,
+            reason="combined constraint arcs are well nested with distinct "
+            "endpoints; a single joint machine recognizes the intersection",
+        )
+    detail = "cross" if violation.kind == CROSSING else "share a block"
     return Verdict(
-        is_cfl=True,
-        reason="combined constraint arcs are well nested with distinct "
-        "endpoints; a single joint machine recognizes the intersection",
+        is_cfl=False,
+        reason=f"constraints {violation.first} and {violation.second} {detail}; "
+        "the intersection admits no context-free recognizer",
+        violation=violation,
     )
 
 

@@ -19,11 +19,11 @@ from islab import corpus
 from islab.arcs import (
     Arc,
     CrossingAnalysis,
+    CrossingMeasures,
     CrossingPair,
     PreconditionViolated,
     SegmentDecomposition,
     crosses,
-    measures_of,
 )
 from islab.blocks import JointSpec
 from islab.cli import main
@@ -103,9 +103,25 @@ def random_stack_matching(rng, length, owner, crowded: bool = False):
     return tuple(arcs)
 
 
+def is_well_nested(arcs) -> tuple:
+    """Every arc against every arc: (True, None), or (False, (a, b)) for
+    the crossing pair with the smallest key (i, j, i', j'), the first met
+    in push order.  The reference for the well-nestedness that
+    `crossing_pairs` decides in one stack pass."""
+    items = sorted(arcs, key=lambda a: (a.push_pos, a.pop_pos, a.owner, a.push_ordinal))
+    for idx, a in enumerate(items):
+        for b in items[idx + 1 :]:
+            # b pushes no earlier than a, so only a can cross b from the left
+            if crosses(a.push_pos, a.pop_pos, b.push_pos, b.pop_pos):
+                return False, (a, b)
+    return True, None
+
+
 def reference_crossing_pairs(m1, m2):
     """`crossing_pairs` as every arc against every arc: the reference the
-    sweep is tested against."""
+    sweep is tested against.  Gap and inner come from their definitions,
+    gap = max(i' - i, j' - j) and inner = max(|P2|, |P3|) over the split's
+    segment lengths, not from the library's formula."""
     if m1.word != m2.word:
         raise PreconditionViolated(f"matchings over different words: {m1.word!r} vs {m2.word!r}")
     if m1.owner == m2.owner:
@@ -123,7 +139,9 @@ def reference_crossing_pairs(m1, m2):
             else:
                 continue
             deco = SegmentDecomposition(n, pair.i, pair.i_prime, pair.j)
-            out.append(CrossingAnalysis(pair, deco, measures_of(pair)))
+            _, p2, p3, _ = deco.lengths()
+            gap = max(pair.i_prime - pair.i, pair.j_prime - pair.j)
+            out.append(CrossingAnalysis(pair, deco, CrossingMeasures(gap, max(p2, p3))))
     out.sort(
         key=lambda c: (c.pair.i, c.pair.i_prime, c.pair.j, c.pair.j_prime)
     )

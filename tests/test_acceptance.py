@@ -18,7 +18,6 @@ from islab.arcs import (
     classify_family,
     crossing_pairs,
     extract_matching,
-    is_well_nested,
 )
 from islab.blocks import (
     CROSSING,
@@ -49,6 +48,7 @@ from islab.pumping import (
 from helpers import (
     block_words,
     grammar_bundles,
+    is_well_nested,
     machine_items,
     random_stack_matching,
     refutation_member,

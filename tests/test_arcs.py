@@ -21,8 +21,6 @@ from islab.arcs import (
     classify_family,
     crossing_pairs,
     extract_matching,
-    is_well_nested,
-    measures_of,
 )
 from islab.diagrams import render_arcs, render_pair_analysis
 from islab.pda import (
@@ -38,7 +36,12 @@ from islab.pda import (
 )
 from islab.pumping import check_linkage
 
-from helpers import random_stack_matching, reference_crossing_pairs, two_path_machine
+from helpers import (
+    is_well_nested,
+    random_stack_matching,
+    reference_crossing_pairs,
+    two_path_machine,
+)
 
 
 def first_matching(machine, word, owner=1):
@@ -124,63 +127,6 @@ class TestExtractMatching:
         bad = AcceptingRun(steps, Configuration("p", len(steps), ("$",)))
         with pytest.raises(UnbalancedRun, match=f"^{message}$"):
             extract_matching(bad, "a" * len(steps))
-
-
-class TestWellNested:
-    def test_nested_pair(self):
-        ok, bad = is_well_nested([Arc(1, 4), Arc(2, 3)])
-        assert ok and bad is None
-
-    def test_crossing_pair_reported(self):
-        ok, bad = is_well_nested([Arc(2, 4), Arc(1, 3)])
-        assert not ok
-        assert (bad[0].positions(), bad[1].positions()) == ((1, 3), (2, 4))
-
-    def test_shared_endpoint_is_nested(self):
-        ok, _ = is_well_nested([Arc(1, 2), Arc(2, 3)])
-        assert ok
-
-    def test_same_position_loop_never_crosses(self):
-        ok, _ = is_well_nested([Arc(2, 2), Arc(1, 3), Arc(2, 3)])
-        assert ok
-
-    def test_smallest_crossing_pair_chosen(self):
-        arcs = [Arc(1, 3), Arc(2, 4), Arc(5, 7), Arc(6, 8)]
-        ok, bad = is_well_nested(arcs)
-        assert not ok
-        assert (bad[0].positions(), bad[1].positions()) == ((1, 3), (2, 4))
-
-
-@st.composite
-def arc_sets(draw):
-    """Up to eight arcs over positions 1..8, owners and push ordinals mixed,
-    duplicates and same-position loops allowed."""
-    arcs = []
-    for _ in range(draw(st.integers(0, 8))):
-        push = draw(st.integers(1, 8))
-        arcs.append(
-            Arc(push, draw(st.integers(push, 8)), draw(st.integers(1, 2)), draw(st.integers(1, 2)))
-        )
-    return arcs
-
-
-@settings(max_examples=300, deadline=None)
-@given(arc_sets())
-def test_first_crossing_has_smallest_key(arcs):
-    # brute force over every ordered pair: (i, j, i', j') with i < i' < j < j'
-    smallest = min(
-        (
-            (a.push_pos, a.pop_pos, b.push_pos, b.pop_pos)
-            for a in arcs
-            for b in arcs
-            if a.push_pos < b.push_pos < a.pop_pos < b.pop_pos
-        ),
-        default=None,
-    )
-    ok, bad = is_well_nested(arcs)
-    assert ok == (smallest is None)
-    if bad is not None:
-        assert bad[0].positions() + bad[1].positions() == smallest
 
 
 class TestSegmentDecomposition:
@@ -277,10 +223,13 @@ class TestCrossingPairs:
 
     def test_inner_exceeds_gap(self):
         word = "x" * 9
-        m1 = Matching(word, 1, (Arc(1, 8, 1),))
-        m2 = Matching(word, 2, (Arc(2, 9, 2),))
-        (analysis,) = crossing_pairs(m1, m2)
-        assert analysis.measures == CrossingMeasures(gap=1, inner=6)
+        for first, second, measures in (
+            (Arc(1, 8, 1), Arc(2, 9, 2), CrossingMeasures(gap=1, inner=6)),
+            (Arc(2, 7, 1), Arc(4, 9, 2), CrossingMeasures(gap=2, inner=3)),
+        ):
+            m1, m2 = Matching(word, 1, (first,)), Matching(word, 2, (second,))
+            (analysis,) = crossing_pairs(m1, m2)
+            assert analysis.measures == measures
 
     def test_source_mismatch(self):
         message = "^matchings over different words: 'ab' vs 'ba'$"
@@ -328,12 +277,6 @@ class TestCrossingPairs:
                     parts = deco.parts(word)
                     assert "".join(parts) == word
                     assert tuple(len(p) for p in parts) == deco.lengths()
-
-    def test_measures_of_direct(self):
-        from islab.arcs import CrossingPair
-
-        pair = CrossingPair(Arc(2, 7, 1), Arc(4, 9, 2))
-        assert measures_of(pair) == CrossingMeasures(gap=2, inner=3)
 
 
 @st.composite

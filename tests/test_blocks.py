@@ -153,6 +153,37 @@ class TestBlockSpecValidation:
             JointSpec(alphabets=({"ab"},), c1=(), c2=())
 
 
+TWELVE_BLOCKS = tuple({chr(ord("a") + m)} for m in range(12))
+
+
+@st.composite
+def one_side_constraints(draw) -> tuple:
+    """Up to six constraints over blocks 1..12, no block in two of them."""
+    blocks = draw(st.lists(st.integers(1, 12), unique=True, max_size=12))
+    return tuple(tuple(sorted(blocks[m : m + 2])) for m in range(0, len(blocks) - 1, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_side_constraints(), st.sampled_from(["c1", "c2"]))
+# four crossings; a stack pass over push order meets (2, 5) and (3, 6) first
+@example(((1, 10), (2, 5), (3, 6), (4, 12)), "c1")
+@example(((2, 4), (1, 3)), "c2")
+@example(((1, 3), (2, 4), (5, 7), (6, 8)), "c1")
+@example(((1, 4), (2, 3)), "c2")
+def test_side_refusal_names_the_smallest_crossing(side, name):
+    # brute force over every ordered pair: (i, j, i', j') with i < i' < j < j'
+    smallest = min(
+        ((a, b) for a in side for b in side if a[0] < b[0] < a[1] < b[1]), default=None
+    )
+    sides = {"c1": (), "c2": (), name: side}
+    if smallest is None:
+        assert getattr(JointSpec(TWELVE_BLOCKS, **sides), name) == tuple(sorted(side))
+    else:
+        message = f"constraints {smallest[0]} and {smallest[1]} cross"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            JointSpec(TWELVE_BLOCKS, **sides)
+
+
 class TestMembership:
     def spec13(self):
         return JointSpec(alphabets=({"a"}, {"b"}, {"c"}), c1=((1, 3),), c2=())

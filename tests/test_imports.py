@@ -1,6 +1,7 @@
 """Every name a library module imports is used there or re-exported, the
-start-up imports no `dataclasses`, and the value records are immutable
-named tuples, which cost less to define at start-up."""
+public names are the pinned list, the start-up imports no `dataclasses`,
+and the value records are immutable named tuples, which cost less to
+define at start-up."""
 
 import ast
 import importlib
@@ -40,6 +41,75 @@ def unused_imports(tree: ast.Module) -> list:
 @pytest.mark.parametrize("path", SOURCES, ids=[path.name for path in SOURCES])
 def test_no_unused_import(path):
     assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+# the public surface, sorted: a name that joins or leaves `islab.__all__`
+# shows in the diff of this list
+PUBLIC = [
+    "AcceptingRun",
+    "Arc",
+    "BufferedProduct",
+    "Cfg",
+    "CnfGrammar",
+    "Configuration",
+    "CrossingAnalysis",
+    "CrossingMeasures",
+    "CrossingPair",
+    "DisplacementProduct",
+    "Factorization",
+    "GnfGrammar",
+    "HypothesesReport",
+    "JointSpec",
+    "LimitExceeded",
+    "LinkagePackage",
+    "LinkageReport",
+    "Matching",
+    "NoCrossing",
+    "PairAnalysis",
+    "Pda",
+    "Production",
+    "RegimeReport",
+    "SegmentDecomposition",
+    "StackAction",
+    "Transition",
+    "Verdict",
+    "Violation",
+    "accepts",
+    "analyze_pair",
+    "analyze_runs",
+    "build_joint_pda",
+    "cfg_from_json",
+    "cfg_to_json",
+    "characterize",
+    "check_crossing_hypotheses",
+    "check_linkage",
+    "classify_family",
+    "component_runs",
+    "crossing_pairs",
+    "cyk_membership",
+    "enumerate_language",
+    "enumerate_runs",
+    "extract_matching",
+    "fragment_to_json",
+    "gnf_to_pda",
+    "joint_from_json",
+    "joint_to_json",
+    "pda_from_json",
+    "pda_to_json",
+    "reachable_composite_states",
+    "segments_and_linkages",
+    "state_bound",
+    "to_cnf",
+    "to_gnf",
+    "validate_normal_form",
+    "witness_blocks",
+    "witness_string",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(islab.__all__) == PUBLIC
+    assert all(hasattr(islab, name) for name in PUBLIC)
 
 
 # `import islab, islab.corpus, islab.cli` is the start-up of every command.
