@@ -129,6 +129,38 @@ class TestExtractMatching:
             extract_matching(bad, "a" * len(steps))
 
 
+def pair_keys(m1, m2):
+    return [(c.pair.first.positions(), c.pair.second.positions()) for c in crossing_pairs(m1, m2)]
+
+
+class TestWellNested:
+    """`crossing_pairs` decides whether two machines' matchings overlay into
+    a well-nested union: it is, exactly when no pair is found."""
+
+    def test_nested_pair(self):
+        m1, m2 = Matching("x" * 4, 1, (Arc(1, 4, 1),)), Matching("x" * 4, 2, (Arc(2, 3, 2),))
+        assert pair_keys(m1, m2) == pair_keys(m2, m1) == []
+
+    def test_crossing_pair_reported(self):
+        m1, m2 = Matching("x" * 4, 1, (Arc(2, 4, 1),)), Matching("x" * 4, 2, (Arc(1, 3, 2),))
+        assert pair_keys(m1, m2) == pair_keys(m2, m1) == [((1, 3), (2, 4))]
+
+    def test_shared_endpoint_is_nested(self):
+        m1, m2 = Matching("x" * 3, 1, (Arc(1, 2, 1),)), Matching("x" * 3, 2, (Arc(2, 3, 2),))
+        assert pair_keys(m1, m2) == pair_keys(m2, m1) == []
+
+    def test_same_position_loop_never_crosses(self):
+        m1 = Matching("x" * 3, 1, (Arc(2, 2, 1), Arc(1, 3, 1)))
+        m2 = Matching("x" * 3, 2, (Arc(2, 3, 2),))
+        assert pair_keys(m1, m2) == pair_keys(m2, m1) == []
+
+    def test_smallest_crossing_pair_chosen(self):
+        m1 = Matching("x" * 8, 1, (Arc(5, 7, 1), Arc(1, 3, 1)))
+        m2 = Matching("x" * 8, 2, (Arc(6, 8, 2), Arc(2, 4, 2)))
+        assert pair_keys(m1, m2)[0] == ((1, 3), (2, 4))
+        assert pair_keys(m1, m2) == [((1, 3), (2, 4)), ((5, 7), (6, 8))]
+
+
 class TestSegmentDecomposition:
     def test_intervals_lengths_parts(self):
         cuts = SegmentDecomposition(word_len=8, i=2, i_prime=3, j=6)
@@ -223,13 +255,10 @@ class TestCrossingPairs:
 
     def test_inner_exceeds_gap(self):
         word = "x" * 9
-        for first, second, measures in (
-            (Arc(1, 8, 1), Arc(2, 9, 2), CrossingMeasures(gap=1, inner=6)),
-            (Arc(2, 7, 1), Arc(4, 9, 2), CrossingMeasures(gap=2, inner=3)),
-        ):
-            m1, m2 = Matching(word, 1, (first,)), Matching(word, 2, (second,))
-            (analysis,) = crossing_pairs(m1, m2)
-            assert analysis.measures == measures
+        m1 = Matching(word, 1, (Arc(1, 8, 1),))
+        m2 = Matching(word, 2, (Arc(2, 9, 2),))
+        (analysis,) = crossing_pairs(m1, m2)
+        assert analysis.measures == CrossingMeasures(gap=1, inner=6)
 
     def test_source_mismatch(self):
         message = "^matchings over different words: 'ab' vs 'ba'$"
@@ -278,6 +307,19 @@ class TestCrossingPairs:
                     assert "".join(parts) == word
                     assert tuple(len(p) for p in parts) == deco.lengths()
 
+    def test_measures_of_direct(self):
+        # gap = max(i' - i, j' - j) and inner = max(|P2|, |P3|), read off
+        # the pair and its split rather than from the library's formula
+        word = "x" * 9
+        m1 = Matching(word, 1, (Arc(2, 7, 1),))
+        m2 = Matching(word, 2, (Arc(4, 9, 2),))
+        (analysis,) = crossing_pairs(m1, m2)
+        pair, (_, p2, p3, _) = analysis.pair, analysis.decomposition.lengths()
+        assert analysis.measures == CrossingMeasures(gap=2, inner=3)
+        assert analysis.measures == CrossingMeasures(
+            gap=max(pair.i_prime - pair.i, pair.j_prime - pair.j), inner=max(p2, p3)
+        )
+
 
 @st.composite
 def matching_pairs(draw):
@@ -312,6 +354,28 @@ def test_sweep_matches_pairwise_scan(pair):
     m1, m2 = pair
     assert crossing_pairs(m1, m2) == reference_crossing_pairs(m1, m2)
     assert crossing_pairs(m2, m1) == reference_crossing_pairs(m2, m1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matching_pairs())
+def test_first_crossing_has_smallest_key(pair):
+    # brute force over every cross-machine pair: (i, i', j, j') with
+    # i < i' < j < j', the order `crossing_pairs` sorts by
+    m1, m2 = pair
+    smallest = min(
+        (
+            (a.push_pos, b.push_pos, a.pop_pos, b.pop_pos)
+            for a in m1.arcs + m2.arcs
+            for b in m1.arcs + m2.arcs
+            if a.owner != b.owner and a.push_pos < b.push_pos < a.pop_pos < b.pop_pos
+        ),
+        default=None,
+    )
+    for analyses in (crossing_pairs(m1, m2), crossing_pairs(m2, m1)):
+        assert (not analyses) == (smallest is None)
+        if analyses:
+            p = analyses[0].pair
+            assert (p.i, p.i_prime, p.j, p.j_prime) == smallest
 
 
 class TestAnalyzePair:
